@@ -40,7 +40,7 @@ from .coeff_systems import (
     haar_unitaries,
     row_bound,
 )
-from .errors import ConfigurationError, DimensionError, DomainError
+from .errors import ConfigurationError, DimensionError, DomainError, NonConvergenceError
 from .hankel import (
     BlockHankel,
     LacunarySpec,
@@ -188,11 +188,15 @@ def poly_of_T(b: OperatorBundle, p: Polynomial) -> np.ndarray:
 
 def _poly_t_applies(b: OperatorBundle, p: Polynomial):
     """(apply, apply_adjoint) closures for P(T) on flat vectors of length
-    2*D*h.  Uses D x D Toeplitz factors and the Hankel anti-diagonal apply;
-    cost per matvec is O(D^2 h) instead of O((Dh)^2)."""
+    2*D*h.  Uses D x D Toeplitz factors, conjugated once per polynomial, and
+    the Hankel anti-diagonal apply (one slice matmul per supported frequency);
+    cost per matvec is O(D^2 h + F D h^2) instead of O((Dh)^2)."""
     D, h = b.space.D, b.space.h_dim
     t_p = toeplitz(p, D)
     t_pp = toeplitz(poly_derivative(p), D)
+    t_p_conj = t_p.conj()  # (t_p.T)^H
+    t_p_h = t_p_conj.T
+    t_pp_h = t_pp.conj().T
     g = b.hankel
     eps = b.eps
     half = D * h
@@ -208,9 +212,9 @@ def _poly_t_applies(b: OperatorBundle, p: Polynomial):
     def apply_adjoint(x: np.ndarray) -> np.ndarray:
         x1 = x[:half].reshape(D, h)
         x2 = x[half:].reshape(D, h)
-        y1 = t_p.conj() @ x1  # (t_p.T)^H
+        y1 = t_p_conj @ x1
         gh = g.apply_flat_adjoint(x1.reshape(-1)).reshape(D, h)
-        y2 = t_p.conj().T @ x2 + eps * (t_pp.conj().T @ gh)
+        y2 = t_p_h @ x2 + eps * (t_pp_h @ gh)
         return np.concatenate([y1.reshape(-1), y2.reshape(-1)])
 
     return apply, apply_adjoint
@@ -221,7 +225,8 @@ def _power_norm(
     tol: float = 1e-10, max_iter: int = 20000, want_vectors: bool = False,
 ):
     """Top singular value (and optionally the pair) of the operator given by
-    matvec closures, via power iteration on A^H A."""
+    matvec closures, via power iteration on A^H A.  Hitting max_iter without
+    meeting tol raises NonConvergenceError."""
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     v /= np.linalg.norm(v)
     rho = 0.0
@@ -240,6 +245,12 @@ def _power_norm(
             rho = rho_new
             break
         rho = rho_new
+    else:
+        raise NonConvergenceError(
+            f"P(T) power iteration did not converge in {max_iter} iterations",
+            max_iter,
+            float(np.sqrt(max(rho, 0.0))),
+        )
     sigma = float(np.sqrt(max(rho, 0.0)))
     if not want_vectors:
         return sigma

@@ -10,7 +10,7 @@ class PbncError(Exception):
 
 
 class DimensionError(PbncError):
-    """Shapes do not conform (block assembly, pairings, kron operands)."""
+    """Shapes do not conform (block assembly, pairings, matrix operands)."""
 
 
 class ConfigurationError(PbncError):

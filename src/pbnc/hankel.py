@@ -24,6 +24,13 @@ Norms of G T(f') are evaluated through the Gram matrix
 with G^H G assembled from the anti-diagonal structure directly.  This keeps
 the dense contrast mode at D = 513 (flat shape 525825 x 513) out of memory
 trouble and equals the flat-product norm exactly.
+
+Every kernel walks the anti-diagonals, one per supported frequency q: rows
+i in [max(0, q-D), min(D-1, q-1)] meet input blocks j = q-1-i, a reversed
+slice.  The matvecs G x and G^H y therefore cost one slice matmul per
+frequency, O(F D out in) for F frequencies, and the Gram diagonal of a
+basis-vector system is one F x F orthogonality product plus one slice add per
+frequency, computed once per (frozen) BlockHankel.
 """
 
 from __future__ import annotations
@@ -31,6 +38,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -134,7 +142,7 @@ def multiplier_block_sup(m: MultiplierSeq, n_max: int) -> float:
 # the block Hankel matrix
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class BlockHankel:
     D: int
     multiplier: MultiplierSeq
@@ -155,6 +163,10 @@ class BlockHankel:
     def coefficient(self, q: int) -> np.ndarray | None:
         return self.coefficients.get(q)
 
+    def _antidiag(self, q: int) -> tuple[int, int]:
+        """Row-block range [lo, hi] of anti-diagonal i + j = q - 1."""
+        return max(0, q - self.D), min(self.D - 1, q - 1)
+
     def block(self, i: int, j: int) -> np.ndarray:
         if not (0 <= i < self.D and 0 <= j < self.D):
             raise DimensionError(f"block index ({i},{j}) outside D={self.D}")
@@ -170,82 +182,81 @@ class BlockHankel:
                 "use the Gram route"
             )
         out_dim, in_dim = self.block_shape
-        g = np.zeros((rows, cols), dtype=np.complex128)
+        g = np.zeros((self.D, out_dim, self.D, in_dim), dtype=np.complex128)
         for q, c in self.coefficients.items():
-            # anti-diagonal i + j = q - 1
-            for i in range(self.D):
-                j = q - 1 - i
-                if 0 <= j < self.D:
-                    g[i * out_dim : (i + 1) * out_dim, j * in_dim : (j + 1) * in_dim] = c
-        return g
+            lo, hi = self._antidiag(q)
+            i = np.arange(lo, hi + 1)
+            g[i, :, q - 1 - i, :] = c
+        return g.reshape(rows, cols)
 
     def gram(self) -> np.ndarray:
         """G^H G as a (D*in) x (D*in) matrix, assembled anti-diagonal by
         anti-diagonal without materializing G."""
         _, in_dim = self.block_shape
         size = self.D * in_dim
-        gram = np.zeros((size, size), dtype=np.complex128)
+        gram = np.zeros((self.D, in_dim, self.D, in_dim), dtype=np.complex128)
         freqs = sorted(self.coefficients)
         for q in freqs:
-            cq = self.coefficients[q]
+            cqh = self.coefficients[q].conj().T
+            lo, hi = self._antidiag(q)
             for qp in freqs:
-                cqp = self.coefficients[qp]
-                prod = cq.conj().T @ cqp  # contribution C_q^H C_q' with scalars included
+                lo_p, hi_p = self._antidiag(qp)
                 # row blocks j = q-1-i, column blocks j' = q'-1-i share the index i
-                i_lo = max(0, q - self.D, qp - self.D)
-                i_hi = min(self.D - 1, q - 1, qp - 1)
-                for i in range(i_lo, i_hi + 1):
-                    j = q - 1 - i
-                    jp = qp - 1 - i
-                    gram[j * in_dim : (j + 1) * in_dim, jp * in_dim : (jp + 1) * in_dim] += prod
-        return gram
+                i = np.arange(max(lo, lo_p), min(hi, hi_p) + 1)
+                gram[q - 1 - i, :, qp - 1 - i, :] += cqh @ self.coefficients[qp]
+        return gram.reshape(size, size)
 
     def gram_diagonal_or_none(self) -> np.ndarray | None:
         """Fast path: when all cross products C_q^H C_q' (q != q') vanish and
         each C_q^H C_q is scalar (basis-vector blocks), the Gram matrix is
-        diagonal; returns that diagonal or None."""
-        _, in_dim = self.block_shape
+        diagonal; returns that diagonal (read-only, computed once per
+        instance) or None."""
+        return self._gram_diagonal
+
+    @cached_property
+    def _gram_diagonal(self) -> np.ndarray | None:
+        out_dim, in_dim = self.block_shape
         if in_dim != 1:
             return None
         freqs = sorted(self.coefficients)
-        norms = {}
-        for q in freqs:
-            cq = self.coefficients[q]
-            norms[q] = float(np.vdot(cq, cq).real)
-        for a, q in enumerate(freqs):
-            for qp in freqs[a + 1 :]:
-                if np.abs(self.coefficients[q].conj().T @ self.coefficients[qp]).max() != 0.0:
-                    return None
+        cols = np.hstack([self.coefficients[q] for q in freqs] or [np.zeros((out_dim, 0))])
+        cross = cols.conj().T @ cols  # C_q^H C_q' for every pair at once
+        norms = cross.diagonal().real.copy()
+        np.fill_diagonal(cross, 0.0)
+        if cross.any():
+            return None
         diag = np.zeros(self.D)
-        for q in freqs:
-            i_lo = max(0, q - self.D)
-            i_hi = min(self.D - 1, q - 1)
-            for i in range(i_lo, i_hi + 1):
-                diag[q - 1 - i] += norms[q]
+        for q, norm in zip(freqs, norms):
+            lo, hi = self._antidiag(q)
+            diag[q - 1 - hi : q - lo] += norm
+        diag.setflags(write=False)
         return diag
 
     def apply_flat(self, vec: np.ndarray) -> np.ndarray:
-        """G @ vec without materializing G; vec has length D*in."""
+        """G @ vec without materializing G; vec has length D*in.  One
+        reversed-slice matmul per supported frequency: O(F D out in)."""
         out_dim, in_dim = self.block_shape
         if vec.shape[0] != self.D * in_dim:
             raise DimensionError("vector length does not match D*in_dim")
         blocks_in = vec.reshape(self.D, in_dim)
         out = np.zeros((self.D, out_dim), dtype=np.complex128)
         for q, c in self.coefficients.items():
-            for i in range(max(0, q - self.D), min(self.D - 1, q - 1) + 1):
-                out[i] += c @ blocks_in[q - 1 - i]
+            lo, hi = self._antidiag(q)
+            # row block i reads input block q-1-i
+            out[lo : hi + 1] += blocks_in[q - 1 - hi : q - lo][::-1] @ c.T
         return out.reshape(self.D * out_dim)
 
     def apply_flat_adjoint(self, vec: np.ndarray) -> np.ndarray:
+        """G^H @ vec, one reversed-slice matmul per supported frequency."""
         out_dim, in_dim = self.block_shape
         if vec.shape[0] != self.D * out_dim:
             raise DimensionError("vector length does not match D*out_dim")
         blocks_in = vec.reshape(self.D, out_dim)
         out = np.zeros((self.D, in_dim), dtype=np.complex128)
         for q, c in self.coefficients.items():
-            ch = c.conj().T
-            for i in range(max(0, q - self.D), min(self.D - 1, q - 1) + 1):
-                out[q - 1 - i] += ch @ blocks_in[i]
+            lo, hi = self._antidiag(q)
+            # row block i feeds output block q-1-i through C_q^H
+            out[q - 1 - hi : q - lo] += blocks_in[lo : hi + 1][::-1] @ c.conj()
         return out.reshape(self.D * in_dim)
 
     @property

@@ -3,7 +3,6 @@
 Conventions fixed here and relied on everywhere else:
 
   * A matrix is a 2-d numpy array of complex128 values, row-major.
-  * ``transpose`` never conjugates; ``adjoint`` is conj o transpose.
   * ``op_norm`` returns the largest singular value: an exact Hermitian
     eigensolve of A*A up to dimension 4096, seeded power iteration beyond.
   * Analytic polynomials are Taylor coefficient vectors P-hat(0..deg); the
@@ -105,30 +104,6 @@ def _power_iteration(a: np.ndarray, tol: float, seed: int) -> NormEstimate:
         POWER_ITERATION_CAP,
         float(np.sqrt(rho)),
     )
-
-
-def kron(a, b) -> np.ndarray:
-    return np.kron(as_matrix(a), as_matrix(b))
-
-
-def conj(a) -> np.ndarray:
-    return np.conj(as_matrix(a))
-
-
-def transpose(a) -> np.ndarray:
-    """Plain transpose, no conjugation."""
-    return as_matrix(a).T.copy()
-
-
-def adjoint(a) -> np.ndarray:
-    return as_matrix(a).conj().T.copy()
-
-
-def block_matrix(blocks) -> np.ndarray:
-    try:
-        return as_matrix(np.block([[as_matrix(b) for b in row] for row in blocks]))
-    except ValueError as exc:
-        raise DimensionError(f"block shapes do not conform: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from pbnc.counterexample import (
     PbSearch,
     TruncatedSpace,
     _poly_t_applies,
+    _power_norm,
     build_T,
     cb_certificate,
     certify,
@@ -110,6 +111,16 @@ class TestPolyOfT:
             x = rng.standard_normal(b.total_dim) + 1j * rng.standard_normal(b.total_dim)
             assert np.allclose(apply(x), dense @ x, atol=1e-12)
             assert np.allclose(apply_adjoint(x), dense.conj().T @ x, atol=1e-12)
+
+    def test_power_norm_cap_is_loud(self):
+        b = _car_bundle(n=2, eps=0.7)
+        p = random_poly(6, _rng(24))
+        apply, apply_adjoint = _poly_t_applies(b, p)
+        with pytest.raises(errors.NonConvergenceError) as exc:
+            _power_norm(apply, apply_adjoint, b.total_dim, _rng(25), max_iter=2)
+        assert exc.value.iterations == 2
+        # a Rayleigh estimate: positive and never above the exact norm
+        assert 0.0 < exc.value.last_estimate <= float(op_norm(poly_of_T(b, p))) * (1 + 1e-12)
 
     def test_identity_poly(self):
         b = _car_bundle(n=2)

@@ -1,10 +1,11 @@
 import csv
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
 
 from pbnc import errors
-from pbnc.coeff_systems import basis_vectors, car_jordan_wigner
+from pbnc.coeff_systems import basis_vectors, car_jordan_wigner, haar_unitaries
 from pbnc.hankel import (
     BlockHankel,
     LacunarySpec,
@@ -123,22 +124,58 @@ class TestBlockHankel:
             assert np.abs(g.gram() - flat.conj().T @ flat).max() <= 1e-12
 
     def test_gram_diagonal_fast_path(self):
-        g = lacunary_basis_family(9)
-        diag = g.gram_diagonal_or_none()
-        assert diag is not None
-        full = g.gram()
-        assert np.allclose(np.diag(full), diag, atol=1e-14)
-        assert np.abs(full - np.diag(diag)).max() <= 1e-14
+        for g in [lacunary_basis_family(9), ones_basis_family(9)]:
+            diag = g.gram_diagonal_or_none()
+            assert diag is not None
+            full = g.gram()
+            assert np.array_equal(np.diag(full).real, diag)
+            assert np.abs(full - np.diag(diag)).max() <= 1e-14
         assert _small_car_hankel().gram_diagonal_or_none() is None
+
+    def test_gram_diagonal_none_on_shared_element(self):
+        # frequencies 1 and 2 both map to e_1: C_1^H C_2 != 0
+        m = MultiplierSeq({1: 1.0, 2: 1.0}, support_cutoff=2)
+        g = build_hankel(m, LacunarySpec((1,)), basis_vectors(1), D=3, freq_map={1: 1, 2: 1})
+        assert g.gram_diagonal_or_none() is None
+        assert np.abs(g.gram() - np.diag(np.diag(g.gram()))).max() > 0
+
+    def test_gram_diagonal_cached_read_only(self):
+        g = ones_basis_family(9)
+        first = g.gram_diagonal_or_none()
+        again = g.gram_diagonal_or_none()
+        assert np.array_equal(first, again)
+        assert not again.flags.writeable
+        with pytest.raises(ValueError):
+            again[0] = 1.0
+
+    def test_frozen(self):
+        g = ones_basis_family(5)
+        with pytest.raises(FrozenInstanceError):
+            g.D = 6
 
     def test_apply_flat_matches_dense(self):
         rng = _rng(3)
-        g = _small_car_hankel(n=2, D=6)
-        flat = g.flat()
-        x = rng.standard_normal(flat.shape[1]) + 1j * rng.standard_normal(flat.shape[1])
-        y = rng.standard_normal(flat.shape[0]) + 1j * rng.standard_normal(flat.shape[0])
-        assert np.allclose(g.apply_flat(x), flat @ x, atol=1e-13)
-        assert np.allclose(g.apply_flat_adjoint(y), flat.conj().T @ y, atol=1e-13)
+        haar = build_hankel(
+            MultiplierSeq.indicator(lacunary_default(3)), lacunary_default(3),
+            haar_unitaries(3, 3, seed=4), D=5,
+        )  # q = 8 > D
+        cases = [
+            _small_car_hankel(n=2, D=6),  # every q <= D
+            ones_basis_family(1),  # (2D-1) x 1 blocks, q up to 2D-1
+            ones_basis_family(2),
+            ones_basis_family(5),
+            lacunary_basis_family(9),  # q = 16 > D: rows start at q - D
+            haar,
+        ]
+        for g in cases:
+            flat = g.flat()
+            x = rng.standard_normal(flat.shape[1]) + 1j * rng.standard_normal(flat.shape[1])
+            y = rng.standard_normal(flat.shape[0]) + 1j * rng.standard_normal(flat.shape[0])
+            gx = g.apply_flat(x)
+            ghy = g.apply_flat_adjoint(y)
+            assert np.allclose(gx, flat @ x, atol=1e-13)
+            assert np.allclose(ghy, flat.conj().T @ y, atol=1e-13)
+            assert np.vdot(y, gx) == pytest.approx(np.vdot(ghy, x), abs=1e-12)
 
     def test_block_index_bounds(self):
         g = _small_car_hankel(n=2, D=4)
