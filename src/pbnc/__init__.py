@@ -36,7 +36,6 @@ from .counterexample import (
     pb_probe,
     poly_of_T,
     row_bound_check,
-    similarity_lower,
 )
 from .errors import (
     ConfigurationError,
@@ -50,16 +49,15 @@ from .hankel import (
     BoundProbe,
     LacunarySpec,
     MultiplierSeq,
-    OperatorSymbol,
     ProbeConfig,
     ScanRow,
     bound_probe,
     bound_scan,
     build_hankel,
     fejer_poly,
-    hankel_symbol,
     lacunary_default,
     multiplier_block_sup,
+    symbol_block,
 )
 from .martingale import (
     EtaWeight,

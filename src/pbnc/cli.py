@@ -63,8 +63,9 @@ from .hankel import (
     bound_probe,
     bound_scan,
     build_hankel,
-    hankel_symbol,
     lacunary_default,
+    random_poly,
+    symbol_block,
 )
 from .martingale import (
     MartingaleConfig,
@@ -112,11 +113,6 @@ def _canonical_bytes(obj) -> bytes:
 
 def _seeded_rng(*parts: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=list(parts)))
-
-
-def _random_poly_coeffs(rng: np.random.Generator, degree: int) -> np.ndarray:
-    c = rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1)
-    return c / max(degree, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -198,16 +194,16 @@ def cmd_hankel(cfg: dict, thresholds: dict, threads: int):
         "norm_gtf": probe.norm_gtf,
         "sup_f": probe.sup_f,
     }
-    # structural identities: anti-diagonal constancy and symbol round-trip
+    # structural identities: anti-diagonal constancy, and every block equal
+    # to the symbol m(q)/q * C_phi(q) rebuilt from multiplier, map and system
     hankel_exact = True
-    sym = hankel_symbol(g)
     roundtrip_exact = True
     for i in range(d):
         for j in range(d):
             b = g.block(i, j)
             if not np.array_equal(b, g.block(j, i)):
                 hankel_exact = False
-            if not np.array_equal(b, sym.regenerate_block(i, j)):
+            if not np.array_equal(b, symbol_block(g, i, j)):
                 roundtrip_exact = False
     flags = {"hankel_property": hankel_exact, "symbol_roundtrip": roundtrip_exact}
     return results, flags, None
@@ -389,7 +385,7 @@ def cmd_mc(cfg: dict, thresholds: dict, threads: int):
                        target_im=0.0, stderr=0.0)
             row["pass"] = sup <= bound + 1e-9
         else:
-            f = Polynomial(_random_poly_coeffs(rng, int(chk.get("degree", 6))))
+            f = random_poly(int(chk.get("degree", 6)), rng)
             if kind == "radial":
                 est = radial_mean_check(paths, f, level)
                 target = 0j
@@ -402,7 +398,7 @@ def cmd_mc(cfg: dict, thresholds: dict, threads: int):
                 est = multiplier_extract(paths, f, level, k)
                 target = complex(f.coeffs[k]) if k < f.coeffs.size else 0j
             elif kind == "orthogonality":
-                g2 = Polynomial(_random_poly_coeffs(rng, int(chk.get("degree", 6))))
+                g2 = random_poly(int(chk.get("degree", 6)), rng)
                 est = orthogonality_check(paths, f, g2, level)
                 target = 0j
             elif kind == "bridge":

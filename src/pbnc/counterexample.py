@@ -12,9 +12,13 @@ Two quantities are attached to a bundle and deliberately kept asymmetric:
   constant sup ||P(T)|| / ||P||_inf.  Reported maxima are achieved by
   concrete polynomials and normalized by certified sup-norm upper bounds,
   so the probe never overstates the constant.  No upper bound is claimed.
-* similarity_lower: a certified lower bound on the completely bounded norm
+  Above DENSE_PROBE_MAX_DIM each ||P(T)|| is a ``numkit.top_singular``
+  solve on structured matvecs, and a solve that hits its cap raises
+  NonConvergenceError; the ascent family is ``hankel.fejer_ascent``.
+* cb_certificate: a certified lower bound on the completely bounded norm
   of P -> P(T), hence on ||V|| ||V^{-1}|| for every invertible V with
-  ||V^{-1} T V|| <= 1.  The certificate compresses the matrix polynomial
+  ||V^{-1} T V|| <= 1 (reported as ``similarity_lower`` in the fcn rows and
+  CLI payloads).  The certificate compresses the matrix polynomial
   sum_k conj(C_k) (x) (z^{K_k})(T) through coordinate isometries, which
   lands exactly on eps * n^{-1/2} * sum_k m(K_k) conj(C_k) (x) C_k.
 
@@ -40,13 +44,16 @@ from .coeff_systems import (
     haar_unitaries,
     row_bound,
 )
-from .errors import ConfigurationError, DimensionError, DomainError, NonConvergenceError
+from .errors import ConfigurationError, DimensionError, DomainError
 from .hankel import (
     BlockHankel,
     LacunarySpec,
     MultiplierSeq,
     build_hankel,
+    fejer_ascent,
     fejer_poly,
+    gtf_applies,
+    hankel_factor,
     lacunary_default,
     random_poly,
 )
@@ -58,9 +65,11 @@ from .numkit import (
     poly_of_matrix,
     sup_norm,
     toeplitz,
+    top_singular,
 )
 
 DENSE_PROBE_MAX_DIM = 1024  # above this, probe norms go through structured matvecs
+PROBE_POWER_ITERATION_CAP = 20_000  # iteration cap of the structured probe norms
 DENSE_T_ENTRY_BUDGET = 1 << 26
 
 
@@ -220,49 +229,11 @@ def _poly_t_applies(b: OperatorBundle, p: Polynomial):
     return apply, apply_adjoint
 
 
-def _power_norm(
-    apply, apply_adjoint, dim: int, rng: np.random.Generator,
-    tol: float = 1e-10, max_iter: int = 20000, want_vectors: bool = False,
-):
-    """Top singular value (and optionally the pair) of the operator given by
-    matvec closures, via power iteration on A^H A.  Hitting max_iter without
-    meeting tol raises NonConvergenceError."""
-    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    v /= np.linalg.norm(v)
-    rho = 0.0
-    for _ in range(max_iter):
-        av = apply(v)
-        rho_new = float(np.real(np.vdot(av, av)))
-        if rho_new == 0.0:
-            return (0.0, av, v) if want_vectors else 0.0
-        w = apply_adjoint(av)
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            rho = rho_new
-            break
-        v = w / nw
-        if abs(rho_new - rho) < tol * max(rho_new, 1e-300):
-            rho = rho_new
-            break
-        rho = rho_new
-    else:
-        raise NonConvergenceError(
-            f"P(T) power iteration did not converge in {max_iter} iterations",
-            max_iter,
-            float(np.sqrt(max(rho, 0.0))),
-        )
-    sigma = float(np.sqrt(max(rho, 0.0)))
-    if not want_vectors:
-        return sigma
-    av = apply(v)
-    nav = np.linalg.norm(av)
-    u = av / nav if nav > 0 else av
-    return sigma, u, v
-
-
 def _poly_t_norm(b: OperatorBundle, p: Polynomial, rng: np.random.Generator,
                  want_vectors: bool = False):
-    """||P(T)||, dense below DENSE_PROBE_MAX_DIM, structured matvecs above."""
+    """||P(T)||, dense below DENSE_PROBE_MAX_DIM, structured matvecs above;
+    with ``want_vectors`` also the top singular pair (u, v).  A structured
+    solve that hits PROBE_POWER_ITERATION_CAP raises NonConvergenceError."""
     if b.total_dim <= DENSE_PROBE_MAX_DIM:
         mat = poly_of_T(b, p)
         if want_vectors:
@@ -270,7 +241,14 @@ def _poly_t_norm(b: OperatorBundle, p: Polynomial, rng: np.random.Generator,
             return float(s_all[0]), u_all[:, 0], vh_all[0].conj()
         return float(op_norm(mat))
     apply, apply_adjoint = _poly_t_applies(b, p)
-    return _power_norm(apply, apply_adjoint, b.total_dim, rng, want_vectors=want_vectors)
+    est, v = top_singular(apply, apply_adjoint, b.total_dim, rng, 1e-10,
+                          PROBE_POWER_ITERATION_CAP)
+    est.check_converged("P(T) power iteration")
+    if not want_vectors:
+        return est.value
+    av = apply(v)
+    nav = np.linalg.norm(av)
+    return est.value, (av / nav if nav > 0 else av), v
 
 
 # ---------------------------------------------------------------------------
@@ -304,23 +282,16 @@ def _pb_ascent(
     b: OperatorBundle, start: Polynomial, max_degree: int, steps: int,
     rng: np.random.Generator,
 ) -> float:
-    """Maximize Re sum_k P-hat(k) <u, T^k v> over the grid-discretized
-    sup-norm ball: alternate top singular pair updates of (u, v) with
-    Fejer-damped coefficient gradient steps, renormalizing on the sup grid."""
-    c = np.zeros(max_degree + 1, dtype=np.complex128)
-    c[: start.coeffs.size] = start.coeffs
-    damp = 1.0 - np.arange(max_degree + 1) / (max_degree + 1.0)
+    """Fejer ascent maximizing Re sum_k P-hat(k) <u, T^k v> over the
+    grid-discretized sup-norm ball, with the top singular pair (u, v) of
+    P(T) at each step."""
     apply_t, _ = _poly_t_applies(b, Polynomial.monomial(1))
-    best = 0.0
-    for _ in range(steps):
-        p = Polynomial(c)
-        if p.is_zero:
-            break
+
+    def value_and_grad(p: Polynomial):
         sigma, u, v = _poly_t_norm(b, p, rng, want_vectors=True)
         ratio = sigma / sup_norm(p).certified_upper
-        best = max(best, ratio)
         if sigma == 0.0:
-            break
+            return ratio, None
         # grad wrt P-hat(k) of Re <u, P(T) v> is conj(<u, T^k v>)
         grad = np.zeros(max_degree + 1, dtype=np.complex128)
         vk = v.copy()
@@ -330,12 +301,9 @@ def _pb_ascent(
             if not np.any(vk):
                 break
             grad[k] = np.conj(np.vdot(u, vk))
-        step = 0.5 * np.linalg.norm(c) / max(np.linalg.norm(grad), 1e-30)
-        c = c + step * damp * grad
-        gm = sup_norm(Polynomial(c)).grid_max
-        if gm > 0:
-            c /= gm
-    return best
+        return ratio, grad
+
+    return fejer_ascent(start, max_degree, steps, value_and_grad)
 
 
 def pb_probe(b: OperatorBundle, search: PbSearch | None = None) -> float:
@@ -453,29 +421,19 @@ def cb_certificate(b: OperatorBundle, normalizer_restarts: int = 32,
     return compressed / normalizer
 
 
-def similarity_lower(b: OperatorBundle, **kw) -> float:
-    """Every invertible V with ||V^{-1} T V|| <= 1 has ||V|| ||V^{-1}|| at
-    least this value (the easy dilation direction of the similarity
-    criterion)."""
-    return cb_certificate(b, **kw)
-
-
 @dataclass(frozen=True)
 class Certificates:
     pb_probe: float
     cb_lower: float
-    similarity_lower: float
     N: int
     target_c: float | None = None
 
 
 def certify(b: OperatorBundle, search: PbSearch | None = None,
             target_c: float | None = None) -> Certificates:
-    cb = cb_certificate(b)
     return Certificates(
         pb_probe=pb_probe(b, search),
-        cb_lower=cb,
-        similarity_lower=cb,
+        cb_lower=cb_certificate(b),
         N=b.total_dim,
         target_c=target_c,
     )
@@ -496,41 +454,18 @@ def eps_for_target_c(b: OperatorBundle, c: float, c_probe: float) -> float:
 
 
 def _light_hankel_probe(g: BlockHankel, seed: int) -> float:
-    """Cheap lower bound for the Hankel boundedness constant.  The Gram
-    matrix is assembled once; each probe runs a power iteration on
-    T(f')^H (G^H G) T(f'), whose Rayleigh quotients never exceed the true
-    norm, so the returned ratio is honest."""
-    from .hankel import _gram_operator
-
-    gop = _gram_operator(g)
-    D = g.D
+    """Cheap lower bound for the Hankel boundedness constant: each probe is
+    a ``top_singular`` solve of W (T(f') (x) I) with W^H W = G^H G.  Its
+    Rayleigh values never exceed the true norm, converged or not, so the
+    returned ratio is honest."""
+    factor = hankel_factor(g)
     _, in_dim = g.block_shape
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))
 
     def ratio_of(f: Polynomial) -> float:
-        t = toeplitz(poly_derivative(f), D)
-        th = t.conj().T
-
-        def m_apply(v):
-            q = (t @ v.reshape(D, in_dim)).reshape(-1)
-            return (th @ gop(q).reshape(D, in_dim)).reshape(-1)
-
-        v = rng.standard_normal(D * in_dim) + 1j * rng.standard_normal(D * in_dim)
-        v /= np.linalg.norm(v)
-        lam = 0.0
-        for _ in range(500):
-            w = m_apply(v)
-            lam_new = float(np.real(np.vdot(v, w)))
-            nw = np.linalg.norm(w)
-            if nw == 0.0:
-                lam = lam_new
-                break
-            v = w / nw
-            if abs(lam_new - lam) < 1e-9 * max(lam_new, 1e-300):
-                lam = lam_new
-                break
-            lam = lam_new
-        return float(np.sqrt(max(lam, 0.0))) / sup_norm(f).certified_upper
+        apply, apply_adjoint = gtf_applies(factor, toeplitz(poly_derivative(f), g.D), in_dim)
+        est, _ = top_singular(apply, apply_adjoint, g.D * in_dim, rng, 1e-9, 500)
+        return est.value / sup_norm(f).certified_upper
 
     best = ratio_of(Polynomial.monomial(1))
     deg = 4
@@ -572,7 +507,7 @@ def haar_bundle_for_target(n: int, c: float, seed: int) -> tuple[OperatorBundle,
 
 def fcn_experiment(n: int, c: float, seed: int = 0,
                    search: PbSearch | None = None) -> dict:
-    """One row of the growth experiment: cb_over_pb = similarity_lower /
+    """One row of the growth experiment: cb_over_pb = cb_certificate /
     pb_probe and its (c-1)sqrt(n) scaling.  Across an n-grid the scaled
     column staying inside a positive band reproduces the lower half of the
     two-sided sqrt(n) estimate empirically."""
@@ -580,7 +515,7 @@ def fcn_experiment(n: int, c: float, seed: int = 0,
     if search is None:
         search = PbSearch(restarts=2, max_degree=min(2 * bundle.space.D - 2, 64),
                           seed=seed)
-    sim = similarity_lower(bundle, normalizer_seed=seed)
+    sim = cb_certificate(bundle, normalizer_seed=seed)
     pb = pb_probe(bundle, search)
     cb_over_pb = sim / pb
     scaled = cb_over_pb / ((c - 1.0) * np.sqrt(n))

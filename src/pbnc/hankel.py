@@ -17,13 +17,16 @@ All probe results are empirical maxima, i.e. lower bounds for C; the
 normalization divides by the certified sup-norm upper bound so reported
 ratios never overstate C.
 
-Norms of G T(f') are evaluated through the Gram matrix
+Exact norms of G T(f') are evaluated through the Gram matrix
 
     (T(f') (x) I)^H (G^H G) (T(f') (x) I)
 
-with G^H G assembled from the anti-diagonal structure directly.  This keeps
-the dense contrast mode at D = 513 (flat shape 525825 x 513) out of memory
-trouble and equals the flat-product norm exactly.
+with G^H G assembled from the anti-diagonal structure directly (once per
+BlockHankel).  This keeps the dense contrast mode at D = 513 (flat shape
+525825 x 513) out of memory trouble and equals the flat-product norm exactly.
+Iterative probes run ``numkit.top_singular`` on W (T(f') (x) I) with the
+factor W^H W = G^H G of ``hankel_factor`` (no dense Gram), and the one
+Fejer-damped ascent, ``fejer_ascent``, also serves the P(T) probe.
 
 Every kernel walks the anti-diagonals, one per supported frequency q: rows
 i in [max(0, q-D), min(D-1, q-1)] meet input blocks j = q-1-i, a reversed
@@ -46,7 +49,7 @@ import numpy as np
 from . import numkit
 from .coeff_systems import CoefficientSystem, basis_vectors
 from .errors import ConfigurationError, DimensionError, DomainError
-from .numkit import Polynomial, poly_derivative, sup_norm, toeplitz
+from .numkit import Polynomial, poly_derivative, sup_norm, toeplitz, top_singular
 
 FLAT_ENTRY_BUDGET = 1 << 26  # refuse to materialize flat matrices above ~1 GiB
 
@@ -191,7 +194,12 @@ class BlockHankel:
 
     def gram(self) -> np.ndarray:
         """G^H G as a (D*in) x (D*in) matrix, assembled anti-diagonal by
-        anti-diagonal without materializing G."""
+        anti-diagonal without materializing G (read-only, computed once per
+        instance)."""
+        return self._gram
+
+    @cached_property
+    def _gram(self) -> np.ndarray:
         _, in_dim = self.block_shape
         size = self.D * in_dim
         gram = np.zeros((self.D, in_dim, self.D, in_dim), dtype=np.complex128)
@@ -204,7 +212,9 @@ class BlockHankel:
                 # row blocks j = q-1-i, column blocks j' = q'-1-i share the index i
                 i = np.arange(max(lo, lo_p), min(hi, hi_p) + 1)
                 gram[q - 1 - i, :, qp - 1 - i, :] += cqh @ self.coefficients[qp]
-        return gram.reshape(size, size)
+        gram = gram.reshape(size, size)
+        gram.setflags(write=False)
+        return gram
 
     def gram_diagonal_or_none(self) -> np.ndarray | None:
         """Fast path: when all cross products C_q^H C_q' (q != q') vanish and
@@ -302,25 +312,16 @@ def build_hankel(
 # symbol
 
 
-@dataclass
-class OperatorSymbol:
-    """Finitely supported operator-valued Fourier coefficients
-    {frequency -(q-1) -> q^{-1} m(q) C_{phi(q)}}; these regenerate every
-    block of the Hankel matrix as block(i,j) = coeff(-(i+j))."""
-
-    coeffs: dict[int, np.ndarray]
-    block_shape: tuple[int, int]
-
-    def regenerate_block(self, i: int, j: int) -> np.ndarray:
-        c = self.coeffs.get(-(i + j))
-        return c.copy() if c is not None else np.zeros(self.block_shape, dtype=np.complex128)
-
-
-def hankel_symbol(g: BlockHankel) -> OperatorSymbol:
-    return OperatorSymbol(
-        coeffs={-(q - 1): c.copy() for q, c in g.coefficients.items()},
-        block_shape=g.block_shape,
-    )
+def symbol_block(g: BlockHankel, i: int, j: int) -> np.ndarray:
+    """Block (i, j) rebuilt from the symbol q -> m(q)/q * C_{phi(q)},
+    q = i + j + 1, out of the multiplier, frequency map and system (not out
+    of the stored coefficients), so comparing it with ``g.block(i, j)``
+    checks the assembly."""
+    q = i + j + 1
+    mq = g.multiplier(q)
+    if mq == 0:
+        return np.zeros(g.block_shape, dtype=np.complex128)
+    return (mq / q) * g.system.elements[g.freq_map[q] - 1]
 
 
 # ---------------------------------------------------------------------------
@@ -424,84 +425,79 @@ def _monomial_ratios(g: BlockHankel, ks: list[int], diag: np.ndarray | None) -> 
     return out
 
 
-def _gram_operator(g: BlockHankel):
-    """q -> (G^H G) q on the flat input space, via the diagonal fast path when
-    the blocks are orthogonal basis vectors."""
+def hankel_factor(g: BlockHankel):
+    """(W, W^H) closures on flat vectors with W^H W = G^H G: the square root
+    of the Gram diagonal when the blocks are orthogonal basis vectors, G
+    itself otherwise.  ||W x|| = ||G x||, so W (T (x) I) has the norm of
+    G (T (x) I) without the dense Gram matrix."""
     diag = g.gram_diagonal_or_none()
-    if diag is not None:
-        return lambda q: diag * q
-    gram = g.gram()
-    return lambda q: gram @ q
+    if diag is None:
+        return g.apply_flat, g.apply_flat_adjoint
+    root = np.sqrt(diag)
+    return (lambda x: root * x), (lambda x: root * x)
 
 
-def _ascent_refine(
-    g: BlockHankel, start: Polynomial, steps: int, rng: np.random.Generator
-) -> tuple[float, Polynomial]:
-    """Coefficient-space ascent on f -> ||G T(f')|| / certified sup|f|.
+def gtf_applies(factor, t_f: np.ndarray, in_dim: int):
+    """(apply, apply_adjoint) of A = W (T (x) I) for a Hankel factor (W, W^H)
+    and a D x D Toeplitz factor T."""
+    w, wh = factor
+    t_h = t_f.conj().T
+    return (lambda v: w((t_f @ v.reshape(-1, in_dim)).reshape(-1)),
+            lambda y: (t_h @ wh(y).reshape(-1, in_dim)).reshape(-1))
 
-    Alternates a top right-singular-vector solve (power iteration on the Gram
-    conjugation) with a Fejer-damped gradient step on the coefficients of f,
-    renormalizing on the sup grid.  Lower-bound search only.
-    """
-    D = g.D
-    _, in_dim = g.block_shape
-    gop = _gram_operator(g)
-    max_deg = 2 * D - 1
-    c = np.zeros(max_deg + 1, dtype=np.complex128)
+
+def fejer_ascent(start: Polynomial, max_degree: int, steps: int, value_and_grad) -> float:
+    """Best ratio seen by a coefficient ascent: ``value_and_grad(f)`` gives a
+    certified ratio and an ascent direction (length max_degree + 1, None to
+    stop); each step moves by half the coefficient norm along the direction
+    damped by the Fejer weights, then renormalizes on the sup grid."""
+    c = np.zeros(max_degree + 1, dtype=np.complex128)
     c[: start.coeffs.size] = start.coeffs
-    damp = 1.0 - np.arange(max_deg + 1) / (max_deg + 1.0)
-    best_ratio, best_poly = 0.0, start
-
+    damp = 1.0 - np.arange(max_degree + 1) / (max_degree + 1.0)
+    best = 0.0
     for _ in range(steps):
         f = Polynomial(c)
         if f.is_zero:
             break
-        fp = poly_derivative(f)
-        t_f = toeplitz(fp, D)
-        tk = t_f if in_dim == 1 else np.kron(t_f, np.eye(in_dim, dtype=np.complex128))
-        tkh = tk.conj().T
-        # power iteration for the top eigenpair of v -> T^H (G^H G) T v
-        v = rng.standard_normal(tk.shape[0]) + 1j * rng.standard_normal(tk.shape[0])
-        v /= np.linalg.norm(v)
-        lam = 0.0
-        for _ in range(200):
-            w = tkh @ gop(tk @ v)
-            lam_new = float(np.real(np.vdot(v, w)))
-            nw = np.linalg.norm(w)
-            if nw == 0.0:
-                break
-            v = w / nw
-            if abs(lam_new - lam) < 1e-10 * max(1.0, lam_new):
-                lam = lam_new
-                break
-            lam = lam_new
-        norm = np.sqrt(max(lam, 0.0))
-        sup = sup_norm(f)
-        ratio = norm / sup.certified_upper
-        if ratio > best_ratio:
-            best_ratio, best_poly = ratio, f
-        if norm == 0.0:
+        ratio, grad = value_and_grad(f)
+        best = max(best, ratio)
+        if grad is None:
             break
-        # gradient of Re u^H G (T(f') x I) v in the coefficients of f, with
-        # u the top left singular vector: d/d f-hat(k+1) = (k+1) conj of
-        # sum_j <(G^H u)_{j+k}, v_j>; G^H u = (G^H G) T v / ||G T v||
-        q = tk @ v
-        gq = gop(q)
-        nrm = np.sqrt(max(float(np.real(np.vdot(q, gq))), 0.0))
-        if nrm == 0.0:
-            break
-        gu = (gq / nrm).reshape(D, in_dim)
-        vb = v.reshape(D, in_dim)
-        grad = np.zeros(max_deg + 1, dtype=np.complex128)
-        for k in range(0, D):  # shift_k truncated: blocks j -> j+k
-            corr = np.vdot(gu[k:, :], vb[: D - k, :])  # sum_j <gu_{j+k}, v_j>
-            grad[k + 1] = (k + 1) * np.conj(corr)
         step = 0.5 * np.linalg.norm(c) / max(np.linalg.norm(grad), 1e-30)
-        c = c + step * grad * damp
+        c = c + step * damp * grad
         gm = sup_norm(Polynomial(c)).grid_max
         if gm > 0:
-            c = c / gm
-    return best_ratio, best_poly
+            c /= gm
+    return best
+
+
+def _ascent_refine(g: BlockHankel, start: Polynomial, steps: int,
+                   rng: np.random.Generator) -> float:
+    """Fejer ascent on f -> ||G T(f')|| / certified sup|f|, with the top
+    singular pair of W (T(f') (x) I) from ``top_singular`` at each step."""
+    D = g.D
+    _, in_dim = g.block_shape
+    factor = hankel_factor(g)
+
+    def value_and_grad(f: Polynomial):
+        apply, apply_adjoint = gtf_applies(factor, toeplitz(poly_derivative(f), D), in_dim)
+        est, v = top_singular(apply, apply_adjoint, D * in_dim, rng, 1e-10, 200)
+        ratio = est.value / sup_norm(f).certified_upper
+        wv = apply(v)
+        nrm = np.linalg.norm(wv)
+        if est.value == 0.0 or nrm == 0.0:
+            return ratio, None
+        # gradient of Re u^H W (T(f') x I) v in the coefficients of f, with
+        # u = W T v / ||W T v||: d/d f-hat(k+1) = (k+1) conj of
+        # sum_j <(W^H u)_{j+k}, v_j>
+        gu = factor[1](wv / nrm).reshape(D, in_dim)
+        vb = v.reshape(D, in_dim)
+        grad = np.zeros(2 * D, dtype=np.complex128)
+        for k in range(0, D):  # shift_k truncated: blocks j -> j+k
+            grad[k + 1] = (k + 1) * np.conj(np.vdot(gu[k:, :], vb[: D - k, :]))
+        return ratio, grad
+
+    return fejer_ascent(start, 2 * D - 1, steps, value_and_grad)
 
 
 @dataclass(frozen=True)
@@ -575,7 +571,7 @@ def scan_probe_best(
         for _ in range(max(0, cfg.ascent_restarts - 1)):
             starts.append(random_poly(min(16, 2 * g.D - 1), arng))
         for s_idx, start in enumerate(starts):
-            ratio, _ = _ascent_refine(g, start, cfg.ascent_steps, arng)
+            ratio = _ascent_refine(g, start, cfg.ascent_steps, arng)
             if ratio > best:
                 best, best_id = ratio, f"ascent:{s_idx}"
     return best, best_id

@@ -5,6 +5,8 @@ Conventions fixed here and relied on everywhere else:
   * A matrix is a 2-d numpy array of complex128 values, row-major.
   * ``op_norm`` returns the largest singular value: an exact Hermitian
     eigensolve of A*A up to dimension 4096, seeded power iteration beyond.
+  * ``top_singular`` is the package's one power iteration (matrix-free
+    norms): a Rayleigh lower bound plus a ``converged`` flag, never a raise.
   * Analytic polynomials are Taylor coefficient vectors P-hat(0..deg); the
     sup norm over the unit circle is certified from a roots-of-unity grid
     through the Bernstein derivative bound ||P'|| <= deg * ||P||.
@@ -52,9 +54,17 @@ class NormEstimate:
     method: str  # "exact-eigensolve" | "power-iteration"
     tolerance: float
     iterations: int
+    converged: bool = True
 
     def __float__(self) -> float:
         return self.value
+
+    def check_converged(self, what: str) -> "NormEstimate":
+        """Self, or NonConvergenceError(iterations, value) for a capped solve."""
+        if not self.converged:
+            raise NonConvergenceError(f"{what} did not converge in {self.iterations} "
+                                      "iterations", self.iterations, self.value)
+        return self
 
 
 def op_norm(a, tol: float = 1e-12, seed: int = 0) -> NormEstimate:
@@ -62,9 +72,9 @@ def op_norm(a, tol: float = 1e-12, seed: int = 0) -> NormEstimate:
 
     Exact route (max dimension <= 4096): Hermitian eigensolve of the Gram
     matrix on the smaller side, largest eigenvalue, square root.  Iterative
-    route: power iteration on A*A with a seeded start vector, converged when
-    successive Rayleigh quotients agree to relative ``tol``; the hard cap of
-    1e5 iterations raises NonConvergenceError rather than returning a value.
+    route: ``top_singular`` with a seeded start vector; hitting the cap of
+    POWER_ITERATION_CAP iterations raises NonConvergenceError rather than
+    returning a value.
     """
     a = as_matrix(a)
     if tol <= 0:
@@ -80,30 +90,35 @@ def op_norm(a, tol: float = 1e-12, seed: int = 0) -> NormEstimate:
         w = np.linalg.eigvalsh(gram)
         value = float(np.sqrt(max(w[-1], 0.0)))
         return NormEstimate(value, "exact-eigensolve", tol, 0)
-    return _power_iteration(a, tol, seed)
-
-
-def _power_iteration(a: np.ndarray, tol: float, seed: int) -> NormEstimate:
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))
-    v = rng.standard_normal(a.shape[1]) + 1j * rng.standard_normal(a.shape[1])
+    ah = a.conj().T
+    est, _ = top_singular(lambda v: a @ v, lambda w: ah @ w, a.shape[1], rng, tol,
+                          POWER_ITERATION_CAP)
+    return est.check_converged("power iteration")
+
+
+def top_singular(apply, apply_adjoint, dim: int, rng: np.random.Generator,
+                 tol: float, max_iter: int) -> tuple[NormEstimate, np.ndarray]:
+    """Top singular value of A (matvec closures) and the last right vector,
+    by power iteration on A^H A from a complex Gaussian start drawn from
+    ``rng``: value sqrt(||A v||^2), update v <- A^H A v / ||.||, stop when
+    successive values agree to relative ``tol``.  The value is a lower bound
+    converged or not; at ``max_iter`` it comes back with converged=False."""
+    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     v /= np.linalg.norm(v)
-    rho_prev = -1.0
     rho = 0.0
-    for it in range(1, POWER_ITERATION_CAP + 1):
-        w = a @ v
-        rho = float(np.real(np.vdot(w, w)))  # v unit, so this is the Rayleigh quotient of A*A
-        if rho == 0.0:
-            return NormEstimate(0.0, "power-iteration", tol, it)
-        u = a.conj().T @ w
-        v = u / np.linalg.norm(u)
-        if abs(rho - rho_prev) < tol * rho:
-            return NormEstimate(float(np.sqrt(rho)), "power-iteration", tol, it)
-        rho_prev = rho
-    raise NonConvergenceError(
-        f"power iteration did not converge in {POWER_ITERATION_CAP} iterations",
-        POWER_ITERATION_CAP,
-        float(np.sqrt(rho)),
-    )
+    for it in range(1, max_iter + 1):
+        av = apply(v)
+        rho_new = float(np.real(np.vdot(av, av)))
+        w = apply_adjoint(av)
+        nw = np.linalg.norm(w)
+        if nw == 0.0:  # A v = 0, or A^H A v rounded to 0
+            return NormEstimate(float(np.sqrt(rho_new)), "power-iteration", tol, it), v
+        v = w / nw
+        if abs(rho_new - rho) < tol * max(rho_new, 1e-300):
+            return NormEstimate(float(np.sqrt(rho_new)), "power-iteration", tol, it), v
+        rho = rho_new
+    return NormEstimate(float(np.sqrt(rho)), "power-iteration", tol, max_iter, False), v
 
 
 # ---------------------------------------------------------------------------

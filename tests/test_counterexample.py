@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pbnc import errors
+from pbnc import counterexample, errors
 from pbnc.coeff_systems import basis_vectors, car_jordan_wigner, haar_unitaries
 from pbnc.counterexample import (
     Certificates,
@@ -9,7 +9,7 @@ from pbnc.counterexample import (
     PbSearch,
     TruncatedSpace,
     _poly_t_applies,
-    _power_norm,
+    _poly_t_norm,
     build_T,
     cb_certificate,
     certify,
@@ -19,7 +19,6 @@ from pbnc.counterexample import (
     pb_probe,
     poly_of_T,
     row_bound_check,
-    similarity_lower,
     von_neumann_excess,
     with_eps,
 )
@@ -112,12 +111,14 @@ class TestPolyOfT:
             assert np.allclose(apply(x), dense @ x, atol=1e-12)
             assert np.allclose(apply_adjoint(x), dense.conj().T @ x, atol=1e-12)
 
-    def test_power_norm_cap_is_loud(self):
+    def test_power_norm_cap_is_loud(self, monkeypatch):
         b = _car_bundle(n=2, eps=0.7)
         p = random_poly(6, _rng(24))
-        apply, apply_adjoint = _poly_t_applies(b, p)
+        # force the structured route on a small bundle, capped at 2 iterations
+        monkeypatch.setattr(counterexample, "DENSE_PROBE_MAX_DIM", 0)
+        monkeypatch.setattr(counterexample, "PROBE_POWER_ITERATION_CAP", 2)
         with pytest.raises(errors.NonConvergenceError) as exc:
-            _power_norm(apply, apply_adjoint, b.total_dim, _rng(25), max_iter=2)
+            _poly_t_norm(b, p, _rng(25))
         assert exc.value.iterations == 2
         # a Rayleigh estimate: positive and never above the exact norm
         assert 0.0 < exc.value.last_estimate <= float(op_norm(poly_of_T(b, p))) * (1 + 1e-12)
@@ -174,16 +175,12 @@ class TestCbCertificate:
         for n in (2, 3, 4):
             assert cb_certificate(_car_bundle(n=n)) >= np.sqrt(n) / 2.0 - 1e-8
 
-    def test_similarity_alias(self):
-        b = _car_bundle(n=3)
-        assert similarity_lower(b) == cb_certificate(b)
-
     def test_certify_bundle(self):
         b = _car_bundle(n=2)
         cert = certify(b, PbSearch(restarts=1, seed=0), target_c=2.0)
         assert isinstance(cert, Certificates)
         assert cert.N == b.total_dim and cert.target_c == 2.0
-        assert cert.cb_lower == cert.similarity_lower
+        assert cert.cb_lower == cb_certificate(b)
         assert cert.pb_probe >= 1.0
 
 

@@ -1,5 +1,6 @@
 import csv
 from dataclasses import FrozenInstanceError
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from pbnc.hankel import (
     bound_scan,
     build_hankel,
     fejer_poly,
-    hankel_symbol,
     lacunary_basis_family,
     lacunary_default,
     load_hankel_flat,
@@ -25,6 +25,7 @@ from pbnc.hankel import (
     random_poly,
     save_hankel,
     scan_probe_best,
+    symbol_block,
     write_scan_csv,
 )
 from pbnc.numkit import Polynomial, op_norm, poly_derivative, toeplitz
@@ -148,6 +149,22 @@ class TestBlockHankel:
         with pytest.raises(ValueError):
             again[0] = 1.0
 
+    def test_gram_cached_read_only(self, monkeypatch):
+        builds, build = [], BlockHankel._gram.func
+        counting = cached_property(lambda self: builds.append(self) or build(self))
+        counting.__set_name__(BlockHankel, "_gram")
+        monkeypatch.setattr(BlockHankel, "_gram", counting)
+        g, h = _small_car_hankel(n=2, D=6), lacunary_basis_family(9)
+        first = g.gram()
+        for _ in range(3):
+            assert g.gram() is first
+        h.gram()
+        h.gram()
+        assert builds == [g, h]
+        assert not first.flags.writeable
+        with pytest.raises(ValueError):
+            first[0, 0] = 1.0
+
     def test_frozen(self):
         g = ones_basis_family(5)
         with pytest.raises(FrozenInstanceError):
@@ -218,16 +235,23 @@ class TestBuildHankel:
 
 class TestSymbol:
     def test_roundtrip_exact(self):
-        g = _small_car_hankel(n=3, D=9)
-        sym = hankel_symbol(g)
-        for i in range(g.D):
-            for j in range(g.D):
-                assert np.array_equal(sym.regenerate_block(i, j), g.block(i, j))
+        # every block equals m(q)/q * C_phi(q), q = i + j + 1, rebuilt here
+        # from the multiplier, frequency map and system
+        for g in [_small_car_hankel(n=3, D=9), lacunary_basis_family(9), ones_basis_family(5)]:
+            for i in range(g.D):
+                for j in range(g.D):
+                    q = i + j + 1
+                    mq = g.multiplier(q)
+                    ref = (np.zeros(g.block_shape) if mq == 0
+                           else (mq / q) * g.system.elements[g.freq_map[q] - 1])
+                    assert np.array_equal(g.block(i, j), ref)
+                    assert np.array_equal(symbol_block(g, i, j), ref)
 
     def test_coefficient_indexing(self):
         g = _small_car_hankel(n=2, D=5)
-        sym = hankel_symbol(g)
-        assert set(sym.coeffs) == {-(q - 1) for q in g.coefficients}
+        nonzero = {i + j + 1 for i in range(g.D) for j in range(g.D)
+                   if symbol_block(g, i, j).any()}
+        assert nonzero == set(g.coefficients) == {2, 4}
 
 
 class TestBoundProbe:

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pbnc import errors, numkit
 from pbnc.numkit import (
@@ -16,6 +18,7 @@ from pbnc.numkit import (
     save_cmat,
     sup_norm,
     toeplitz,
+    top_singular,
 )
 
 
@@ -45,12 +48,21 @@ class TestOpNorm:
         assert float(op_norm(np.zeros((0, 3)))) == 0.0
 
     def test_power_iteration_route(self):
-        rng = _rng(7)
-        a = _random_complex(rng, (40, 40))
-        ref = float(op_norm(a))
-        est = numkit._power_iteration(np.asarray(a, dtype=np.complex128), 1e-12, seed=3)
-        assert est.method == "power-iteration"
+        # 4097 rows: past OP_NORM_EXACT_MAX_DIM, so op_norm iterates
+        a = _random_complex(_rng(7), (4097, 3))
+        ref = np.linalg.svd(a, compute_uv=False)[0]
+        est = op_norm(a, seed=3)
+        assert est.method == "power-iteration" and est.converged
         assert est.value == pytest.approx(ref, rel=1e-9)
+
+    def test_power_iteration_cap_is_loud(self, monkeypatch):
+        a = _random_complex(_rng(7), (4097, 3))
+        monkeypatch.setattr(numkit, "POWER_ITERATION_CAP", 2)
+        with pytest.raises(errors.NonConvergenceError) as exc:
+            op_norm(a, seed=3)
+        assert exc.value.iterations == 2
+        ref = np.linalg.svd(a, compute_uv=False)[0]
+        assert 0.0 < exc.value.last_estimate <= ref * (1 + 1e-12)
 
     def test_float_protocol(self):
         est = NormEstimate(2.5, "exact-eigensolve", 1e-12, 0)
@@ -63,6 +75,46 @@ class TestOpNorm:
             op_norm(np.array([[np.inf, 0.0], [0.0, 1.0]]))
         with pytest.raises(errors.DomainError):
             op_norm(np.eye(2), tol=0.0)
+
+
+_entries = st.integers(-50, 50).map(lambda k: k / 8.0)  # exact, no underflow
+
+
+@st.composite
+def _complex_matrices(draw):
+    rows, cols = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    re = draw(st.lists(_entries, min_size=rows * cols, max_size=rows * cols))
+    im = draw(st.lists(_entries, min_size=rows * cols, max_size=rows * cols))
+    return (np.array(re) + 1j * np.array(im)).reshape(rows, cols)
+
+
+class TestTopSingular:
+    @staticmethod
+    def _solve(a, seed, tol, max_iter):
+        ah = a.conj().T
+        return top_singular(lambda v: a @ v, lambda w: ah @ w, a.shape[1], _rng(seed),
+                            tol, max_iter)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(a=_complex_matrices(), seed=st.integers(0, 2**32 - 1))
+    def test_rayleigh_lower_bound_matches_svd(self, a, seed):
+        exact = np.linalg.svd(a, compute_uv=False)[0]
+        est, v = self._solve(a, seed, 1e-14, 20_000)
+        assert est.value <= exact * (1 + 1e-12)
+        assert v.shape == (a.shape[1],)
+        if est.converged:
+            assert est.value == pytest.approx(exact, rel=1e-8, abs=1e-12)
+
+    def test_cap_reports_not_converged(self):
+        a = _random_complex(_rng(11), (8, 8))
+        exact = np.linalg.svd(a, compute_uv=False)[0]
+        est, _ = self._solve(a, 12, 1e-12, 2)
+        assert not est.converged and est.iterations == 2
+        assert 0.0 < est.value <= exact * (1 + 1e-12)
+
+    def test_zero_operator(self):
+        est, _ = self._solve(np.zeros((3, 4), dtype=np.complex128), 0, 1e-12, 10)
+        assert est.value == 0.0 and est.converged and est.iterations == 1
 
 
 class TestPolynomial:
