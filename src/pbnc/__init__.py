@@ -1,7 +1,7 @@
 """Numerical laboratory for a polynomially bounded operator that is not
 similar to a contraction, at finite truncation.
 
-Modules: numkit (norms, polynomials, Toeplitz, CMAT persistence),
+Modules: numkit (norms, polynomials, Toeplitz),
 coeff_systems (CAR / Haar-unitary / basis-vector coefficient systems),
 hankel (lacunary multipliers and block Hankel matrices), counterexample
 (the bundled operator, probes, certificates), martingale (Monte Carlo
@@ -20,17 +20,14 @@ from .coeff_systems import (
     haar_unitaries,
     row_bound,
     tensor_conj_norm,
-    tensor_conj_sum,
     trace_witness,
 )
 from .counterexample import (
-    Certificates,
     OperatorBundle,
     PbSearch,
     TruncatedSpace,
     build_T,
     cb_certificate,
-    certify,
     eps_for_target_c,
     fcn_experiment,
     pb_probe,
@@ -79,12 +76,10 @@ from .numkit import (
     NormEstimate,
     Polynomial,
     SupNormBound,
-    load_cmat,
     op_norm,
     poly_derivative,
     poly_eval,
     poly_of_matrix,
-    save_cmat,
     sup_norm,
     toeplitz,
 )

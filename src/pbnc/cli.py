@@ -48,6 +48,7 @@ from .counterexample import (
     build_T,
     cb_certificate,
     fcn_experiment,
+    haar_bundle,
     pb_probe,
 )
 from .errors import (
@@ -194,17 +195,14 @@ def cmd_hankel(cfg: dict, thresholds: dict, threads: int):
         "norm_gtf": probe.norm_gtf,
         "sup_f": probe.sup_f,
     }
-    # structural identities: anti-diagonal constancy, and every block equal
-    # to the symbol m(q)/q * C_phi(q) rebuilt from multiplier, map and system
-    hankel_exact = True
-    roundtrip_exact = True
-    for i in range(d):
-        for j in range(d):
-            b = g.block(i, j)
-            if not np.array_equal(b, g.block(j, i)):
-                hankel_exact = False
-            if not np.array_equal(b, symbol_block(g, i, j)):
-                roundtrip_exact = False
+    # structural identities: blocks (i, j) and (j, i) of the materialized
+    # matrix agree, and every block equals the symbol m(q)/q * C_phi(q)
+    # rebuilt from multiplier, map and system
+    out_dim, in_dim = g.block_shape
+    blocks = g.flat().reshape(d, out_dim, d, in_dim)
+    hankel_exact = np.array_equal(blocks, blocks.transpose(2, 1, 0, 3))
+    roundtrip_exact = all(np.array_equal(g.block(i, j), symbol_block(g, i, j))
+                          for i in range(d) for j in range(d))
     flags = {"hankel_property": hankel_exact, "symbol_roundtrip": roundtrip_exact}
     return results, flags, None
 
@@ -257,7 +255,7 @@ def _hankel_scan(cfg: dict, thresholds: dict, threads: int):
     return results, flags, ("scan.csv", csv_rows, True)
 
 
-def _certify_one(cfg: dict, thresholds: dict, n: int, seed: int):
+def _certify_one(cfg: dict, n: int, seed: int):
     kind = cfg.get("system", cfg.get("kind", "car"))
     eps = float(cfg.get("eps", 1.0))
     sc = cfg.get("search", {})
@@ -266,31 +264,23 @@ def _certify_one(cfg: dict, thresholds: dict, n: int, seed: int):
         max_degree=sc.get("max_degree"),
         seed=int(sc.get("search_seed", sc.get("seed", 7))),
     )
+    d = int(cfg["D"]) if "D" in cfg else None
     if kind == "car":
-        system = car_jordan_wigner(n)
         spec = lacunary_default(n)
-        m = MultiplierSeq.indicator(spec)
+        bundle = build_T(car_jordan_wigner(n), spec, MultiplierSeq.indicator(spec), D=d, eps=eps)
     elif kind == "haar_unitary":
-        dim = int(cfg.get("dim", n))
-        system = haar_unitaries(n, dim, seed=seed)
-        spec = lacunary_default(n)
-        k2 = float(row_bound(system, restarts=16, seed=seed))
-        m = MultiplierSeq({k: 1.0 / k2 for k in spec.K}, support_cutoff=max(spec.K))
+        bundle, _ = haar_bundle(n, int(cfg.get("dim", n)), seed, seed, D=d, eps=eps)
     else:
         raise ConfigurationError(f"certify supports car/haar_unitary, not {kind!r}")
-    d = int(cfg["D"]) if "D" in cfg else None
-    bundle = build_T(system, spec, m, D=d, eps=eps)
-    t0 = time.perf_counter()
     pb = pb_probe(bundle, search)
     cb = cb_certificate(bundle, normalizer_seed=seed)
-    budget_ms = int((time.perf_counter() - t0) * 1000)
     row = {
         "n": n,
         "D": bundle.space.D,
         "h_dim": bundle.space.h_dim,
         "N_total": bundle.total_dim,
         "eps": eps,
-        "system_kind": system.kind,
+        "system_kind": bundle.system.kind,
         "seed": seed,
         "pb_probe": pb,
         "cb_lower": cb,
@@ -298,13 +288,13 @@ def _certify_one(cfg: dict, thresholds: dict, n: int, seed: int):
         "probe_budget": {"restarts": search.restarts,
                          "max_degree": search.max_degree, "seed": search.seed},
     }
-    return row, bundle, search, budget_ms
+    return row, search
 
 
 def cmd_certify(cfg: dict, thresholds: dict, threads: int):
     n = int(cfg.get("n", 3))
     seed = int(cfg.get("seed", 0))
-    row, bundle, search, _ = _certify_one(cfg, thresholds, n, seed)
+    row, search = _certify_one(cfg, n, seed)
     flags = {}
     if row["eps"] == 0.0:
         flags["contraction_certificate_zero"] = row["similarity_lower"] == 0.0
@@ -326,7 +316,7 @@ def cmd_sweep(cfg: dict, thresholds: dict, threads: int):
     seed = int(cfg.get("seed", 0))
     rows = []
     for n in n_grid:
-        row, _, _, _ = _certify_one(cfg, thresholds, n, seed)
+        row, _ = _certify_one(cfg, n, seed)
         row["cb_over_pb"] = row["cb_lower"] / row["pb_probe"]
         rows.append(row)
     results = {"n_grid": n_grid, "rows": rows}

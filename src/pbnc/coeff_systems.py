@@ -15,16 +15,15 @@ Three kinds are supported:
     bound is exactly 1 since sum alpha_k e_k has norm ||alpha||_2.
 
 The certificates computed here feed the operator-bundle lower bounds:
-``tensor_conj_norm`` is ||sum C_k (x) conj(C_k)|| and ``trace_witness`` is
-the rank-one evaluation |sum tr(C_k X C_k* Y)| at X = Y = I/sqrt(tr I),
-which can never exceed it.
+``tensor_conj_norm`` is ||sum w_k conj(C_k) (x) C_k|| (w_k = 1 unless
+given) and ``trace_witness`` is the rank-one evaluation
+|sum tr(C_k X C_k* Y)| at X = Y = I/sqrt(tr I), which can never exceed the
+unweighted norm.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -171,17 +170,9 @@ def row_bound(system: CoefficientSystem, restarts: int = 32, seed: int = 0) -> R
     return RowBoundEstimate(best, restarts, seed)
 
 
-def tensor_conj_sum(system: CoefficientSystem) -> np.ndarray:
-    """sum_k C_k (x) conj(C_k) on the op_dim^2 space."""
-    if not system.is_square:
-        raise DomainError("tensor_conj_sum needs square elements")
-    acc = np.zeros((system.op_dim[0] ** 2,) * 2, dtype=np.complex128)
-    for c in system.elements:
-        acc += np.kron(c, np.conj(c))
-    return acc
-
-
-def tensor_conj_norm(system: CoefficientSystem) -> float:
+def tensor_conj_norm(system: CoefficientSystem, weights=None) -> float:
+    """||sum_t w_t conj(C_t) (x) C_t||, with w_t = 1 when ``weights`` is None
+    (a factor swap is a unitary similarity, so that is ||sum C_t (x) conj(C_t)||)."""
     if not system.is_square:
         raise DomainError("tensor_conj_norm needs square elements")
     dim = system.op_dim[0]
@@ -190,7 +181,12 @@ def tensor_conj_norm(system: CoefficientSystem) -> float:
             f"tensor dimension {dim * dim} exceeds the exact-eigensolve budget "
             f"{numkit.OP_NORM_EXACT_MAX_DIM}"
         )
-    return numkit.op_norm(tensor_conj_sum(system)).value
+    if weights is None:
+        weights = [1.0] * system.n
+    acc = np.zeros((dim * dim,) * 2, dtype=np.complex128)
+    for w, c in zip(weights, system.elements, strict=True):
+        acc += w * np.kron(c.conj(), c)
+    return numkit.op_norm(acc).value
 
 
 def trace_witness(system: CoefficientSystem) -> float:
@@ -206,34 +202,3 @@ def trace_witness(system: CoefficientSystem) -> float:
     dim = system.op_dim[0]
     total = sum(np.trace(c @ c.conj().T) for c in system.elements)
     return float(abs(total)) / dim
-
-
-# ---------------------------------------------------------------------------
-# persistence: directory of CMAT files plus a metadata JSON
-
-
-def save_system(directory, system: CoefficientSystem) -> None:
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    meta = {
-        "kind": system.kind,
-        "n": system.n,
-        "dim": list(system.op_dim),
-        "seed": system.seed,
-    }
-    (directory / "system.json").write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n")
-    for k, element in enumerate(system.elements, start=1):
-        numkit.save_cmat(directory / f"C{k:03d}.cmat", element, label=f"C_{k}", seed=system.seed)
-
-
-def load_system(directory) -> CoefficientSystem:
-    directory = Path(directory)
-    meta_path = directory / "system.json"
-    if not meta_path.exists():
-        raise ConfigurationError(f"{directory} has no system.json")
-    meta = json.loads(meta_path.read_text())
-    elements = []
-    for k in range(1, meta["n"] + 1):
-        a, _ = numkit.load_cmat(directory / f"C{k:03d}.cmat")
-        elements.append(a)
-    return CoefficientSystem(meta["kind"], elements, seed=meta.get("seed"))

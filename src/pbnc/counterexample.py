@@ -20,10 +20,13 @@ Two quantities are attached to a bundle and deliberately kept asymmetric:
   ||V^{-1} T V|| <= 1 (reported as ``similarity_lower`` in the fcn rows and
   CLI payloads).  The certificate compresses the matrix polynomial
   sum_k conj(C_k) (x) (z^{K_k})(T) through coordinate isometries, which
-  lands exactly on eps * n^{-1/2} * sum_k m(K_k) conj(C_k) (x) C_k.
+  lands exactly on eps * n^{-1/2} * sum_k m(K_k) conj(C_k) (x) C_k, the
+  weighted ``coeff_systems.tensor_conj_norm``.
 
 With CAR systems the certificate grows like sqrt(n) while the probe stays
-flat, the desk-scale form of the separation.
+flat, the desk-scale form of the separation.  Haar-unitary bundles (CLI
+certify and the fcn experiment) all come from ``haar_bundle``: multiplier
+1/K2 on the dyadic frequencies, K2 the empirical row bound of the system.
 
 Supported frequencies must stay <= D: within that range the truncated
 transpose(S)^a G S^b collapse exactly to G S^{a+b}, which is what makes the
@@ -34,7 +37,7 @@ rejects such multipliers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,6 +46,7 @@ from .coeff_systems import (
     conj_system,
     haar_unitaries,
     row_bound,
+    tensor_conj_norm,
 )
 from .errors import ConfigurationError, DimensionError, DomainError
 from .hankel import (
@@ -58,11 +62,9 @@ from .hankel import (
     random_poly,
 )
 from .numkit import (
-    OP_NORM_EXACT_MAX_DIM,
     Polynomial,
     op_norm,
     poly_derivative,
-    poly_of_matrix,
     sup_norm,
     toeplitz,
     top_singular,
@@ -71,6 +73,7 @@ from .numkit import (
 DENSE_PROBE_MAX_DIM = 1024  # above this, probe norms go through structured matvecs
 PROBE_POWER_ITERATION_CAP = 20_000  # iteration cap of the structured probe norms
 DENSE_T_ENTRY_BUDGET = 1 << 26
+NORMALIZER_RESTARTS = 32  # row_bound restarts behind the non-CAR cb normalizer
 
 
 @dataclass(frozen=True)
@@ -98,7 +101,6 @@ class OperatorBundle:
     system: CoefficientSystem
     spec: LacunarySpec
     multiplier: MultiplierSeq
-    provenance: dict = field(default_factory=dict)
 
     @property
     def total_dim(self) -> int:
@@ -160,17 +162,8 @@ def build_T(
     g = build_hankel(m, spec, s_sys, D)
     h_dim = s_sys.op_dim[0]
     space = TruncatedSpace(D=D, h_dim=h_dim)
-    prov = {
-        "system_kind": s_sys.kind,
-        "n": s_sys.n,
-        "spec": list(spec.K),
-        "seed": s_sys.seed,
-        "eps": float(eps),
-        "D": D,
-    }
     return OperatorBundle(
         space=space, hankel=g, eps=float(eps), system=s_sys, spec=spec, multiplier=m,
-        provenance=prov,
     )
 
 
@@ -183,8 +176,8 @@ def poly_of_T(b: OperatorBundle, p: Polynomial) -> np.ndarray:
     agrees with Horner evaluation to rounding because supported frequencies
     stay <= D."""
     D, h = b.space.D, b.space.h_dim
-    ps_small = poly_of_matrix(p, b.shift)  # = toeplitz(p, D), shift is nilpotent
-    ps = np.kron(ps_small, np.eye(h, dtype=np.complex128))
+    # P(S) = T(p) (x) I: the truncated shift's powers are the Toeplitz diagonals
+    ps = np.kron(toeplitz(p, D), np.eye(h, dtype=np.complex128))
     tp = np.kron(toeplitz(poly_derivative(p), D), np.eye(h, dtype=np.complex128))
     corner = b.eps * (b.G_flat @ tp)
     z = np.zeros_like(ps)
@@ -370,28 +363,7 @@ def von_neumann_excess(b: OperatorBundle, n_polys: int, seed: int = 0) -> float:
 # certified lower bound on the completely bounded norm
 
 
-def _weighted_tensor_norm(system: CoefficientSystem, weights: dict[int, complex],
-                          spec: LacunarySpec) -> float:
-    """|| sum_t w(K_t) conj(C_t) (x) C_t ||, the compression target."""
-    d_out, d_in = system.op_dim
-    if d_out != d_in:
-        raise ConfigurationError("weighted tensor norm needs square elements")
-    if (d_out * d_out) > OP_NORM_EXACT_MAX_DIM:
-        raise ConfigurationError(
-            f"tensor dimension {d_out * d_out} exceeds the exact operator-norm budget"
-        )
-    acc = np.zeros((d_out * d_out, d_out * d_out), dtype=np.complex128)
-    for t, kt in enumerate(spec.K, start=1):
-        w = complex(weights.get(kt, 0.0))
-        if w == 0:
-            continue
-        c = system.elements[t - 1]
-        acc += w * np.kron(c.conj(), c)
-    return float(op_norm(acc))
-
-
-def cb_certificate(b: OperatorBundle, normalizer_restarts: int = 32,
-                   normalizer_seed: int = 0) -> float:
+def cb_certificate(b: OperatorBundle, normalizer_seed: int = 0) -> float:
     """Certified lower bound on the cb norm of P -> P(T).
 
     The matrix polynomial A(z) = n^{-1/2} sum_k conj(C_k) z^{K_k} has
@@ -407,43 +379,25 @@ def cb_certificate(b: OperatorBundle, normalizer_restarts: int = 32,
     row bound is re-estimated empirically and divided out.
     """
     n = b.system.n
-    compressed = b.eps * (n ** -0.5) * _weighted_tensor_norm(
-        b.system, dict(b.multiplier.values), b.spec
+    compressed = b.eps * (n ** -0.5) * tensor_conj_norm(
+        b.system, [b.multiplier(k) for k in b.spec.K]
     )
     if b.system.kind == "car":
         normalizer = 1.0
     else:
         normalizer = float(
-            row_bound(conj_system(b.system), restarts=normalizer_restarts,
+            row_bound(conj_system(b.system), restarts=NORMALIZER_RESTARTS,
                       seed=normalizer_seed)
         )
         normalizer = max(normalizer, 1e-300)
     return compressed / normalizer
 
 
-@dataclass(frozen=True)
-class Certificates:
-    pb_probe: float
-    cb_lower: float
-    N: int
-    target_c: float | None = None
-
-
-def certify(b: OperatorBundle, search: PbSearch | None = None,
-            target_c: float | None = None) -> Certificates:
-    return Certificates(
-        pb_probe=pb_probe(b, search),
-        cb_lower=cb_certificate(b),
-        N=b.total_dim,
-        target_c=target_c,
-    )
-
-
 # ---------------------------------------------------------------------------
 # target-c scaling and the growth experiment
 
 
-def eps_for_target_c(b: OperatorBundle, c: float, c_probe: float) -> float:
+def eps_for_target_c(c: float, c_probe: float) -> float:
     """eps = (c - 1) / C_probe, aiming the rescaled bundle's probe at <= c;
     empirical, since C_probe is itself a lower-bound estimate."""
     if c <= 1:
@@ -482,39 +436,42 @@ def _light_hankel_probe(g: BlockHankel, seed: int) -> float:
     return best
 
 
+def haar_bundle(n: int, dim: int, system_seed: int, row_bound_seed: int, *,
+                D: int | None, eps: float) -> tuple[OperatorBundle, float]:
+    """Haar-unitary bundle and its K2: n unitaries of size dim drawn at
+    ``system_seed`` on the default dyadic frequencies, multiplier 1/K2 with
+    K2 the empirical row bound of the system (16 restarts at
+    ``row_bound_seed``)."""
+    system = haar_unitaries(n, dim, seed=system_seed)
+    spec = lacunary_default(n)
+    k2 = float(row_bound(system, restarts=16, seed=row_bound_seed))
+    m = MultiplierSeq({k: 1.0 / k2 for k in spec.K}, support_cutoff=max(spec.K))
+    return build_T(system, spec, m, D=D, eps=eps), k2
+
+
 def haar_bundle_for_target(n: int, c: float, seed: int) -> tuple[OperatorBundle, dict]:
-    """Haar-unitary bundle at target probe constant c: dim H = n, D = 2^n + 1,
-    multiplier 1/K2 on the default dyadic frequencies (K2 = empirical row
-    bound of the system), eps from the probed Hankel constant."""
+    """``haar_bundle`` with dim H = n and D = 2^n + 1 at target probe
+    constant c: eps from the probed Hankel constant."""
     if c <= 1:
         raise DomainError("target c must exceed 1")
     ss = np.random.SeedSequence(entropy=seed)
     sys_child, rb_child, probe_child = ss.spawn(3)
     sys_seed = int(sys_child.generate_state(1)[0])
-    system = haar_unitaries(n, n, seed=sys_seed)
-    spec = lacunary_default(n)
-    k2 = float(row_bound(system, restarts=16, seed=int(rb_child.generate_state(1)[0])))
-    m = MultiplierSeq({k: 1.0 / k2 for k in spec.K}, support_cutoff=max(spec.K))
-    D = 2**n + 1
-    g = build_hankel(m, spec, system, D)
-    c_probe = _light_hankel_probe(g, seed=int(probe_child.generate_state(1)[0]))
-    ref = build_T(system, spec, m, D=D, eps=0.0)
-    eps = eps_for_target_c(ref, c, c_probe)
-    bundle = build_T(system, spec, m, D=D, eps=eps)
+    base, k2 = haar_bundle(n, n, sys_seed, int(rb_child.generate_state(1)[0]), D=None,
+                           eps=0.0)
+    c_probe = _light_hankel_probe(base.hankel, seed=int(probe_child.generate_state(1)[0]))
+    eps = eps_for_target_c(c, c_probe)
     info = {"K2": k2, "C_probe": c_probe, "eps": eps, "system_seed": sys_seed}
-    return bundle, info
+    return with_eps(base, eps), info
 
 
-def fcn_experiment(n: int, c: float, seed: int = 0,
-                   search: PbSearch | None = None) -> dict:
+def fcn_experiment(n: int, c: float, seed: int = 0) -> dict:
     """One row of the growth experiment: cb_over_pb = cb_certificate /
     pb_probe and its (c-1)sqrt(n) scaling.  Across an n-grid the scaled
     column staying inside a positive band reproduces the lower half of the
     two-sided sqrt(n) estimate empirically."""
     bundle, info = haar_bundle_for_target(n, c, seed)
-    if search is None:
-        search = PbSearch(restarts=2, max_degree=min(2 * bundle.space.D - 2, 64),
-                          seed=seed)
+    search = PbSearch(restarts=2, max_degree=min(2 * bundle.space.D - 2, 64), seed=seed)
     sim = cb_certificate(bundle, normalizer_seed=seed)
     pb = pb_probe(bundle, search)
     cb_over_pb = sim / pb

@@ -27,6 +27,8 @@ BlockHankel).  This keeps the dense contrast mode at D = 513 (flat shape
 Iterative probes run ``numkit.top_singular`` on W (T(f') (x) I) with the
 factor W^H W = G^H G of ``hankel_factor`` (no dense Gram), and the one
 Fejer-damped ascent, ``fejer_ascent``, also serves the P(T) probe.
+``scan_probe_best`` runs every probe family (monomials, Fejer means, seeded
+random polynomials, the ascent) on each scan cell; the CLI writes the rows.
 
 Every kernel walks the anti-diagonals, one per supported frequency q: rows
 i in [max(0, q-D), min(D-1, q-1)] meet input blocks j = q-1-i, a reversed
@@ -38,11 +40,8 @@ frequency, computed once per (frozen) BlockHankel.
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass, field
 from functools import cached_property
-from pathlib import Path
 
 import numpy as np
 
@@ -269,10 +268,6 @@ class BlockHankel:
             out[q - 1 - hi : q - lo] += blocks_in[lo : hi + 1][::-1] @ c.conj()
         return out.reshape(self.D * in_dim)
 
-    @property
-    def max_supported_freq(self) -> int:
-        return max(self.coefficients) if self.coefficients else 0
-
 
 def build_hankel(
     m: MultiplierSeq,
@@ -356,7 +351,7 @@ def norm_gtf(g: BlockHankel, f: Polynomial) -> float:
     return float(np.sqrt(max(w[-1], 0.0)))
 
 
-def bound_probe(g: BlockHankel, f: Polynomial, grid_points: int | None = None) -> BoundProbe:
+def bound_probe(g: BlockHankel, f: Polynomial) -> BoundProbe:
     """ratio = ||G T(f')|| / certified sup|f|, the probe for the boundedness
     constant.  Degrees must stay below 2D so every coefficient of f' the
     truncation can see is present."""
@@ -364,7 +359,7 @@ def bound_probe(g: BlockHankel, f: Polynomial, grid_points: int | None = None) -
         raise DomainError("bound_probe needs a nonzero polynomial (sup_f = 0)")
     if f.degree >= 2 * g.D:
         raise DomainError(f"deg f = {f.degree} >= 2D = {2 * g.D}")
-    sup = sup_norm(f, grid_points)
+    sup = sup_norm(f)
     norm = norm_gtf(g, f)
     return BoundProbe(ratio=norm / sup.certified_upper, norm_gtf=norm, sup_f=sup.certified_upper)
 
@@ -389,21 +384,15 @@ class ProbeConfig:
     n_random: int = 16
     ascent_restarts: int = 2
     ascent_steps: int = 24
-    monomial_cap: int | None = None  # None = every k < 2D when affordable
 
     def monomial_grid(self, D: int, supported: tuple[int, ...], diagonal: bool) -> list[int]:
-        full = range(1, 2 * D)
         if diagonal or 2 * D - 1 <= 64:
-            ks = list(full)
-        else:
-            ks = sorted(
-                {k for k in range(1, min(2 * D, 65))}
-                | {k for k in supported if k < 2 * D}
-                | {1 << j for j in range(1, 12) if (1 << j) < 2 * D}
-            )
-        if self.monomial_cap is not None:
-            ks = ks[: self.monomial_cap]
-        return ks
+            return list(range(1, 2 * D))
+        return sorted(
+            {k for k in range(1, min(2 * D, 65))}
+            | {k for k in supported if k < 2 * D}
+            | {1 << j for j in range(1, 12) if (1 << j) < 2 * D}
+        )
 
 
 def _monomial_ratios(g: BlockHankel, ks: list[int], diag: np.ndarray | None) -> dict[int, float]:
@@ -509,71 +498,56 @@ class ScanRow:
     seed: int
 
 
-PROBE_FAMILY_NAMES = ("monomial", "fejer", "random", "ascent")
-
-
-def scan_probe_best(
-    g: BlockHankel,
-    cfg: ProbeConfig,
-    seed: int,
-    probe_families: tuple[str, ...] = PROBE_FAMILY_NAMES,
-) -> tuple[float, str]:
-    """Best certified ratio over the selected probe families for one Hankel
-    matrix.  Lower-bound search: every reported ratio is achieved by a
-    concrete polynomial."""
-    unknown = set(probe_families) - set(PROBE_FAMILY_NAMES)
-    if unknown:
-        raise ConfigurationError(f"unknown probe families {sorted(unknown)}")
+def scan_probe_best(g: BlockHankel, cfg: ProbeConfig, seed: int) -> tuple[float, str]:
+    """Best certified ratio over the monomial, Fejer, random and ascent probe
+    families for one Hankel matrix.  Lower-bound search: every reported ratio
+    is achieved by a concrete polynomial."""
     diag = g.gram_diagonal_or_none()
     best, best_id = 0.0, "none"
 
-    if "monomial" in probe_families:
-        ks = cfg.monomial_grid(g.D, g.multiplier.support, diag is not None)
-        norms = _monomial_ratios(g, ks, diag)
-        for k in ks:
-            # |z^k| = 1 on the grid; apply the certified slack directly
-            n_grid = numkit.default_grid_points(k)
-            cert = 1.0 / (1.0 - np.pi * k / n_grid)
-            ratio = norms[k] / cert
-            if ratio > best:
-                best, best_id = ratio, f"monomial:{k}"
+    ks = cfg.monomial_grid(g.D, g.multiplier.support, diag is not None)
+    norms = _monomial_ratios(g, ks, diag)
+    for k in ks:
+        # |z^k| = 1 on the grid; apply the certified slack directly
+        n_grid = numkit.default_grid_points(k)
+        cert = 1.0 / (1.0 - np.pi * k / n_grid)
+        ratio = norms[k] / cert
+        if ratio > best:
+            best, best_id = ratio, f"monomial:{k}"
 
-    if "fejer" in probe_families:
-        deg = 2
-        while deg <= 2 * g.D - 1:
-            f = fejer_poly(deg)
-            ratio = bound_probe(g, f).ratio
-            if ratio > best:
-                best, best_id = ratio, f"fejer:{deg}"
-            deg *= 2
+    deg = 2
+    while deg <= 2 * g.D - 1:
+        f = fejer_poly(deg)
+        ratio = bound_probe(g, f).ratio
+        if ratio > best:
+            best, best_id = ratio, f"fejer:{deg}"
+        deg *= 2
 
     ss = np.random.SeedSequence(entropy=seed)
     child_rand, child_ascent = ss.spawn(2)
 
-    if "random" in probe_families:
-        rng = np.random.default_rng(child_rand)
-        degrees = np.unique(np.geomspace(2, 2 * g.D - 1, num=max(cfg.n_random, 1)).astype(int))
-        degrees = degrees[(degrees >= 1) & (degrees <= 2 * g.D - 1)]
-        if degrees.size == 0:
-            degrees = np.array([1])
-        poly_id = 0
-        for deg in degrees:
-            for _ in range(max(1, cfg.n_random // len(degrees))):
-                f = random_poly(int(deg), rng)
-                ratio = bound_probe(g, f).ratio
-                if ratio > best:
-                    best, best_id = ratio, f"random:{poly_id}"
-                poly_id += 1
-
-    if "ascent" in probe_families:
-        arng = np.random.default_rng(child_ascent)
-        starts = [fejer_poly(min(8, 2 * g.D - 1))]
-        for _ in range(max(0, cfg.ascent_restarts - 1)):
-            starts.append(random_poly(min(16, 2 * g.D - 1), arng))
-        for s_idx, start in enumerate(starts):
-            ratio = _ascent_refine(g, start, cfg.ascent_steps, arng)
+    rng = np.random.default_rng(child_rand)
+    degrees = np.unique(np.geomspace(2, 2 * g.D - 1, num=max(cfg.n_random, 1)).astype(int))
+    degrees = degrees[(degrees >= 1) & (degrees <= 2 * g.D - 1)]
+    if degrees.size == 0:
+        degrees = np.array([1])
+    poly_id = 0
+    for deg in degrees:
+        for _ in range(max(1, cfg.n_random // len(degrees))):
+            f = random_poly(int(deg), rng)
+            ratio = bound_probe(g, f).ratio
             if ratio > best:
-                best, best_id = ratio, f"ascent:{s_idx}"
+                best, best_id = ratio, f"random:{poly_id}"
+            poly_id += 1
+
+    arng = np.random.default_rng(child_ascent)
+    starts = [fejer_poly(min(8, 2 * g.D - 1))]
+    for _ in range(max(0, cfg.ascent_restarts - 1)):
+        starts.append(random_poly(min(16, 2 * g.D - 1), arng))
+    for s_idx, start in enumerate(starts):
+        ratio = _ascent_refine(g, start, cfg.ascent_steps, arng)
+        if ratio > best:
+            best, best_id = ratio, f"ascent:{s_idx}"
     return best, best_id
 
 
@@ -609,7 +583,6 @@ def bound_scan(
     d_list: list[int],
     cfg: ProbeConfig | None = None,
     seed: int = 0,
-    probe_families: tuple[str, ...] = PROBE_FAMILY_NAMES,
     threads: int = 1,
 ) -> list[ScanRow]:
     """Max probe ratio per D.  family is a registered name or a callable
@@ -630,7 +603,7 @@ def bound_scan(
     def cell(args) -> ScanRow:
         d, cell_seed = args
         g = builder(d)
-        best, best_id = scan_probe_best(g, cfg, cell_seed, probe_families)
+        best, best_id = scan_probe_best(g, cfg, cell_seed)
         return ScanRow(D=d, family=family_name, best_ratio=best, argmax_poly_id=best_id, seed=seed)
 
     jobs = list(zip(d_list, cell_seeds))
@@ -640,39 +613,3 @@ def bound_scan(
         with ThreadPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(cell, jobs))
     return [cell(j) for j in jobs]
-
-
-def write_scan_csv(rows: list[ScanRow], path) -> None:
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["D", "family", "best_ratio", "argmax_poly_id", "seed"])
-        for r in rows:
-            writer.writerow([r.D, r.family, f"{r.best_ratio:.12g}", r.argmax_poly_id, r.seed])
-
-
-# ---------------------------------------------------------------------------
-# persistence: flat CMAT + metadata JSON
-
-
-def save_hankel(path_stem, g: BlockHankel) -> None:
-    path_stem = Path(path_stem)
-    numkit.save_cmat(path_stem.with_suffix(".cmat"), g.flat(), label="hankel-flat")
-    meta = {
-        "D": g.D,
-        "block_shape": list(g.block_shape),
-        "system_kind": g.system.kind,
-        "system_n": g.system.n,
-        "system_seed": g.system.seed,
-        "freq_map": {str(k): v for k, v in sorted(g.freq_map.items())},
-        "multiplier": {str(k): [v.real, v.imag] for k, v in sorted(g.multiplier.values.items())},
-        "support_cutoff": g.multiplier.support_cutoff,
-    }
-    path_stem.with_suffix(".json").write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n")
-
-
-def load_hankel_flat(path_stem) -> tuple[np.ndarray, dict]:
-    path_stem = Path(path_stem)
-    flat, _ = numkit.load_cmat(path_stem.with_suffix(".cmat"))
-    meta = json.loads(path_stem.with_suffix(".json").read_text())
-    return flat, meta

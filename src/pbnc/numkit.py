@@ -10,17 +10,11 @@ Conventions fixed here and relied on everywhere else:
   * Analytic polynomials are Taylor coefficient vectors P-hat(0..deg); the
     sup norm over the unit circle is certified from a roots-of-unity grid
     through the Bernstein derivative bound ||P'|| <= deg * ||P||.
-  * The binary matrix format is a 16-byte header (magic "CMAT", u32 rows,
-    u32 cols, u32 flags, little-endian) followed by row-major interleaved
-    (re, im) float64, with a JSON metadata sidecar.
 """
 
 from __future__ import annotations
 
-import json
-import struct
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -34,8 +28,6 @@ from .errors import (
 OP_NORM_EXACT_MAX_DIM = 4096
 POWER_ITERATION_CAP = 100_000
 DEGREE_CAP = 1 << 16
-
-_CMAT_MAGIC = b"CMAT"
 
 
 def as_matrix(a) -> np.ndarray:
@@ -249,37 +241,3 @@ def toeplitz(f: Polynomial, d: int) -> np.ndarray:
         idx = np.arange(d - k)
         t[idx + k, idx] = c[k]
     return t
-
-
-# ---------------------------------------------------------------------------
-# CMAT persistence
-
-
-def save_cmat(path, a, label: str | None = None, seed: int | None = None) -> None:
-    a = as_matrix(a)
-    rows, cols = a.shape
-    path = Path(path)
-    header = _CMAT_MAGIC + struct.pack("<III", rows, cols, 0)
-    body = a.astype("<c16", copy=False).tobytes(order="C")
-    path.write_bytes(header + body)
-    sidecar = {"rows": rows, "cols": cols, "label": label, "seed": seed}
-    path.with_suffix(path.suffix + ".json").write_text(
-        json.dumps(sidecar, sort_keys=True, indent=2) + "\n"
-    )
-
-
-def load_cmat(path) -> tuple[np.ndarray, dict]:
-    path = Path(path)
-    raw = path.read_bytes()
-    if len(raw) < 16 or raw[:4] != _CMAT_MAGIC:
-        raise ConfigurationError(f"{path} is not a CMAT file")
-    rows, cols, _flags = struct.unpack("<III", raw[4:16])
-    expected = 16 + rows * cols * 16
-    if len(raw) != expected:
-        raise ConfigurationError(
-            f"{path}: expected {expected} bytes for {rows}x{cols}, got {len(raw)}"
-        )
-    a = np.frombuffer(raw[16:], dtype="<c16").reshape(rows, cols).astype(np.complex128)
-    sidecar_path = path.with_suffix(path.suffix + ".json")
-    meta = json.loads(sidecar_path.read_text()) if sidecar_path.exists() else {}
-    return a, meta

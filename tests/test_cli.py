@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from pbnc import cli
 from pbnc.errors import NonConvergenceError
+from pbnc.hankel import BlockHankel
 
 
 def _write_config(tmp_path, doc, name="cfg.json"):
@@ -66,9 +68,30 @@ class TestHankelCommand:
         code = _run(tmp_path, "hankel", doc)
         assert code == 0
         run_dir = _run_dirs(tmp_path)[0]
-        lines = (run_dir / "scan.csv").read_text().strip().splitlines()
-        assert lines[0] == "D,family,best_ratio,argmax_poly_id,seed"
-        assert len(lines) == 3
+        with (run_dir / "scan.csv").open(newline="") as fh:
+            parsed = list(csv.reader(fh))
+        assert parsed[0] == ["D", "family", "best_ratio", "argmax_poly_id", "seed"]
+        rows = json.loads((run_dir / "payload.json").read_bytes())["results"]["rows"]
+        assert len(parsed) == 1 + len(rows) == 3
+        for line, row in zip(parsed[1:], rows):
+            assert line[:2] == [str(row["D"]), "lacunary"]
+            assert float(line[2]) == pytest.approx(row["best_ratio"], rel=1e-11)
+
+    def test_hankel_property_failure_exits_one(self, tmp_path, capsys, monkeypatch):
+        flat = BlockHankel.flat
+
+        def one_wrong_block(self):
+            g = flat(self)
+            out_dim, in_dim = self.block_shape
+            g[:out_dim, in_dim : 2 * in_dim] += 1.0  # block (0, 1) no longer equals (1, 0)
+            return g
+
+        monkeypatch.setattr(BlockHankel, "flat", one_wrong_block)
+        code = _run(tmp_path, "hankel", {"mode": "probe", "L": 2, "D": 5})
+        out = capsys.readouterr().out
+        assert "FAIL hankel_property" in out
+        assert "PASS symbol_roundtrip" in out
+        assert code == 1
 
 
 class TestCertify:

@@ -9,11 +9,8 @@ from pbnc.coeff_systems import (
     car_relation_residual,
     conj_system,
     haar_unitaries,
-    load_system,
     row_bound,
-    save_system,
     tensor_conj_norm,
-    tensor_conj_sum,
     trace_witness,
 )
 from pbnc.numkit import op_norm
@@ -139,9 +136,13 @@ class TestTensorCertificates:
             assert trace_witness(sys_) == pytest.approx(n, abs=1e-9)
             assert tensor_conj_norm(sys_) == pytest.approx(n, abs=1e-8)
 
-    def test_tensor_sum_shape(self):
-        m = tensor_conj_sum(car_jordan_wigner(2))
-        assert m.shape == (16, 16)
+    def test_weighted_matches_dense(self):
+        sys_ = haar_unitaries(3, 3, seed=5)
+        rng = _rng(8)
+        w = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        dense = sum(wt * np.kron(c.conj(), c) for wt, c in zip(w, sys_.elements))
+        ref = np.linalg.svd(dense, compute_uv=False)[0]
+        assert tensor_conj_norm(sys_, w) == pytest.approx(ref, rel=1e-12)
 
     def test_budget_guard(self):
         with pytest.raises(errors.ConfigurationError):
@@ -153,16 +154,3 @@ class TestTensorCertificates:
         with pytest.raises(errors.DomainError):
             trace_witness(basis_vectors(3))
 
-
-class TestPersistence:
-    def test_roundtrip(self, tmp_path):
-        sys_ = haar_unitaries(3, 4, seed=17)
-        save_system(tmp_path / "sys", sys_)
-        loaded = load_system(tmp_path / "sys")
-        assert loaded.kind == sys_.kind and loaded.seed == 17
-        for a, b in zip(sys_.elements, loaded.elements):
-            assert np.array_equal(a, b)
-
-    def test_missing_meta(self, tmp_path):
-        with pytest.raises(errors.ConfigurationError):
-            load_system(tmp_path)

@@ -4,7 +4,6 @@ import pytest
 from pbnc import counterexample, errors
 from pbnc.coeff_systems import basis_vectors, car_jordan_wigner, haar_unitaries
 from pbnc.counterexample import (
-    Certificates,
     OperatorBundle,
     PbSearch,
     TruncatedSpace,
@@ -12,7 +11,6 @@ from pbnc.counterexample import (
     _poly_t_norm,
     build_T,
     cb_certificate,
-    certify,
     eps_for_target_c,
     fcn_experiment,
     haar_bundle_for_target,
@@ -175,27 +173,19 @@ class TestCbCertificate:
         for n in (2, 3, 4):
             assert cb_certificate(_car_bundle(n=n)) >= np.sqrt(n) / 2.0 - 1e-8
 
-    def test_certify_bundle(self):
-        b = _car_bundle(n=2)
-        cert = certify(b, PbSearch(restarts=1, seed=0), target_c=2.0)
-        assert isinstance(cert, Certificates)
-        assert cert.N == b.total_dim and cert.target_c == 2.0
-        assert cert.cb_lower == cb_certificate(b)
-        assert cert.pb_probe >= 1.0
-
 
 class TestTargetScaling:
     def test_eps_formula(self):
-        b = _car_bundle(n=2)
-        assert eps_for_target_c(b, 2.0, 0.5) == pytest.approx(2.0)
+        assert eps_for_target_c(2.0, 0.5) == pytest.approx(2.0)
         with pytest.raises(errors.DomainError):
-            eps_for_target_c(b, 1.0, 0.5)
+            eps_for_target_c(1.0, 0.5)
         with pytest.raises(errors.DomainError):
-            eps_for_target_c(b, 2.0, 0.0)
+            eps_for_target_c(2.0, 0.0)
 
     def test_haar_bundle_wiring(self):
         bundle, info = haar_bundle_for_target(2, 2.0, seed=42)
         assert bundle.system.kind == "haar_unitary"
+        assert bundle.system.seed == info["system_seed"]
         assert bundle.space.D == 5
         assert info["eps"] == pytest.approx((2.0 - 1.0) / info["C_probe"], rel=1e-12)
         assert info["K2"] >= 1.0

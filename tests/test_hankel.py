@@ -1,11 +1,12 @@
 import csv
+import json
 from dataclasses import FrozenInstanceError
 from functools import cached_property
 
 import numpy as np
 import pytest
 
-from pbnc import errors
+from pbnc import cli, errors
 from pbnc.coeff_systems import basis_vectors, car_jordan_wigner, haar_unitaries
 from pbnc.hankel import (
     BlockHankel,
@@ -18,15 +19,12 @@ from pbnc.hankel import (
     fejer_poly,
     lacunary_basis_family,
     lacunary_default,
-    load_hankel_flat,
     multiplier_block_sup,
     norm_gtf,
     ones_basis_family,
     random_poly,
-    save_hankel,
     scan_probe_best,
     symbol_block,
-    write_scan_csv,
 )
 from pbnc.numkit import Polynomial, op_norm, poly_derivative, toeplitz
 
@@ -94,9 +92,11 @@ class TestMultiplierSeq:
 class TestBlockHankel:
     def test_hankel_property_exact(self):
         g = _small_car_hankel()
+        out_dim, in_dim = g.block_shape
+        blocks = g.flat().reshape(g.D, out_dim, g.D, in_dim)
         for i in range(g.D):
             for j in range(g.D):
-                assert np.array_equal(g.block(i, j), g.block(j, i))
+                assert np.array_equal(blocks[i, :, j, :], blocks[j, :, i, :])
 
     def test_coefficient_scaling(self):
         g = _small_car_hankel(n=2, D=5)
@@ -215,7 +215,7 @@ class TestBuildHankel:
         # frequency 8 > 2D-1 = 5 never appears in a D=3 truncation
         spec = lacunary_default(3)
         g = build_hankel(MultiplierSeq.indicator(spec), spec, car_jordan_wigner(3), D=3)
-        assert g.max_supported_freq == 4
+        assert sorted(g.coefficients) == [2, 4]
 
     def test_zero_multiplier_gives_zero_matrix(self):
         spec = lacunary_default(2)
@@ -318,20 +318,15 @@ class TestProbeSearch:
         assert 256 in sparse and len(sparse) < 100
         full = cfg.monomial_grid(300, (), diagonal=True)
         assert len(full) == 599
-        capped = ProbeConfig(monomial_cap=3).monomial_grid(5, (), diagonal=True)
-        assert len(capped) == 3
 
     def test_scan_probe_best_beats_monomials(self):
         g = lacunary_basis_family(17)
         cfg = ProbeConfig(n_random=4, ascent_restarts=1, ascent_steps=4)
         best, best_id = scan_probe_best(g, cfg, seed=1)
-        mono_best, _ = scan_probe_best(g, cfg, seed=1, probe_families=("monomial",))
-        assert best >= mono_best > 0
+        ks = cfg.monomial_grid(g.D, g.multiplier.support, diagonal=True)
+        mono_best = max(bound_probe(g, Polynomial.monomial(k)).ratio for k in ks)
+        assert best >= mono_best * (1 - 1e-12) and mono_best > 0
         assert ":" in best_id
-
-    def test_unknown_probe_family(self):
-        with pytest.raises(errors.ConfigurationError):
-            scan_probe_best(lacunary_basis_family(5), ProbeConfig(), 0, ("sorcery",))
 
 
 class TestBoundScan:
@@ -358,9 +353,14 @@ class TestBoundScan:
 
     def test_csv_format(self, tmp_path):
         rows = bound_scan("lacunary", [5], self.CFG, seed=2)
-        path = tmp_path / "scan.csv"
-        write_scan_csv(rows, path)
-        with path.open() as fh:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "mode": "scan", "families": ["lacunary"], "D_list": [5], "seed": 2,
+            "probe": {"n_random": 4, "ascent_restarts": 1, "ascent_steps": 4},
+        }))
+        assert cli.run(["hankel", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        (run_dir,) = (tmp_path / "out").iterdir()
+        with (run_dir / "scan.csv").open(newline="") as fh:
             parsed = list(csv.reader(fh))
         assert parsed[0] == ["D", "family", "best_ratio", "argmax_poly_id", "seed"]
         assert parsed[1][0] == "5" and parsed[1][1] == "lacunary"
@@ -378,22 +378,3 @@ class TestFamilies:
         assert g.multiplier.support == tuple(range(1, 10))
         assert g.system.n == 9
 
-
-class TestPersistence:
-    def test_roundtrip(self, tmp_path):
-        g = _small_car_hankel(n=2, D=5)
-        save_hankel(tmp_path / "g", g)
-        flat, meta = load_hankel_flat(tmp_path / "g")
-        assert np.array_equal(flat, g.flat())
-        assert meta["D"] == 5 and meta["system_kind"] == "car"
-        rebuilt = build_hankel(
-            MultiplierSeq(
-                {int(k): complex(*v) for k, v in meta["multiplier"].items()},
-                support_cutoff=meta["support_cutoff"],
-            ),
-            lacunary_default(2),
-            car_jordan_wigner(meta["system_n"]),
-            meta["D"],
-            freq_map={int(k): v for k, v in meta["freq_map"].items()},
-        )
-        assert np.array_equal(rebuilt.flat(), flat)

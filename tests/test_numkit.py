@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,12 +8,10 @@ from pbnc.numkit import (
     NormEstimate,
     Polynomial,
     default_grid_points,
-    load_cmat,
     op_norm,
     poly_derivative,
     poly_eval,
     poly_of_matrix,
-    save_cmat,
     sup_norm,
     toeplitz,
     top_singular,
@@ -234,32 +230,3 @@ class TestToeplitz:
         with pytest.raises(errors.DomainError):
             toeplitz(Polynomial([1.0]), 0)
 
-
-class TestCmat:
-    def test_roundtrip(self, tmp_path):
-        rng = _rng(4)
-        a = _random_complex(rng, (5, 3))
-        path = tmp_path / "a.cmat"
-        save_cmat(path, a, label="test", seed=4)
-        b, meta = load_cmat(path)
-        assert np.array_equal(a.astype(np.complex128), b)
-        assert meta == {"rows": 5, "cols": 3, "label": "test", "seed": 4}
-
-    def test_sidecar_json(self, tmp_path):
-        save_cmat(tmp_path / "m.cmat", np.eye(2))
-        meta = json.loads((tmp_path / "m.cmat.json").read_text())
-        assert meta["rows"] == 2 and meta["cols"] == 2
-
-    def test_bad_magic(self, tmp_path):
-        p = tmp_path / "bad.cmat"
-        p.write_bytes(b"XXXX" + b"\x00" * 16)
-        with pytest.raises(errors.ConfigurationError):
-            load_cmat(p)
-
-    def test_truncated_body(self, tmp_path):
-        p = tmp_path / "t.cmat"
-        save_cmat(p, np.eye(3))
-        raw = p.read_bytes()
-        p.write_bytes(raw[:-8])
-        with pytest.raises(errors.ConfigurationError):
-            load_cmat(p)

@@ -1,0 +1,95 @@
+"""Print the sha256 of payload.json for a fixed list of CLI calls.
+
+Each call runs ``pbnc.cli.run`` into a temporary directory with BLAS at one
+thread, so two checkouts can be compared byte for byte:
+
+    python3 tools/payload_digests.py > digests.txt          # at one commit
+    python3 tools/payload_digests.py --check digests.txt    # at another
+
+One ``label sha256`` line is printed per call (``none`` when the CLI wrote no
+payload).  With ``--check FILE`` every line that differs from FILE is
+reported and the exit code is 1; otherwise it is 0.
+"""
+
+from __future__ import annotations
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"  # before numpy loads: the BLAS pool is sized at import
+
+import argparse
+import contextlib
+import hashlib
+import io
+import itertools
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from pbnc.cli import run
+
+SCAN_PROBE = {"n_random": 16, "ascent_restarts": 2, "ascent_steps": 24}
+
+CALLS = (
+    [(f"coeffs.car.n{n}", "coeffs", {"kind": "car", "n": n}) for n in (2, 3, 4, 5)]
+    + [("coeffs.haar.n3d3", "coeffs", {"kind": "haar_unitary", "n": 3, "dim": 3, "seed": 3}),
+       ("hankel.probe.basis", "hankel", {"mode": "probe", "spec": [2, 4, 8]}),
+       ("hankel.probe.car", "hankel",
+        {"mode": "probe", "spec": [2, 4, 8], "system": {"kind": "car", "n": 3},
+         "f": [0.5, 1.0, -0.25]}),
+       ("scan.lacunary", "hankel", {"mode": "scan", "families": ["lacunary"],
+                                    "D_list": [17, 65, 257], "seed": 11, "probe": SCAN_PROBE}),
+       ("scan.ones", "hankel", {"mode": "scan", "families": ["ones"],
+                                "D_list": [17, 65], "seed": 11, "probe": SCAN_PROBE})]
+    + [(f"sweep.car.s{s}", "sweep",
+        {"n_grid": [2, 3, 4], "eps": 1.0, "search": {"restarts": 4, "seed": s}})
+       for s in (7, 3)]
+    + [("certify.car.n3", "certify", {"system": "car", "n": 3}),
+       ("certify.haar.n2", "certify", {"system": "haar_unitary", "n": 2, "seed": 5}),
+       ("fcn.s42", "fcn", {"c": 2.0, "n_grid": [2, 4, 7], "seed": 42}),
+       ("fcn.s3", "fcn", {"c": 2.0, "n_grid": [2, 4], "seed": 3}),
+       ("mc.L6", "mc", {"L": 6, "n_samples": 1_000_000, "seed": 1})]
+)
+
+
+def digest(command: str, cfg: dict, out: Path) -> str:
+    config = out / f"{command}.json"
+    config.write_text(json.dumps(cfg))
+    sink = io.StringIO()
+    with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+        run([command, "--config", str(config), "--out", str(out)])
+    reports = [ln[len("report: "):] for ln in sink.getvalue().splitlines()
+               if ln.startswith("report: ")]
+    if not reports:
+        return "none"
+    return hashlib.sha256((Path(reports[-1]).parent / "payload.json").read_bytes()).hexdigest()
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("--check", type=Path, default=None,
+                   help="digest file to compare against; exit 1 on any difference")
+    args = p.parse_args(argv)
+    lines = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for label, command, cfg in CALLS:
+            line = f"{label} {digest(command, cfg, Path(tmp))}"
+            print(line, flush=True)
+            lines.append(line)
+    if args.check is None:
+        return 0
+    expected = args.check.read_text().splitlines()
+    diffs = [(want, got) for want, got in itertools.zip_longest(expected, lines)
+             if want != got]
+    for want, got in diffs:
+        print(f"DIFF expected {want!r} got {got!r}", file=sys.stderr)
+    print(f"{len(lines) - len(diffs)}/{len(lines)} payloads identical", file=sys.stderr)
+    return 1 if diffs else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
