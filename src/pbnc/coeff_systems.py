@@ -31,6 +31,7 @@ from . import numkit
 from .errors import ConfigurationError, DimensionError, DomainError
 
 CAR_MAX_N = 12  # dimension 2^12 = 4096 keeps exact eigensolves feasible
+ROW_BOUND_STEP_CAP = 200  # alternating-ascent steps per row_bound restart
 
 _Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
 _A = np.array([[0, 1], [0, 0]], dtype=np.complex128)
@@ -128,6 +129,7 @@ class RowBoundEstimate:
     value: float
     restarts: int
     seed: int
+    converged: bool  # no restart's ascent stopped at ROW_BOUND_STEP_CAP
 
     def __float__(self) -> float:
         return self.value
@@ -140,19 +142,21 @@ def row_bound(system: CoefficientSystem, restarts: int = 32, seed: int = 0) -> R
     (u, v) of M = sum alpha_k C_k, then the optimal coefficients for that
     pair are alpha_k proportional to conj(u* C_k v); iterate to a fixed
     point and keep the max over seeded restarts.  The result is a lower
-    bound on the true supremum (the maximization is nonconvex).
+    bound on the true supremum (the maximization is nonconvex); ``converged``
+    is False when some restart stopped at ROW_BOUND_STEP_CAP steps instead of
+    at its fixed point.
     """
     if restarts < 1:
         raise ConfigurationError("row_bound needs restarts >= 1")
     n = system.n
-    best = 0.0
+    best, converged = 0.0, True
     children = np.random.SeedSequence(entropy=seed).spawn(restarts)
     for child in children:
         rng = np.random.default_rng(child)
         alpha = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         alpha /= np.linalg.norm(alpha)
         sigma_prev = -1.0
-        for _ in range(200):
+        for _ in range(ROW_BOUND_STEP_CAP):
             m = sum(a * c for a, c in zip(alpha, system.elements))
             u_mat, s, vh = np.linalg.svd(m)
             sigma = float(s[0])
@@ -166,8 +170,10 @@ def row_bound(system: CoefficientSystem, restarts: int = 32, seed: int = 0) -> R
             if abs(sigma - sigma_prev) < 1e-13 * max(1.0, sigma):
                 break
             sigma_prev = sigma
+        else:
+            converged = False
         best = max(best, sigma)
-    return RowBoundEstimate(best, restarts, seed)
+    return RowBoundEstimate(best, restarts, seed, converged)
 
 
 def tensor_conj_norm(system: CoefficientSystem, weights=None) -> float:

@@ -12,9 +12,11 @@ Two quantities are attached to a bundle and deliberately kept asymmetric:
   constant sup ||P(T)|| / ||P||_inf.  Reported maxima are achieved by
   concrete polynomials and normalized by certified sup-norm upper bounds,
   so the probe never overstates the constant.  No upper bound is claimed.
-  Above DENSE_PROBE_MAX_DIM each ||P(T)|| is a ``numkit.top_singular``
-  solve on structured matvecs, and a solve that hits its cap raises
-  NonConvergenceError; the ascent family is ``hankel.fejer_ascent``.
+  Each ||P(T)|| is a ``numkit.top_singular`` (Golub-Kahan-Lanczos) solve on
+  the structured matvecs of ``_poly_t_applies``, whatever the bundle size; a
+  solve that hits PROBE_STEP_CAP raises NonConvergenceError.  P(T) is never
+  materialized (``poly_of_T`` is the tests' reference), and the ascent family
+  is ``hankel.fejer_ascent``.
 * cb_certificate: a certified lower bound on the completely bounded norm
   of P -> P(T), hence on ||V|| ||V^{-1}|| for every invertible V with
   ||V^{-1} T V|| <= 1 (reported as ``similarity_lower`` in the fcn rows and
@@ -37,7 +39,7 @@ rejects such multipliers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -70,8 +72,7 @@ from .numkit import (
     top_singular,
 )
 
-DENSE_PROBE_MAX_DIM = 1024  # above this, probe norms go through structured matvecs
-PROBE_POWER_ITERATION_CAP = 20_000  # iteration cap of the structured probe norms
+PROBE_STEP_CAP = 20_000  # top_singular step cap of the P(T) norms
 DENSE_T_ENTRY_BUDGET = 1 << 26
 NORMALIZER_RESTARTS = 32  # row_bound restarts behind the non-CAR cb normalizer
 
@@ -168,13 +169,16 @@ def build_T(
 
 
 def with_eps(b: OperatorBundle, eps: float) -> OperatorBundle:
-    return build_T(b.system, b.spec, b.multiplier, D=b.space.D, eps=eps)
+    """The bundle at another eps, sharing the frozen BlockHankel."""
+    if eps < 0:
+        raise DomainError("eps must be >= 0")
+    return replace(b, eps=float(eps))
 
 
 def poly_of_T(b: OperatorBundle, p: Polynomial) -> np.ndarray:
-    """P(T) by the block formula [[P(S)^t, eps*G*(T(P') (x) I)], [0, P(S)]];
+    """Dense P(T) by the block formula [[P(S)^t, eps*G*(T(P') (x) I)], [0, P(S)]];
     agrees with Horner evaluation to rounding because supported frequencies
-    stay <= D."""
+    stay <= D.  The reference the structured matvecs are tested against."""
     D, h = b.space.D, b.space.h_dim
     # P(S) = T(p) (x) I: the truncated shift's powers are the Toeplitz diagonals
     ps = np.kron(toeplitz(p, D), np.eye(h, dtype=np.complex128))
@@ -224,19 +228,12 @@ def _poly_t_applies(b: OperatorBundle, p: Polynomial):
 
 def _poly_t_norm(b: OperatorBundle, p: Polynomial, rng: np.random.Generator,
                  want_vectors: bool = False):
-    """||P(T)||, dense below DENSE_PROBE_MAX_DIM, structured matvecs above;
-    with ``want_vectors`` also the top singular pair (u, v).  A structured
-    solve that hits PROBE_POWER_ITERATION_CAP raises NonConvergenceError."""
-    if b.total_dim <= DENSE_PROBE_MAX_DIM:
-        mat = poly_of_T(b, p)
-        if want_vectors:
-            u_all, s_all, vh_all = np.linalg.svd(mat)
-            return float(s_all[0]), u_all[:, 0], vh_all[0].conj()
-        return float(op_norm(mat))
+    """||P(T)|| by ``top_singular`` on the structured matvecs; with
+    ``want_vectors`` also the top singular pair (u, v).  A solve that hits
+    PROBE_STEP_CAP raises NonConvergenceError."""
     apply, apply_adjoint = _poly_t_applies(b, p)
-    est, v = top_singular(apply, apply_adjoint, b.total_dim, rng, 1e-10,
-                          PROBE_POWER_ITERATION_CAP)
-    est.check_converged("P(T) power iteration")
+    est, v = top_singular(apply, apply_adjoint, b.total_dim, rng, 1e-10, PROBE_STEP_CAP)
+    est.check_converged("P(T) Golub-Kahan-Lanczos")
     if not want_vectors:
         return est.value
     av = apply(v)
@@ -280,9 +277,9 @@ def _pb_ascent(
     P(T) at each step."""
     apply_t, _ = _poly_t_applies(b, Polynomial.monomial(1))
 
-    def value_and_grad(p: Polynomial):
+    def value_and_grad(p: Polynomial, sup: float):
         sigma, u, v = _poly_t_norm(b, p, rng, want_vectors=True)
-        ratio = sigma / sup_norm(p).certified_upper
+        ratio = sigma / sup
         if sigma == 0.0:
             return ratio, None
         # grad wrt P-hat(k) of Re <u, P(T) v> is conj(<u, T^k v>)

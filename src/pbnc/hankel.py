@@ -24,9 +24,10 @@ Exact norms of G T(f') are evaluated through the Gram matrix
 with G^H G assembled from the anti-diagonal structure directly (once per
 BlockHankel).  This keeps the dense contrast mode at D = 513 (flat shape
 525825 x 513) out of memory trouble and equals the flat-product norm exactly.
-Iterative probes run ``numkit.top_singular`` on W (T(f') (x) I) with the
-factor W^H W = G^H G of ``hankel_factor`` (no dense Gram), and the one
-Fejer-damped ascent, ``fejer_ascent``, also serves the P(T) probe.
+Iterative probes run ``numkit.top_singular`` (Golub-Kahan-Lanczos) on
+W (T(f') (x) I) with the factor W^H W = G^H G of ``hankel_factor`` (no dense
+Gram), and the one Fejer-damped ascent, ``fejer_ascent``, also serves the
+P(T) probe; its renormalizing FFT gives each step's certified sup bound.
 ``scan_probe_best`` runs every probe family (monomials, Fejer means, seeded
 random polynomials, the ascent) on each scan cell; the CLI writes the rows.
 
@@ -436,27 +437,32 @@ def gtf_applies(factor, t_f: np.ndarray, in_dim: int):
 
 
 def fejer_ascent(start: Polynomial, max_degree: int, steps: int, value_and_grad) -> float:
-    """Best ratio seen by a coefficient ascent: ``value_and_grad(f)`` gives a
-    certified ratio and an ascent direction (length max_degree + 1, None to
-    stop); each step moves by half the coefficient norm along the direction
-    damped by the Fejer weights, then renormalizes on the sup grid."""
+    """Best ratio seen by a coefficient ascent: ``value_and_grad(f, sup)``
+    gets f and its certified sup-norm upper bound and gives a certified ratio
+    and an ascent direction (length max_degree + 1, None to stop); each step
+    moves by half the coefficient norm along the direction damped by the
+    Fejer weights, then renormalizes on the sup grid, whose FFT also gives
+    the next step's bound (the grid and slack depend on the degree only)."""
     c = np.zeros(max_degree + 1, dtype=np.complex128)
     c[: start.coeffs.size] = start.coeffs
     damp = 1.0 - np.arange(max_degree + 1) / (max_degree + 1.0)
     best = 0.0
+    sup = sup_norm(start).certified_upper
     for _ in range(steps):
         f = Polynomial(c)
         if f.is_zero:
             break
-        ratio, grad = value_and_grad(f)
+        ratio, grad = value_and_grad(f, sup)
         best = max(best, ratio)
         if grad is None:
             break
         step = 0.5 * np.linalg.norm(c) / max(np.linalg.norm(grad), 1e-30)
         c = c + step * damp * grad
-        gm = sup_norm(Polynomial(c)).grid_max
+        bound = sup_norm(Polynomial(c))
+        gm = bound.grid_max
         if gm > 0:
             c /= gm
+            sup = bound.certified_upper / gm
     return best
 
 
@@ -468,10 +474,10 @@ def _ascent_refine(g: BlockHankel, start: Polynomial, steps: int,
     _, in_dim = g.block_shape
     factor = hankel_factor(g)
 
-    def value_and_grad(f: Polynomial):
+    def value_and_grad(f: Polynomial, sup: float):
         apply, apply_adjoint = gtf_applies(factor, toeplitz(poly_derivative(f), D), in_dim)
         est, v = top_singular(apply, apply_adjoint, D * in_dim, rng, 1e-10, 200)
-        ratio = est.value / sup_norm(f).certified_upper
+        ratio = est.value / sup
         wv = apply(v)
         nrm = np.linalg.norm(wv)
         if est.value == 0.0 or nrm == 0.0:

@@ -4,9 +4,11 @@ Conventions fixed here and relied on everywhere else:
 
   * A matrix is a 2-d numpy array of complex128 values, row-major.
   * ``op_norm`` returns the largest singular value: an exact Hermitian
-    eigensolve of A*A up to dimension 4096, seeded power iteration beyond.
-  * ``top_singular`` is the package's one power iteration (matrix-free
-    norms): a Rayleigh lower bound plus a ``converged`` flag, never a raise.
+    eigensolve of A*A up to dimension 4096, ``top_singular`` beyond.
+  * ``top_singular`` is the package's one matrix-free norm solver
+    (Golub-Kahan-Lanczos bidiagonalization with full reorthogonalization and
+    restarts): a Rayleigh lower bound, its residual and a ``converged`` flag
+    that means the residual test passed, never a raise.
   * Analytic polynomials are Taylor coefficient vectors P-hat(0..deg); the
     sup norm over the unit circle is certified from a roots-of-unity grid
     through the Bernstein derivative bound ||P'|| <= deg * ||P||.
@@ -26,7 +28,10 @@ from .errors import (
 )
 
 OP_NORM_EXACT_MAX_DIM = 4096
-POWER_ITERATION_CAP = 100_000
+LANCZOS_STEP_CAP = 100_000  # op_norm's step cap beyond OP_NORM_EXACT_MAX_DIM
+RESTART_STEPS = 40  # top_singular's basis size: it restarts when the basis is full
+RESTART_KEEP = 10  # Ritz pairs a top_singular restart keeps
+CHECK_EVERY_STEP = 12  # top_singular tests the residual at each of a cycle's first steps
 DEGREE_CAP = 1 << 16
 
 
@@ -43,10 +48,11 @@ def as_matrix(a) -> np.ndarray:
 @dataclass(frozen=True)
 class NormEstimate:
     value: float
-    method: str  # "exact-eigensolve" | "power-iteration"
+    method: str  # "exact-eigensolve" | "golub-kahan-lanczos"
     tolerance: float
     iterations: int
-    converged: bool = True
+    converged: bool = True  # the residual test passed
+    residual: float = 0.0  # ||A^H u - value v|| of the returned pair (0 when exact)
 
     def __float__(self) -> float:
         return self.value
@@ -65,8 +71,8 @@ def op_norm(a, tol: float = 1e-12, seed: int = 0) -> NormEstimate:
     Exact route (max dimension <= 4096): Hermitian eigensolve of the Gram
     matrix on the smaller side, largest eigenvalue, square root.  Iterative
     route: ``top_singular`` with a seeded start vector; hitting the cap of
-    POWER_ITERATION_CAP iterations raises NonConvergenceError rather than
-    returning a value.
+    LANCZOS_STEP_CAP steps raises NonConvergenceError rather than returning
+    a value.
     """
     a = as_matrix(a)
     if tol <= 0:
@@ -85,32 +91,102 @@ def op_norm(a, tol: float = 1e-12, seed: int = 0) -> NormEstimate:
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))
     ah = a.conj().T
     est, _ = top_singular(lambda v: a @ v, lambda w: ah @ w, a.shape[1], rng, tol,
-                          POWER_ITERATION_CAP)
-    return est.check_converged("power iteration")
+                          LANCZOS_STEP_CAP)
+    return est.check_converged("Golub-Kahan-Lanczos")
 
 
 def top_singular(apply, apply_adjoint, dim: int, rng: np.random.Generator,
                  tol: float, max_iter: int) -> tuple[NormEstimate, np.ndarray]:
-    """Top singular value of A (matvec closures) and the last right vector,
-    by power iteration on A^H A from a complex Gaussian start drawn from
-    ``rng``: value sqrt(||A v||^2), update v <- A^H A v / ||.||, stop when
-    successive values agree to relative ``tol``.  The value is a lower bound
-    converged or not; at ``max_iter`` it comes back with converged=False."""
-    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    v /= np.linalg.norm(v)
-    rho = 0.0
-    for it in range(1, max_iter + 1):
-        av = apply(v)
-        rho_new = float(np.real(np.vdot(av, av)))
-        w = apply_adjoint(av)
-        nw = np.linalg.norm(w)
-        if nw == 0.0:  # A v = 0, or A^H A v rounded to 0
-            return NormEstimate(float(np.sqrt(rho_new)), "power-iteration", tol, it), v
-        v = w / nw
-        if abs(rho_new - rho) < tol * max(rho_new, 1e-300):
-            return NormEstimate(float(np.sqrt(rho_new)), "power-iteration", tol, it), v
-        rho = rho_new
-    return NormEstimate(float(np.sqrt(rho)), "power-iteration", tol, max_iter, False), v
+    """Top singular value of A (matvec closures) and its right Ritz vector x,
+    by Golub-Kahan-Lanczos bidiagonalization from a complex Gaussian start
+    drawn from ``rng``.
+
+    Step k applies A and A^H once each, orthonormalizing against the
+    preallocated bases (twice, classical Gram-Schmidt), so that
+    A V_k = U_k B_k and A^H U_k = V_k B_k^H + beta_k v_{k+1} e_k^T with
+    B_k = U_k^H A V_k real upper triangular (bidiagonal until a restart).
+    The top singular triple (sigma, p, q) of B_k gives x = V_k q with
+    residual ||A^H (A x / sigma) - sigma x|| = beta_k |e_k^T p|, tested after
+    each of a cycle's first CHECK_EVERY_STEP steps and every third step
+    after.  The solve converges when that residual is <= tol * sigma, or on
+    a breakdown (a new basis vector of norm <= tol times the largest one
+    kept) or an exhausted Krylov space (k = min(rows, cols)), where B_k is
+    exact and the residual reported is the dropped norm.  When the basis
+    holds RESTART_STEPS vectors it restarts thick: the top
+    RESTART_KEEP Ritz pairs and v_{k+1} stay, B_k becomes diag(sigma) plus
+    one coupling column (Baglama & Reichel 2005).  After ``max_iter`` steps
+    it comes back with converged=False.  The value is the Rayleigh value
+    ||A x|| of the unit vector x, a lower bound converged or not."""
+    if max_iter < 1:
+        raise DomainError("top_singular needs max_iter >= 1")
+    x = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    x /= np.linalg.norm(x)
+    u = apply(x)
+    rows = u.size
+    m = min(RESTART_STEPS, min(rows, dim) + 1)
+    vb = np.empty((m + 1, dim), dtype=np.complex128)  # V, one basis vector per row
+    ub = np.empty((m, rows), dtype=np.complex128)
+    bmat = np.zeros((m, m))  # U^H A V, real up to rounding: alpha, beta >= 0
+    vb[0] = x
+    lock, steps, scale, converged = 0, 0, 0.0, False
+    while True:
+        exact = False
+        for k in range(lock, min(m, lock + max_iter - steps)):
+            steps += 1
+            if steps > 1:  # the first step's A x is the ``u`` applied above
+                u = apply(vb[k])
+            u, coeffs, alpha = _orthonormalize(u, ub[:k])
+            bmat[:k, k] = coeffs.real
+            if k == rows or alpha <= tol * scale:
+                exact, residual = True, (0.0 if k == rows else alpha)
+                break
+            scale = max(scale, alpha)
+            bmat[k, k], ub[k] = alpha, u
+            if k + 1 == dim:
+                exact, residual = True, 0.0
+                break
+            w, _, beta = _orthonormalize(apply_adjoint(ub[k]), vb[: k + 1])
+            if beta <= tol * scale:
+                exact, residual = True, beta
+                break
+            scale = max(scale, beta)
+            vb[k + 1] = w
+            kk = k + 1
+            if kk == m or steps == max_iter or kk - lock <= CHECK_EVERY_STEP or kk % 3 == 0:
+                p, s, qh = np.linalg.svd(bmat[:kk, :kk])
+                residual = float(beta * abs(p[kk - 1, 0]))
+                converged = bool(residual <= tol * s[0])
+                if converged:
+                    break
+        if exact:
+            kk = k + 1
+            p, s, qh = np.linalg.svd(bmat[:kk, :kk])
+            converged = True
+        if converged or steps >= max_iter:
+            break
+        lock = min(RESTART_KEEP, kk - 1)
+        vb[:lock] = qh[:lock].conj() @ vb[:kk]
+        ub[:lock] = p[:, :lock].T @ ub[:kk]
+        vb[lock] = vb[kk]
+        bmat[:] = 0.0
+        bmat[:lock, :lock] = np.diag(s[:lock])
+    x = qh[0].conj() @ vb[:kk]
+    x /= np.linalg.norm(x)
+    value = float(np.linalg.norm(apply(x)))
+    return NormEstimate(value, "golub-kahan-lanczos", tol, steps, converged, residual), x
+
+
+def _orthonormalize(w: np.ndarray, basis: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """``w`` projected off the orthonormal rows of ``basis`` twice (classical
+    Gram-Schmidt) and scaled to unit length, with the projection
+    coefficients and its norm before scaling."""
+    coeffs = np.zeros(len(basis), dtype=np.complex128)
+    for _ in range(2):
+        h = (basis @ w.conj()).conj()
+        w = w - h @ basis
+        coeffs += h
+    nrm = float(np.linalg.norm(w))
+    return (w / nrm if nrm > 0.0 else w), coeffs, nrm
 
 
 # ---------------------------------------------------------------------------
@@ -235,9 +311,8 @@ def toeplitz(f: Polynomial, d: int) -> np.ndarray:
     """
     if d < 1:
         raise DomainError("toeplitz needs D >= 1")
-    t = np.zeros((d, d), dtype=np.complex128)
-    c = f.coeffs
-    for k in range(min(f.degree, d - 1) + 1):
-        idx = np.arange(d - k)
-        t[idx + k, idx] = c[k]
-    return t
+    # coefficients 0..d-1, then zeros where i - j < 0 wraps to a negative index
+    c = np.zeros(2 * d - 1, dtype=np.complex128)
+    n = min(f.coeffs.size, d)
+    c[:n] = f.coeffs[:n]
+    return c[np.subtract.outer(np.arange(d), np.arange(d))]

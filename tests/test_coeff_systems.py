@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pbnc import errors
+from pbnc import coeff_systems, errors
 from pbnc.coeff_systems import (
     CoefficientSystem,
     basis_vectors,
@@ -107,6 +107,14 @@ class TestRowBound:
         a = row_bound(sys_, restarts=6, seed=11)
         b = row_bound(sys_, restarts=6, seed=11)
         assert a.value == b.value
+
+    def test_capped_ascent_is_reported(self, monkeypatch):
+        sys_ = haar_unitaries(3, 4, seed=2)
+        full = row_bound(sys_, restarts=3, seed=4)
+        assert full.converged
+        monkeypatch.setattr(coeff_systems, "ROW_BOUND_STEP_CAP", 1)
+        capped = row_bound(sys_, restarts=3, seed=4)
+        assert not capped.converged and 0.0 < capped.value <= full.value
 
     def test_restart_validation(self):
         with pytest.raises(errors.ConfigurationError):

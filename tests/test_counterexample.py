@@ -20,7 +20,7 @@ from pbnc.counterexample import (
     von_neumann_excess,
     with_eps,
 )
-from pbnc.hankel import LacunarySpec, MultiplierSeq, lacunary_default, random_poly
+from pbnc.hankel import LacunarySpec, MultiplierSeq, fejer_poly, lacunary_default, random_poly
 from pbnc.numkit import Polynomial, op_norm, poly_of_matrix, sup_norm
 
 
@@ -75,6 +75,9 @@ class TestBuildT:
         b = _car_bundle(n=2, eps=1.0)
         b2 = with_eps(b, 0.25)
         assert b2.eps == 0.25 and b2.space.D == b.space.D
+        assert b2.hankel is b.hankel and b.eps == 1.0  # shared, not rebuilt
+        with pytest.raises(errors.DomainError):
+            with_eps(b, -1.0)
 
     def test_space_validation(self):
         with pytest.raises(errors.ConfigurationError):
@@ -112,14 +115,30 @@ class TestPolyOfT:
     def test_power_norm_cap_is_loud(self, monkeypatch):
         b = _car_bundle(n=2, eps=0.7)
         p = random_poly(6, _rng(24))
-        # force the structured route on a small bundle, capped at 2 iterations
-        monkeypatch.setattr(counterexample, "DENSE_PROBE_MAX_DIM", 0)
-        monkeypatch.setattr(counterexample, "PROBE_POWER_ITERATION_CAP", 2)
+        # every bundle takes the structured route; cap it at 2 steps
+        monkeypatch.setattr(counterexample, "PROBE_STEP_CAP", 2)
         with pytest.raises(errors.NonConvergenceError) as exc:
             _poly_t_norm(b, p, _rng(25))
         assert exc.value.iterations == 2
         # a Rayleigh estimate: positive and never above the exact norm
         assert 0.0 < exc.value.last_estimate <= float(op_norm(poly_of_T(b, p))) * (1 + 1e-12)
+
+    def test_structured_norm_matches_dense(self):
+        b = _car_bundle(n=3, eps=0.7)
+        rng = _rng(26)
+        for p in (random_poly(5, rng), fejer_poly(8), Polynomial.monomial(3)):
+            assert _poly_t_norm(b, p, rng) == pytest.approx(
+                float(op_norm(poly_of_T(b, p))), rel=1e-10)
+
+    def test_car5_clustered_norm_matches_dense(self):
+        # N = 2112; the top singular values of P(T) agree to 1.7e-6 relative,
+        # where the power iteration stalled
+        b = _car_bundle(n=5)
+        p = fejer_poly(2)
+        sigma, u, v = _poly_t_norm(b, p, _rng(27), want_vectors=True)
+        assert sigma == pytest.approx(float(op_norm(poly_of_T(b, p))), rel=1e-10)
+        apply, _ = _poly_t_applies(b, p)
+        assert np.allclose(apply(v), sigma * u, rtol=0, atol=1e-8)
 
     def test_identity_poly(self):
         b = _car_bundle(n=2)

@@ -16,6 +16,7 @@ from pbnc.hankel import (
     bound_probe,
     bound_scan,
     build_hankel,
+    fejer_ascent,
     fejer_poly,
     lacunary_basis_family,
     lacunary_default,
@@ -26,7 +27,7 @@ from pbnc.hankel import (
     scan_probe_best,
     symbol_block,
 )
-from pbnc.numkit import Polynomial, op_norm, poly_derivative, toeplitz
+from pbnc.numkit import Polynomial, op_norm, poly_derivative, sup_norm, toeplitz
 
 
 def _rng(seed):
@@ -327,6 +328,22 @@ class TestProbeSearch:
         mono_best = max(bound_probe(g, Polynomial.monomial(k)).ratio for k in ks)
         assert best >= mono_best * (1 - 1e-12) and mono_best > 0
         assert ":" in best_id
+
+
+    def test_fejer_ascent_passes_the_certified_bound(self):
+        # the renormalizing FFT's bound, rescaled, stands in for sup_norm(f)
+        rng = np.random.default_rng(3)
+        seen = []
+
+        def value_and_grad(f, sup):
+            seen.append((f, sup))
+            grad = rng.standard_normal(9) + 1j * rng.standard_normal(9)
+            return 1.0 / sup, grad
+
+        best = fejer_ascent(random_poly(4, rng), 8, 6, value_and_grad)
+        assert len(seen) == 6 and best == max(1.0 / sup for _, sup in seen)
+        for f, sup in seen:
+            assert sup == pytest.approx(sup_norm(f).certified_upper, rel=4e-16)
 
 
 class TestBoundScan:

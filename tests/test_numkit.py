@@ -48,12 +48,13 @@ class TestOpNorm:
         a = _random_complex(_rng(7), (4097, 3))
         ref = np.linalg.svd(a, compute_uv=False)[0]
         est = op_norm(a, seed=3)
-        assert est.method == "power-iteration" and est.converged
+        assert est.method == "golub-kahan-lanczos" and est.converged
+        assert est.iterations == 3  # the Krylov space runs out at min(rows, cols)
         assert est.value == pytest.approx(ref, rel=1e-9)
 
     def test_power_iteration_cap_is_loud(self, monkeypatch):
         a = _random_complex(_rng(7), (4097, 3))
-        monkeypatch.setattr(numkit, "POWER_ITERATION_CAP", 2)
+        monkeypatch.setattr(numkit, "LANCZOS_STEP_CAP", 2)
         with pytest.raises(errors.NonConvergenceError) as exc:
             op_norm(a, seed=3)
         assert exc.value.iterations == 2
@@ -111,6 +112,54 @@ class TestTopSingular:
     def test_zero_operator(self):
         est, _ = self._solve(np.zeros((3, 4), dtype=np.complex128), 0, 1e-12, 10)
         assert est.value == 0.0 and est.converged and est.iterations == 1
+        with pytest.raises(errors.DomainError):
+            self._solve(np.eye(2), 0, 1e-12, 0)
+
+    @staticmethod
+    def _with_spectrum(rng, rows, cols, top):
+        """U diag(s) V^H with random unitary U, V, s led by ``top``, the rest
+        drawn below 0.9."""
+        k = min(rows, cols)
+        u, _ = np.linalg.qr(_random_complex(rng, (rows, k)))
+        v, _ = np.linalg.qr(_random_complex(rng, (cols, k)))
+        s = np.sort(rng.uniform(0.0, 0.9, k))[::-1]
+        s[: len(top)] = top
+        return (u * s) @ v.conj().T
+
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    @given(rows=st.integers(3, 90), cols=st.integers(3, 90), seed=st.integers(0, 2**32 - 1),
+           tol=st.sampled_from([1e-10, 1e-12]))
+    def test_clustered_spectrum(self, rows, cols, seed, tol):
+        # sigma_1 = sigma_2 and sigma_3 = sigma_1 (1 - 1e-6): a converged
+        # value is the top singular value, restarts included (k > 40)
+        a = self._with_spectrum(_rng(seed), rows, cols, [1.0, 1.0, 1.0 - 1e-6])
+        est, v = self._solve(a, seed + 1, tol, 2_000)
+        exact = np.linalg.svd(a, compute_uv=False)[0]
+        assert est.value <= exact * (1 + 1e-12)
+        assert est.method == "golub-kahan-lanczos"
+        if est.converged:
+            assert abs(est.value - exact) <= 1e-10 * exact
+            assert est.residual <= tol * est.value
+        assert est.converged  # 2 000 steps are plenty at these sizes
+        assert est.value == pytest.approx(np.linalg.norm(a @ v), rel=1e-14)
+
+    @pytest.mark.parametrize("shape", [(200, 3), (3, 200), (7, 7)])
+    def test_exhausted_krylov_space_is_exact(self, shape):
+        # k = min(rows, cols) steps span one side: converged at any tol
+        a = _random_complex(_rng(31), shape)
+        est, _ = self._solve(a, 32, 1e-300, 10_000)
+        assert est.converged and est.iterations <= min(shape) + 1
+        assert est.value == pytest.approx(np.linalg.svd(a, compute_uv=False)[0], rel=1e-13)
+
+    def test_rank_deficient_breakdown(self):
+        # rank 4 in 60 x 50: the Krylov space of A^H A runs out after 5 steps
+        rng = _rng(33)
+        u, _ = np.linalg.qr(_random_complex(rng, (60, 4)))
+        v, _ = np.linalg.qr(_random_complex(rng, (50, 4)))
+        a = (u * [3.0, 2.0, 1.5, 1.0]) @ v.conj().T
+        est, _ = self._solve(a, 34, 1e-10, 10_000)
+        assert est.converged and est.iterations <= 6
+        assert est.value == pytest.approx(3.0, rel=1e-12)
 
 
 class TestPolynomial:
@@ -225,6 +274,18 @@ class TestToeplitz:
         fg = Polynomial(np.convolve(f.coeffs, g.coeffs))
         d = 11
         assert np.allclose(toeplitz(fg, d), toeplitz(f, d) @ toeplitz(g, d), atol=1e-13)
+
+    def test_matches_diagonal_fill(self):
+        # one gather over i - j gives exactly the diagonal-by-diagonal fill
+        rng = _rng(13)
+        for d in (1, 2, 5, 17):
+            for deg in (0, d - 1, d, 2 * d):
+                f = Polynomial(_random_complex(rng, deg + 1))
+                ref = np.zeros((d, d), dtype=np.complex128)
+                for k in range(min(f.degree, d - 1) + 1):
+                    ref += np.diag(np.full(d - k, f.coeffs[k]), -k)
+                t = toeplitz(f, d)
+                assert t.dtype == np.complex128 and t.tobytes() == ref.tobytes()
 
     def test_needs_positive_dim(self):
         with pytest.raises(errors.DomainError):
