@@ -335,6 +335,20 @@ def cmd_sweep(cfg: dict, thresholds: dict, threads: int):
     return results, flags, ("sweep.csv", csv_rows, False)
 
 
+MC_KEYS = frozenset({"L", "n_samples", "seed", "checks", "output_dir"})
+MC_CHECK_KEYS = frozenset({"check", "level", "degree", "k", "n_max", "car_n"})
+
+
+def _reject_unknown_keys(doc, allowed: frozenset, where: str) -> None:
+    """A misspelt key would otherwise be ignored and its default run."""
+    if not isinstance(doc, dict):
+        raise ConfigurationError(f"{where} must be a JSON object")
+    unknown = sorted(set(doc) - allowed)
+    if unknown:
+        raise ConfigurationError(
+            f"unknown {where} key(s) {unknown}; allowed: {sorted(allowed)}")
+
+
 def _default_mc_checks(L: int) -> list[dict]:
     checks = [{"check": "drift"}, {"check": "eta_bound", "n_max": 20},
               {"check": "radial", "level": min(4, L), "degree": 6}]
@@ -349,13 +363,18 @@ def _default_mc_checks(L: int) -> list[dict]:
 
 
 def cmd_mc(cfg: dict, thresholds: dict, threads: int):
+    _reject_unknown_keys(cfg, MC_KEYS, "mc config")
     L = int(cfg.get("L", 6))
     n_samples = int(cfg.get("n_samples", 100_000))
     seed = int(cfg.get("seed", 0))
+    checks = cfg.get("checks", _default_mc_checks(L))
+    if not isinstance(checks, list):
+        raise ConfigurationError("mc checks must be a JSON list")
+    for chk in checks:
+        _reject_unknown_keys(chk, MC_CHECK_KEYS, "mc check")
     mcfg = MartingaleConfig(L=L, n_samples=n_samples, seed=seed)
     paths = simulate_paths(mcfg)
     spec = lacunary_default(L)
-    checks = cfg.get("checks", _default_mc_checks(L))
     rows, flags = [], {}
     for i, chk in enumerate(checks):
         kind = chk["check"]

@@ -70,7 +70,12 @@ class MartingaleConfig:
 @dataclass
 class PathBatch:
     """n_samples simulated paths: Z unimodular draws (N x L), psi values
-    (N x (L+1), column 0 identically zero)."""
+    (N x (L+1), column 0 identically zero).
+
+    Both arrays are stored column-major (Fortran order): every estimator
+    reads whole levels ``psi[:, k]`` and ``Z[:, k]``, and a contiguous
+    column is what ``poly_eval``'s chunked Horner streams through cache.
+    Shapes and indexing are those of any (N, L) array."""
 
     config: MartingaleConfig
     Z: np.ndarray = field(repr=False)
@@ -140,12 +145,16 @@ def simulate_paths(cfg: MartingaleConfig) -> PathBatch:
     """Independent paths in fixed-size blocks with per-block derived seeds;
     accumulation order is fixed, so results are bit-stable per seed.  The
     modulus invariant |psi_k| = r_k is enforced by renormalization whenever
-    rounding drifts past 1e-12; occurrences are counted."""
+    rounding drifts past 1e-12; occurrences are counted.
+
+    ``Z`` and ``psi`` are allocated column-major, so each level is one
+    contiguous column (see ``PathBatch``); a block's draws keep their
+    row-major (block, L) shape, so the values do not depend on the layout."""
     n, L = cfg.n_samples, cfg.L
     n_blocks = (n + SIM_BLOCK - 1) // SIM_BLOCK
     children = np.random.SeedSequence(entropy=cfg.seed).spawn(n_blocks)
-    Z = np.empty((n, L), dtype=np.complex128)
-    psi = np.zeros((n, L + 1), dtype=np.complex128)
+    Z = np.empty((n, L), dtype=np.complex128, order="F")
+    psi = np.zeros((n, L + 1), dtype=np.complex128, order="F")
     renorms = 0
     for b, child in enumerate(children):
         lo, hi = b * SIM_BLOCK, min((b + 1) * SIM_BLOCK, n)
@@ -156,8 +165,9 @@ def simulate_paths(cfg: MartingaleConfig) -> PathBatch:
         prev = np.zeros(hi - lo, dtype=np.complex128)
         for k in range(1, L + 1):
             rk = cfg.radii[k - 1]
+            zk = Z[lo:hi, k - 1]
             w = prev / rk
-            cur = rk * (zb[:, k - 1] + w) / (1.0 + np.conj(w) * zb[:, k - 1])
+            cur = rk * (zk + w) / (1.0 + np.conj(w) * zk)
             drift = np.abs(np.abs(cur) - rk)
             bad = drift > RENORM_TOL
             if np.any(bad):

@@ -33,6 +33,7 @@ RESTART_STEPS = 40  # top_singular's basis size: it restarts when the basis is f
 RESTART_KEEP = 10  # Ritz pairs a top_singular restart keeps
 CHECK_EVERY_STEP = 12  # top_singular tests the residual at each of a cycle's first steps
 DEGREE_CAP = 1 << 16
+HORNER_CHUNK = 1 << 14  # points poly_eval's accumulator covers at a time (256 KB)
 
 
 def as_matrix(a) -> np.ndarray:
@@ -250,12 +251,33 @@ def poly_derivative(p: Polynomial) -> Polynomial:
 
 
 def poly_eval(p: Polynomial, z):
-    """Horner evaluation; ``z`` may be a scalar or an ndarray."""
+    """Horner evaluation; ``z`` may be a scalar (returns ``complex``) or an
+    ndarray of any shape and strides (returns an array of that shape).
+
+    The points are taken in contiguous chunks of ``HORNER_CHUNK``, and each
+    chunk runs every Horner step into preallocated buffers while its
+    accumulator and points stay in cache; a strided input is copied once per
+    chunk instead of being re-read at every degree.  Per point the
+    operations and their order are those of ``acc = acc * z + c``, so the
+    values are bit-identical to the plain loop.  The product goes to a
+    second buffer, not back into ``acc``: numpy 2.4 on an AVX-512 CPU rounds
+    a one-element in-place complex product without the fused multiply-add of
+    its vector loop, so a one-point last chunk would differ in the last bit.
+    """
     z = np.asarray(z, dtype=np.complex128)
-    acc = np.full(z.shape, p.coeffs[-1], dtype=np.complex128)
-    for c in p.coeffs[-2::-1]:
-        acc = acc * z + c
-    return acc if acc.shape else complex(acc)
+    flat = z.reshape(-1)
+    out = np.empty(flat.size, dtype=np.complex128)
+    scratch = np.empty(min(flat.size, HORNER_CHUNK), dtype=np.complex128)
+    for lo in range(0, flat.size, HORNER_CHUNK):
+        zb = np.ascontiguousarray(flat[lo : lo + HORNER_CHUNK])
+        acc = out[lo : lo + HORNER_CHUNK]
+        prod = scratch[: acc.size]
+        acc[...] = p.coeffs[-1]
+        for c in p.coeffs[-2::-1]:
+            np.multiply(acc, zb, out=prod)
+            np.add(prod, c, out=acc)
+    out = out.reshape(z.shape)
+    return out if out.shape else complex(out)
 
 
 def poly_of_matrix(p: Polynomial, a) -> np.ndarray:

@@ -158,6 +158,19 @@ class TestMc:
         doc = {"L": 2, "n_samples": 100, "checks": [{"check": "astrology"}]}
         assert _run(tmp_path, "mc", doc) == 2
 
+    def test_unknown_top_level_key_is_config_error(self, tmp_path, capsys):
+        # "n_sample" would otherwise run the default 100 000 samples and pass
+        assert _run(tmp_path, "mc", {"L": 3, "n_sample": 1000, "seed": 1}) == 2
+        assert "n_sample" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_unknown_check_key_is_config_error(self, tmp_path, capsys):
+        doc = {"L": 3, "n_samples": 100, "seed": 1,
+               "checks": [{"check": "drift"}, {"check": "radial", "levle": 2}]}
+        assert _run(tmp_path, "mc", doc) == 2
+        assert "levle" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestFcn:
     def test_small_grid(self, tmp_path):

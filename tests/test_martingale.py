@@ -5,6 +5,7 @@ from pbnc import errors
 from pbnc.coeff_systems import car_jordan_wigner
 from pbnc.hankel import LacunarySpec, MultiplierSeq, build_hankel, lacunary_default
 from pbnc.martingale import (
+    SIM_BLOCK,
     MartingaleConfig,
     block_modulus_sup,
     conditional_multiplicativity_check,
@@ -96,6 +97,31 @@ class TestSimulation:
         a = _paths(L=2, n=40_000, seed=5)
         b = _paths(L=2, n=20_000, seed=5)
         assert np.array_equal(a.Z[:16384], b.Z[:16384])
+
+    def test_levels_are_contiguous_columns(self, paths):
+        # poly_eval streams whole levels; a strided column costs ~4x there
+        for k in range(paths.L):
+            assert paths.Z[:, k].flags.c_contiguous
+        for k in range(paths.L + 1):
+            assert paths.psi[:, k].flags.c_contiguous
+
+    def test_matches_row_major_reference(self):
+        n, L, seed = 2 * SIM_BLOCK + 5, 3, 11
+        got = _paths(L=L, n=n, seed=seed)
+        Z = np.empty((n, L), dtype=np.complex128)
+        psi = np.zeros((n, L + 1), dtype=np.complex128)
+        for b, child in enumerate(np.random.SeedSequence(entropy=seed).spawn(3)):
+            lo, hi = b * SIM_BLOCK, min((b + 1) * SIM_BLOCK, n)
+            theta = np.random.default_rng(child).uniform(0.0, 2.0 * np.pi, size=(hi - lo, L))
+            Z[lo:hi] = np.exp(1j * theta)
+            for k in range(1, L + 1):
+                rk = radius(k)
+                w = psi[lo:hi, k - 1] / rk
+                z = Z[lo:hi, k - 1]
+                psi[lo:hi, k] = rk * (z + w) / (1.0 + np.conj(w) * z)
+        assert got.renorm_count == 0
+        assert np.ascontiguousarray(got.Z).tobytes() == Z.tobytes()
+        assert np.ascontiguousarray(got.psi).tobytes() == psi.tobytes()
 
     def test_uniform_angles(self, paths):
         # psi_k is uniform on its circle: first moment ~ 0

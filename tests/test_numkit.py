@@ -216,6 +216,46 @@ class TestPolyOps:
         assert np.allclose(poly_eval(p, z), ref, atol=1e-12)
         assert isinstance(poly_eval(p, 0.5 + 0.1j), complex)
 
+    @staticmethod
+    def _horner(coeffs, z):
+        acc = np.full(z.shape, coeffs[-1], dtype=np.complex128)
+        for c in coeffs[-2::-1]:
+            acc = acc * z + c
+        return acc
+
+    @pytest.mark.parametrize("size", [0, 1, numkit.HORNER_CHUNK - 1, numkit.HORNER_CHUNK,
+                                      numkit.HORNER_CHUNK + 1, 3 * numkit.HORNER_CHUNK + 5])
+    def test_eval_is_bit_identical_to_plain_horner(self, size):
+        rng = _rng(50 + size)
+        p = Polynomial(_random_complex(rng, 24))
+        z = 0.6 * _random_complex(rng, size)
+        got = poly_eval(p, z)
+        assert got.shape == (size,)
+        assert np.array_equal(got, self._horner(p.coeffs, z))
+
+    def test_eval_bit_identical_on_strided_and_2d_input(self):
+        rng = _rng(51)
+        p = Polynomial(_random_complex(rng, 17))
+        block = 0.6 * _random_complex(rng, (3 * numkit.HORNER_CHUNK + 5, 7))
+        column = block[:, 3]  # 112-byte stride
+        assert np.array_equal(poly_eval(p, column), self._horner(p.coeffs, column))
+        square = block[:300, 1:6].T  # 2-d, neither C- nor F-contiguous
+        got = poly_eval(p, square)
+        assert got.shape == square.shape
+        assert np.array_equal(got, self._horner(p.coeffs, square))
+
+    def test_eval_degree_zero_and_scalar(self):
+        rng = _rng(52)
+        z = _random_complex(rng, numkit.HORNER_CHUNK + 3)
+        const = Polynomial([2.0 - 1.0j])
+        assert np.array_equal(poly_eval(const, z), np.full(z.shape, 2.0 - 1.0j))
+        p = Polynomial(_random_complex(rng, 9))
+        s = 0.3 - 0.7j
+        got = poly_eval(p, s)
+        assert type(got) is complex
+        assert got == complex(self._horner(p.coeffs, np.asarray(s, dtype=np.complex128)))
+        assert type(poly_eval(const, s)) is complex
+
     def test_poly_of_matrix(self):
         rng = _rng(6)
         a = _random_complex(rng, (5, 5))

@@ -7,8 +7,10 @@ thread, so two checkouts can be compared byte for byte:
     python3 tools/payload_digests.py --check digests.txt    # at another
 
 One ``label sha256`` line is printed per call (``none`` when the CLI wrote no
-payload).  With ``--check FILE`` every line that differs from FILE is
-reported and the exit code is 1; otherwise it is 0.
+payload).  The exit code is 1 when any call wrote no payload (the labels are
+named on stderr), so a crashed call never passes; with ``--check FILE`` it is
+also 1 when any line differs from FILE, each difference reported.  Otherwise
+it is 0.
 """
 
 from __future__ import annotations
@@ -80,15 +82,19 @@ def main(argv=None) -> int:
             line = f"{label} {digest(command, cfg, Path(tmp))}"
             print(line, flush=True)
             lines.append(line)
+    missing = [line.split()[0] for line in lines if line.endswith(" none")]
+    if missing:
+        print(f"no payload written by {len(missing)} call(s): {', '.join(missing)}",
+              file=sys.stderr)
     if args.check is None:
-        return 0
+        return 1 if missing else 0
     expected = args.check.read_text().splitlines()
     diffs = [(want, got) for want, got in itertools.zip_longest(expected, lines)
              if want != got]
     for want, got in diffs:
         print(f"DIFF expected {want!r} got {got!r}", file=sys.stderr)
     print(f"{len(lines) - len(diffs)}/{len(lines)} payloads identical", file=sys.stderr)
-    return 1 if diffs else 0
+    return 1 if diffs or missing else 0
 
 
 if __name__ == "__main__":
