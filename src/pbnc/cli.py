@@ -38,6 +38,7 @@ from .coeff_systems import (
     basis_vectors,
     car_jordan_wigner,
     car_relation_residual,
+    check_tensor_budget,
     haar_unitaries,
     row_bound,
     tensor_conj_norm,
@@ -133,8 +134,14 @@ def _build_system(cfg: dict):
     raise ConfigurationError(f"unknown system kind {kind!r}")
 
 
+COEFFS_KEYS = frozenset({"kind", "n", "dim", "seed", "restarts", "output_dir"})
+
+
 def cmd_coeffs(cfg: dict, thresholds: dict, threads: int):
+    _reject_unknown_keys(cfg, COEFFS_KEYS, "coeffs config")
     system = _build_system(cfg)
+    if system.is_square:
+        check_tensor_budget(system)  # refuse before the relation and row-bound work
     restarts = int(cfg.get("restarts", 32))
     seed = int(cfg.get("seed", 0))
     n = system.n

@@ -18,7 +18,10 @@ The certificates computed here feed the operator-bundle lower bounds:
 ``tensor_conj_norm`` is ||sum w_k conj(C_k) (x) C_k|| (w_k = 1 unless
 given) and ``trace_witness`` is the rank-one evaluation
 |sum tr(C_k X C_k* Y)| at X = Y = I/sqrt(tr I), which can never exceed the
-unweighted norm.
+unweighted norm.  The tensor norm is matrix-free: one ``numkit.top_singular``
+solve on X -> sum w_k conj(C_k) X C_k^T (``_tensor_conj_applies``), so the
+dim^2 x dim^2 operator is never built; its Rayleigh value is a lower bound
+on the norm, converged to a 1e-12 residual.
 """
 
 from __future__ import annotations
@@ -30,7 +33,9 @@ import numpy as np
 from . import numkit
 from .errors import ConfigurationError, DimensionError, DomainError
 
-CAR_MAX_N = 12  # dimension 2^12 = 4096 keeps exact eigensolves feasible
+CAR_MAX_N = 12  # dense elements: n * 4^n complex entries, 3.2 GB at n = 12
+TENSOR_MAX_DIM = 256  # CAR n <= 8: tensor_conj_norm's apply costs O(n dim^3)
+TENSOR_NORM_TOL = 1e-12  # top_singular residual tolerance of tensor_conj_norm
 ROW_BOUND_STEP_CAP = 200  # alternating-ascent steps per row_bound restart
 
 _Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
@@ -176,23 +181,65 @@ def row_bound(system: CoefficientSystem, restarts: int = 32, seed: int = 0) -> R
     return RowBoundEstimate(best, restarts, seed, converged)
 
 
-def tensor_conj_norm(system: CoefficientSystem, weights=None) -> float:
-    """||sum_t w_t conj(C_t) (x) C_t||, with w_t = 1 when ``weights`` is None
-    (a factor swap is a unitary similarity, so that is ||sum C_t (x) conj(C_t)||)."""
+def check_tensor_budget(system: CoefficientSystem) -> None:
+    """Raise ConfigurationError when ``tensor_conj_norm`` would refuse the
+    system (element dimension above TENSOR_MAX_DIM), so a caller can refuse
+    before any other work."""
+    dim = system.op_dim[0]
+    if dim > TENSOR_MAX_DIM:
+        raise ConfigurationError(
+            f"element dimension {dim} exceeds the tensor-norm budget {TENSOR_MAX_DIM}"
+        )
+
+
+def _tensor_conj_applies(system: CoefficientSystem, weights=None):
+    """(apply, apply_adjoint) of M = sum_t w_t conj(C_t) (x) C_t on flat
+    vectors of length dim^2, w_t = 1 when ``weights`` is None.
+
+    With row-major vec, kron(conj C, C) vec(X) = vec(conj(C) X C^T), so the
+    apply is X -> sum_t w_t conj(C_t) X C_t^T and the adjoint is
+    Y -> sum_t conj(w_t) C_t^T Y conj(C_t) on dim x dim reshapes.  Each is
+    one batched product X C_t^T (resp. Y conj(C_t)) for every t and one
+    contraction over (t, j) with the stacked left factors; M is never built.
+    """
     if not system.is_square:
         raise DomainError("tensor_conj_norm needs square elements")
+    dim, n = system.op_dim[0], system.n
+    w = np.ones(n) if weights is None else np.asarray(weights, dtype=np.complex128)
+    if w.shape != (n,):
+        raise DimensionError(f"need {n} weights, got shape {w.shape}")
+    c = np.stack(system.elements)  # (t, i, j)
+    right = c.transpose(0, 2, 1)  # C_t^T
+    right_adj = c.conj()  # conj(C_t)
+    # left[i, (t, j)]: the t-th left factor in columns t*dim .. t*dim + dim - 1
+    left = (w[:, None, None] * c.conj()).transpose(1, 0, 2).reshape(dim, n * dim)
+    left_adj = (np.conj(w)[:, None, None] * right).transpose(1, 0, 2).reshape(dim, n * dim)
+
+    def apply(x: np.ndarray) -> np.ndarray:
+        return (left @ (x.reshape(dim, dim) @ right).reshape(n * dim, dim)).reshape(-1)
+
+    def apply_adjoint(y: np.ndarray) -> np.ndarray:
+        return (left_adj @ (y.reshape(dim, dim) @ right_adj).reshape(n * dim, dim)).reshape(-1)
+
+    return apply, apply_adjoint
+
+
+def tensor_conj_norm(system: CoefficientSystem, weights=None) -> float:
+    """||sum_t w_t conj(C_t) (x) C_t||, with w_t = 1 when ``weights`` is None
+    (a factor swap is a unitary similarity, so that is ||sum C_t (x) conj(C_t)||).
+
+    One ``numkit.top_singular`` solve on ``_tensor_conj_applies`` from a fixed
+    seeded start, so the value is the same run to run; a solve that hits
+    LANCZOS_STEP_CAP raises NonConvergenceError.  The value is the Rayleigh
+    value ||M x|| of a unit vector x, a lower bound on the norm.
+    """
+    check_tensor_budget(system)
     dim = system.op_dim[0]
-    if dim * dim > numkit.OP_NORM_EXACT_MAX_DIM:
-        raise ConfigurationError(
-            f"tensor dimension {dim * dim} exceeds the exact-eigensolve budget "
-            f"{numkit.OP_NORM_EXACT_MAX_DIM}"
-        )
-    if weights is None:
-        weights = [1.0] * system.n
-    acc = np.zeros((dim * dim,) * 2, dtype=np.complex128)
-    for w, c in zip(weights, system.elements, strict=True):
-        acc += w * np.kron(c.conj(), c)
-    return numkit.op_norm(acc).value
+    apply, apply_adjoint = _tensor_conj_applies(system, weights)
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=0))
+    est, _ = numkit.top_singular(apply, apply_adjoint, dim * dim, rng, TENSOR_NORM_TOL,
+                                 numkit.LANCZOS_STEP_CAP)
+    return est.check_converged("tensor_conj_norm").value
 
 
 def trace_witness(system: CoefficientSystem) -> float:

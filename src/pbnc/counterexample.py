@@ -23,7 +23,9 @@ Two quantities are attached to a bundle and deliberately kept asymmetric:
   CLI payloads).  The certificate compresses the matrix polynomial
   sum_k conj(C_k) (x) (z^{K_k})(T) through coordinate isometries, which
   lands exactly on eps * n^{-1/2} * sum_k m(K_k) conj(C_k) (x) C_k, the
-  weighted ``coeff_systems.tensor_conj_norm``.
+  weighted ``coeff_systems.tensor_conj_norm``.  That norm is a matrix-free
+  ``top_singular`` solve whose Rayleigh value is itself a lower bound, so
+  the certificate stays one; the Kronecker sum is never built.
 
 With CAR systems the certificate grows like sqrt(n) while the probe stays
 flat, the desk-scale form of the separation.  Haar-unitary bundles (CLI

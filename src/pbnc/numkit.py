@@ -3,12 +3,15 @@
 Conventions fixed here and relied on everywhere else:
 
   * A matrix is a 2-d numpy array of complex128 values, row-major.
-  * ``op_norm`` returns the largest singular value: an exact Hermitian
-    eigensolve of A*A up to dimension 4096, ``top_singular`` beyond.
+  * ``op_norm`` returns the largest singular value of a dense matrix: an
+    exact Hermitian eigensolve of A*A up to dimension 4096, ``top_singular``
+    beyond.  No certificate goes through it; it is the dense reference of
+    ``row_bound_check`` and the tests.
   * ``top_singular`` is the package's one matrix-free norm solver
     (Golub-Kahan-Lanczos bidiagonalization with full reorthogonalization and
     restarts): a Rayleigh lower bound, its residual and a ``converged`` flag
-    that means the residual test passed, never a raise.
+    that means the residual test passed, never a raise.  Every ``P(T)`` norm
+    and every tensor certificate is one such solve.
   * Analytic polynomials are Taylor coefficient vectors P-hat(0..deg); the
     sup norm over the unit circle is certified from a roots-of-unity grid
     through the Bernstein derivative bound ||P'|| <= deg * ||P||.
@@ -28,7 +31,7 @@ from .errors import (
 )
 
 OP_NORM_EXACT_MAX_DIM = 4096
-LANCZOS_STEP_CAP = 100_000  # op_norm's step cap beyond OP_NORM_EXACT_MAX_DIM
+LANCZOS_STEP_CAP = 100_000  # step cap of op_norm's iterative route and of tensor_conj_norm
 RESTART_STEPS = 40  # top_singular's basis size: it restarts when the basis is full
 RESTART_KEEP = 10  # Ritz pairs a top_singular restart keeps
 CHECK_EVERY_STEP = 12  # top_singular tests the residual at each of a cycle's first steps

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from pbnc import cli
+from pbnc import cli, numkit
 from pbnc.errors import NonConvergenceError
 from pbnc.hankel import BlockHankel
 
@@ -51,6 +51,25 @@ class TestCoeffs:
 
     def test_invalid_n_is_config_error(self, tmp_path):
         assert _run(tmp_path, "coeffs", {"kind": "car", "n": 0}) == 2
+
+    def test_unknown_key_is_config_error(self, tmp_path, capsys):
+        # "restart" would otherwise run the default 32 restarts and pass
+        assert _run(tmp_path, "coeffs", {"kind": "car", "n": 3, "restart": 4}) == 2
+        assert "restart" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_tensor_budget_refused_before_other_work(self, tmp_path, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("ran before the tensor budget check")
+
+        monkeypatch.setattr(cli, "car_relation_residual", unreachable)
+        monkeypatch.setattr(cli, "row_bound", unreachable)
+        assert _run(tmp_path, "coeffs", {"kind": "car", "n": 9}) == 2
+        assert not (tmp_path / "out").exists()
+
+    def test_capped_tensor_solve_exits_3(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(numkit, "LANCZOS_STEP_CAP", 1)
+        assert _run(tmp_path, "coeffs", {"kind": "car", "n": 3, "restarts": 4}) == 3
 
 
 class TestHankelCommand:

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from pbnc import coeff_systems, errors
+from pbnc import coeff_systems, errors, numkit
 from pbnc.coeff_systems import (
     CoefficientSystem,
+    _tensor_conj_applies,
     basis_vectors,
     car_jordan_wigner,
     car_relation_residual,
@@ -123,11 +124,18 @@ class TestRowBound:
 
 class TestTensorCertificates:
     # frozen by hand: || sum C_k (x) conj(C_k) || for the anticommuting family
-    CAR_TENSOR = {2: np.sqrt(2.0), 3: 2.0, 4: np.sqrt(6.0), 5: 3.0}
+    # ||sum C_k (x) conj(C_k)||^2 = floor((n + 1)^2 / 4)
+    CAR_TENSOR_SQ = {2: 2, 3: 4, 4: 6, 5: 9, 6: 12, 7: 16, 8: 20}
 
     def test_car_values(self):
-        for n, ref in self.CAR_TENSOR.items():
-            assert tensor_conj_norm(car_jordan_wigner(n)) == pytest.approx(ref, abs=1e-9)
+        """||sum C_k (x) conj(C_k)||^2 = floor((n+1)^2 / 4) for the
+        Jordan-Wigner family, n = 2..8.  This is a regression oracle measured
+        numerically, not a claim of the package: no proof of the formula is
+        written down here (the quasi-spin su(2) of pairing theory is the
+        candidate route)."""
+        for n, ref in self.CAR_TENSOR_SQ.items():
+            value = tensor_conj_norm(car_jordan_wigner(n))
+            assert value**2 == pytest.approx(ref, abs=1e-12)
 
     def test_trace_witness_car(self):
         for n in range(2, 6):
@@ -153,8 +161,36 @@ class TestTensorCertificates:
         assert tensor_conj_norm(sys_, w) == pytest.approx(ref, rel=1e-12)
 
     def test_budget_guard(self):
+        tensor_conj_norm(car_jordan_wigner(1))
         with pytest.raises(errors.ConfigurationError):
-            tensor_conj_norm(car_jordan_wigner(7))  # 128^2 = 16384 > 4096
+            tensor_conj_norm(car_jordan_wigner(9))  # dim 512 > TENSOR_MAX_DIM = 256
+
+    def test_applies_match_kron(self):
+        rng = _rng(11)
+        haar = haar_unitaries(3, 4, seed=7)
+        cases = [(car_jordan_wigner(n), None) for n in (1, 2, 3)]
+        cases.append((haar, rng.standard_normal(3) + 1j * rng.standard_normal(3)))
+        for sys_, weights in cases:
+            w = [1.0] * sys_.n if weights is None else weights
+            dense = sum(wt * np.kron(c.conj(), c) for wt, c in zip(w, sys_.elements))
+            apply, apply_adjoint = _tensor_conj_applies(sys_, weights)
+            size = dense.shape[1]
+            for _ in range(3):
+                x = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+                y = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+                assert np.allclose(apply(x), dense @ x, rtol=0, atol=1e-12)
+                assert np.allclose(apply_adjoint(y), dense.conj().T @ y, rtol=0, atol=1e-12)
+                # <A x, y> = <x, A^H y>
+                assert abs(np.vdot(y, apply(x)) - np.vdot(apply_adjoint(y), x)) <= 1e-12
+
+    def test_weight_count_checked(self):
+        with pytest.raises(errors.DimensionError):
+            _tensor_conj_applies(car_jordan_wigner(2), [1.0, 2.0, 3.0])
+
+    def test_capped_solve_raises(self, monkeypatch):
+        monkeypatch.setattr(numkit, "LANCZOS_STEP_CAP", 1)
+        with pytest.raises(errors.NonConvergenceError):
+            tensor_conj_norm(car_jordan_wigner(3))
 
     def test_needs_square(self):
         with pytest.raises(errors.DomainError):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pbnc import counterexample, errors
 from pbnc.coeff_systems import basis_vectors, car_jordan_wigner, haar_unitaries
@@ -13,6 +15,7 @@ from pbnc.counterexample import (
     cb_certificate,
     eps_for_target_c,
     fcn_experiment,
+    haar_bundle,
     haar_bundle_for_target,
     pb_probe,
     poly_of_T,
@@ -187,6 +190,18 @@ class TestCbCertificate:
         b = _car_bundle(n=2, eps=0.3)
         assert cb_certificate(b) == pytest.approx(0.3 * self.CAR_CB[2], abs=1e-12)
         assert cb_certificate(with_eps(b, 0.0)) == 0.0
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(bundle=st.sampled_from([("car", 2), ("car", 3), ("haar", 2), ("haar", 3)]),
+           e=st.floats(1e-6, 1e6))
+    def test_linear_in_eps_property(self, bundle, e):
+        kind, n = bundle
+        if kind == "car":
+            b = _car_bundle(n=n)
+        else:
+            b = haar_bundle(n, n, system_seed=5, row_bound_seed=6, D=None, eps=1.0)[0]
+        unit = cb_certificate(with_eps(b, 1.0))
+        assert cb_certificate(with_eps(b, e)) == pytest.approx(e * unit, rel=1e-14, abs=0)
 
     def test_dominates_trace_witness_rate(self):
         for n in (2, 3, 4):
