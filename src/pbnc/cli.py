@@ -70,14 +70,14 @@ from .hankel import (
     symbol_block,
 )
 from .martingale import (
+    BridgeForm,
     MartingaleConfig,
     eta_modulus_sup,
-    fourier_extract,
-    hankel_bridge_check,
-    multiplier_extract,
-    orthogonality_check,
-    radial_mean_check,
-    simulate_paths,
+    fourier_samples,
+    multiplier_samples,
+    orthogonality_samples,
+    radial_samples,
+    stream_estimates,
 )
 from .numkit import Polynomial
 
@@ -134,7 +134,31 @@ def _build_system(cfg: dict):
     raise ConfigurationError(f"unknown system kind {kind!r}")
 
 
+# The keys each command reads.  ``seed`` (set by --seed) and ``output_dir``
+# are allowed everywhere.
 COEFFS_KEYS = frozenset({"kind", "n", "dim", "seed", "restarts", "output_dir"})
+SYSTEM_KEYS = frozenset({"kind", "n", "dim", "seed"})
+HANKEL_PROBE_KEYS = frozenset({"mode", "spec", "L", "n", "D", "system", "f", "seed",
+                               "output_dir"})
+HANKEL_SCAN_KEYS = frozenset({"mode", "families", "D_list", "seed", "probe", "output_dir"})
+SCAN_PROBE_KEYS = frozenset({"n_random", "ascent_restarts", "ascent_steps"})
+CERTIFY_KEYS = frozenset({"system", "kind", "n", "dim", "eps", "D", "search", "seed",
+                          "output_dir"})
+SWEEP_KEYS = CERTIFY_KEYS - {"n"} | {"n_grid"}
+SEARCH_KEYS = frozenset({"restarts", "max_degree", "search_seed", "seed"})
+FCN_KEYS = frozenset({"n_grid", "c", "seed", "output_dir"})
+MC_KEYS = frozenset({"L", "n_samples", "seed", "checks", "output_dir"})
+MC_CHECK_KEYS = frozenset({"check", "level", "degree", "k", "n_max", "car_n"})
+
+
+def _reject_unknown_keys(doc, allowed: frozenset, where: str) -> None:
+    """A misspelt key would otherwise be ignored and its default run."""
+    if not isinstance(doc, dict):
+        raise ConfigurationError(f"{where} must be a JSON object")
+    unknown = sorted(set(doc) - allowed)
+    if unknown:
+        raise ConfigurationError(
+            f"unknown {where} key(s) {unknown}; allowed: {sorted(allowed)}")
 
 
 def cmd_coeffs(cfg: dict, thresholds: dict, threads: int):
@@ -185,6 +209,11 @@ def cmd_hankel(cfg: dict, thresholds: dict, threads: int):
     mode = cfg.get("mode", "probe")
     if mode == "scan":
         return _hankel_scan(cfg, thresholds, threads)
+    if mode != "probe":
+        raise ConfigurationError(f"hankel mode must be 'probe' or 'scan', not {mode!r}")
+    _reject_unknown_keys(cfg, HANKEL_PROBE_KEYS, "hankel probe config")
+    if "system" in cfg:
+        _reject_unknown_keys(cfg["system"], SYSTEM_KEYS, "hankel system")
     spec = _spec_from_cfg(cfg)
     d = int(cfg.get("D", max(spec.K) + 1))
     sys_cfg = cfg.get("system", {"kind": "basis_vector", "n": spec.L})
@@ -215,6 +244,9 @@ def cmd_hankel(cfg: dict, thresholds: dict, threads: int):
 
 
 def _hankel_scan(cfg: dict, thresholds: dict, threads: int):
+    _reject_unknown_keys(cfg, HANKEL_SCAN_KEYS, "hankel scan config")
+    if "probe" in cfg:
+        _reject_unknown_keys(cfg["probe"], SCAN_PROBE_KEYS, "hankel scan probe")
     families = cfg.get("families", ["lacunary", "ones"])
     d_list = [int(d) for d in cfg.get("D_list", thresholds["scan"]["d_grid"])]
     seed = int(cfg.get("seed", thresholds["scan"]["seed"]))
@@ -298,7 +330,14 @@ def _certify_one(cfg: dict, n: int, seed: int):
     return row, search
 
 
+def _reject_unknown_certify_keys(cfg: dict, allowed: frozenset, where: str) -> None:
+    _reject_unknown_keys(cfg, allowed, where)
+    if "search" in cfg:
+        _reject_unknown_keys(cfg["search"], SEARCH_KEYS, f"{where} search")
+
+
 def cmd_certify(cfg: dict, thresholds: dict, threads: int):
+    _reject_unknown_certify_keys(cfg, CERTIFY_KEYS, "certify config")
     n = int(cfg.get("n", 3))
     seed = int(cfg.get("seed", 0))
     row, search = _certify_one(cfg, n, seed)
@@ -319,6 +358,7 @@ def cmd_certify(cfg: dict, thresholds: dict, threads: int):
 
 
 def cmd_sweep(cfg: dict, thresholds: dict, threads: int):
+    _reject_unknown_certify_keys(cfg, SWEEP_KEYS, "sweep config")
     n_grid = [int(v) for v in cfg.get("n_grid", [2, 3, 4])]
     seed = int(cfg.get("seed", 0))
     rows = []
@@ -342,20 +382,6 @@ def cmd_sweep(cfg: dict, thresholds: dict, threads: int):
     return results, flags, ("sweep.csv", csv_rows, False)
 
 
-MC_KEYS = frozenset({"L", "n_samples", "seed", "checks", "output_dir"})
-MC_CHECK_KEYS = frozenset({"check", "level", "degree", "k", "n_max", "car_n"})
-
-
-def _reject_unknown_keys(doc, allowed: frozenset, where: str) -> None:
-    """A misspelt key would otherwise be ignored and its default run."""
-    if not isinstance(doc, dict):
-        raise ConfigurationError(f"{where} must be a JSON object")
-    unknown = sorted(set(doc) - allowed)
-    if unknown:
-        raise ConfigurationError(
-            f"unknown {where} key(s) {unknown}; allowed: {sorted(allowed)}")
-
-
 def _default_mc_checks(L: int) -> list[dict]:
     checks = [{"check": "drift"}, {"check": "eta_bound", "n_max": 20},
               {"check": "radial", "level": min(4, L), "degree": 6}]
@@ -369,7 +395,47 @@ def _default_mc_checks(L: int) -> list[dict]:
     return checks
 
 
+def _mc_estimator(kind: str, chk: dict, rng: np.random.Generator, spec: LacunarySpec):
+    """(samplers, finish, level) of one estimator check: the per-sample
+    functions of a path block its estimate streams through, and the map from
+    their estimates to (estimate, target).  The polynomials and vectors are
+    drawn here, from the check's own generator, in a fixed order."""
+    level = int(chk.get("level", 0))
+    f = random_poly(int(chk.get("degree", 6)), rng)
+
+    def coeff(k: int) -> complex:
+        return complex(f.coeffs[k]) if k < f.coeffs.size else 0j
+
+    if kind == "radial":
+        return [lambda p: radial_samples(p, f, level)], lambda e: (e[0], 0j), level
+    if kind == "fourier":
+        # the target reads spec.K only after the samples validated the level
+        return ([lambda p: fourier_samples(p, f, spec, level)],
+                lambda e: (e[0], coeff(spec.K[level - 1])), level)
+    if kind == "multiplier":
+        k = int(chk["k"])
+        return [lambda p: multiplier_samples(p, f, level, k)], lambda e: (e[0], coeff(k)), level
+    if kind == "orthogonality":
+        g2 = random_poly(int(chk.get("degree", 6)), rng)
+        return [lambda p: orthogonality_samples(p, f, g2, level)], lambda e: (e[0], 0j), level
+    if kind == "bridge":
+        car_n = int(chk.get("car_n", 3))
+        bspec = LacunarySpec((1,) + tuple(2**t for t in range(2, car_n + 1)))
+        system = car_jordan_wigner(car_n)
+        m = MultiplierSeq.indicator(bspec)
+        g = build_hankel(m, bspec, system, D=max(bspec.K) + 1)
+        h = system.op_dim[0]
+        x = rng.standard_normal(h) + 1j * rng.standard_normal(h)
+        y = rng.standard_normal(h) + 1j * rng.standard_normal(h)
+        form = BridgeForm(g, f, x, y, bspec)
+        return form.samplers(), lambda e: (form.combine(e), form.exact), bspec.L
+    raise ConfigurationError(f"unknown mc check {kind!r}")
+
+
 def cmd_mc(cfg: dict, thresholds: dict, threads: int):
+    """Every check's inputs are drawn first; then one pass over the path
+    blocks (``stream_estimates``) feeds all estimators, so no array with
+    ``n_samples`` rows is ever allocated."""
     _reject_unknown_keys(cfg, MC_KEYS, "mc config")
     L = int(cfg.get("L", 6))
     n_samples = int(cfg.get("n_samples", 100_000))
@@ -380,57 +446,33 @@ def cmd_mc(cfg: dict, thresholds: dict, threads: int):
     for chk in checks:
         _reject_unknown_keys(chk, MC_CHECK_KEYS, "mc check")
     mcfg = MartingaleConfig(L=L, n_samples=n_samples, seed=seed)
-    paths = simulate_paths(mcfg)
     spec = lacunary_default(L)
-    rows, flags = [], {}
+    plans, samplers = [], []  # plan: (kind, level, finish, its slice of samplers)
     for i, chk in enumerate(checks):
         kind = chk["check"]
-        level = int(chk.get("level", 0))
-        rng = _seeded_rng(seed, 0xC8EC, i)
+        if kind in ("drift", "eta_bound"):
+            plans.append((kind, int(chk.get("level", 0)), None, None))
+            continue
+        own, finish, level = _mc_estimator(kind, chk, _seeded_rng(seed, 0xC8EC, i), spec)
+        plans.append((kind, level, finish, slice(len(samplers), len(samplers) + len(own))))
+        samplers += own
+    estimates, drift, renorms = stream_estimates(mcfg, samplers)
+    rows, flags = [], {}
+    for i, (kind, level, finish, own) in enumerate(plans):
         row = {"check": kind, "level": level, "n_samples": n_samples, "seed": seed}
         if kind == "drift":
-            drift = paths.max_radial_drift()
             row.update(estimate_re=drift, estimate_im=0.0, target_re=0.0,
                        target_im=0.0, stderr=0.0)
             row["pass"] = drift <= 1e-12
         elif kind == "eta_bound":
-            n_max = int(chk.get("n_max", 20))
+            n_max = int(checks[i].get("n_max", 20))
             sup = eta_modulus_sup(n_max)
             bound = thresholds["eta"]["sup_n20"]
             row.update(estimate_re=sup, estimate_im=0.0, target_re=bound,
                        target_im=0.0, stderr=0.0)
             row["pass"] = sup <= bound + 1e-9
         else:
-            f = random_poly(int(chk.get("degree", 6)), rng)
-            if kind == "radial":
-                est = radial_mean_check(paths, f, level)
-                target = 0j
-            elif kind == "fourier":
-                est = fourier_extract(paths, f, spec, level)
-                kn = spec.K[level - 1]
-                target = complex(f.coeffs[kn]) if kn < f.coeffs.size else 0j
-            elif kind == "multiplier":
-                k = int(chk["k"])
-                est = multiplier_extract(paths, f, level, k)
-                target = complex(f.coeffs[k]) if k < f.coeffs.size else 0j
-            elif kind == "orthogonality":
-                g2 = random_poly(int(chk.get("degree", 6)), rng)
-                est = orthogonality_check(paths, f, g2, level)
-                target = 0j
-            elif kind == "bridge":
-                car_n = int(chk.get("car_n", 3))
-                bspec = LacunarySpec((1,) + tuple(2**t for t in range(2, car_n + 1)))
-                system = car_jordan_wigner(car_n)
-                m = MultiplierSeq.indicator(bspec)
-                g = build_hankel(m, bspec, system, D=max(bspec.K) + 1)
-                h = system.op_dim[0]
-                x = rng.standard_normal(h) + 1j * rng.standard_normal(h)
-                y = rng.standard_normal(h) + 1j * rng.standard_normal(h)
-                out = hankel_bridge_check(paths, g, f, x, y, bspec)
-                est, target = out["mc"], complex(out["exact"])
-                row["level"] = bspec.L
-            else:
-                raise ConfigurationError(f"unknown mc check {kind!r}")
+            est, target = finish(estimates[own])
             row.update(
                 estimate_re=float(np.real(est.mean)), estimate_im=float(np.imag(est.mean)),
                 target_re=target.real, target_im=target.imag, stderr=est.stderr,
@@ -439,7 +481,7 @@ def cmd_mc(cfg: dict, thresholds: dict, threads: int):
         rows.append(row)
         flags[f"{kind}[{i}]"] = bool(row["pass"])
     results = {"L": L, "n_samples": n_samples, "seed": seed,
-               "renorm_count": paths.renorm_count, "checks": rows}
+               "renorm_count": renorms, "checks": rows}
     header = ("check", "level", "n_samples", "seed", "estimate_re", "estimate_im",
               "target_re", "target_im", "stderr", "pass")
     csv_rows = [header] + [tuple(r.get(k, "") for k in header) for r in rows]
@@ -447,6 +489,7 @@ def cmd_mc(cfg: dict, thresholds: dict, threads: int):
 
 
 def cmd_fcn(cfg: dict, thresholds: dict, threads: int):
+    _reject_unknown_keys(cfg, FCN_KEYS, "fcn config")
     n_grid = [int(v) for v in cfg.get("n_grid", thresholds["fcn"]["n_grid"])]
     c = float(cfg.get("c", thresholds["fcn"]["c"]))
     seed = int(cfg.get("seed", thresholds["fcn"]["seed"]))

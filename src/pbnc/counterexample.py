@@ -270,6 +270,42 @@ def _pb_monomial_grid(max_degree: int, freqs: tuple[int, ...]) -> list[int]:
     return sorted(ks)
 
 
+def _subdiagonal_sums(m: np.ndarray) -> np.ndarray:
+    """s[k] = sum_i m[i, i - k] for k = 0..D-1 of a D x D matrix."""
+    d = m.shape[0]
+    i, j = np.tril_indices(d)
+    k = i - j
+    return np.bincount(k, m.real[i, j], d) + 1j * np.bincount(k, m.imag[i, j], d)
+
+
+def _power_pairings(b: OperatorBundle, u: np.ndarray, v: np.ndarray, max_degree: int) -> np.ndarray:
+    """<u, T^k v> for k = 0..max_degree in one pass.
+
+    Inside the exactness window z^k(T) = [[(S^t)^k, eps k G S^{k-1}], [0, S^k]],
+    so with block rows u = (u1, u2), v = (v1, v2)
+
+        <u, T^k v> = <u1, (S^t)^k v1> + eps k <G^H u1, S^{k-1} v2> + <u2, S^k v2>.
+
+    S = shift (x) I moves block row i to i + 1, so <a, S^k c> is the k-th
+    subdiagonal sum of the D x D product conj(A) C^t of the D x h block rows;
+    one adjoint Hankel apply and three such products give every k.  All
+    three terms vanish beyond k = D."""
+    D, h = b.space.D, b.space.h_dim
+    half = D * h
+    u1, u2 = u[:half].reshape(D, h), u[half:].reshape(D, h)
+    v1, v2 = v[:half].reshape(D, h), v[half:].reshape(D, h)
+    gh_u1 = b.hankel.apply_flat_adjoint(u[:half]).reshape(D, h)
+    top = _subdiagonal_sums(v1 @ u1.conj().T)  # <u1, (S^t)^k v1>
+    bottom = _subdiagonal_sums(u2.conj() @ v2.T)
+    corner = _subdiagonal_sums(gh_u1.conj() @ v2.T)
+    out = np.zeros(max_degree + 1, dtype=np.complex128)
+    n = min(max_degree + 1, D)
+    out[:n] = top[:n] + bottom[:n]
+    k = np.arange(1, min(max_degree, D) + 1)
+    out[k] += b.eps * k * corner[k - 1]
+    return out
+
+
 def _pb_ascent(
     b: OperatorBundle, start: Polynomial, max_degree: int, steps: int,
     rng: np.random.Generator,
@@ -277,7 +313,6 @@ def _pb_ascent(
     """Fejer ascent maximizing Re sum_k P-hat(k) <u, T^k v> over the
     grid-discretized sup-norm ball, with the top singular pair (u, v) of
     P(T) at each step."""
-    apply_t, _ = _poly_t_applies(b, Polynomial.monomial(1))
 
     def value_and_grad(p: Polynomial, sup: float):
         sigma, u, v = _poly_t_norm(b, p, rng, want_vectors=True)
@@ -285,15 +320,7 @@ def _pb_ascent(
         if sigma == 0.0:
             return ratio, None
         # grad wrt P-hat(k) of Re <u, P(T) v> is conj(<u, T^k v>)
-        grad = np.zeros(max_degree + 1, dtype=np.complex128)
-        vk = v.copy()
-        grad[0] = np.conj(np.vdot(u, vk))
-        for k in range(1, max_degree + 1):
-            vk = apply_t(vk)
-            if not np.any(vk):
-                break
-            grad[k] = np.conj(np.vdot(u, vk))
-        return ratio, grad
+        return ratio, np.conj(_power_pairings(b, u, v, max_degree))
 
     return fejer_ascent(start, max_degree, steps, value_and_grad)
 

@@ -27,6 +27,18 @@ Extraction at level 1 therefore requires K_1 = 1.
 In-block extraction at frequency k with 2^{n-1} < k <= 2^n uses the weight
 conj(xi_{n-1})^{k-1} * r_n / ((r_n^2 - r_{n-1}^2) * k * r_{n-1}^{k-1});
 the k-1 exponent is forced by consistency with the K_n case.
+
+Memory model.  Paths are simulated in blocks of ``SIM_BLOCK`` rows, each
+from its own ``SeedSequence`` child, and every estimator is a per-sample
+function (``radial_samples``, ``fourier_samples``, ``multiplier_samples``,
+``orthogonality_samples``) followed by one reducer, ``McAccumulator``: a
+Chan-Golub-LeVeque pairwise merge of (count, mean, M2) over ``SIM_BLOCK``-row
+chunks.  The chunks are the simulation blocks, and the per-sample functions
+take every elementwise product in one fixed operand order into a fresh array
+(never in place), so a sample's value does not depend on how many rows its
+batch holds.  ``stream_estimates`` therefore runs any ``n_samples`` with one
+block of ``SIM_BLOCK x (2L + 1)`` path values live at a time, and returns the
+same bits as the public estimators on the full ``simulate_paths(cfg)``.
 """
 
 from __future__ import annotations
@@ -66,11 +78,19 @@ class MartingaleConfig:
         else:
             object.__setattr__(self, "radii", want)
 
+    @property
+    def n_blocks(self) -> int:
+        return (self.n_samples + SIM_BLOCK - 1) // SIM_BLOCK
+
 
 @dataclass
 class PathBatch:
-    """n_samples simulated paths: Z unimodular draws (N x L), psi values
-    (N x (L+1), column 0 identically zero).
+    """Simulated paths: Z unimodular draws (N x L), psi values (N x (L+1),
+    column 0 identically zero).  N is ``config.n_samples`` for the whole
+    run, or the row count of the blocks a ``simulate_paths(cfg, blocks=...)``
+    call drew; ``n_samples`` is always N.  One block holds ``SIM_BLOCK``
+    rows (the last one possibly fewer), i.e. ``SIM_BLOCK x (2L + 1)``
+    complex values.
 
     Both arrays are stored column-major (Fortran order): every estimator
     reads whole levels ``psi[:, k]`` and ``Z[:, k]``, and a contiguous
@@ -88,7 +108,7 @@ class PathBatch:
 
     @property
     def n_samples(self) -> int:
-        return self.config.n_samples
+        return self.psi.shape[0]
 
     def r(self, k: int) -> float:
         if k == 0:
@@ -117,14 +137,54 @@ class EtaWeight:
     modulus_bound: float
 
 
+class McAccumulator:
+    """Running (count, mean, M2) of complex samples, M2 the sum of squared
+    moduli of deviations from the mean; the package's one reducer.
+
+    ``add`` cuts its input into ``SIM_BLOCK``-sample chunks, takes each
+    chunk's mean and M2 directly and merges them by the pairwise update of
+    Chan, Golub & LeVeque (1979).  Feeding the blocks of a stream one by one
+    and feeding their concatenation once therefore run the same operations,
+    so both give the same bits."""
+
+    def __init__(self) -> None:
+        self.count, self.mean, self.m2 = 0, 0j, 0.0
+
+    def add(self, samples) -> "McAccumulator":
+        samples = np.asarray(samples, dtype=np.complex128).reshape(-1)
+        for lo in range(0, samples.size, SIM_BLOCK):
+            chunk = samples[lo : lo + SIM_BLOCK]
+            nb = chunk.size
+            mean_b = complex(chunk.mean())
+            m2_b = float((np.abs(chunk - mean_b) ** 2).sum())
+            n = self.count + nb
+            delta = mean_b - self.mean
+            self.mean += delta * (nb / n)
+            self.m2 += m2_b + abs(delta) ** 2 * (self.count * nb / n)
+            self.count = n
+        return self
+
+    def estimate(self, seed: int) -> McEstimate:
+        n = self.count
+        sd = float(np.sqrt(self.m2 / (n - 1))) if n > 1 else 0.0
+        return McEstimate(mean=self.mean, stderr=sd / np.sqrt(n), n_samples=n, seed=seed)
+
+
 def _mc(samples: np.ndarray, seed: int) -> McEstimate:
-    n = samples.size
-    mean = complex(samples.mean())
-    if n > 1:
-        sd = float(np.sqrt(np.abs(samples - mean).__pow__(2).sum() / (n - 1)))
-    else:
-        sd = 0.0
-    return McEstimate(mean=mean, stderr=sd / np.sqrt(n), n_samples=n, seed=seed)
+    return McAccumulator().add(samples).estimate(seed)
+
+
+def _product(*factors) -> np.ndarray:
+    """Left-to-right product of arrays (or scalars), each step into a fresh
+    array.  ``a * b`` on temporaries may be evaluated as ``b * a`` above
+    numpy's 256 KiB elision threshold, and an in-place product of one
+    element skips the fused multiply-add of the vector loop; complex
+    products are bitwise sensitive to both, so neither may depend on how
+    many rows a batch holds."""
+    out = np.asarray(factors[0], dtype=np.complex128)
+    for f in factors[1:]:
+        out = np.multiply(out, f)
+    return out
 
 
 def mobius(z, zeta):
@@ -141,23 +201,39 @@ def mobius(z, zeta):
     return complex(out) if out.ndim == 0 else out
 
 
-def simulate_paths(cfg: MartingaleConfig) -> PathBatch:
-    """Independent paths in fixed-size blocks with per-block derived seeds;
-    accumulation order is fixed, so results are bit-stable per seed.  The
-    modulus invariant |psi_k| = r_k is enforced by renormalization whenever
-    rounding drifts past 1e-12; occurrences are counted.
+def simulate_paths(cfg: MartingaleConfig, blocks: range | None = None) -> PathBatch:
+    """Independent paths in blocks of ``SIM_BLOCK`` rows, block b drawn from
+    child b of ``SeedSequence(cfg.seed)``; accumulation order is fixed, so
+    results are bit-stable per seed.  The modulus invariant |psi_k| = r_k is
+    enforced by renormalization whenever rounding drifts past 1e-12;
+    occurrences are counted.
+
+    By default all ``cfg.n_blocks`` blocks are drawn into one batch of
+    ``cfg.n_samples`` rows, ``SIM_BLOCK x (2L + 1)`` complex values per block.
+    ``blocks`` (a unit-step range of block indices) draws only those blocks:
+    their rows equal the same rows of the whole batch byte for byte, so
+    ``stream_estimates`` walks ``range(b, b + 1)`` for every b and never
+    holds more than one block.
 
     ``Z`` and ``psi`` are allocated column-major, so each level is one
     contiguous column (see ``PathBatch``); a block's draws keep their
     row-major (block, L) shape, so the values do not depend on the layout."""
     n, L = cfg.n_samples, cfg.L
-    n_blocks = (n + SIM_BLOCK - 1) // SIM_BLOCK
-    children = np.random.SeedSequence(entropy=cfg.seed).spawn(n_blocks)
-    Z = np.empty((n, L), dtype=np.complex128, order="F")
-    psi = np.zeros((n, L + 1), dtype=np.complex128, order="F")
+    if blocks is None:
+        blocks = range(cfg.n_blocks)
+    if blocks.step != 1 or not 0 <= blocks.start < blocks.stop <= cfg.n_blocks:
+        raise ConfigurationError(
+            f"blocks {blocks} is not a unit-step range inside 0..{cfg.n_blocks}")
+    first = blocks.start * SIM_BLOCK
+    rows = min(blocks.stop * SIM_BLOCK, n) - first
+    Z = np.empty((rows, L), dtype=np.complex128, order="F")
+    psi = np.zeros((rows, L + 1), dtype=np.complex128, order="F")
     renorms = 0
-    for b, child in enumerate(children):
-        lo, hi = b * SIM_BLOCK, min((b + 1) * SIM_BLOCK, n)
+    for b in blocks:
+        lo = b * SIM_BLOCK - first
+        hi = min((b + 1) * SIM_BLOCK, n) - first
+        # the b-th child of SeedSequence(cfg.seed).spawn(...), built directly
+        child = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(b,))
         rng = np.random.default_rng(child)
         theta = rng.uniform(0.0, 2.0 * np.pi, size=(hi - lo, L))
         zb = np.exp(1j * theta)
@@ -182,12 +258,16 @@ def simulate_paths(cfg: MartingaleConfig) -> PathBatch:
 # mean identities
 
 
-def radial_mean_check(paths: PathBatch, f: Polynomial, k: int) -> McEstimate:
-    """MC estimate of E[F(psi_k)] - F-hat(0); contract: compatible with 0."""
+def radial_samples(paths: PathBatch, f: Polynomial, k: int) -> np.ndarray:
+    """Per-path F(psi_k) - F-hat(0), the samples of ``radial_mean_check``."""
     if not 0 <= k <= paths.L:
         raise ConfigurationError(f"level {k} outside 0..{paths.L}")
-    vals = poly_eval(f, paths.psi[:, k]) - f.coeffs[0]
-    return _mc(np.asarray(vals, dtype=np.complex128), paths.config.seed)
+    return poly_eval(f, paths.psi[:, k]) - f.coeffs[0]
+
+
+def radial_mean_check(paths: PathBatch, f: Polynomial, k: int) -> McEstimate:
+    """MC estimate of E[F(psi_k)] - F-hat(0); contract: compatible with 0."""
+    return _mc(radial_samples(paths, f, k), paths.config.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -227,14 +307,19 @@ def _eta_weights_at(paths: PathBatch, n: int, k: int) -> EtaWeight:
     rp = paths.r(n - 1)
     xi = paths.psi[:, n - 1] / rp
     mod = eta_modulus(n, k)
-    vals = np.conj(xi) ** (k - 1) * (paths.r(n) / ((paths.r(n) ** 2 - rp**2) * k * rp ** (k - 1)))
+    vals = _product(np.conj(xi) ** (k - 1),
+                    paths.r(n) / ((paths.r(n) ** 2 - rp**2) * k * rp ** (k - 1)))
     return EtaWeight(level=n, values=vals, modulus_bound=mod)
 
 
-def fourier_extract(paths: PathBatch, f: Polynomial, spec: LacunarySpec, n: int) -> McEstimate:
-    """MC estimate of E[eta_{n-1} conj(Z_n) (F(psi_n) - F(psi_{n-1}))],
-    which equals F-hat(K_n).  Level 1 requires K_1 = 1 (predictable weights
-    are constant there) and uses eta_0 = 1/r_1."""
+def _increment(paths: PathBatch, f: Polynomial, n: int) -> np.ndarray:
+    """dF_n = F(psi_n) - F(psi_{n-1}) per path."""
+    return poly_eval(f, paths.psi[:, n]) - poly_eval(f, paths.psi[:, n - 1])
+
+
+def fourier_samples(paths: PathBatch, f: Polynomial, spec: LacunarySpec, n: int) -> np.ndarray:
+    """Per-path eta_{n-1} conj(Z_n) dF_n, the samples of ``fourier_extract``;
+    level 1 takes eta_0 = 1/r_1 and requires K_1 = 1."""
     if not 1 <= n <= paths.L:
         raise ConfigurationError(f"level {n} outside 1..{paths.L}")
     if n > spec.L:
@@ -244,18 +329,22 @@ def fourier_extract(paths: PathBatch, f: Polynomial, spec: LacunarySpec, n: int)
             raise ConfigurationError(
                 "level-1 extraction requires K_1 = 1: constant weights only reach frequency 1"
             )
-        df = poly_eval(f, paths.psi[:, 1]) - poly_eval(f, paths.psi[:, 0])
-        samples = (1.0 / paths.r(1)) * np.conj(paths.Z[:, 0]) * df
-        return _mc(np.asarray(samples, dtype=np.complex128), paths.config.seed)
+        return _product(np.conj(paths.Z[:, 0]), 1.0 / paths.r(1), _increment(paths, f, 1))
     # the block-top case is in-block extraction at k = K_n; one code path
     # keeps the two estimators bit-identical there
-    return multiplier_extract(paths, f, n, spec.K[n - 1])
+    return multiplier_samples(paths, f, n, spec.K[n - 1])
 
 
-def multiplier_extract(paths: PathBatch, f: Polynomial, n: int, k: int) -> McEstimate:
-    """Extraction at any frequency k in the level-n dyadic block
-    2^{n-1} < k <= 2^n; the weight swaps K_n for k in both the exponent
-    (k - 1) and the modulus."""
+def fourier_extract(paths: PathBatch, f: Polynomial, spec: LacunarySpec, n: int) -> McEstimate:
+    """MC estimate of E[eta_{n-1} conj(Z_n) (F(psi_n) - F(psi_{n-1}))],
+    which equals F-hat(K_n).  Level 1 requires K_1 = 1 (predictable weights
+    are constant there) and uses eta_0 = 1/r_1."""
+    return _mc(fourier_samples(paths, f, spec, n), paths.config.seed)
+
+
+def multiplier_samples(paths: PathBatch, f: Polynomial, n: int, k: int) -> np.ndarray:
+    """Per-path eta_{n-1}(k) conj(Z_n) dF_n, the samples of
+    ``multiplier_extract``."""
     if n < 2:
         raise ConfigurationError("multiplier_extract needs level n >= 2")
     if not (2 ** (n - 1) < k <= 2**n):
@@ -264,10 +353,15 @@ def multiplier_extract(paths: PathBatch, f: Polynomial, n: int, k: int) -> McEst
         )
     if n > paths.L:
         raise ConfigurationError(f"level {n} beyond simulated depth {paths.L}")
-    df = poly_eval(f, paths.psi[:, n]) - poly_eval(f, paths.psi[:, n - 1])
     eta = _eta_weights_at(paths, n, k)
-    samples = eta.values * np.conj(paths.Z[:, n - 1]) * df
-    return _mc(np.asarray(samples, dtype=np.complex128), paths.config.seed)
+    return _product(np.conj(paths.Z[:, n - 1]), eta.values, _increment(paths, f, n))
+
+
+def multiplier_extract(paths: PathBatch, f: Polynomial, n: int, k: int) -> McEstimate:
+    """Extraction at any frequency k in the level-n dyadic block
+    2^{n-1} < k <= 2^n; the weight swaps K_n for k in both the exponent
+    (k - 1) and the modulus."""
+    return _mc(multiplier_samples(paths, f, n, k), paths.config.seed)
 
 
 def block_modulus_sup(n: int) -> float:
@@ -281,19 +375,26 @@ def block_modulus_sup(n: int) -> float:
 # orthogonality and conditional multiplicativity
 
 
+def orthogonality_samples(
+    paths: PathBatch, f: Polynomial, g: Polynomial, n: int, phi=None
+) -> np.ndarray:
+    """Per-path conj(Z_n) dF_n dG_n phi(psi_{n-1}), the samples of
+    ``orthogonality_check``."""
+    if not 1 <= n <= paths.L:
+        raise ConfigurationError(f"level {n} outside 1..{paths.L}")
+    factors = [np.conj(paths.Z[:, n - 1]), _increment(paths, f, n), _increment(paths, g, n)]
+    if phi is not None:
+        factors.append(phi(paths.psi[:, n - 1]))
+    return _product(*factors)
+
+
 def orthogonality_check(
     paths: PathBatch, f: Polynomial, g: Polynomial, n: int, phi=None
 ) -> McEstimate:
     """MC estimate of E[conj(Z_n) dF_n dG_n phi(psi_{n-1})]; identically zero
     in expectation, since both increments are Z_n-analytic with zero
     constant term."""
-    if not 1 <= n <= paths.L:
-        raise ConfigurationError(f"level {n} outside 1..{paths.L}")
-    df = poly_eval(f, paths.psi[:, n]) - poly_eval(f, paths.psi[:, n - 1])
-    dg = poly_eval(g, paths.psi[:, n]) - poly_eval(g, paths.psi[:, n - 1])
-    weight = 1.0 if phi is None else phi(paths.psi[:, n - 1])
-    samples = np.conj(paths.Z[:, n - 1]) * df * dg * weight
-    return _mc(np.asarray(samples, dtype=np.complex128), paths.config.seed)
+    return _mc(orthogonality_samples(paths, f, g, n, phi), paths.config.seed)
 
 
 def conditional_multiplicativity_check(
@@ -329,6 +430,51 @@ def conditional_multiplicativity_check(
 # the bridge to the Hankel matrix
 
 
+class BridgeForm:
+    """The bilinear form behind the counterexample corner,
+
+        <u(P) x, y-bar> = sum_t m(K_t) P-hat(K_t) [C_t x, y],
+
+    with [a, b] = sum a_i b_i: ``coeffs[t-1] = m(K_t) [C_t x, y]``, and the
+    ``exact`` value, which contracts the flattened Hankel against the
+    degree-zero coordinate embeddings.  The Monte Carlo side takes
+    P-hat(K_t) from ``fourier_samples(paths, p, spec, t)``, t = 1..L."""
+
+    def __init__(self, g: BlockHankel, p: Polynomial, x: np.ndarray, y: np.ndarray,
+                 spec: LacunarySpec):
+        if spec.freq_map() != g.freq_map:
+            raise ConfigurationError("spec and Hankel frequency maps disagree")
+        if p.degree >= 2 * g.D:
+            raise DomainError(f"deg P = {p.degree} >= 2D = {2 * g.D}")
+        out_dim, in_dim = g.block_shape
+        x = np.asarray(x, dtype=np.complex128).reshape(in_dim)
+        y = np.asarray(y, dtype=np.complex128).reshape(out_dim)
+        self.p, self.spec = p, spec
+        self.coeffs = tuple(g.multiplier(kt) * complex(y @ (g.system.elements[t - 1] @ x))
+                            for t, kt in enumerate(spec.K, start=1))
+        # (T(P') (x) I)(e_0 (x) x): block i is P'-hat(i) * x
+        dp_col = toeplitz(poly_derivative(p), g.D)[:, 0]
+        embedded = (dp_col[:, None] * x[None, :]).reshape(g.D * in_dim)
+        gv = g.apply_flat(embedded)
+        self.exact = complex(y @ gv.reshape(g.D, out_dim)[0])
+
+    def samplers(self) -> list:
+        """One per-sample function of a ``PathBatch`` per level t."""
+        return [lambda paths, t=t: fourier_samples(paths, self.p, self.spec, t)
+                for t in range(1, self.spec.L + 1)]
+
+    def combine(self, estimates: list[McEstimate]) -> McEstimate:
+        """sum_t coeffs[t-1] * estimate_t; the propagated error adds
+        |coefficient| * stderr linearly, a conservative bound."""
+        mc_total = 0j
+        err_total = 0.0
+        for est, coeff in zip(estimates, self.coeffs, strict=True):
+            mc_total += complex(est.mean) * coeff
+            err_total += abs(coeff) * est.stderr
+        return McEstimate(mean=mc_total, stderr=err_total,
+                          n_samples=estimates[0].n_samples, seed=estimates[0].seed)
+
+
 def hankel_bridge_check(
     paths: PathBatch,
     g: BlockHankel,
@@ -338,41 +484,13 @@ def hankel_bridge_check(
     spec: LacunarySpec,
 ) -> dict:
     """Monte Carlo vs exact evaluation of the bilinear form behind the
-    counterexample corner:
-
-        <u(P) x, y-bar> = sum_t m(K_t) P-hat(K_t) [C_t x, y],
-
-    with [a, b] = sum a_i b_i.  The MC side replaces each P-hat(K_t) by its
-    fourier_extract estimate; the exact side contracts the flattened Hankel
-    against the degree-zero coordinate embeddings.  The propagated error
-    adds |coefficient| * stderr linearly, a conservative bound."""
-    if spec.freq_map() != g.freq_map:
-        raise ConfigurationError("spec and Hankel frequency maps disagree")
-    if p.degree >= 2 * g.D:
-        raise DomainError(f"deg P = {p.degree} >= 2D = {2 * g.D}")
+    counterexample corner (see ``BridgeForm``): the MC side replaces each
+    P-hat(K_t) by its ``fourier_extract`` estimate."""
+    form = BridgeForm(g, p, x, y, spec)
     if spec.L > paths.L:
         raise ConfigurationError("path batch too shallow for the frequency spec")
-    out_dim, in_dim = g.block_shape
-    x = np.asarray(x, dtype=np.complex128).reshape(in_dim)
-    y = np.asarray(y, dtype=np.complex128).reshape(out_dim)
-
-    mc_total = 0j
-    err_total = 0.0
-    for t, kt in enumerate(spec.K, start=1):
-        est = fourier_extract(paths, p, spec, t)
-        pairing = complex(y @ (g.system.elements[t - 1] @ x))
-        coeff = g.multiplier(kt) * pairing
-        mc_total += complex(est.mean) * coeff
-        err_total += abs(coeff) * est.stderr
-
-    # (T(P') (x) I)(e_0 (x) x): block i is P'-hat(i) * x
-    dp_col = toeplitz(poly_derivative(p), g.D)[:, 0]
-    embedded = (dp_col[:, None] * x[None, :]).reshape(g.D * in_dim)
-    gv = g.apply_flat(embedded)
-    exact = complex(y @ gv.reshape(g.D, out_dim)[0])
-    mc = McEstimate(mean=mc_total, stderr=err_total, n_samples=paths.n_samples,
-                    seed=paths.config.seed)
-    return {"mc": mc, "exact": exact}
+    ests = [fourier_extract(paths, p, spec, t) for t in range(1, spec.L + 1)]
+    return {"mc": form.combine(ests), "exact": form.exact}
 
 
 def stderr_halving_ratios(
@@ -392,3 +510,27 @@ def stderr_halving_ratios(
         if e_full.stderr > 0:
             ratios.append(e_half.stderr / e_full.stderr)
     return ratios
+
+
+# ---------------------------------------------------------------------------
+# streaming
+
+
+def stream_estimates(cfg: MartingaleConfig, samplers) -> tuple[list[McEstimate], float, int]:
+    """One pass over the path blocks of ``cfg``: each sampler maps every
+    ``SIM_BLOCK``-row block to its per-sample values, which feed that
+    sampler's ``McAccumulator``.  One block is alive at a time, so memory is
+    O(SIM_BLOCK * L) for any ``n_samples``.
+
+    Returns (estimates, max radial drift, renormalization count), equal to
+    ``_mc(samplers[i](paths))``, ``paths.max_radial_drift()`` and
+    ``paths.renorm_count`` of ``paths = simulate_paths(cfg)``, bit for bit."""
+    accs = [McAccumulator() for _ in samplers]
+    drift, renorms = 0.0, 0
+    for b in range(cfg.n_blocks):
+        paths = simulate_paths(cfg, blocks=range(b, b + 1))
+        drift = max(drift, paths.max_radial_drift())
+        renorms += paths.renorm_count
+        for acc, sample in zip(accs, samplers):
+            acc.add(sample(paths))
+    return [acc.estimate(cfg.seed) for acc in accs], drift, renorms

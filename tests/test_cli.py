@@ -1,12 +1,31 @@
 import csv
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from pbnc import cli, numkit
+from pbnc.coeff_systems import car_jordan_wigner
 from pbnc.errors import NonConvergenceError
-from pbnc.hankel import BlockHankel
+from pbnc.hankel import (
+    BlockHankel,
+    LacunarySpec,
+    MultiplierSeq,
+    build_hankel,
+    lacunary_default,
+    random_poly,
+)
+from pbnc.martingale import (
+    SIM_BLOCK,
+    MartingaleConfig,
+    fourier_extract,
+    hankel_bridge_check,
+    multiplier_extract,
+    orthogonality_check,
+    radial_mean_check,
+    simulate_paths,
+)
 
 
 def _write_config(tmp_path, doc, name="cfg.json"):
@@ -112,6 +131,18 @@ class TestHankelCommand:
         assert "PASS symbol_roundtrip" in out
         assert code == 1
 
+    @pytest.mark.parametrize("doc,typo", [
+        ({"mode": "probe", "L": 2, "d": 5}, "'d'"),
+        ({"mode": "probe", "L": 3, "system": {"kind": "car", "N": 3}}, "'N'"),
+        ({"mode": "scan", "famlies": ["ones"], "D_list": [5]}, "famlies"),
+        ({"mode": "scan", "D_list": [5], "probe": {"n_randm": 2}}, "n_randm"),
+        ({"mode": "scna", "D_list": [5]}, "scna"),
+    ])
+    def test_unknown_key_is_config_error(self, tmp_path, capsys, doc, typo):
+        assert _run(tmp_path, "hankel", doc) == 2
+        assert typo in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestCertify:
     def test_car_default(self, tmp_path):
@@ -140,6 +171,16 @@ class TestCertify:
         code = _run(tmp_path, "certify", {"system": "car", "n": 2})
         assert code == 1
 
+    @pytest.mark.parametrize("doc,typo", [
+        ({"system": "car", "n": 2, "epsilon": 0.0}, "epsilon"),
+        ({"system": "car", "n": 2, "search": {"restart": 1}}, "restart"),
+    ])
+    def test_unknown_key_is_config_error(self, tmp_path, capsys, doc, typo):
+        # "epsilon" would otherwise run eps = 1 and pass
+        assert _run(tmp_path, "certify", doc) == 2
+        assert typo in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestSweep:
     def test_growth_flags(self, tmp_path, capsys):
@@ -152,6 +193,16 @@ class TestSweep:
         lines = (run_dir / "sweep.csv").read_text().strip().splitlines()
         assert lines[0] == "n,similarity_lower,pb_probe,cb_over_pb"
         assert len(lines) == 3
+
+    @pytest.mark.parametrize("doc,typo", [
+        ({"n_gird": [2, 3], "search": {"restarts": 1}}, "n_gird"),
+        ({"n_grid": [2], "search": {"restarts": 1, "sead": 3}}, "sead"),
+        ({"n": 2, "search": {"restarts": 1}}, "'n'"),  # sweep reads n_grid only
+    ])
+    def test_unknown_key_is_config_error(self, tmp_path, capsys, doc, typo):
+        assert _run(tmp_path, "sweep", doc) == 2
+        assert typo in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestMc:
@@ -190,6 +241,65 @@ class TestMc:
         assert "levle" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @staticmethod
+    def _full_batch_row(paths, chk, i, seed):
+        """The public full-batch estimator of check i, on the same draws."""
+        L = paths.L
+        rng = cli._seeded_rng(seed, 0xC8EC, i)
+        f = random_poly(int(chk.get("degree", 6)), rng)
+        kind, level = chk["check"], int(chk.get("level", 0))
+        if kind == "radial":
+            return radial_mean_check(paths, f, level)
+        if kind == "fourier":
+            return fourier_extract(paths, f, lacunary_default(L), level)
+        if kind == "multiplier":
+            return multiplier_extract(paths, f, level, int(chk["k"]))
+        if kind == "orthogonality":
+            return orthogonality_check(paths, f, random_poly(int(chk["degree"]), rng), level)
+        assert kind == "bridge"
+        car_n = int(chk["car_n"])
+        bspec = LacunarySpec((1,) + tuple(2**t for t in range(2, car_n + 1)))
+        system = car_jordan_wigner(car_n)
+        g = build_hankel(MultiplierSeq.indicator(bspec), bspec, system, D=max(bspec.K) + 1)
+        h = system.op_dim[0]
+        x = rng.standard_normal(h) + 1j * rng.standard_normal(h)
+        y = rng.standard_normal(h) + 1j * rng.standard_normal(h)
+        return hankel_bridge_check(paths, g, f, x, y, bspec)["mc"]
+
+    @pytest.mark.parametrize("n_samples", [SIM_BLOCK, SIM_BLOCK + 1, 3 * SIM_BLOCK + 5])
+    def test_streamed_rows_equal_full_batch_estimators(self, n_samples):
+        # the stream never holds the whole batch, yet every row is the
+        # full-batch estimate to the last bit, a one-row last block included
+        L, seed = 6, 4
+        results, flags, _ = cli.cmd_mc({"L": L, "n_samples": n_samples, "seed": seed},
+                                       cli.load_thresholds()[0], 1)
+        assert all(flags.values())
+        paths = simulate_paths(MartingaleConfig(L=L, n_samples=n_samples, seed=seed))
+        assert results["renorm_count"] == paths.renorm_count
+        for i, (chk, row) in enumerate(zip(cli._default_mc_checks(L), results["checks"])):
+            if chk["check"] == "drift":
+                assert row["estimate_re"] == paths.max_radial_drift()
+            elif chk["check"] != "eta_bound":
+                est = self._full_batch_row(paths, chk, i, seed)
+                assert complex(row["estimate_re"], row["estimate_im"]) == est.mean
+                assert row["stderr"] == est.stderr
+
+    def test_peak_memory_does_not_grow_with_samples(self):
+        # numpy reports its allocations to tracemalloc; the stream holds one
+        # SIM_BLOCK-row block, so 4x the samples may not cost 4x the memory
+        thresholds = cli.load_thresholds()[0]
+
+        def peak(n_samples):
+            tracemalloc.start()
+            try:
+                cli.cmd_mc({"L": 6, "n_samples": n_samples, "seed": 2}, thresholds, 1)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak(2 * SIM_BLOCK), peak(8 * SIM_BLOCK)
+        assert large <= 1.25 * small
+
 
 class TestFcn:
     def test_small_grid(self, tmp_path):
@@ -201,6 +311,12 @@ class TestFcn:
         assert "scaled_band" not in payload["pass"]  # grid differs from frozen config
         lines = (run_dir / "fcn.csv").read_text().strip().splitlines()
         assert lines[0] == "n,c,cb_over_pb,scaled"
+
+    def test_unknown_key_is_config_error(self, tmp_path, capsys):
+        # "C" would otherwise run the frozen c = 2 and pass
+        assert _run(tmp_path, "fcn", {"n_grid": [2], "C": 3.0}) == 2
+        assert "'C'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestDriver:

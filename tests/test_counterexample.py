@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from pbnc.counterexample import (
     TruncatedSpace,
     _poly_t_applies,
     _poly_t_norm,
+    _power_pairings,
     build_T,
     cb_certificate,
     eps_for_target_c,
@@ -34,6 +37,20 @@ def _rng(seed):
 def _car_bundle(n=2, eps=1.0, D=None):
     spec = lacunary_default(n)
     return build_T(car_jordan_wigner(n), spec, MultiplierSeq.indicator(spec), D=D, eps=eps)
+
+
+@functools.lru_cache(maxsize=None)
+def _small_bundle(kind, n):
+    if kind == "car":
+        return _car_bundle(n=n)
+    return haar_bundle(n, n, system_seed=5, row_bound_seed=6, D=None, eps=1.0)[0]
+
+
+SMALL_BUNDLES = [("car", 2), ("car", 3), ("haar", 2), ("haar", 3)]
+
+
+def _rel_err(got, want):
+    return float(np.abs(got - want).max() / max(np.abs(want).max(), 1.0))
 
 
 class TestBuildT:
@@ -147,6 +164,27 @@ class TestPolyOfT:
         b = _car_bundle(n=2)
         assert np.allclose(poly_of_T(b, Polynomial([1.0])), np.eye(b.total_dim), atol=1e-15)
 
+    @settings(max_examples=24, deadline=None, derandomize=True)
+    @given(bundle=st.sampled_from(SMALL_BUNDLES), eps=st.floats(0.0, 4.0),
+           deg=st.integers(0, 17), seed=st.integers(0, 2**32 - 1))
+    def test_block_formula_matches_horner_property(self, bundle, eps, deg, seed):
+        b = with_eps(_small_bundle(*bundle), eps)
+        p = random_poly(min(deg, 2 * b.space.D - 1), _rng(seed))
+        assert _rel_err(poly_of_T(b, p), poly_of_matrix(p, b.T)) <= 1e-12
+
+    @settings(max_examples=24, deadline=None, derandomize=True)
+    @given(bundle=st.sampled_from(SMALL_BUNDLES), eps=st.floats(0.0, 4.0),
+           deg=st.integers(0, 17), seed=st.integers(0, 2**32 - 1))
+    def test_structured_matvecs_match_dense_property(self, bundle, eps, deg, seed):
+        b = with_eps(_small_bundle(*bundle), eps)
+        rng = _rng(seed)
+        p = random_poly(min(deg, 2 * b.space.D - 1), rng)
+        dense = poly_of_T(b, p)
+        apply, apply_adjoint = _poly_t_applies(b, p)
+        x = rng.standard_normal(b.total_dim) + 1j * rng.standard_normal(b.total_dim)
+        assert _rel_err(apply(x), dense @ x) <= 1e-12
+        assert _rel_err(apply_adjoint(x), dense.conj().T @ x) <= 1e-12
+
 
 class TestPbProbe:
     def test_at_least_one(self):
@@ -175,6 +213,33 @@ class TestPbProbe:
         b = _car_bundle(n=2)
         s = PbSearch(restarts=2, seed=9)
         assert pb_probe(b, s) == pb_probe(b, s)
+
+    @staticmethod
+    def _pairings_by_matvec(b, u, v, max_degree):
+        # the reference: one structured T matvec per power
+        apply_t, _ = _poly_t_applies(b, Polynomial.monomial(1))
+        out = np.zeros(max_degree + 1, dtype=np.complex128)
+        vk = v.copy()
+        for k in range(max_degree + 1):
+            out[k] = np.vdot(u, vk)
+            vk = apply_t(vk)
+        return out
+
+    @pytest.mark.parametrize("kind,n", [("car", 2), ("car", 3), ("car", 4), ("haar", 3)])
+    @pytest.mark.parametrize("eps", [1.0, 0.37])
+    def test_power_pairings_match_matvec_loop(self, kind, n, eps):
+        # every k up to the 2D - 2 cap, so k >= D (where T^k = 0) is covered
+        b = with_eps(_small_bundle(kind, n) if kind == "haar" else _car_bundle(n=n), eps)
+        rng = _rng(32 + n)
+        u, v = (rng.standard_normal(b.total_dim) + 1j * rng.standard_normal(b.total_dim)
+                for _ in range(2))
+        max_degree = 2 * b.space.D - 2
+        want = self._pairings_by_matvec(b, u, v, max_degree)
+        got = _power_pairings(b, u, v, max_degree)
+        assert _rel_err(got, want) <= 1e-12
+        assert not got[b.space.D + 1:].any()
+        short = _power_pairings(b, u, v, 3)
+        assert np.array_equal(short, got[:4])
 
 
 class TestCbCertificate:

@@ -7,17 +7,22 @@ from pbnc.hankel import LacunarySpec, MultiplierSeq, build_hankel, lacunary_defa
 from pbnc.martingale import (
     SIM_BLOCK,
     MartingaleConfig,
+    McAccumulator,
     block_modulus_sup,
     conditional_multiplicativity_check,
     eta_modulus,
     eta_modulus_sup,
     eta_weights,
     fourier_extract,
+    fourier_samples,
     hankel_bridge_check,
     mobius,
     multiplier_extract,
+    multiplier_samples,
     orthogonality_check,
+    orthogonality_samples,
     radial_mean_check,
+    radial_samples,
     radius,
     simulate_paths,
     stderr_halving_ratios,
@@ -320,6 +325,60 @@ class TestBridge:
             hankel_bridge_check(paths, g, Polynomial([1.0]), x, x, other)
         with pytest.raises(errors.DomainError):
             hankel_bridge_check(paths, g, Polynomial.monomial(18), x, x, spec)
+
+
+class TestStreaming:
+    @staticmethod
+    def _samplers():
+        rng = _rng(19)
+        f, g = (Polynomial(rng.standard_normal(d) + 1j * rng.standard_normal(d))
+                for d in (20, 7))
+        spec = LacunarySpec((1, 4, 8, 16))
+        return {
+            "radial": lambda p: radial_samples(p, f, 3),
+            "fourier1": lambda p: fourier_samples(p, f, spec, 1),
+            "fourier4": lambda p: fourier_samples(p, f, spec, 4),
+            "multiplier": lambda p: multiplier_samples(p, f, 3, 6),
+            "orthogonality": lambda p: orthogonality_samples(p, f, g, 2),
+            "orthogonality_phi": lambda p: orthogonality_samples(p, f, g, 3, phi=np.conj),
+        }
+
+    @pytest.mark.parametrize("n,block", [
+        (4 * SIM_BLOCK, 0),       # a SIM_BLOCK-row batch against a larger one
+        (SIM_BLOCK + 1, 1),       # a one-row last block
+        (3 * SIM_BLOCK + 5, 3),   # a five-row last block
+    ])
+    def test_block_samples_equal_full_batch_rows(self, n, block):
+        # products are taken in one order into fresh arrays, so neither
+        # numpy's temporary elision (which swaps operands at 256 KiB) nor a
+        # one-element in-place product changes a sample with the batch size
+        cfg = MartingaleConfig(L=4, n_samples=n, seed=9)
+        full = simulate_paths(cfg)
+        part = simulate_paths(cfg, blocks=range(block, block + 1))
+        rows = slice(block * SIM_BLOCK, min((block + 1) * SIM_BLOCK, n))
+        assert part.n_samples == rows.stop - rows.start
+        assert part.psi.tobytes() == np.ascontiguousarray(full.psi[rows]).tobytes()
+        for name, sample in self._samplers().items():
+            assert sample(part).tobytes() == sample(full)[rows].tobytes(), name
+
+    def test_reducer_merges_chunks(self):
+        # the pairwise merge agrees with the two-pass formulas to rounding,
+        # and a single chunk reproduces them exactly
+        x = _rng(20).standard_normal(3 * SIM_BLOCK + 7) * (1 + 2j) + 0.5j
+        est = McAccumulator().add(x).estimate(0)
+        sd = np.sqrt(np.sum(np.abs(x - x.mean()) ** 2) / (x.size - 1))
+        assert abs(est.mean - x.mean()) <= 1e-14
+        assert est.stderr == pytest.approx(sd / np.sqrt(x.size), rel=1e-12)
+        head = x[:100]
+        one = McAccumulator().add(head).estimate(0)
+        assert one.mean == complex(head.mean())
+        assert one.stderr == np.sqrt(np.sum(np.abs(head - complex(head.mean())) ** 2) / 99) / 10
+
+    def test_blocks_validated(self):
+        cfg = MartingaleConfig(L=2, n_samples=SIM_BLOCK + 1)
+        for bad in (range(0, 3), range(2, 3), range(1, 1), range(0, 2, 2)):
+            with pytest.raises(errors.ConfigurationError):
+                simulate_paths(cfg, blocks=bad)
 
 
 class TestStderrScaling:

@@ -287,6 +287,19 @@ class TestSupNorm:
             assert dense <= b.certified_upper + 1e-12
             assert b.grid_max <= b.certified_upper
 
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(deg=st.integers(0, 40), extra=st.integers(0, 3), default_grid=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_sandwich_property(self, deg, extra, default_grid, seed):
+        # the 16x finer grid holds the coarse one, and its max is an actual
+        # value of |P|, so it sits between the grid max and the certificate
+        p = Polynomial(_random_complex(_rng(seed), deg + 1))
+        n = None if default_grid else 1 << (int(np.pi * deg).bit_length() + extra)
+        b = sup_norm(p, grid_points=n)
+        fine = float(np.abs(np.fft.fft(p.coeffs, n=16 * b.grid_points)).max())
+        assert b.grid_max <= fine * (1 + 1e-12)
+        assert fine <= b.certified_upper * (1 + 1e-12)
+
     def test_coarse_grid_rejected(self):
         with pytest.raises(errors.DomainError):
             sup_norm(Polynomial.monomial(100), grid_points=64)

@@ -54,7 +54,9 @@ CALLS = (
        ("certify.haar.n2", "certify", {"system": "haar_unitary", "n": 2, "seed": 5}),
        ("fcn.s42", "fcn", {"c": 2.0, "n_grid": [2, 4, 7], "seed": 42}),
        ("fcn.s3", "fcn", {"c": 2.0, "n_grid": [2, 4], "seed": 3}),
-       ("mc.L6", "mc", {"L": 6, "n_samples": 1_000_000, "seed": 1})]
+       ("mc.L6", "mc", {"L": 6, "n_samples": 1_000_000, "seed": 1}),
+       # SIM_BLOCK + 1 samples: a one-row last block, below numpy's elision size
+       ("mc.L6.n16385", "mc", {"L": 6, "n_samples": 16_385, "seed": 1})]
 )
 
 
