@@ -31,7 +31,6 @@ from .counterexample import (
     eps_for_target_c,
     fcn_experiment,
     pb_probe,
-    poly_of_T,
     row_bound_check,
 )
 from .errors import (
@@ -79,7 +78,6 @@ from .numkit import (
     op_norm,
     poly_derivative,
     poly_eval,
-    poly_of_matrix,
     sup_norm,
     toeplitz,
 )

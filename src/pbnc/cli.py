@@ -161,6 +161,14 @@ def _reject_unknown_keys(doc, allowed: frozenset, where: str) -> None:
             f"unknown {where} key(s) {unknown}; allowed: {sorted(allowed)}")
 
 
+def _grid(cfg: dict, key: str, default, where: str) -> list:
+    """A list the command loops over: an empty one would pass every flag."""
+    grid = cfg.get(key, default)
+    if not isinstance(grid, list) or not grid:
+        raise ConfigurationError(f"{where} {key} must be a non-empty JSON list, not {grid!r}")
+    return grid
+
+
 def cmd_coeffs(cfg: dict, thresholds: dict, threads: int):
     _reject_unknown_keys(cfg, COEFFS_KEYS, "coeffs config")
     system = _build_system(cfg)
@@ -247,8 +255,8 @@ def _hankel_scan(cfg: dict, thresholds: dict, threads: int):
     _reject_unknown_keys(cfg, HANKEL_SCAN_KEYS, "hankel scan config")
     if "probe" in cfg:
         _reject_unknown_keys(cfg["probe"], SCAN_PROBE_KEYS, "hankel scan probe")
-    families = cfg.get("families", ["lacunary", "ones"])
-    d_list = [int(d) for d in cfg.get("D_list", thresholds["scan"]["d_grid"])]
+    families = _grid(cfg, "families", ["lacunary", "ones"], "hankel scan")
+    d_list = [int(d) for d in _grid(cfg, "D_list", thresholds["scan"]["d_grid"], "hankel scan")]
     seed = int(cfg.get("seed", thresholds["scan"]["seed"]))
     pc = cfg.get("probe", thresholds["scan"]["probe"])
     probe_cfg = ProbeConfig(
@@ -298,9 +306,18 @@ def _certify_one(cfg: dict, n: int, seed: int):
     kind = cfg.get("system", cfg.get("kind", "car"))
     eps = float(cfg.get("eps", 1.0))
     sc = cfg.get("search", {})
+    max_degree = sc.get("max_degree")
+    if max_degree is not None:
+        try:
+            max_degree = int(max_degree)
+        except (TypeError, ValueError):
+            max_degree = 0
+        if max_degree < 1:
+            raise ConfigurationError(
+                f"search.max_degree must be an integer >= 1, not {sc['max_degree']!r}")
     search = PbSearch(
         restarts=int(sc.get("restarts", 4)),
-        max_degree=sc.get("max_degree"),
+        max_degree=max_degree,
         seed=int(sc.get("search_seed", sc.get("seed", 7))),
     )
     d = int(cfg["D"]) if "D" in cfg else None
@@ -359,7 +376,7 @@ def cmd_certify(cfg: dict, thresholds: dict, threads: int):
 
 def cmd_sweep(cfg: dict, thresholds: dict, threads: int):
     _reject_unknown_certify_keys(cfg, SWEEP_KEYS, "sweep config")
-    n_grid = [int(v) for v in cfg.get("n_grid", [2, 3, 4])]
+    n_grid = [int(v) for v in _grid(cfg, "n_grid", [2, 3, 4], "sweep")]
     seed = int(cfg.get("seed", 0))
     rows = []
     for n in n_grid:
@@ -490,7 +507,7 @@ def cmd_mc(cfg: dict, thresholds: dict, threads: int):
 
 def cmd_fcn(cfg: dict, thresholds: dict, threads: int):
     _reject_unknown_keys(cfg, FCN_KEYS, "fcn config")
-    n_grid = [int(v) for v in cfg.get("n_grid", thresholds["fcn"]["n_grid"])]
+    n_grid = [int(v) for v in _grid(cfg, "n_grid", thresholds["fcn"]["n_grid"], "fcn")]
     c = float(cfg.get("c", thresholds["fcn"]["c"]))
     seed = int(cfg.get("seed", thresholds["fcn"]["seed"]))
     rows = [fcn_experiment(n, c, seed=seed) for n in n_grid]

@@ -9,14 +9,14 @@ first copy carries dual coordinates (plain transpose, bilinear pairing
 Two quantities are attached to a bundle and deliberately kept asymmetric:
 
 * pb_probe: an empirical lower-bound search for the polynomial-boundedness
-  constant sup ||P(T)|| / ||P||_inf.  Reported maxima are achieved by
-  concrete polynomials and normalized by certified sup-norm upper bounds,
-  so the probe never overstates the constant.  No upper bound is claimed.
-  Each ||P(T)|| is a ``numkit.top_singular`` (Golub-Kahan-Lanczos) solve on
-  the structured matvecs of ``_poly_t_applies``, whatever the bundle size; a
-  solve that hits PROBE_STEP_CAP raises NonConvergenceError.  P(T) is never
-  materialized (``poly_of_T`` is the tests' reference), and the ascent family
-  is ``hankel.fejer_ascent``.
+  constant sup ||P(T)|| / ||P||_inf, ``hankel.probe_search`` on the map
+  P -> P(T) of ``_pb_map``.  Reported maxima are achieved by concrete
+  polynomials and normalized by certified sup-norm upper bounds, so the
+  probe never overstates the constant.  No upper bound is claimed.  Each
+  ||P(T)|| is a ``numkit.top_singular`` (Golub-Kahan-Lanczos) solve on the
+  structured matvecs of ``_poly_t_applies``; a solve that hits
+  PROBE_STEP_CAP raises NonConvergenceError.  P(T) is never materialized
+  (``poly_of_T`` is the tests' reference).
 * cb_certificate: a certified lower bound on the completely bounded norm
   of P -> P(T), hence on ||V|| ||V^{-1}|| for every invertible V with
   ||V^{-1} T V|| <= 1 (reported as ``similarity_lower`` in the fcn rows and
@@ -31,6 +31,8 @@ With CAR systems the certificate grows like sqrt(n) while the probe stays
 flat, the desk-scale form of the separation.  Haar-unitary bundles (CLI
 certify and the fcn experiment) all come from ``haar_bundle``: multiplier
 1/K2 on the dyadic frequencies, K2 the empirical row bound of the system.
+The fcn experiment sets eps from the same search on ``hankel.hankel_map``
+with a light budget (``_light_hankel_probe``).
 
 Supported frequencies must stay <= D: within that range the truncated
 transpose(S)^a G S^b collapse exactly to G S^{a+b}, which is what makes the
@@ -58,11 +60,10 @@ from .hankel import (
     LacunarySpec,
     MultiplierSeq,
     build_hankel,
-    fejer_ascent,
-    fejer_poly,
-    gtf_applies,
-    hankel_factor,
+    hankel_map,
     lacunary_default,
+    monomial_grid,
+    probe_search,
     random_poly,
 )
 from .numkit import (
@@ -254,22 +255,6 @@ class PbSearch:
     seed: int = 0
 
 
-def _pb_ratio(b: OperatorBundle, p: Polynomial, rng: np.random.Generator) -> float:
-    norm = _poly_t_norm(b, p, rng)
-    return norm / sup_norm(p).certified_upper
-
-
-def _pb_monomial_grid(max_degree: int, freqs: tuple[int, ...]) -> list[int]:
-    if max_degree <= 64:
-        return list(range(0, max_degree + 1))
-    ks = set(range(0, 65))
-    ks.update(1 << j for j in range(1, 12) if (1 << j) <= max_degree)
-    for q in freqs:
-        ks.update(x for x in (q - 1, q, q + 1) if 0 <= x <= max_degree)
-    ks.add(max_degree)
-    return sorted(ks)
-
-
 def _subdiagonal_sums(m: np.ndarray) -> np.ndarray:
     """s[k] = sum_i m[i, i - k] for k = 0..D-1 of a D x D matrix."""
     d = m.shape[0]
@@ -306,13 +291,14 @@ def _power_pairings(b: OperatorBundle, u: np.ndarray, v: np.ndarray, max_degree:
     return out
 
 
-def _pb_ascent(
-    b: OperatorBundle, start: Polynomial, max_degree: int, steps: int,
-    rng: np.random.Generator,
-) -> float:
-    """Fejer ascent maximizing Re sum_k P-hat(k) <u, T^k v> over the
-    grid-discretized sup-norm ball, with the top singular pair (u, v) of
-    P(T) at each step."""
+def _pb_map(b: OperatorBundle, rng: np.random.Generator, max_degree: int):
+    """(ratio_of, value_and_grad) of P -> P(T) for ``probe_search``: each norm
+    is a ``_poly_t_norm`` solve drawing from ``rng``, and the ascent
+    maximizes Re sum_k P-hat(k) <u, T^k v> over the grid-discretized sup-norm
+    ball, with the top singular pair (u, v) of P(T) at each step."""
+
+    def ratio_of(p: Polynomial) -> float:
+        return _poly_t_norm(b, p, rng) / sup_norm(p).certified_upper
 
     def value_and_grad(p: Polynomial, sup: float):
         sigma, u, v = _poly_t_norm(b, p, rng, want_vectors=True)
@@ -322,48 +308,27 @@ def _pb_ascent(
         # grad wrt P-hat(k) of Re <u, P(T) v> is conj(<u, T^k v>)
         return ratio, np.conj(_power_pairings(b, u, v, max_degree))
 
-    return fejer_ascent(start, max_degree, steps, value_and_grad)
+    return ratio_of, value_and_grad
 
 
 def pb_probe(b: OperatorBundle, search: PbSearch | None = None) -> float:
-    """Empirical max of ||P(T)|| / certified sup|P| over monomials, Fejer
-    means, seeded random polynomials, and coefficient ascent.  A lower bound
-    on the polynomial-boundedness constant; includes P = 1, so the result is
-    >= 1 exactly."""
+    """Empirical max of ||P(T)|| / certified sup|P| over ``probe_search``'s
+    monomials, Fejer means, seeded random polynomials and coefficient ascent.
+    A lower bound on the polynomial-boundedness constant; includes P = 1, so
+    the result is >= 1 exactly."""
     search = search or PbSearch()
     max_degree = search.max_degree
     cap = 2 * b.space.D - 2  # T^{2D} = 0: higher coefficients act as zero
     if max_degree is None:
         max_degree = cap
-    if max_degree > cap:
-        raise ConfigurationError(f"max_degree {max_degree} exceeds 2D-2 = {cap}")
+    if not 1 <= max_degree <= cap:
+        raise ConfigurationError(f"max_degree {max_degree} outside 1..2D-2 = {cap}")
     ss = np.random.SeedSequence(entropy=search.seed)
-    child_norm, child_rand, child_ascent = ss.spawn(3)
-    nrng = np.random.default_rng(child_norm)
-
-    best = 0.0
-    for k in _pb_monomial_grid(max_degree, b.multiplier.support):
-        best = max(best, _pb_ratio(b, Polynomial.monomial(k), nrng))
-
-    deg = 2
-    while deg <= max_degree:
-        best = max(best, _pb_ratio(b, fejer_poly(deg), nrng))
-        deg *= 2
-
-    rng = np.random.default_rng(child_rand)
-    degrees = np.unique(np.geomspace(2, max(max_degree, 2), num=4).astype(int))
-    degrees = degrees[degrees <= max(max_degree, 1)]
-    for deg in degrees:
-        for _ in range(max(1, search.restarts)):
-            best = max(best, _pb_ratio(b, random_poly(int(deg), rng), nrng))
-
-    arng = np.random.default_rng(child_ascent)
-    n_starts = max(1, search.restarts // 2)
-    starts = [fejer_poly(min(8, max(max_degree, 1)))]
-    for _ in range(n_starts - 1):
-        starts.append(random_poly(min(16, max(max_degree, 1)), arng))
-    for start in starts:
-        best = max(best, _pb_ascent(b, start, max_degree, steps=12, rng=arng))
+    ratio_of, value_and_grad = _pb_map(b, np.random.default_rng(ss.spawn(1)[0]), max_degree)
+    best, _ = probe_search(
+        ratio_of, value_and_grad, max_degree, monomial_grid(max_degree, b.multiplier.support),
+        n_random=4 * max(1, search.restarts), n_degrees=4,
+        ascent_restarts=max(1, search.restarts // 2), ascent_steps=12, seed=ss)
     return best
 
 
@@ -434,31 +399,15 @@ def eps_for_target_c(c: float, c_probe: float) -> float:
 
 
 def _light_hankel_probe(g: BlockHankel, seed: int) -> float:
-    """Cheap lower bound for the Hankel boundedness constant: each probe is
-    a ``top_singular`` solve of W (T(f') (x) I) with W^H W = G^H G.  Its
-    Rayleigh values never exceed the true norm, converged or not, so the
-    returned ratio is honest."""
-    factor = hankel_factor(g)
-    _, in_dim = g.block_shape
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))
-
-    def ratio_of(f: Polynomial) -> float:
-        apply, apply_adjoint = gtf_applies(factor, toeplitz(poly_derivative(f), g.D), in_dim)
-        est, _ = top_singular(apply, apply_adjoint, g.D * in_dim, rng, 1e-9, 500)
-        return est.value / sup_norm(f).certified_upper
-
-    best = ratio_of(Polynomial.monomial(1))
-    deg = 4
-    while deg <= 2 * g.D - 2:
-        best = max(best, ratio_of(fejer_poly(deg)))
-        deg *= 4
-    for q in g.multiplier.support:
-        if q < 2 * g.D:
-            best = max(best, ratio_of(Polynomial.monomial(q)))
-    for _ in range(4):
-        f = random_poly(min(16, 2 * g.D - 1), rng)
-        if not f.is_zero:
-            best = max(best, ratio_of(f))
+    """Cheap lower bound for the Hankel boundedness constant: ``probe_search``
+    on ``hankel_map`` over z, the supported monomials, the Fejer means and four
+    random polynomials, with no ascent."""
+    ss = np.random.SeedSequence(entropy=seed)
+    ratio_of, value_and_grad = hankel_map(g, np.random.default_rng(ss.spawn(1)[0]))
+    max_degree = 2 * g.D - 1
+    monomials = [1] + [q for q in g.multiplier.support if q <= max_degree]
+    best, _ = probe_search(ratio_of, value_and_grad, max_degree, monomials,
+                           n_random=4, n_degrees=4, seed=ss)
     return best
 
 

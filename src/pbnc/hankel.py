@@ -1,4 +1,5 @@
-"""Lacunary frequency specs, multiplier sequences, and block Hankel matrices.
+"""Lacunary frequency specs, multiplier sequences, block Hankel matrices and
+the one probe search.
 
 The central object is the D x D block matrix
 
@@ -17,19 +18,19 @@ All probe results are empirical maxima, i.e. lower bounds for C; the
 normalization divides by the certified sup-norm upper bound so reported
 ratios never overstate C.
 
-Exact norms of G T(f') are evaluated through the Gram matrix
+``probe_search`` is the one candidate enumeration (``monomial_grid``, Fejer
+means, seeded random polynomials, ``fejer_ascent``) over a map given as
+(ratio_of, value_and_grad).  ``hankel_map`` is the map f -> G T(f'): each
+norm is a ``numkit.top_singular`` solve on W (T(f') (x) I) with
+W^H W = G^H G (the root of the Gram diagonal for basis-vector blocks, G
+itself otherwise), so no dense Gram matrix is formed.  ``scan_probe_best``
+runs it on each scan cell, with closed-form monomials when the Gram matrix is
+diagonal; ``counterexample`` runs the same search on P -> P(T) and, with a
+light budget, on ``hankel_map`` to set eps in the fcn experiment.
 
-    (T(f') (x) I)^H (G^H G) (T(f') (x) I)
-
-with G^H G assembled from the anti-diagonal structure directly (once per
-BlockHankel).  This keeps the dense contrast mode at D = 513 (flat shape
-525825 x 513) out of memory trouble and equals the flat-product norm exactly.
-Iterative probes run ``numkit.top_singular`` (Golub-Kahan-Lanczos) on
-W (T(f') (x) I) with the factor W^H W = G^H G of ``hankel_factor`` (no dense
-Gram), and the one Fejer-damped ascent, ``fejer_ascent``, also serves the
-P(T) probe; its renormalizing FFT gives each step's certified sup bound.
-``scan_probe_best`` runs every probe family (monomials, Fejer means, seeded
-random polynomials, the ascent) on each scan cell; the CLI writes the rows.
+``bound_probe`` evaluates one polynomial exactly (the CLI probe mode) through
+(T(f') (x) I)^H (G^H G) (T(f') (x) I), with G^H G assembled anti-diagonal by
+anti-diagonal once per BlockHankel.
 
 Every kernel walks the anti-diagonals, one per supported frequency q: rows
 i in [max(0, q-D), min(D-1, q-1)] meet input blocks j = q-1-i, a reversed
@@ -331,13 +332,6 @@ class BoundProbe:
     sup_f: float
 
 
-def _gram_conjugated(g: BlockHankel, t_f: np.ndarray) -> np.ndarray:
-    """(T (x) I)^H (G^H G) (T (x) I) for a D x D Toeplitz factor."""
-    _, in_dim = g.block_shape
-    tk = np.kron(t_f, np.eye(in_dim, dtype=np.complex128))
-    return tk.conj().T @ g.gram() @ tk
-
-
 def norm_gtf(g: BlockHankel, f: Polynomial) -> float:
     """||G (T(f') (x) I)|| via the Gram route; equals the flat-product norm."""
     fp = poly_derivative(f)
@@ -347,8 +341,9 @@ def norm_gtf(g: BlockHankel, f: Polynomial) -> float:
         w = np.sqrt(diag)[:, None] * t_f
         sv = np.linalg.svd(w, compute_uv=False)
         return float(sv[0]) if sv.size else 0.0
-    m = _gram_conjugated(g, toeplitz(fp, g.D))
-    w = np.linalg.eigvalsh(m)
+    # (T (x) I)^H (G^H G) (T (x) I)
+    tk = np.kron(toeplitz(fp, g.D), np.eye(g.block_shape[1], dtype=np.complex128))
+    w = np.linalg.eigvalsh(tk.conj().T @ g.gram() @ tk)
     return float(np.sqrt(max(w[-1], 0.0)))
 
 
@@ -386,54 +381,19 @@ class ProbeConfig:
     ascent_restarts: int = 2
     ascent_steps: int = 24
 
-    def monomial_grid(self, D: int, supported: tuple[int, ...], diagonal: bool) -> list[int]:
-        if diagonal or 2 * D - 1 <= 64:
-            return list(range(1, 2 * D))
-        return sorted(
-            {k for k in range(1, min(2 * D, 65))}
-            | {k for k in supported if k < 2 * D}
-            | {1 << j for j in range(1, 12) if (1 << j) < 2 * D}
-        )
 
-
-def _monomial_ratios(g: BlockHankel, ks: list[int], diag: np.ndarray | None) -> dict[int, float]:
-    """||G T((z^k)')|| = k * sqrt(lambda_max of the Gram principal submatrix
-    starting at block k-1) since T((z^k)') = k * shift^{k-1}."""
-    out = {}
-    _, in_dim = g.block_shape
-    gram = None if diag is not None else g.gram()
-    for k in ks:
-        if k - 1 >= g.D:
-            out[k] = 0.0
-            continue
-        if diag is not None:
-            lam = float(diag[k - 1 :].max())
-        else:
-            sub = gram[(k - 1) * in_dim :, (k - 1) * in_dim :]
-            lam = float(np.linalg.eigvalsh(sub)[-1]) if sub.size else 0.0
-        out[k] = k * np.sqrt(max(lam, 0.0))
-    return out
-
-
-def hankel_factor(g: BlockHankel):
-    """(W, W^H) closures on flat vectors with W^H W = G^H G: the square root
-    of the Gram diagonal when the blocks are orthogonal basis vectors, G
-    itself otherwise.  ||W x|| = ||G x||, so W (T (x) I) has the norm of
-    G (T (x) I) without the dense Gram matrix."""
-    diag = g.gram_diagonal_or_none()
-    if diag is None:
-        return g.apply_flat, g.apply_flat_adjoint
-    root = np.sqrt(diag)
-    return (lambda x: root * x), (lambda x: root * x)
-
-
-def gtf_applies(factor, t_f: np.ndarray, in_dim: int):
-    """(apply, apply_adjoint) of A = W (T (x) I) for a Hankel factor (W, W^H)
-    and a D x D Toeplitz factor T."""
-    w, wh = factor
-    t_h = t_f.conj().T
-    return (lambda v: w((t_f @ v.reshape(-1, in_dim)).reshape(-1)),
-            lambda y: (t_h @ wh(y).reshape(-1, in_dim)).reshape(-1))
+def monomial_grid(max_degree: int, support: tuple[int, ...]) -> list[int]:
+    """Monomial degrees a probe search tries: every k in 0..max_degree up to
+    64; above that 0..64, the powers of two, each supported frequency with its
+    neighbours, and max_degree itself."""
+    if max_degree <= 64:
+        return list(range(0, max_degree + 1))
+    ks = set(range(0, 65))
+    ks.update(1 << j for j in range(1, 12) if (1 << j) <= max_degree)
+    for q in support:
+        ks.update(x for x in (q - 1, q, q + 1) if 0 <= x <= max_degree)
+    ks.add(max_degree)
+    return sorted(ks)
 
 
 def fejer_ascent(start: Polynomial, max_degree: int, steps: int, value_and_grad) -> float:
@@ -466,33 +426,107 @@ def fejer_ascent(start: Polynomial, max_degree: int, steps: int, value_and_grad)
     return best
 
 
-def _ascent_refine(g: BlockHankel, start: Polynomial, steps: int,
-                   rng: np.random.Generator) -> float:
-    """Fejer ascent on f -> ||G T(f')|| / certified sup|f|, with the top
-    singular pair of W (T(f') (x) I) from ``top_singular`` at each step."""
+def probe_search(ratio_of, value_and_grad, max_degree: int, monomials, *,
+                 n_random: int = 0, n_degrees: int = 1, ascent_restarts: int = 1,
+                 ascent_steps: int = 0, seed: np.random.SeedSequence) -> tuple[float, str]:
+    """The one probe enumeration: the best certified ratio ``ratio_of(f)``
+    over the candidates below, in this order, and the id of the first
+    polynomial that reached it ("none" when every ratio is 0).
+
+    - ``monomial:k``: z^k for each k in ``monomials``;
+    - ``fejer:d``: the Fejer means of degree d = 2, 4, 8, ... <= max_degree;
+    - ``random:i``: ``n_random`` seeded random polynomials, split evenly over
+      a geometric grid of at most ``n_degrees`` degrees in [2, max_degree];
+    - ``ascent:i``: ``fejer_ascent`` on ``value_and_grad`` for
+      ``ascent_steps`` steps (none when 0), started from
+      fejer_poly(min(8, max_degree)) and from ``ascent_restarts - 1`` random
+      polynomials of degree min(16, max_degree).
+
+    ``seed`` spawns two children: the first draws the random candidates, the
+    second the random starts.  The map owns the stream of its norm solves.
+    A lower-bound search: the ratio returned is reached by the polynomial
+    named."""
+    best, best_id = 0.0, "none"
+
+    def offer(ratio: float, poly_id: str) -> None:
+        nonlocal best, best_id
+        if ratio > best:
+            best, best_id = ratio, poly_id
+
+    for k in monomials:
+        offer(ratio_of(Polynomial.monomial(k)), f"monomial:{k}")
+    deg = 2
+    while deg <= max_degree:
+        offer(ratio_of(fejer_poly(deg)), f"fejer:{deg}")
+        deg *= 2
+
+    child_rand, child_ascent = seed.spawn(2)
+    rng = np.random.default_rng(child_rand)
+    degrees = np.unique(np.geomspace(2, max(max_degree, 2), num=max(n_degrees, 1)).astype(int))
+    degrees = degrees[degrees <= max_degree]
+    poly_id = 0
+    for deg in degrees:
+        for _ in range(n_random // len(degrees)):
+            offer(ratio_of(random_poly(int(deg), rng)), f"random:{poly_id}")
+            poly_id += 1
+
+    if ascent_steps > 0:
+        arng = np.random.default_rng(child_ascent)
+        starts = [fejer_poly(min(8, max_degree))]
+        starts += [random_poly(min(16, max_degree), arng) for _ in range(ascent_restarts - 1)]
+        for s_idx, start in enumerate(starts):
+            offer(fejer_ascent(start, max_degree, ascent_steps, value_and_grad),
+                  f"ascent:{s_idx}")
+    return best, best_id
+
+
+def hankel_map(g: BlockHankel, rng: np.random.Generator):
+    """(ratio_of, value_and_grad) of f -> G (T(f') (x) I) for ``probe_search``
+    with max_degree 2D - 1.
+
+    Each norm is a ``top_singular`` solve, started from ``rng``, on
+    W (T(f') (x) I) with W^H W = G^H G: W is the square root of the Gram
+    diagonal when the blocks are orthogonal basis vectors, G itself
+    otherwise, so no dense Gram matrix is formed.  A Rayleigh value never
+    exceeds the true norm, converged or not, so every ratio is honest."""
     D = g.D
     _, in_dim = g.block_shape
-    factor = hankel_factor(g)
+    diag = g.gram_diagonal_or_none()
+    if diag is None:
+        w, wh = g.apply_flat, g.apply_flat_adjoint
+    else:
+        root = np.sqrt(diag)
+        w = wh = (lambda x: root * x)
+
+    def solve(f: Polynomial):
+        t_f = toeplitz(poly_derivative(f), D)
+        t_h = t_f.conj().T
+        apply = (lambda v: w((t_f @ v.reshape(-1, in_dim)).reshape(-1)))
+        apply_adjoint = (lambda y: (t_h @ wh(y).reshape(-1, in_dim)).reshape(-1))
+        est, v = top_singular(apply, apply_adjoint, D * in_dim, rng, 1e-10, 200)
+        return est.value, apply, v
+
+    def ratio_of(f: Polynomial) -> float:
+        return solve(f)[0] / sup_norm(f).certified_upper
 
     def value_and_grad(f: Polynomial, sup: float):
-        apply, apply_adjoint = gtf_applies(factor, toeplitz(poly_derivative(f), D), in_dim)
-        est, v = top_singular(apply, apply_adjoint, D * in_dim, rng, 1e-10, 200)
-        ratio = est.value / sup
+        value, apply, v = solve(f)
+        ratio = value / sup
         wv = apply(v)
         nrm = np.linalg.norm(wv)
-        if est.value == 0.0 or nrm == 0.0:
+        if value == 0.0 or nrm == 0.0:
             return ratio, None
         # gradient of Re u^H W (T(f') x I) v in the coefficients of f, with
         # u = W T v / ||W T v||: d/d f-hat(k+1) = (k+1) conj of
         # sum_j <(W^H u)_{j+k}, v_j>
-        gu = factor[1](wv / nrm).reshape(D, in_dim)
+        gu = wh(wv / nrm).reshape(D, in_dim)
         vb = v.reshape(D, in_dim)
         grad = np.zeros(2 * D, dtype=np.complex128)
         for k in range(0, D):  # shift_k truncated: blocks j -> j+k
             grad[k + 1] = (k + 1) * np.conj(np.vdot(gu[k:, :], vb[: D - k, :]))
         return ratio, grad
 
-    return fejer_ascent(start, 2 * D - 1, steps, value_and_grad)
+    return ratio_of, value_and_grad
 
 
 @dataclass(frozen=True)
@@ -505,56 +539,30 @@ class ScanRow:
 
 
 def scan_probe_best(g: BlockHankel, cfg: ProbeConfig, seed: int) -> tuple[float, str]:
-    """Best certified ratio over the monomial, Fejer, random and ascent probe
-    families for one Hankel matrix.  Lower-bound search: every reported ratio
-    is achieved by a concrete polynomial."""
+    """Best certified ratio for one Hankel matrix and its witness id:
+    ``probe_search`` on ``hankel_map`` with the ``cfg`` budget.  When the
+    Gram matrix is diagonal the monomials take the closed form
+    ||G T((z^k)')|| = k sqrt(max diag[k-1:]), since T((z^k)') = k shift^{k-1}."""
+    max_degree = 2 * g.D - 1
+    ks = monomial_grid(max_degree, g.multiplier.support)
     diag = g.gram_diagonal_or_none()
     best, best_id = 0.0, "none"
-
-    ks = cfg.monomial_grid(g.D, g.multiplier.support, diag is not None)
-    norms = _monomial_ratios(g, ks, diag)
-    for k in ks:
-        # |z^k| = 1 on the grid; apply the certified slack directly
-        n_grid = numkit.default_grid_points(k)
-        cert = 1.0 / (1.0 - np.pi * k / n_grid)
-        ratio = norms[k] / cert
-        if ratio > best:
-            best, best_id = ratio, f"monomial:{k}"
-
-    deg = 2
-    while deg <= 2 * g.D - 1:
-        f = fejer_poly(deg)
-        ratio = bound_probe(g, f).ratio
-        if ratio > best:
-            best, best_id = ratio, f"fejer:{deg}"
-        deg *= 2
-
-    ss = np.random.SeedSequence(entropy=seed)
-    child_rand, child_ascent = ss.spawn(2)
-
-    rng = np.random.default_rng(child_rand)
-    degrees = np.unique(np.geomspace(2, 2 * g.D - 1, num=max(cfg.n_random, 1)).astype(int))
-    degrees = degrees[(degrees >= 1) & (degrees <= 2 * g.D - 1)]
-    if degrees.size == 0:
-        degrees = np.array([1])
-    poly_id = 0
-    for deg in degrees:
-        for _ in range(max(1, cfg.n_random // len(degrees))):
-            f = random_poly(int(deg), rng)
-            ratio = bound_probe(g, f).ratio
+    if diag is not None:
+        for k in ks:
+            if not 1 <= k <= g.D:
+                continue
+            # |z^k| = 1 on the sup grid: the certified slack alone divides
+            cert = 1.0 / (1.0 - np.pi * k / numkit.default_grid_points(k))
+            ratio = k * np.sqrt(diag[k - 1 :].max()) / cert
             if ratio > best:
-                best, best_id = ratio, f"random:{poly_id}"
-            poly_id += 1
-
-    arng = np.random.default_rng(child_ascent)
-    starts = [fejer_poly(min(8, 2 * g.D - 1))]
-    for _ in range(max(0, cfg.ascent_restarts - 1)):
-        starts.append(random_poly(min(16, 2 * g.D - 1), arng))
-    for s_idx, start in enumerate(starts):
-        ratio = _ascent_refine(g, start, cfg.ascent_steps, arng)
-        if ratio > best:
-            best, best_id = ratio, f"ascent:{s_idx}"
-    return best, best_id
+                best, best_id = ratio, f"monomial:{k}"
+        ks = []
+    ss = np.random.SeedSequence(entropy=seed)
+    ratio_of, value_and_grad = hankel_map(g, np.random.default_rng(ss.spawn(1)[0]))
+    found = probe_search(ratio_of, value_and_grad, max_degree, ks, n_random=cfg.n_random,
+                         n_degrees=cfg.n_random, ascent_restarts=cfg.ascent_restarts,
+                         ascent_steps=cfg.ascent_steps, seed=ss)
+    return found if found[0] > best else (best, best_id)
 
 
 def lacunary_basis_family(D: int) -> BlockHankel:

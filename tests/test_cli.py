@@ -144,6 +144,17 @@ class TestHankelCommand:
         assert not (tmp_path / "out").exists()
 
 
+    @pytest.mark.parametrize("doc,key", [
+        ({"mode": "scan", "D_list": []}, "D_list"),
+        ({"mode": "scan", "D_list": [5], "families": []}, "families"),
+        ({"mode": "scan", "D_list": [5], "families": "lacunary"}, "families"),
+    ])
+    def test_empty_or_scalar_grid_is_config_error(self, tmp_path, capsys, doc, key):
+        assert _run(tmp_path, "hankel", doc) == 2
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
 class TestCertify:
     def test_car_default(self, tmp_path):
         code = _run(tmp_path, "certify",
@@ -182,6 +193,23 @@ class TestCertify:
         assert not (tmp_path / "out").exists()
 
 
+    @pytest.mark.parametrize("max_degree", [0, -3, "eight"])
+    def test_bad_max_degree_is_config_error(self, tmp_path, capsys, max_degree):
+        doc = {"system": "car", "n": 2, "search": {"restarts": 1, "max_degree": max_degree}}
+        assert _run(tmp_path, "certify", doc) == 2
+        assert "search.max_degree" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_string_max_degree_is_coerced(self, tmp_path):
+        for max_degree in ("8", 8):
+            doc = {"system": "car", "n": 2, "search": {"restarts": 1, "max_degree": max_degree}}
+            assert _run(tmp_path, "certify", doc) == 0
+        rows = [json.loads((d / "payload.json").read_bytes())["results"]
+                for d in _run_dirs(tmp_path)]
+        assert len(rows) == 2 and rows[0] == rows[1]
+        assert rows[0]["probe_budget"]["max_degree"] == 8
+
+
 class TestSweep:
     def test_growth_flags(self, tmp_path, capsys):
         doc = {"system": "car", "n_grid": [2, 3], "search": {"restarts": 1}}
@@ -202,6 +230,13 @@ class TestSweep:
     def test_unknown_key_is_config_error(self, tmp_path, capsys, doc, typo):
         assert _run(tmp_path, "sweep", doc) == 2
         assert typo in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
+    @pytest.mark.parametrize("n_grid", [[], 3])
+    def test_empty_grid_is_config_error(self, tmp_path, capsys, n_grid):
+        assert _run(tmp_path, "sweep", {"n_grid": n_grid}) == 2
+        assert "n_grid" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
 
@@ -316,6 +351,12 @@ class TestFcn:
         # "C" would otherwise run the frozen c = 2 and pass
         assert _run(tmp_path, "fcn", {"n_grid": [2], "C": 3.0}) == 2
         assert "'C'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
+    def test_empty_grid_is_config_error(self, tmp_path, capsys):
+        assert _run(tmp_path, "fcn", {"n_grid": []}) == 2
+        assert "n_grid" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
 

@@ -11,6 +11,7 @@ from pbnc.counterexample import (
     OperatorBundle,
     PbSearch,
     TruncatedSpace,
+    _pb_map,
     _poly_t_applies,
     _poly_t_norm,
     _power_pairings,
@@ -26,7 +27,15 @@ from pbnc.counterexample import (
     von_neumann_excess,
     with_eps,
 )
-from pbnc.hankel import LacunarySpec, MultiplierSeq, fejer_poly, lacunary_default, random_poly
+from pbnc.hankel import (
+    LacunarySpec,
+    MultiplierSeq,
+    fejer_poly,
+    lacunary_default,
+    monomial_grid,
+    probe_search,
+    random_poly,
+)
 from pbnc.numkit import Polynomial, op_norm, poly_of_matrix, sup_norm
 
 
@@ -214,6 +223,21 @@ class TestPbProbe:
         s = PbSearch(restarts=2, seed=9)
         assert pb_probe(b, s) == pb_probe(b, s)
 
+    @pytest.mark.parametrize("kind", ["monomial", "fejer"])
+    def test_witness_reproduces_best(self, kind):
+        # without monomials the best is a Fejer mean; the dense P(T) checks it
+        b = _car_bundle(n=2)
+        max_degree = 2 * b.space.D - 2
+        ks = monomial_grid(max_degree, b.multiplier.support) if kind == "monomial" else ()
+        ratio_of, value_and_grad = _pb_map(b, _rng(1), max_degree)
+        best, best_id = probe_search(ratio_of, value_and_grad, max_degree, ks,
+                                     seed=np.random.SeedSequence(2))
+        name, degree = best_id.split(":")
+        assert name == kind
+        p = Polynomial.monomial(int(degree)) if kind == "monomial" else fejer_poly(int(degree))
+        dense = float(op_norm(poly_of_T(b, p))) / sup_norm(p).certified_upper
+        assert dense == pytest.approx(best, rel=1e-9)
+
     @staticmethod
     def _pairings_by_matvec(b, u, v, max_degree):
         # the reference: one structured T matvec per power
@@ -290,6 +314,12 @@ class TestTargetScaling:
         assert info["K2"] >= 1.0
         m_val = bundle.multiplier(2)
         assert abs(m_val - 1.0 / info["K2"]) <= 1e-12
+
+    def test_c_probe_at_the_frozen_seed(self):
+        # both maxima come from z^2, so the calibration is pinned to rounding
+        for n, want in ((2, 0.8522440560906684), (4, 0.6716869639240086)):
+            _, info = haar_bundle_for_target(n, 2.0, seed=42)
+            assert info["C_probe"] == pytest.approx(want, rel=1e-12, abs=0)
 
     def test_fcn_row(self):
         row = fcn_experiment(2, 2.0, seed=42)

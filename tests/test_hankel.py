@@ -19,10 +19,13 @@ from pbnc.hankel import (
     fejer_ascent,
     fejer_poly,
     lacunary_basis_family,
+    hankel_map,
     lacunary_default,
+    monomial_grid,
     multiplier_block_sup,
     norm_gtf,
     ones_basis_family,
+    probe_search,
     random_poly,
     scan_probe_best,
     symbol_block,
@@ -313,22 +316,36 @@ class TestProbeSearch:
             fejer_poly(-1)
 
     def test_monomial_grid_modes(self):
-        cfg = ProbeConfig()
-        assert cfg.monomial_grid(5, (2, 4), diagonal=False) == list(range(1, 10))
-        sparse = cfg.monomial_grid(300, (64, 128, 256), diagonal=False)
-        assert 256 in sparse and len(sparse) < 100
-        full = cfg.monomial_grid(300, (), diagonal=True)
-        assert len(full) == 599
+        assert monomial_grid(9, (2, 4)) == list(range(10))
+        assert monomial_grid(64, ()) == list(range(65))
+        sparse = monomial_grid(599, (64, 128, 256))
+        assert {0, 64, 127, 256, 257, 512, 599} <= set(sparse) and len(sparse) < 100
 
     def test_scan_probe_best_beats_monomials(self):
         g = lacunary_basis_family(17)
         cfg = ProbeConfig(n_random=4, ascent_restarts=1, ascent_steps=4)
         best, best_id = scan_probe_best(g, cfg, seed=1)
-        ks = cfg.monomial_grid(g.D, g.multiplier.support, diagonal=True)
+        ks = monomial_grid(2 * g.D - 1, g.multiplier.support)
         mono_best = max(bound_probe(g, Polynomial.monomial(k)).ratio for k in ks)
         assert best >= mono_best * (1 - 1e-12) and mono_best > 0
         assert ":" in best_id
 
+    @pytest.mark.parametrize("system", ["basis", "car"])
+    @pytest.mark.parametrize("kind", ["monomial", "fejer"])
+    def test_witness_reproduces_best(self, system, kind):
+        # the Hankel map of a diagonal (basis) and a dense (CAR) Gram matrix;
+        # without monomials the best is a Fejer mean
+        g = lacunary_basis_family(9) if system == "basis" else _small_car_hankel(2, 9)
+        max_degree = 2 * g.D - 1
+        ks = monomial_grid(max_degree, g.multiplier.support) if kind == "monomial" else ()
+        ratio_of, value_and_grad = hankel_map(g, _rng(1))
+        best, best_id = probe_search(ratio_of, value_and_grad, max_degree, ks,
+                                     seed=np.random.SeedSequence(2))
+        name, degree = best_id.split(":")
+        assert name == kind
+        f = Polynomial.monomial(int(degree)) if kind == "monomial" else fejer_poly(int(degree))
+        assert hankel_map(g, _rng(3))[0](f) == pytest.approx(best, rel=1e-9)
+        assert bound_probe(g, f).ratio == pytest.approx(best, rel=1e-9)
 
     def test_fejer_ascent_passes_the_certified_bound(self):
         # the renormalizing FFT's bound, rescaled, stands in for sup_norm(f)

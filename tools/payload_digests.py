@@ -52,6 +52,9 @@ CALLS = (
        for s in (7, 3)]
     + [("certify.car.n3", "certify", {"system": "car", "n": 3}),
        ("certify.haar.n2", "certify", {"system": "haar_unitary", "n": 2, "seed": 5}),
+       # max_degree 128 > 64: the sparse monomial grid
+       ("certify.haar.n6", "certify",
+        {"system": "haar_unitary", "n": 6, "seed": 5, "search": {"restarts": 2}}),
        ("fcn.s42", "fcn", {"c": 2.0, "n_grid": [2, 4, 7], "seed": 42}),
        ("fcn.s3", "fcn", {"c": 2.0, "n_grid": [2, 4], "seed": 3}),
        ("mc.L6", "mc", {"L": 6, "n_samples": 1_000_000, "seed": 1}),
