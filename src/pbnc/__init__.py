@@ -56,19 +56,11 @@ from .hankel import (
     symbol_block,
 )
 from .martingale import (
-    EtaWeight,
     MartingaleConfig,
     McEstimate,
     PathBatch,
     eta_modulus,
     eta_modulus_sup,
-    eta_weights,
-    fourier_extract,
-    hankel_bridge_check,
-    mobius,
-    multiplier_extract,
-    orthogonality_check,
-    radial_mean_check,
     simulate_paths,
 )
 from .numkit import (

@@ -117,18 +117,29 @@ def _seeded_rng(*parts: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=list(parts)))
 
 
+def _num(cast, value, key: str):
+    """``cast(value)`` (``int`` or ``float``) of the config value under
+    ``key``; a value the cast rejects is a ConfigurationError naming the
+    key, not a TypeError from deep inside a command."""
+    try:
+        return cast(value)
+    except (TypeError, ValueError, OverflowError):
+        kind = "an integer" if cast is int else "a number"
+        raise ConfigurationError(f"{key} must be {kind}, not {value!r}") from None
+
+
 # ---------------------------------------------------------------------------
 # command handlers: cfg -> (results, flags, csv_rows or None)
 
 
 def _build_system(cfg: dict):
     kind = cfg.get("kind", "car")
-    n = int(cfg.get("n", 3))
+    n = _num(int, cfg.get("n", 3), "n")
     if kind == "car":
         return car_jordan_wigner(n)
     if kind == "haar_unitary":
-        dim = int(cfg.get("dim", n))
-        return haar_unitaries(n, dim, seed=int(cfg.get("seed", 0)))
+        dim = _num(int, cfg.get("dim", n), "dim")
+        return haar_unitaries(n, dim, seed=_num(int, cfg.get("seed", 0), "seed"))
     if kind == "basis_vector":
         return basis_vectors(n)
     raise ConfigurationError(f"unknown system kind {kind!r}")
@@ -174,8 +185,8 @@ def cmd_coeffs(cfg: dict, thresholds: dict, threads: int):
     system = _build_system(cfg)
     if system.is_square:
         check_tensor_budget(system)  # refuse before the relation and row-bound work
-    restarts = int(cfg.get("restarts", 32))
-    seed = int(cfg.get("seed", 0))
+    restarts = _num(int, cfg.get("restarts", 32), "restarts")
+    seed = _num(int, cfg.get("seed", 0), "seed")
     n = system.n
     results = {
         "kind": system.kind,
@@ -209,8 +220,9 @@ def cmd_coeffs(cfg: dict, thresholds: dict, threads: int):
 
 def _spec_from_cfg(cfg: dict) -> LacunarySpec:
     if "spec" in cfg:
-        return LacunarySpec(tuple(int(k) for k in cfg["spec"]))
-    return lacunary_default(int(cfg.get("L", cfg.get("n", 3))))
+        return LacunarySpec(tuple(_num(int, k, "spec") for k in cfg["spec"]))
+    key = "L" if "L" in cfg else "n"
+    return lacunary_default(_num(int, cfg.get(key, 3), key))
 
 
 def cmd_hankel(cfg: dict, thresholds: dict, threads: int):
@@ -223,7 +235,7 @@ def cmd_hankel(cfg: dict, thresholds: dict, threads: int):
     if "system" in cfg:
         _reject_unknown_keys(cfg["system"], SYSTEM_KEYS, "hankel system")
     spec = _spec_from_cfg(cfg)
-    d = int(cfg.get("D", max(spec.K) + 1))
+    d = _num(int, cfg.get("D", max(spec.K) + 1), "D")
     sys_cfg = cfg.get("system", {"kind": "basis_vector", "n": spec.L})
     system = _build_system(sys_cfg)
     m = MultiplierSeq.indicator(spec)
@@ -256,13 +268,14 @@ def _hankel_scan(cfg: dict, thresholds: dict, threads: int):
     if "probe" in cfg:
         _reject_unknown_keys(cfg["probe"], SCAN_PROBE_KEYS, "hankel scan probe")
     families = _grid(cfg, "families", ["lacunary", "ones"], "hankel scan")
-    d_list = [int(d) for d in _grid(cfg, "D_list", thresholds["scan"]["d_grid"], "hankel scan")]
-    seed = int(cfg.get("seed", thresholds["scan"]["seed"]))
+    d_list = [_num(int, d, "D_list")
+              for d in _grid(cfg, "D_list", thresholds["scan"]["d_grid"], "hankel scan")]
+    seed = _num(int, cfg.get("seed", thresholds["scan"]["seed"]), "seed")
     pc = cfg.get("probe", thresholds["scan"]["probe"])
     probe_cfg = ProbeConfig(
-        n_random=int(pc.get("n_random", 16)),
-        ascent_restarts=int(pc.get("ascent_restarts", 2)),
-        ascent_steps=int(pc.get("ascent_steps", 24)),
+        n_random=_num(int, pc.get("n_random", 16), "probe.n_random"),
+        ascent_restarts=_num(int, pc.get("ascent_restarts", 2), "probe.ascent_restarts"),
+        ascent_steps=_num(int, pc.get("ascent_steps", 24), "probe.ascent_steps"),
     )
     all_rows = []
     for family in families:
@@ -304,28 +317,26 @@ def _hankel_scan(cfg: dict, thresholds: dict, threads: int):
 
 def _certify_one(cfg: dict, n: int, seed: int):
     kind = cfg.get("system", cfg.get("kind", "car"))
-    eps = float(cfg.get("eps", 1.0))
+    eps = _num(float, cfg.get("eps", 1.0), "eps")
     sc = cfg.get("search", {})
     max_degree = sc.get("max_degree")
     if max_degree is not None:
-        try:
-            max_degree = int(max_degree)
-        except (TypeError, ValueError):
-            max_degree = 0
+        max_degree = _num(int, max_degree, "search.max_degree")
         if max_degree < 1:
             raise ConfigurationError(
                 f"search.max_degree must be an integer >= 1, not {sc['max_degree']!r}")
+    seed_key = "search_seed" if "search_seed" in sc else "seed"
     search = PbSearch(
-        restarts=int(sc.get("restarts", 4)),
+        restarts=_num(int, sc.get("restarts", 4), "search.restarts"),
         max_degree=max_degree,
-        seed=int(sc.get("search_seed", sc.get("seed", 7))),
+        seed=_num(int, sc.get(seed_key, 7), f"search.{seed_key}"),
     )
-    d = int(cfg["D"]) if "D" in cfg else None
+    d = _num(int, cfg["D"], "D") if "D" in cfg else None
     if kind == "car":
         spec = lacunary_default(n)
         bundle = build_T(car_jordan_wigner(n), spec, MultiplierSeq.indicator(spec), D=d, eps=eps)
     elif kind == "haar_unitary":
-        bundle, _ = haar_bundle(n, int(cfg.get("dim", n)), seed, seed, D=d, eps=eps)
+        bundle, _ = haar_bundle(n, _num(int, cfg.get("dim", n), "dim"), seed, seed, D=d, eps=eps)
     else:
         raise ConfigurationError(f"certify supports car/haar_unitary, not {kind!r}")
     pb = pb_probe(bundle, search)
@@ -355,8 +366,8 @@ def _reject_unknown_certify_keys(cfg: dict, allowed: frozenset, where: str) -> N
 
 def cmd_certify(cfg: dict, thresholds: dict, threads: int):
     _reject_unknown_certify_keys(cfg, CERTIFY_KEYS, "certify config")
-    n = int(cfg.get("n", 3))
-    seed = int(cfg.get("seed", 0))
+    n = _num(int, cfg.get("n", 3), "n")
+    seed = _num(int, cfg.get("seed", 0), "seed")
     row, search = _certify_one(cfg, n, seed)
     flags = {}
     if row["eps"] == 0.0:
@@ -376,8 +387,8 @@ def cmd_certify(cfg: dict, thresholds: dict, threads: int):
 
 def cmd_sweep(cfg: dict, thresholds: dict, threads: int):
     _reject_unknown_certify_keys(cfg, SWEEP_KEYS, "sweep config")
-    n_grid = [int(v) for v in _grid(cfg, "n_grid", [2, 3, 4], "sweep")]
-    seed = int(cfg.get("seed", 0))
+    n_grid = [_num(int, v, "n_grid") for v in _grid(cfg, "n_grid", [2, 3, 4], "sweep")]
+    seed = _num(int, cfg.get("seed", 0), "seed")
     rows = []
     for n in n_grid:
         row, _ = _certify_one(cfg, n, seed)
@@ -389,8 +400,8 @@ def cmd_sweep(cfg: dict, thresholds: dict, threads: int):
     flags = {"similarity_growth": all(b > a for a, b in zip(sims, sims[1:]))}
     if len(ratios) >= 2:
         flags["separation_ratio_growth"] = ratios[-1] > ratios[0]
-    if cfg.get("system", cfg.get("kind", "car")) == "car" and float(cfg.get("eps", 1.0)) > 0:
-        eps = float(cfg.get("eps", 1.0))
+    eps = _num(float, cfg.get("eps", 1.0), "eps")
+    if cfg.get("system", cfg.get("kind", "car")) == "car" and eps > 0:
         flags["cb_at_least_half_sqrt_n"] = all(
             r["cb_lower"] >= eps * np.sqrt(r["n"]) / 2.0 - 1e-8 for r in rows
         )
@@ -417,8 +428,8 @@ def _mc_estimator(kind: str, chk: dict, rng: np.random.Generator, spec: Lacunary
     functions of a path block its estimate streams through, and the map from
     their estimates to (estimate, target).  The polynomials and vectors are
     drawn here, from the check's own generator, in a fixed order."""
-    level = int(chk.get("level", 0))
-    f = random_poly(int(chk.get("degree", 6)), rng)
+    level = _num(int, chk.get("level", 0), "check level")
+    f = random_poly(_num(int, chk.get("degree", 6), "check degree"), rng)
 
     def coeff(k: int) -> complex:
         return complex(f.coeffs[k]) if k < f.coeffs.size else 0j
@@ -430,13 +441,13 @@ def _mc_estimator(kind: str, chk: dict, rng: np.random.Generator, spec: Lacunary
         return ([lambda p: fourier_samples(p, f, spec, level)],
                 lambda e: (e[0], coeff(spec.K[level - 1])), level)
     if kind == "multiplier":
-        k = int(chk["k"])
+        k = _num(int, chk["k"], "check k")
         return [lambda p: multiplier_samples(p, f, level, k)], lambda e: (e[0], coeff(k)), level
     if kind == "orthogonality":
-        g2 = random_poly(int(chk.get("degree", 6)), rng)
+        g2 = random_poly(_num(int, chk.get("degree", 6), "check degree"), rng)
         return [lambda p: orthogonality_samples(p, f, g2, level)], lambda e: (e[0], 0j), level
     if kind == "bridge":
-        car_n = int(chk.get("car_n", 3))
+        car_n = _num(int, chk.get("car_n", 3), "check car_n")
         bspec = LacunarySpec((1,) + tuple(2**t for t in range(2, car_n + 1)))
         system = car_jordan_wigner(car_n)
         m = MultiplierSeq.indicator(bspec)
@@ -454,9 +465,9 @@ def cmd_mc(cfg: dict, thresholds: dict, threads: int):
     blocks (``stream_estimates``) feeds all estimators, so no array with
     ``n_samples`` rows is ever allocated."""
     _reject_unknown_keys(cfg, MC_KEYS, "mc config")
-    L = int(cfg.get("L", 6))
-    n_samples = int(cfg.get("n_samples", 100_000))
-    seed = int(cfg.get("seed", 0))
+    L = _num(int, cfg.get("L", 6), "L")
+    n_samples = _num(int, cfg.get("n_samples", 100_000), "n_samples")
+    seed = _num(int, cfg.get("seed", 0), "seed")
     checks = cfg.get("checks", _default_mc_checks(L))
     if not isinstance(checks, list):
         raise ConfigurationError("mc checks must be a JSON list")
@@ -468,7 +479,7 @@ def cmd_mc(cfg: dict, thresholds: dict, threads: int):
     for i, chk in enumerate(checks):
         kind = chk["check"]
         if kind in ("drift", "eta_bound"):
-            plans.append((kind, int(chk.get("level", 0)), None, None))
+            plans.append((kind, _num(int, chk.get("level", 0), "check level"), None, None))
             continue
         own, finish, level = _mc_estimator(kind, chk, _seeded_rng(seed, 0xC8EC, i), spec)
         plans.append((kind, level, finish, slice(len(samplers), len(samplers) + len(own))))
@@ -482,7 +493,7 @@ def cmd_mc(cfg: dict, thresholds: dict, threads: int):
                        target_im=0.0, stderr=0.0)
             row["pass"] = drift <= 1e-12
         elif kind == "eta_bound":
-            n_max = int(checks[i].get("n_max", 20))
+            n_max = _num(int, checks[i].get("n_max", 20), "check n_max")
             sup = eta_modulus_sup(n_max)
             bound = thresholds["eta"]["sup_n20"]
             row.update(estimate_re=sup, estimate_im=0.0, target_re=bound,
@@ -507,9 +518,10 @@ def cmd_mc(cfg: dict, thresholds: dict, threads: int):
 
 def cmd_fcn(cfg: dict, thresholds: dict, threads: int):
     _reject_unknown_keys(cfg, FCN_KEYS, "fcn config")
-    n_grid = [int(v) for v in _grid(cfg, "n_grid", thresholds["fcn"]["n_grid"], "fcn")]
-    c = float(cfg.get("c", thresholds["fcn"]["c"]))
-    seed = int(cfg.get("seed", thresholds["fcn"]["seed"]))
+    n_grid = [_num(int, v, "n_grid")
+              for v in _grid(cfg, "n_grid", thresholds["fcn"]["n_grid"], "fcn")]
+    c = _num(float, cfg.get("c", thresholds["fcn"]["c"]), "c")
+    seed = _num(int, cfg.get("seed", thresholds["fcn"]["seed"]), "seed")
     rows = [fcn_experiment(n, c, seed=seed) for n in n_grid]
     results = {"c": c, "seed": seed, "rows": rows}
     flags = {"scaled_positive": all(r["scaled"] > 0 for r in rows)}
@@ -567,7 +579,7 @@ def run(argv=None) -> int:
         threads = args.threads
         env_threads = os.environ.get("PBNC_THREADS")
         if env_threads is not None:
-            threads = int(env_threads)
+            threads = _num(int, env_threads, "PBNC_THREADS")
         thresholds, tver = load_thresholds()
 
         t0 = time.perf_counter()

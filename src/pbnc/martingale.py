@@ -7,17 +7,17 @@ maps preserve the circle), so each level lives on its own centered circle
 and psi_n is uniformly distributed on it.
 
 The engine verifies, at sampling accuracy, the identities this construction
-is built to satisfy:
+is built to satisfy, each as the mean of one per-sample function:
 
-* radial means: E[F(psi_k)] = F-hat(0) for analytic polynomials F;
-* Fourier extraction: predictable weights eta_{n-1} make
-  E[eta_{n-1} conj(Z_n) (F(psi_n) - F(psi_{n-1}))] = F-hat(K_n),
+* ``radial_samples``: E[F(psi_k)] = F-hat(0) for analytic polynomials F;
+* ``fourier_samples``, ``multiplier_samples``: predictable weights eta_{n-1}
+  make E[eta_{n-1} conj(Z_n) (F(psi_n) - F(psi_{n-1}))] = F-hat(K_n),
   with |eta_{n-1}| path-independent and explicitly bounded;
-* orthogonality: E[conj(Z_n) dF_n dG_n phi_{n-1}] = 0, because both
-  increments are analytic in Z_n with zero constant term, so their product
-  has no Z_n^1 coefficient;
-* the bridge to the Hankel matrix: the extracted coefficients assemble the
-  same bilinear form that the flattened matrix computes exactly.
+* ``orthogonality_samples``: E[conj(Z_n) dF_n dG_n phi_{n-1}] = 0, because
+  both increments are analytic in Z_n with zero constant term, so their
+  product has no Z_n^1 coefficient;
+* ``BridgeForm``: the extracted coefficients assemble the same bilinear
+  form that the flattened Hankel matrix computes exactly.
 
 Level 1 is special: predictable weights are constants there, so only the
 frequency-1 coefficient can be extracted, and the weight is 1/r_1 (the
@@ -38,7 +38,8 @@ take every elementwise product in one fixed operand order into a fresh array
 (never in place), so a sample's value does not depend on how many rows its
 batch holds.  ``stream_estimates`` therefore runs any ``n_samples`` with one
 block of ``SIM_BLOCK x (2L + 1)`` path values live at a time, and returns the
-same bits as the public estimators on the full ``simulate_paths(cfg)``.
+same bits as one ``McAccumulator`` over the per-sample function of the full
+``simulate_paths(cfg)``.
 """
 
 from __future__ import annotations
@@ -64,19 +65,17 @@ class MartingaleConfig:
     L: int
     n_samples: int = 100_000
     seed: int = 0
-    radii: tuple[float, ...] = ()
 
     def __post_init__(self):
         if self.L < 1:
             raise ConfigurationError("MartingaleConfig needs L >= 1")
         if self.n_samples < 1:
             raise ConfigurationError("n_samples must be positive")
-        want = tuple(radius(k) for k in range(1, self.L + 1))
-        if self.radii:
-            if tuple(self.radii) != want:
-                raise ConfigurationError("radii must equal 1 - 2^{-k} exactly")
-        else:
-            object.__setattr__(self, "radii", want)
+
+    @property
+    def radii(self) -> tuple[float, ...]:
+        """r_k = 1 - 2^{-k} for k = 1..L."""
+        return tuple(radius(k) for k in range(1, self.L + 1))
 
     @property
     def n_blocks(self) -> int:
@@ -110,15 +109,10 @@ class PathBatch:
     def n_samples(self) -> int:
         return self.psi.shape[0]
 
-    def r(self, k: int) -> float:
-        if k == 0:
-            return 0.0
-        return self.config.radii[k - 1]
-
     def max_radial_drift(self) -> float:
         drift = 0.0
         for k in range(1, self.L + 1):
-            drift = max(drift, float(np.abs(np.abs(self.psi[:, k]) - self.r(k)).max()))
+            drift = max(drift, float(np.abs(np.abs(self.psi[:, k]) - radius(k)).max()))
         return drift
 
 
@@ -128,13 +122,6 @@ class McEstimate:
     stderr: float
     n_samples: int
     seed: int
-
-
-@dataclass(frozen=True)
-class EtaWeight:
-    level: int
-    values: np.ndarray
-    modulus_bound: float
 
 
 class McAccumulator:
@@ -170,10 +157,6 @@ class McAccumulator:
         return McEstimate(mean=self.mean, stderr=sd / np.sqrt(n), n_samples=n, seed=seed)
 
 
-def _mc(samples: np.ndarray, seed: int) -> McEstimate:
-    return McAccumulator().add(samples).estimate(seed)
-
-
 def _product(*factors) -> np.ndarray:
     """Left-to-right product of arrays (or scalars), each step into a fresh
     array.  ``a * b`` on temporaries may be evaluated as ``b * a`` above
@@ -185,20 +168,6 @@ def _product(*factors) -> np.ndarray:
     for f in factors[1:]:
         out = np.multiply(out, f)
     return out
-
-
-def mobius(z, zeta):
-    """Phi(z, zeta) = (zeta + z) / (1 + conj(z) zeta); maps the circle to
-    itself for |z| < 1."""
-    z = np.asarray(z, dtype=np.complex128)
-    zeta = np.asarray(zeta, dtype=np.complex128)
-    if np.any(np.abs(z) >= 1.0):
-        raise DomainError("mobius base point must satisfy |z| < 1")
-    den = 1.0 + np.conj(z) * zeta
-    if np.any(np.abs(den) < 1e-14):
-        raise DomainError("mobius pole: 1 + conj(z) zeta vanished")
-    out = (zeta + z) / den
-    return complex(out) if out.ndim == 0 else out
 
 
 def simulate_paths(cfg: MartingaleConfig, blocks: range | None = None) -> PathBatch:
@@ -240,7 +209,7 @@ def simulate_paths(cfg: MartingaleConfig, blocks: range | None = None) -> PathBa
         Z[lo:hi] = zb
         prev = np.zeros(hi - lo, dtype=np.complex128)
         for k in range(1, L + 1):
-            rk = cfg.radii[k - 1]
+            rk = radius(k)
             zk = Z[lo:hi, k - 1]
             w = prev / rk
             cur = rk * (zk + w) / (1.0 + np.conj(w) * zk)
@@ -259,15 +228,10 @@ def simulate_paths(cfg: MartingaleConfig, blocks: range | None = None) -> PathBa
 
 
 def radial_samples(paths: PathBatch, f: Polynomial, k: int) -> np.ndarray:
-    """Per-path F(psi_k) - F-hat(0), the samples of ``radial_mean_check``."""
+    """Per-path F(psi_k) - F-hat(0); its mean is 0 in expectation."""
     if not 0 <= k <= paths.L:
         raise ConfigurationError(f"level {k} outside 0..{paths.L}")
     return poly_eval(f, paths.psi[:, k]) - f.coeffs[0]
-
-
-def radial_mean_check(paths: PathBatch, f: Polynomial, k: int) -> McEstimate:
-    """MC estimate of E[F(psi_k)] - F-hat(0); contract: compatible with 0."""
-    return _mc(radial_samples(paths, f, k), paths.config.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -290,26 +254,11 @@ def eta_modulus_sup(n_max: int, freq_of_level=lambda n: 2**n) -> float:
     return max(eta_modulus(n, freq_of_level(n)) for n in range(2, n_max + 1))
 
 
-def eta_weights(paths: PathBatch, spec: LacunarySpec, n: int) -> EtaWeight:
-    """Per-path predictable weight for level n >= 2: unimodular factor
-    conj(xi_{n-1})^{K_n - 1} times the closed-form modulus."""
-    if n < 2:
-        raise ConfigurationError("eta_weights needs level n >= 2; level 1 uses the constant 1/r_1")
-    if n > paths.L:
-        raise ConfigurationError(f"level {n} beyond simulated depth {paths.L}")
-    if n > spec.L:
-        raise ConfigurationError(f"level {n} beyond spec depth {spec.L}")
-    kn = spec.K[n - 1]
-    return _eta_weights_at(paths, n, kn)
-
-
-def _eta_weights_at(paths: PathBatch, n: int, k: int) -> EtaWeight:
-    rp = paths.r(n - 1)
-    xi = paths.psi[:, n - 1] / rp
-    mod = eta_modulus(n, k)
-    vals = _product(np.conj(xi) ** (k - 1),
-                    paths.r(n) / ((paths.r(n) ** 2 - rp**2) * k * rp ** (k - 1)))
-    return EtaWeight(level=n, values=vals, modulus_bound=mod)
+def _eta_weights_at(paths: PathBatch, n: int, k: int) -> np.ndarray:
+    """Per-path predictable weight eta_{n-1}(k) for level n >= 2: the
+    unimodular factor conj(xi_{n-1})^{k-1} times ``eta_modulus(n, k)``."""
+    xi = paths.psi[:, n - 1] / radius(n - 1)
+    return _product(np.conj(xi) ** (k - 1), eta_modulus(n, k))
 
 
 def _increment(paths: PathBatch, f: Polynomial, n: int) -> np.ndarray:
@@ -318,8 +267,9 @@ def _increment(paths: PathBatch, f: Polynomial, n: int) -> np.ndarray:
 
 
 def fourier_samples(paths: PathBatch, f: Polynomial, spec: LacunarySpec, n: int) -> np.ndarray:
-    """Per-path eta_{n-1} conj(Z_n) dF_n, the samples of ``fourier_extract``;
-    level 1 takes eta_0 = 1/r_1 and requires K_1 = 1."""
+    """Per-path eta_{n-1} conj(Z_n) (F(psi_n) - F(psi_{n-1})), whose mean
+    is F-hat(K_n) in expectation.  Level 1 requires K_1 = 1 (predictable
+    weights are constant there) and uses eta_0 = 1/r_1."""
     if not 1 <= n <= paths.L:
         raise ConfigurationError(f"level {n} outside 1..{paths.L}")
     if n > spec.L:
@@ -329,24 +279,19 @@ def fourier_samples(paths: PathBatch, f: Polynomial, spec: LacunarySpec, n: int)
             raise ConfigurationError(
                 "level-1 extraction requires K_1 = 1: constant weights only reach frequency 1"
             )
-        return _product(np.conj(paths.Z[:, 0]), 1.0 / paths.r(1), _increment(paths, f, 1))
+        return _product(np.conj(paths.Z[:, 0]), 1.0 / radius(1), _increment(paths, f, 1))
     # the block-top case is in-block extraction at k = K_n; one code path
     # keeps the two estimators bit-identical there
     return multiplier_samples(paths, f, n, spec.K[n - 1])
 
 
-def fourier_extract(paths: PathBatch, f: Polynomial, spec: LacunarySpec, n: int) -> McEstimate:
-    """MC estimate of E[eta_{n-1} conj(Z_n) (F(psi_n) - F(psi_{n-1}))],
-    which equals F-hat(K_n).  Level 1 requires K_1 = 1 (predictable weights
-    are constant there) and uses eta_0 = 1/r_1."""
-    return _mc(fourier_samples(paths, f, spec, n), paths.config.seed)
-
-
 def multiplier_samples(paths: PathBatch, f: Polynomial, n: int, k: int) -> np.ndarray:
-    """Per-path eta_{n-1}(k) conj(Z_n) dF_n, the samples of
-    ``multiplier_extract``."""
+    """Per-path eta_{n-1}(k) conj(Z_n) dF_n, whose mean is F-hat(k) in
+    expectation for any k in the level-n dyadic block 2^{n-1} < k <= 2^n;
+    the weight swaps K_n for k in both the exponent (k - 1) and the
+    modulus."""
     if n < 2:
-        raise ConfigurationError("multiplier_extract needs level n >= 2")
+        raise ConfigurationError("multiplier_samples needs level n >= 2")
     if not (2 ** (n - 1) < k <= 2**n):
         raise ConfigurationError(
             f"frequency {k} outside the level-{n} dyadic block (2^{n-1}, 2^{n}]"
@@ -354,76 +299,25 @@ def multiplier_samples(paths: PathBatch, f: Polynomial, n: int, k: int) -> np.nd
     if n > paths.L:
         raise ConfigurationError(f"level {n} beyond simulated depth {paths.L}")
     eta = _eta_weights_at(paths, n, k)
-    return _product(np.conj(paths.Z[:, n - 1]), eta.values, _increment(paths, f, n))
-
-
-def multiplier_extract(paths: PathBatch, f: Polynomial, n: int, k: int) -> McEstimate:
-    """Extraction at any frequency k in the level-n dyadic block
-    2^{n-1} < k <= 2^n; the weight swaps K_n for k in both the exponent
-    (k - 1) and the modulus."""
-    return _mc(multiplier_samples(paths, f, n, k), paths.config.seed)
-
-
-def block_modulus_sup(n: int) -> float:
-    """Largest extraction-weight modulus across the level-n dyadic block."""
-    if n < 2:
-        raise DomainError("dyadic blocks start at level 2")
-    return max(eta_modulus(n, k) for k in range(2 ** (n - 1) + 1, 2**n + 1))
+    return _product(np.conj(paths.Z[:, n - 1]), eta, _increment(paths, f, n))
 
 
 # ---------------------------------------------------------------------------
-# orthogonality and conditional multiplicativity
+# orthogonality
 
 
 def orthogonality_samples(
     paths: PathBatch, f: Polynomial, g: Polynomial, n: int, phi=None
 ) -> np.ndarray:
-    """Per-path conj(Z_n) dF_n dG_n phi(psi_{n-1}), the samples of
-    ``orthogonality_check``."""
+    """Per-path conj(Z_n) dF_n dG_n phi(psi_{n-1}); its mean is 0 in
+    expectation, since both increments are Z_n-analytic with zero constant
+    term."""
     if not 1 <= n <= paths.L:
         raise ConfigurationError(f"level {n} outside 1..{paths.L}")
     factors = [np.conj(paths.Z[:, n - 1]), _increment(paths, f, n), _increment(paths, g, n)]
     if phi is not None:
         factors.append(phi(paths.psi[:, n - 1]))
     return _product(*factors)
-
-
-def orthogonality_check(
-    paths: PathBatch, f: Polynomial, g: Polynomial, n: int, phi=None
-) -> McEstimate:
-    """MC estimate of E[conj(Z_n) dF_n dG_n phi(psi_{n-1})]; identically zero
-    in expectation, since both increments are Z_n-analytic with zero
-    constant term."""
-    return _mc(orthogonality_samples(paths, f, g, n, phi), paths.config.seed)
-
-
-def conditional_multiplicativity_check(
-    paths: PathBatch, f: Polynomial, g: Polynomial, k: int, bins: int = 64,
-    min_bin: int = 64,
-) -> dict:
-    """Binned form of the conditional product identity: within each angular
-    bin of psi_k, the mean of (FG)(psi_L) matches F(psi_k)G(psi_k).  psi_k
-    is uniform on its circle, so equal-width bins are equal-probability.
-    Returns the worst standardized discrepancy across populated bins."""
-    if not 1 <= k <= paths.L:
-        raise ConfigurationError(f"level {k} outside 1..{paths.L}")
-    fg = Polynomial(np.convolve(f.coeffs, g.coeffs))
-    end_vals = poly_eval(fg, paths.psi[:, paths.L])
-    cond_vals = poly_eval(f, paths.psi[:, k]) * poly_eval(g, paths.psi[:, k])
-    angles = np.angle(paths.psi[:, k])
-    idx = np.minimum(((angles + np.pi) / (2 * np.pi) * bins).astype(int), bins - 1)
-    max_z, checked = 0.0, 0
-    for b in range(bins):
-        sel = idx == b
-        cnt = int(sel.sum())
-        if cnt < min_bin:
-            continue
-        diff = end_vals[sel] - cond_vals[sel]
-        est = _mc(np.asarray(diff, dtype=np.complex128), paths.config.seed)
-        if est.stderr > 0:
-            max_z = max(max_z, abs(est.mean) / est.stderr)
-        checked += 1
-    return {"max_z": max_z, "bins_checked": checked, "bins": bins}
 
 
 # ---------------------------------------------------------------------------
@@ -475,43 +369,6 @@ class BridgeForm:
                           n_samples=estimates[0].n_samples, seed=estimates[0].seed)
 
 
-def hankel_bridge_check(
-    paths: PathBatch,
-    g: BlockHankel,
-    p: Polynomial,
-    x: np.ndarray,
-    y: np.ndarray,
-    spec: LacunarySpec,
-) -> dict:
-    """Monte Carlo vs exact evaluation of the bilinear form behind the
-    counterexample corner (see ``BridgeForm``): the MC side replaces each
-    P-hat(K_t) by its ``fourier_extract`` estimate."""
-    form = BridgeForm(g, p, x, y, spec)
-    if spec.L > paths.L:
-        raise ConfigurationError("path batch too shallow for the frequency spec")
-    ests = [fourier_extract(paths, p, spec, t) for t in range(1, spec.L + 1)]
-    return {"mc": form.combine(ests), "exact": form.exact}
-
-
-def stderr_halving_ratios(
-    cfg: MartingaleConfig, f: Polynomial, spec: LacunarySpec, n: int, repetitions: int = 10
-) -> list[float]:
-    """stderr(N/2)/stderr(N) for the extraction estimator across seeded
-    repetitions; should hover near sqrt(2)."""
-    ratios = []
-    for rep in range(repetitions):
-        seed = int(np.random.SeedSequence(entropy=(cfg.seed, rep)).generate_state(1)[0])
-        full = simulate_paths(MartingaleConfig(L=cfg.L, n_samples=cfg.n_samples, seed=seed))
-        half = simulate_paths(
-            MartingaleConfig(L=cfg.L, n_samples=cfg.n_samples // 2, seed=seed + 1)
-        )
-        e_full = fourier_extract(full, f, spec, n)
-        e_half = fourier_extract(half, f, spec, n)
-        if e_full.stderr > 0:
-            ratios.append(e_half.stderr / e_full.stderr)
-    return ratios
-
-
 # ---------------------------------------------------------------------------
 # streaming
 
@@ -523,8 +380,9 @@ def stream_estimates(cfg: MartingaleConfig, samplers) -> tuple[list[McEstimate],
     O(SIM_BLOCK * L) for any ``n_samples``.
 
     Returns (estimates, max radial drift, renormalization count), equal to
-    ``_mc(samplers[i](paths))``, ``paths.max_radial_drift()`` and
-    ``paths.renorm_count`` of ``paths = simulate_paths(cfg)``, bit for bit."""
+    ``McAccumulator().add(samplers[i](paths)).estimate(cfg.seed)``,
+    ``paths.max_radial_drift()`` and ``paths.renorm_count`` of
+    ``paths = simulate_paths(cfg)``, bit for bit."""
     accs = [McAccumulator() for _ in samplers]
     drift, renorms = 0.0, 0
     for b in range(cfg.n_blocks):

@@ -3,10 +3,10 @@
 Conventions fixed here and relied on everywhere else:
 
   * A matrix is a 2-d numpy array of complex128 values, row-major.
-  * ``op_norm`` returns the largest singular value of a dense matrix: an
-    exact Hermitian eigensolve of A*A up to dimension 4096, ``top_singular``
-    beyond.  No certificate goes through it; it is the dense reference of
-    ``row_bound_check`` and the tests.
+  * ``op_norm`` returns the largest singular value of a dense matrix by an
+    exact Hermitian eigensolve of A*A, up to dimension 4096; a larger matrix
+    is a DimensionError.  No certificate goes through it; it is the dense
+    reference of ``row_bound_check`` and the tests.
   * ``top_singular`` is the package's one matrix-free norm solver
     (Golub-Kahan-Lanczos bidiagonalization with full reorthogonalization and
     restarts): a Rayleigh lower bound, its residual and a ``converged`` flag
@@ -31,7 +31,7 @@ from .errors import (
 )
 
 OP_NORM_EXACT_MAX_DIM = 4096
-LANCZOS_STEP_CAP = 100_000  # step cap of op_norm's iterative route and of tensor_conj_norm
+LANCZOS_STEP_CAP = 100_000  # step cap of tensor_conj_norm
 RESTART_STEPS = 40  # top_singular's basis size: it restarts when the basis is full
 RESTART_KEEP = 10  # Ritz pairs a top_singular restart keeps
 CHECK_EVERY_STEP = 12  # top_singular tests the residual at each of a cycle's first steps
@@ -69,34 +69,28 @@ class NormEstimate:
         return self
 
 
-def op_norm(a, tol: float = 1e-12, seed: int = 0) -> NormEstimate:
-    """Largest singular value of ``a``.
-
-    Exact route (max dimension <= 4096): Hermitian eigensolve of the Gram
-    matrix on the smaller side, largest eigenvalue, square root.  Iterative
-    route: ``top_singular`` with a seeded start vector; hitting the cap of
-    LANCZOS_STEP_CAP steps raises NonConvergenceError rather than returning
-    a value.
+def op_norm(a, tol: float = 1e-12) -> NormEstimate:
+    """Largest singular value of ``a``: Hermitian eigensolve of the Gram
+    matrix on the smaller side, largest eigenvalue, square root.  A side
+    longer than OP_NORM_EXACT_MAX_DIM raises DimensionError; matrix-free
+    norms go through ``top_singular``.
     """
     a = as_matrix(a)
     if tol <= 0:
         raise DomainError("tol must be positive")
+    if max(a.shape) > OP_NORM_EXACT_MAX_DIM:
+        raise DimensionError(f"op_norm is exact only up to dimension {OP_NORM_EXACT_MAX_DIM}, "
+                             f"got shape {a.shape}")
     if a.size == 0:
         return NormEstimate(0.0, "exact-eigensolve", tol, 0)
-    if max(a.shape) <= OP_NORM_EXACT_MAX_DIM:
-        # Gram matrix on the smaller side has the same nonzero spectrum.
-        if a.shape[0] <= a.shape[1]:
-            gram = a @ a.conj().T
-        else:
-            gram = a.conj().T @ a
-        w = np.linalg.eigvalsh(gram)
-        value = float(np.sqrt(max(w[-1], 0.0)))
-        return NormEstimate(value, "exact-eigensolve", tol, 0)
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))
-    ah = a.conj().T
-    est, _ = top_singular(lambda v: a @ v, lambda w: ah @ w, a.shape[1], rng, tol,
-                          LANCZOS_STEP_CAP)
-    return est.check_converged("Golub-Kahan-Lanczos")
+    # Gram matrix on the smaller side has the same nonzero spectrum.
+    if a.shape[0] <= a.shape[1]:
+        gram = a @ a.conj().T
+    else:
+        gram = a.conj().T @ a
+    w = np.linalg.eigvalsh(gram)
+    value = float(np.sqrt(max(w[-1], 0.0)))
+    return NormEstimate(value, "exact-eigensolve", tol, 0)
 
 
 def top_singular(apply, apply_adjoint, dim: int, rng: np.random.Generator,

@@ -5,6 +5,7 @@ live at the stated tolerances."""
 
 import json
 import time
+from functools import partial
 
 import numpy as np
 import pytest
@@ -40,13 +41,13 @@ from pbnc.hankel import (
     symbol_block,
 )
 from pbnc.martingale import (
+    BridgeForm,
     MartingaleConfig,
     eta_modulus_sup,
-    fourier_extract,
-    hankel_bridge_check,
-    orthogonality_check,
-    radial_mean_check,
-    simulate_paths,
+    fourier_samples,
+    orthogonality_samples,
+    radial_samples,
+    stream_estimates,
 )
 from pbnc.numkit import Polynomial, op_norm
 
@@ -56,9 +57,7 @@ def thresholds():
     return cli.load_thresholds()[0]
 
 
-@pytest.fixture(scope="module")
-def mc_paths():
-    return simulate_paths(MartingaleConfig(L=6, n_samples=100_000, seed=0))
+MC_CONFIG = MartingaleConfig(L=6, n_samples=100_000, seed=0)
 
 
 def _rng(seed):
@@ -175,30 +174,32 @@ def test_criterion_08_scaled_certificate_band(thresholds):
         assert frozen["log_scaled_lo"] <= log_scaled <= frozen["log_scaled_hi"]
 
 
-def test_criterion_09_martingale_battery_within_2min(mc_paths, thresholds):
+def test_criterion_09_martingale_battery_within_2min(thresholds):
     t0 = time.perf_counter()
-    paths = mc_paths
-    assert paths.max_radial_drift() <= 1e-12
-
     spec = lacunary_default(6)
     rng = _rng(90)
+    samplers, targets = [], []
     for i in range(10):
         n = 2 + (i % 5)
         f = Polynomial(rng.standard_normal(70) + 1j * rng.standard_normal(70))
-        est = fourier_extract(paths, f, spec, n)
-        target = f.coeffs[spec.K[n - 1]]
-        assert abs(est.mean - target) <= 4.0 * est.stderr
+        samplers.append(partial(fourier_samples, f=f, spec=spec, n=n))
+        targets.append(f.coeffs[spec.K[n - 1]])
 
     for k in (2, 4, 6):
         f = Polynomial(rng.standard_normal(8) + 1j * rng.standard_normal(8))
-        est = radial_mean_check(paths, f, k)
-        assert abs(est.mean) <= 4.0 * est.stderr
+        samplers.append(partial(radial_samples, f=f, k=k))
+        targets.append(0.0)
 
     for n in (2, 5):
         f = Polynomial(rng.standard_normal(6) + 1j * rng.standard_normal(6))
         g = Polynomial(rng.standard_normal(7) + 1j * rng.standard_normal(7))
-        est = orthogonality_check(paths, f, g, n)
-        assert abs(est.mean) <= 4.0 * est.stderr
+        samplers.append(partial(orthogonality_samples, f=f, g=g, n=n))
+        targets.append(0.0)
+
+    estimates, drift, _ = stream_estimates(MC_CONFIG, samplers)
+    assert drift <= 1e-12
+    for est, target in zip(estimates, targets, strict=True):
+        assert abs(est.mean - target) <= 4.0 * est.stderr
 
     sup = eta_modulus_sup(20)
     assert sup <= thresholds["eta"]["sup_n20"]
@@ -207,19 +208,23 @@ def test_criterion_09_martingale_battery_within_2min(mc_paths, thresholds):
     assert elapsed < 120.0
 
 
-def test_criterion_10_hankel_bridge_five_polynomials(mc_paths):
+def test_criterion_10_hankel_bridge_five_polynomials():
     spec = LacunarySpec((1, 4, 8))
     system = car_jordan_wigner(3)
     g = build_hankel(MultiplierSeq.indicator(spec), spec, system, D=9)
     rng = _rng(100)
-    for i in range(5):
+    forms = []
+    for _ in range(5):
         x = rng.standard_normal(8) + 1j * rng.standard_normal(8)
         y = rng.standard_normal(8) + 1j * rng.standard_normal(8)
         p = Polynomial(rng.standard_normal(12) + 1j * rng.standard_normal(12))
-        out = hankel_bridge_check(mc_paths, g, p, x, y, spec)
-        gap = abs(out["mc"].mean - out["exact"])
-        print(f"criterion 10: poly {i} gap {gap:.3e} vs 4*stderr {4 * out['mc'].stderr:.3e}")
-        assert gap <= 4.0 * out["mc"].stderr
+        forms.append(BridgeForm(g, p, x, y, spec))
+    estimates, _, _ = stream_estimates(MC_CONFIG, [s for form in forms for s in form.samplers()])
+    for i, form in enumerate(forms):
+        mc = form.combine(estimates[i * spec.L : (i + 1) * spec.L])
+        gap = abs(mc.mean - form.exact)
+        print(f"criterion 10: poly {i} gap {gap:.3e} vs 4*stderr {4 * mc.stderr:.3e}")
+        assert gap <= 4.0 * mc.stderr
 
 
 def test_criterion_11_row_bound_inequality_100_grids():

@@ -18,12 +18,13 @@ from pbnc.hankel import (
 )
 from pbnc.martingale import (
     SIM_BLOCK,
+    BridgeForm,
     MartingaleConfig,
-    fourier_extract,
-    hankel_bridge_check,
-    multiplier_extract,
-    orthogonality_check,
-    radial_mean_check,
+    McAccumulator,
+    fourier_samples,
+    multiplier_samples,
+    orthogonality_samples,
+    radial_samples,
     simulate_paths,
 )
 
@@ -46,6 +47,23 @@ def _run(tmp_path, command, doc=None, extra=(), fmt=None):
 
 def _run_dirs(tmp_path):
     return sorted((tmp_path / "out").iterdir())
+
+
+def _est(samples, seed):
+    """The package's one reducer over a full batch of per-sample values."""
+    return McAccumulator().add(samples).estimate(seed)
+
+
+@pytest.mark.parametrize("command,doc,key", [
+    ("sweep", {"n_grid": [[2]]}, "n_grid"),
+    ("certify", {"search": {"restarts": [1]}}, "search.restarts"),
+    ("mc", {"n_samples": [5]}, "n_samples"),
+])
+def test_uncastable_value_is_config_error(tmp_path, capsys, command, doc, key):
+    # int([2]) is a TypeError, which must not surface as a traceback
+    assert _run(tmp_path, command, doc) == 2
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 class TestCoeffs:
@@ -278,19 +296,20 @@ class TestMc:
 
     @staticmethod
     def _full_batch_row(paths, chk, i, seed):
-        """The public full-batch estimator of check i, on the same draws."""
+        """Check i reduced once over the full batch, on the same draws."""
         L = paths.L
         rng = cli._seeded_rng(seed, 0xC8EC, i)
         f = random_poly(int(chk.get("degree", 6)), rng)
         kind, level = chk["check"], int(chk.get("level", 0))
         if kind == "radial":
-            return radial_mean_check(paths, f, level)
+            return _est(radial_samples(paths, f, level), seed)
         if kind == "fourier":
-            return fourier_extract(paths, f, lacunary_default(L), level)
+            return _est(fourier_samples(paths, f, lacunary_default(L), level), seed)
         if kind == "multiplier":
-            return multiplier_extract(paths, f, level, int(chk["k"]))
+            return _est(multiplier_samples(paths, f, level, int(chk["k"])), seed)
         if kind == "orthogonality":
-            return orthogonality_check(paths, f, random_poly(int(chk["degree"]), rng), level)
+            g2 = random_poly(int(chk["degree"]), rng)
+            return _est(orthogonality_samples(paths, f, g2, level), seed)
         assert kind == "bridge"
         car_n = int(chk["car_n"])
         bspec = LacunarySpec((1,) + tuple(2**t for t in range(2, car_n + 1)))
@@ -299,7 +318,8 @@ class TestMc:
         h = system.op_dim[0]
         x = rng.standard_normal(h) + 1j * rng.standard_normal(h)
         y = rng.standard_normal(h) + 1j * rng.standard_normal(h)
-        return hankel_bridge_check(paths, g, f, x, y, bspec)["mc"]
+        form = BridgeForm(g, f, x, y, bspec)
+        return form.combine([_est(sample(paths), seed) for sample in form.samplers()])
 
     @pytest.mark.parametrize("n_samples", [SIM_BLOCK, SIM_BLOCK + 1, 3 * SIM_BLOCK + 5])
     def test_streamed_rows_equal_full_batch_estimators(self, n_samples):

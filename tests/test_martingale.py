@@ -6,32 +6,29 @@ from pbnc.coeff_systems import car_jordan_wigner
 from pbnc.hankel import LacunarySpec, MultiplierSeq, build_hankel, lacunary_default
 from pbnc.martingale import (
     SIM_BLOCK,
+    BridgeForm,
     MartingaleConfig,
     McAccumulator,
-    block_modulus_sup,
-    conditional_multiplicativity_check,
+    _eta_weights_at,
     eta_modulus,
     eta_modulus_sup,
-    eta_weights,
-    fourier_extract,
     fourier_samples,
-    hankel_bridge_check,
-    mobius,
-    multiplier_extract,
     multiplier_samples,
-    orthogonality_check,
     orthogonality_samples,
-    radial_mean_check,
     radial_samples,
     radius,
     simulate_paths,
-    stderr_halving_ratios,
 )
 from pbnc.numkit import Polynomial
 
 
 def _rng(seed):
     return np.random.default_rng(np.random.SeedSequence(entropy=seed))
+
+
+def _est(samples, seed=0):
+    """The package's one reducer over a full batch of per-sample values."""
+    return McAccumulator().add(samples).estimate(seed)
 
 
 def _paths(L=5, n=40_000, seed=3):
@@ -52,37 +49,16 @@ class TestConfig:
         assert cfg.radii == (0.5, 0.75, 0.875)
 
     def test_radii_validated(self):
-        with pytest.raises(errors.ConfigurationError):
-            MartingaleConfig(L=2, n_samples=10, radii=(0.5, 0.7))
-        MartingaleConfig(L=2, n_samples=10, radii=(0.5, 0.75))
+        cfg = MartingaleConfig(L=5, n_samples=10)
+        assert cfg.radii == tuple(radius(k) for k in range(1, 6))
+        with pytest.raises(TypeError):
+            MartingaleConfig(L=2, n_samples=10, radii=(0.5, 0.75))
 
     def test_basic_validation(self):
         with pytest.raises(errors.ConfigurationError):
             MartingaleConfig(L=0)
         with pytest.raises(errors.ConfigurationError):
             MartingaleConfig(L=2, n_samples=0)
-
-
-class TestMobius:
-    def test_fixes_circle(self):
-        rng = _rng(1)
-        z = 0.3 - 0.4j
-        zeta = np.exp(1j * rng.uniform(0, 2 * np.pi, 50))
-        assert np.abs(np.abs(mobius(z, zeta)) - 1.0).max() <= 1e-14
-
-    def test_zero_base_is_identity(self):
-        assert mobius(0.0, 1j) == pytest.approx(1j)
-
-    def test_domain_errors(self):
-        with pytest.raises(errors.DomainError):
-            mobius(1.0, 1.0)
-        with pytest.raises(errors.DomainError):
-            mobius(-0.999999999999999, 1.0 + 0j)  # denominator collapses
-
-    def test_scalar_and_array_forms(self):
-        out = mobius(0.2, np.array([1.0 + 0j, -1.0 + 0j]))
-        assert out.shape == (2,)
-        assert isinstance(mobius(0.2, 1.0 + 0j), complex)
 
 
 class TestSimulation:
@@ -139,16 +115,16 @@ class TestRadialMeans:
         rng = _rng(11)
         for k in (1, 3, 5):
             f = Polynomial(rng.standard_normal(7) + 1j * rng.standard_normal(7))
-            est = radial_mean_check(paths, f, k)
+            est = _est(radial_samples(paths, f, k))
             assert abs(est.mean) <= 4.0 * est.stderr
 
     def test_constant_poly_exact(self, paths):
-        est = radial_mean_check(paths, Polynomial([2.5 + 1j]), 2)
+        est = _est(radial_samples(paths, Polynomial([2.5 + 1j]), 2))
         assert est.mean == 0 and est.stderr == 0
 
     def test_level_bounds(self, paths):
         with pytest.raises(errors.ConfigurationError):
-            radial_mean_check(paths, Polynomial([1.0]), 6)
+            radial_samples(paths, Polynomial([1.0]), 6)
 
 
 class TestEtaWeights:
@@ -167,24 +143,21 @@ class TestEtaWeights:
         with pytest.raises(errors.DomainError):
             eta_modulus_sup(1)
 
-    def test_block_sup(self):
-        assert block_modulus_sup(2) >= eta_modulus(2, 4)
-        with pytest.raises(errors.DomainError):
-            block_modulus_sup(1)
-
     def test_weights_unimodular_factor(self, paths):
-        w = eta_weights(paths, lacunary_default(5), 3)
-        assert w.level == 3
-        assert np.abs(np.abs(w.values) - w.modulus_bound).max() <= 1e-9
+        # |eta_{n-1}(k)| is the closed-form modulus on every path
+        for n, k in ((3, 8), (3, 6), (5, 32)):
+            w = _eta_weights_at(paths, n, k)
+            assert np.abs(np.abs(w) - eta_modulus(n, k)).max() <= 1e-9
 
     def test_level_validation(self, paths):
-        spec = lacunary_default(5)
+        # the extraction level must lie inside both the paths and the spec
+        f = Polynomial([0.0, 1.0])
         with pytest.raises(errors.ConfigurationError):
-            eta_weights(paths, spec, 1)
+            fourier_samples(paths, f, lacunary_default(5), 0)
         with pytest.raises(errors.ConfigurationError):
-            eta_weights(paths, spec, 6)
+            fourier_samples(paths, f, lacunary_default(6), 6)
         with pytest.raises(errors.ConfigurationError):
-            eta_weights(paths, lacunary_default(2), 3)
+            fourier_samples(paths, f, lacunary_default(2), 3)
 
 
 class TestFourierExtraction:
@@ -193,15 +166,15 @@ class TestFourierExtraction:
         spec = lacunary_default(5)
         f = Polynomial(rng.standard_normal(35) + 1j * rng.standard_normal(35))
         for n in (2, 3, 4, 5):
-            est = fourier_extract(paths, f, spec, n)
+            est = _est(fourier_samples(paths, f, spec, n))
             target = f.coeffs[spec.K[n - 1]]
             assert abs(est.mean - target) <= 4.0 * est.stderr
 
     def test_level_one_requires_unit_frequency(self, paths):
         f = Polynomial([0.0, 3.0 - 1j, 0.5])
         with pytest.raises(errors.ConfigurationError):
-            fourier_extract(paths, f, lacunary_default(5), 1)
-        est = fourier_extract(paths, f, LacunarySpec((1, 4, 8)), 1)
+            fourier_samples(paths, f, lacunary_default(5), 1)
+        est = _est(fourier_samples(paths, f, LacunarySpec((1, 4, 8)), 1))
         assert abs(est.mean - (3.0 - 1j)) <= 4.0 * est.stderr
 
     def test_linearity(self, paths):
@@ -212,15 +185,15 @@ class TestFourierExtraction:
         c = np.zeros(6, dtype=np.complex128)
         c[: f.coeffs.size] += 2.0 * f.coeffs
         c[: g.coeffs.size] += 1j * g.coeffs
-        a = fourier_extract(paths, f, spec, 2)
-        b = fourier_extract(paths, g, spec, 2)
-        combo = fourier_extract(paths, Polynomial(c), spec, 2)
+        a = _est(fourier_samples(paths, f, spec, 2))
+        b = _est(fourier_samples(paths, g, spec, 2))
+        combo = _est(fourier_samples(paths, Polynomial(c), spec, 2))
         assert abs(combo.mean - (2.0 * a.mean + 1j * b.mean)) <= 1e-10
 
     def test_out_of_range_coefficient_is_zero(self, paths):
         spec = lacunary_default(5)
         f = Polynomial([0.0, 1.0, 1.0])  # no frequency-8 coefficient
-        est = fourier_extract(paths, f, spec, 3)
+        est = _est(fourier_samples(paths, f, spec, 3))
         assert abs(est.mean) <= 4.0 * est.stderr
 
 
@@ -230,24 +203,24 @@ class TestMultiplierExtraction:
         rng = _rng(14)
         f = Polynomial(rng.standard_normal(20) + 1j * rng.standard_normal(20))
         n = 4
-        a = fourier_extract(paths, f, spec, n)
-        b = multiplier_extract(paths, f, n, spec.K[n - 1])
+        a = _est(fourier_samples(paths, f, spec, n))
+        b = _est(multiplier_samples(paths, f, n, spec.K[n - 1]))
         assert a.mean == b.mean and a.stderr == b.stderr
 
     def test_in_block_frequency(self, paths):
         rng = _rng(15)
         f = Polynomial(rng.standard_normal(9) + 1j * rng.standard_normal(9))
-        est = multiplier_extract(paths, f, 3, 6)
+        est = _est(multiplier_samples(paths, f, 3, 6))
         assert abs(est.mean - f.coeffs[6]) <= 4.0 * est.stderr
 
     def test_block_validation(self, paths):
         f = Polynomial([1.0, 1.0])
         with pytest.raises(errors.ConfigurationError):
-            multiplier_extract(paths, f, 3, 4)  # 4 <= 2^{3-1}
+            multiplier_samples(paths, f, 3, 4)  # 4 <= 2^{3-1}
         with pytest.raises(errors.ConfigurationError):
-            multiplier_extract(paths, f, 3, 9)
+            multiplier_samples(paths, f, 3, 9)
         with pytest.raises(errors.ConfigurationError):
-            multiplier_extract(paths, f, 1, 1)
+            multiplier_samples(paths, f, 1, 1)
 
 
 class TestOrthogonality:
@@ -256,27 +229,18 @@ class TestOrthogonality:
         for n in (2, 4):
             f = Polynomial(rng.standard_normal(6) + 1j * rng.standard_normal(6))
             g = Polynomial(rng.standard_normal(5) + 1j * rng.standard_normal(5))
-            est = orthogonality_check(paths, f, g, n)
+            est = _est(orthogonality_samples(paths, f, g, n))
             assert abs(est.mean) <= 4.0 * est.stderr
 
     def test_with_predictable_weight(self, paths):
         f = Polynomial([0.0, 1.0, 0.5])
         g = Polynomial([0.0, 2.0])
-        est = orthogonality_check(paths, f, g, 3, phi=lambda w: w**2)
+        est = _est(orthogonality_samples(paths, f, g, 3, phi=lambda w: w**2))
         assert abs(est.mean) <= 4.0 * est.stderr
 
 
-class TestConditionalMultiplicativity:
-    def test_binned_identity(self, paths):
-        f = Polynomial([0.5, 1.0])
-        g = Polynomial([0.0, 1.0, 0.25])
-        out = conditional_multiplicativity_check(paths, f, g, 3, bins=32)
-        assert out["bins_checked"] > 0
-        assert out["max_z"] <= 5.0
-
-
 class TestBridge:
-    def test_exact_side_matches_direct_sum(self, paths):
+    def test_exact_side_matches_direct_sum(self):
         spec = LacunarySpec((1, 4, 8))
         system = car_jordan_wigner(3)
         g = build_hankel(MultiplierSeq.indicator(spec), spec, system, D=9)
@@ -284,13 +248,13 @@ class TestBridge:
         x = rng.standard_normal(8) + 1j * rng.standard_normal(8)
         y = rng.standard_normal(8) + 1j * rng.standard_normal(8)
         p = Polynomial(rng.standard_normal(12) + 1j * rng.standard_normal(12))
-        out = hankel_bridge_check(paths, g, p, x, y, spec)
+        exact = BridgeForm(g, p, x, y, spec).exact
         direct = sum(
             complex(g.multiplier(kt)) * complex(p.coeffs[kt] if kt <= p.degree else 0.0)
             * complex(y @ (system.elements[t - 1] @ x))
             for t, kt in enumerate(spec.K, start=1)
         )
-        assert abs(out["exact"] - direct) <= 1e-10 * max(1.0, abs(direct))
+        assert abs(exact - direct) <= 1e-10 * max(1.0, abs(direct))
 
     def test_mc_agrees_with_exact(self, paths):
         spec = LacunarySpec((1, 4, 8))
@@ -300,10 +264,11 @@ class TestBridge:
         x = rng.standard_normal(8) + 1j * rng.standard_normal(8)
         y = rng.standard_normal(8) + 1j * rng.standard_normal(8)
         p = Polynomial(rng.standard_normal(10) + 1j * rng.standard_normal(10))
-        out = hankel_bridge_check(paths, g, p, x, y, spec)
-        assert abs(out["mc"].mean - out["exact"]) <= 4.0 * out["mc"].stderr
+        form = BridgeForm(g, p, x, y, spec)
+        mc = form.combine([_est(sample(paths)) for sample in form.samplers()])
+        assert abs(mc.mean - form.exact) <= 4.0 * mc.stderr
 
-    def test_monomial_probe(self, paths):
+    def test_monomial_probe(self):
         spec = LacunarySpec((1, 4, 8))
         system = car_jordan_wigner(3)
         g = build_hankel(MultiplierSeq.indicator(spec), spec, system, D=9)
@@ -311,20 +276,20 @@ class TestBridge:
         x[0] = 1.0
         y = np.zeros(8, dtype=np.complex128)
         y[1] = 1.0
-        out = hankel_bridge_check(paths, g, Polynomial.monomial(4), x, y, spec)
+        exact = BridgeForm(g, Polynomial.monomial(4), x, y, spec).exact
         expected = complex(y @ (system.elements[1] @ x))
-        assert abs(out["exact"] - expected) <= 1e-12
+        assert abs(exact - expected) <= 1e-12
 
-    def test_validation(self, paths):
+    def test_validation(self):
         spec = LacunarySpec((1, 4, 8))
         other = lacunary_default(3)
         system = car_jordan_wigner(3)
         g = build_hankel(MultiplierSeq.indicator(spec), spec, system, D=9)
         x = np.ones(8, dtype=np.complex128)
         with pytest.raises(errors.ConfigurationError):
-            hankel_bridge_check(paths, g, Polynomial([1.0]), x, x, other)
+            BridgeForm(g, Polynomial([1.0]), x, x, other)
         with pytest.raises(errors.DomainError):
-            hankel_bridge_check(paths, g, Polynomial.monomial(18), x, x, spec)
+            BridgeForm(g, Polynomial.monomial(18), x, x, spec)
 
 
 class TestStreaming:
@@ -379,12 +344,3 @@ class TestStreaming:
         for bad in (range(0, 3), range(2, 3), range(1, 1), range(0, 2, 2)):
             with pytest.raises(errors.ConfigurationError):
                 simulate_paths(cfg, blocks=bad)
-
-
-class TestStderrScaling:
-    def test_halving_ratio_near_sqrt2(self):
-        cfg = MartingaleConfig(L=3, n_samples=20_000, seed=2)
-        f = Polynomial([0.0, 1.0, 0.5, 0.0, 2.0, 0.0, 0.0, 0.0, 1.0])
-        ratios = stderr_halving_ratios(cfg, f, lacunary_default(3), 3, repetitions=6)
-        assert len(ratios) == 6
-        assert 1.2 <= float(np.mean(ratios)) <= 1.7
