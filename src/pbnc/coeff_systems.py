@@ -37,6 +37,11 @@ CAR_MAX_N = 12  # dense elements: n * 4^n complex entries, 3.2 GB at n = 12
 TENSOR_MAX_DIM = 256  # CAR n <= 8: tensor_conj_norm's apply costs O(n dim^3)
 TENSOR_NORM_TOL = 1e-12  # top_singular residual tolerance of tensor_conj_norm
 ROW_BOUND_STEP_CAP = 200  # alternating-ascent steps per row_bound restart
+# entries of a row_bound group's stacked M (64 KB; U and V^H take as much).
+# Lockstep saves Python steps, which matter only for small elements: from
+# CAR n = 6 on the SVDs dominate and groups of 1 to 4 time alike, while at
+# 1 << 14 the 32 CAR n = 5 restarts raised a coeffs run's peak RSS by 0.8 MB
+ROW_BOUND_GROUP_ENTRIES = 1 << 12
 
 _Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
 _A = np.array([[0, 1], [0, 0]], dtype=np.complex128)
@@ -146,38 +151,54 @@ def row_bound(system: CoefficientSystem, restarts: int = 32, seed: int = 0) -> R
     Alternating ascent: for the current alpha take the top singular pair
     (u, v) of M = sum alpha_k C_k, then the optimal coefficients for that
     pair are alpha_k proportional to conj(u* C_k v); iterate to a fixed
-    point and keep the max over seeded restarts.  The result is a lower
-    bound on the true supremum (the maximization is nonconvex); ``converged``
-    is False when some restart stopped at ROW_BOUND_STEP_CAP steps instead of
-    at its fixed point.
+    point and keep the max over seeded restarts.  Restart r starts from a
+    Gaussian alpha drawn from child r of SeedSequence(seed).  The restarts
+    run in lockstep, in groups whose stacked M stay within
+    ROW_BOUND_GROUP_ENTRIES entries (one restart per group when a single M
+    is larger): one GEMM builds every M of a group, one
+    batched SVD gives every pair and one product C v every u* C_k v, and a
+    restart leaves its group when its own step stops (a zero gradient or
+    sigma unchanged to 1e-13 relative).  The result is a lower bound on the
+    true supremum (the maximization is nonconvex); ``converged`` is False
+    when some restart stopped at ROW_BOUND_STEP_CAP steps instead of at its
+    fixed point.
     """
     if restarts < 1:
         raise ConfigurationError("row_bound needs restarts >= 1")
     n = system.n
-    best, converged = 0.0, True
-    children = np.random.SeedSequence(entropy=seed).spawn(restarts)
-    for child in children:
+    out_dim, in_dim = system.op_dim
+    c = np.stack(system.elements)  # (k, i, j)
+    c_flat = c.reshape(n, out_dim * in_dim)  # M = alpha @ c_flat
+    c_rows = c.reshape(n * out_dim, in_dim)  # (C_k v)_i = (c_rows @ v)[k * out_dim + i]
+    starts = []
+    for child in np.random.SeedSequence(entropy=seed).spawn(restarts):
         rng = np.random.default_rng(child)
         alpha = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        alpha /= np.linalg.norm(alpha)
-        sigma_prev = -1.0
+        starts.append(alpha / np.linalg.norm(alpha))
+    group = max(1, ROW_BOUND_GROUP_ENTRIES // (out_dim * in_dim))
+    best, converged = 0.0, True
+    for lo in range(0, restarts, group):
+        alpha = np.array(starts[lo : lo + group])
+        sigma = np.zeros(len(alpha))
+        sigma_prev = np.full(len(alpha), -1.0)
+        live = np.arange(len(alpha))  # restarts still stepping
         for _ in range(ROW_BOUND_STEP_CAP):
-            m = sum(a * c for a, c in zip(alpha, system.elements))
-            u_mat, s, vh = np.linalg.svd(m)
-            sigma = float(s[0])
-            u = u_mat[:, 0]
-            v = vh[0].conj()
-            grad = np.array([np.vdot(u, c @ v) for c in system.elements])  # u* C_k v
-            norm = np.linalg.norm(grad)
-            if norm == 0.0:
+            u_mat, s, vh = np.linalg.svd((alpha[live] @ c_flat).reshape(-1, out_dim, in_dim))
+            sig, u, v = s[:, 0], u_mat[:, :, 0], vh[:, 0].conj()
+            cv = (c_rows @ v.T).reshape(n, out_dim, len(live))
+            grad = np.einsum("ri,kir->rk", u.conj(), cv)  # u* C_k v
+            norm = np.linalg.norm(grad, axis=1)
+            moved = norm > 0.0
+            alpha[live[moved]] = grad[moved].conj() / norm[moved, None]
+            sigma[live] = sig
+            stop = ~moved | (np.abs(sig - sigma_prev[live]) < 1e-13 * np.maximum(1.0, sig))
+            sigma_prev[live] = sig
+            live = live[~stop]
+            if not live.size:
                 break
-            alpha = grad.conj() / norm
-            if abs(sigma - sigma_prev) < 1e-13 * max(1.0, sigma):
-                break
-            sigma_prev = sigma
         else:
             converged = False
-        best = max(best, sigma)
+        best = max(best, float(sigma.max()))
     return RowBoundEstimate(best, restarts, seed, converged)
 
 

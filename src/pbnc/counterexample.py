@@ -195,17 +195,47 @@ def poly_of_T(b: OperatorBundle, p: Polynomial) -> np.ndarray:
 # structured matvecs: P(T) and P(T)^H without materializing P(T)
 
 
+def _shift(k: int, c: complex, down: bool):
+    """x -> c S^k x (``down``) or c (S^t)^k x on D x h block rows, by
+    slicing: S moves block row i to i + 1, and S^k = 0 for k >= D.  k = -1,
+    the corner of z^0 (whose derivative is 0), is the zero factor too."""
+
+    def apply(x: np.ndarray) -> np.ndarray:
+        out = np.zeros_like(x)
+        d = x.shape[0]
+        if 0 <= k < d:
+            if down:
+                out[k:] = c * x[: d - k]
+            else:
+                out[: d - k] = c * x[k:]
+        return out
+
+    return apply
+
+
 def _poly_t_applies(b: OperatorBundle, p: Polynomial):
     """(apply, apply_adjoint) closures for P(T) on flat vectors of length
-    2*D*h.  Uses D x D Toeplitz factors, conjugated once per polynomial, and
-    the Hankel anti-diagonal apply (one slice matmul per supported frequency);
-    cost per matvec is O(D^2 h + F D h^2) instead of O((Dh)^2)."""
+    2*D*h, out of three D x D factors on block rows and their adjoints:
+    P(S), P(S)^t and the corner's T(P') before the Hankel apply (one gather
+    and one GEMM).  A monomial c z^k has the factors c S^k, c (S^t)^k and
+    c k S^{k-1}, applied as shifts in O(D h); any other polynomial uses the
+    dense Toeplitz matrices, conjugated once, in O(D^2 h).  The Hankel
+    apply adds O(F D h^2) per matvec, against O((Dh)^2) for a dense P(T)."""
     D, h = b.space.D, b.space.h_dim
-    t_p = toeplitz(p, D)
-    t_pp = toeplitz(poly_derivative(p), D)
-    t_p_conj = t_p.conj()  # (t_p.T)^H
-    t_p_h = t_p_conj.T
-    t_pp_h = t_pp.conj().T
+    if np.count_nonzero(p.coeffs) == 1:
+        k, c = p.degree, p.coeffs[-1]
+        cc = np.conj(c)
+        ps, ps_t = _shift(k, c, True), _shift(k, c, False)
+        ps_h, ps_t_h = _shift(k, cc, False), _shift(k, cc, True)
+        corner, corner_h = _shift(k - 1, k * c, True), _shift(k - 1, k * cc, False)
+    else:
+        t_p = toeplitz(p, D)
+        t_pp = toeplitz(poly_derivative(p), D)
+        t_p_conj = t_p.conj()  # (t_p.T)^H
+        t_p_h, t_pp_h = t_p_conj.T, t_pp.conj().T
+        ps, ps_t, corner = (lambda x: t_p @ x), (lambda x: t_p.T @ x), (lambda x: t_pp @ x)
+        ps_h, ps_t_h = (lambda x: t_p_h @ x), (lambda x: t_p_conj @ x)
+        corner_h = (lambda x: t_pp_h @ x)
     g = b.hankel
     eps = b.eps
     half = D * h
@@ -213,17 +243,17 @@ def _poly_t_applies(b: OperatorBundle, p: Polynomial):
     def apply(x: np.ndarray) -> np.ndarray:
         x1 = x[:half].reshape(D, h)
         x2 = x[half:].reshape(D, h)
-        y2 = t_p @ x2
-        w = t_pp @ x2
-        y1 = t_p.T @ x1 + eps * g.apply_flat(w.reshape(-1)).reshape(D, h)
+        y2 = ps(x2)
+        w = corner(x2)
+        y1 = ps_t(x1) + eps * g.apply_flat(w.reshape(-1)).reshape(D, h)
         return np.concatenate([y1.reshape(-1), y2.reshape(-1)])
 
     def apply_adjoint(x: np.ndarray) -> np.ndarray:
         x1 = x[:half].reshape(D, h)
         x2 = x[half:].reshape(D, h)
-        y1 = t_p_conj @ x1
+        y1 = ps_t_h(x1)
         gh = g.apply_flat_adjoint(x1.reshape(-1)).reshape(D, h)
-        y2 = t_p_h @ x2 + eps * (t_pp_h @ gh)
+        y2 = ps_h(x2) + eps * corner_h(gh)
         return np.concatenate([y1.reshape(-1), y2.reshape(-1)])
 
     return apply, apply_adjoint

@@ -33,11 +33,13 @@ light budget, on ``hankel_map`` to set eps in the fcn experiment.
 anti-diagonal once per BlockHankel.
 
 Every kernel walks the anti-diagonals, one per supported frequency q: rows
-i in [max(0, q-D), min(D-1, q-1)] meet input blocks j = q-1-i, a reversed
-slice.  The matvecs G x and G^H y therefore cost one slice matmul per
-frequency, O(F D out in) for F frequencies, and the Gram diagonal of a
-basis-vector system is one F x F orthogonality product plus one slice add per
-frequency, computed once per (frozen) BlockHankel.
+i in [max(0, q-D), min(D-1, q-1)] meet input blocks j = q-1-i.  The matvecs
+G x and G^H y gather those blocks for every (i, q) at once through one index
+array (a zero pad block where the anti-diagonal misses row i) and multiply
+the D x (F in) result by the stacked coefficients in one GEMM, O(F D out in)
+for F frequencies.  The Gram diagonal of a basis-vector system is one F x F
+orthogonality product plus one slice add per frequency.  Both are computed
+once per (frozen) BlockHankel.
 """
 
 from __future__ import annotations
@@ -243,32 +245,52 @@ class BlockHankel:
         diag.setflags(write=False)
         return diag
 
-    def apply_flat(self, vec: np.ndarray) -> np.ndarray:
-        """G @ vec without materializing G; vec has length D*in.  One
-        reversed-slice matmul per supported frequency: O(F D out in)."""
+    @cached_property
+    def _gather(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(idx, stacked, stacked_adj) of the gather-GEMM applies, built once
+        per instance: idx[i, f] = q_f - 1 - i is the block that row block i
+        reads on anti-diagonal q_f, or D (a zero pad row) where that
+        anti-diagonal misses row i; stacked holds C_q^T and stacked_adj
+        conj(C_q), one block row per frequency in idx's column order, both
+        C-contiguous.  The pattern is symmetric in i <-> j, so the adjoint
+        gathers through the same idx."""
         out_dim, in_dim = self.block_shape
+        freqs = sorted(self.coefficients)
+        j = np.array(freqs, dtype=np.intp)[None, :] - 1 - np.arange(self.D)[:, None]
+        idx = np.where((j >= 0) & (j < self.D), j, self.D)
+        blocks = [self.coefficients[q] for q in freqs]
+        # concatenate copies into C order (a strided factor doubles the GEMM's
+        # cost); the empty block keeps the shape when no frequency is supported
+        stacked = np.concatenate([c.T for c in blocks]
+                                 + [np.zeros((0, out_dim), dtype=np.complex128)])
+        stacked_adj = np.concatenate([c.conj() for c in blocks]
+                                     + [np.zeros((0, in_dim), dtype=np.complex128)])
+        return idx, stacked, stacked_adj
+
+    def _gather_apply(self, vec: np.ndarray, width: int, stacked: np.ndarray) -> np.ndarray:
+        """sum over frequencies of the gathered input blocks times ``stacked``:
+        vec is padded with one zero block row, gathered through idx into a
+        D x (F * width) matrix and multiplied once."""
+        idx = self._gather[0]
+        pad = np.zeros((self.D + 1, width), dtype=np.complex128)
+        pad[: self.D] = vec.reshape(self.D, width)
+        return (pad.take(idx, axis=0).reshape(self.D, -1) @ stacked).reshape(-1)
+
+    def apply_flat(self, vec: np.ndarray) -> np.ndarray:
+        """G @ vec without materializing G; vec has length D*in.  One gather
+        of the input blocks along the anti-diagonals and one GEMM with the
+        stacked C_q^T: O(F D out in)."""
+        in_dim = self.block_shape[1]
         if vec.shape[0] != self.D * in_dim:
             raise DimensionError("vector length does not match D*in_dim")
-        blocks_in = vec.reshape(self.D, in_dim)
-        out = np.zeros((self.D, out_dim), dtype=np.complex128)
-        for q, c in self.coefficients.items():
-            lo, hi = self._antidiag(q)
-            # row block i reads input block q-1-i
-            out[lo : hi + 1] += blocks_in[q - 1 - hi : q - lo][::-1] @ c.T
-        return out.reshape(self.D * out_dim)
+        return self._gather_apply(vec, in_dim, self._gather[1])
 
     def apply_flat_adjoint(self, vec: np.ndarray) -> np.ndarray:
-        """G^H @ vec, one reversed-slice matmul per supported frequency."""
-        out_dim, in_dim = self.block_shape
+        """G^H @ vec: the same gather and one GEMM with the stacked conj(C_q)."""
+        out_dim = self.block_shape[0]
         if vec.shape[0] != self.D * out_dim:
             raise DimensionError("vector length does not match D*out_dim")
-        blocks_in = vec.reshape(self.D, out_dim)
-        out = np.zeros((self.D, in_dim), dtype=np.complex128)
-        for q, c in self.coefficients.items():
-            lo, hi = self._antidiag(q)
-            # row block i feeds output block q-1-i through C_q^H
-            out[q - 1 - hi : q - lo] += blocks_in[lo : hi + 1][::-1] @ c.conj()
-        return out.reshape(self.D * in_dim)
+        return self._gather_apply(vec, out_dim, self._gather[2])
 
 
 def build_hankel(

@@ -245,13 +245,13 @@ def eta_modulus(n: int, k: int) -> float:
     return rn / ((rn * rn - rp * rp) * k * rp ** (k - 1))
 
 
-def eta_modulus_sup(n_max: int, freq_of_level=lambda n: 2**n) -> float:
-    """sup over 2 <= n <= n_max of the extraction-weight modulus; with the
-    dyadic frequencies the sequence tends to e^2/2 from a one-time peak at
-    n = 2."""
+def eta_modulus_sup(n_max: int) -> float:
+    """sup over 2 <= n <= n_max of the extraction-weight modulus at the
+    dyadic frequency 2^n of level n; the sequence tends to e^2/2 from a
+    one-time peak at n = 2."""
     if n_max < 2:
         raise DomainError("n_max must be >= 2")
-    return max(eta_modulus(n, freq_of_level(n)) for n in range(2, n_max + 1))
+    return max(eta_modulus(n, 2**n) for n in range(2, n_max + 1))
 
 
 def _eta_weights_at(paths: PathBatch, n: int, k: int) -> np.ndarray:

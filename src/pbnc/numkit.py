@@ -8,10 +8,11 @@ Conventions fixed here and relied on everywhere else:
     is a DimensionError.  No certificate goes through it; it is the dense
     reference of ``row_bound_check`` and the tests.
   * ``top_singular`` is the package's one matrix-free norm solver
-    (Golub-Kahan-Lanczos bidiagonalization with full reorthogonalization and
-    restarts): a Rayleigh lower bound, its residual and a ``converged`` flag
-    that means the residual test passed, never a raise.  Every ``P(T)`` norm
-    and every tensor certificate is one such solve.
+    (Golub-Kahan-Lanczos bidiagonalization with one-sided reorthogonalization,
+    full on the right basis only, and thick restarts): a Rayleigh lower
+    bound, its residual and a ``converged`` flag that means the residual test
+    passed, never a raise.  Every ``P(T)`` norm and every tensor certificate
+    is one such solve.
   * Analytic polynomials are Taylor coefficient vectors P-hat(0..deg); the
     sup norm over the unit circle is certified from a roots-of-unity grid
     through the Bernstein derivative bound ||P'|| <= deg * ||P||.
@@ -99,10 +100,14 @@ def top_singular(apply, apply_adjoint, dim: int, rng: np.random.Generator,
     by Golub-Kahan-Lanczos bidiagonalization from a complex Gaussian start
     drawn from ``rng``.
 
-    Step k applies A and A^H once each, orthonormalizing against the
-    preallocated bases (twice, classical Gram-Schmidt), so that
+    Step k applies A and A^H once each.  The reorthogonalization is
+    one-sided (Simon & Zha 2000): A^H u_k is orthonormalized against the
+    whole preallocated V basis (twice, classical Gram-Schmidt), while A v_k
+    is projected once on u_{k-1} only, except at a cycle's first step, where
+    it is projected twice on every kept u to form the restart's coupling
+    column.  So
     A V_k = U_k B_k and A^H U_k = V_k B_k^H + beta_k v_{k+1} e_k^T with
-    B_k = U_k^H A V_k real upper triangular (bidiagonal until a restart).
+    B_k real upper triangular (bidiagonal until a restart).
     The top singular triple (sigma, p, q) of B_k gives x = V_k q with
     residual ||A^H (A x / sigma) - sigma x|| = beta_k |e_k^T p|, tested after
     each of a cycle's first CHECK_EVERY_STEP steps and every third step
@@ -133,8 +138,12 @@ def top_singular(apply, apply_adjoint, dim: int, rng: np.random.Generator,
             steps += 1
             if steps > 1:  # the first step's A x is the ``u`` applied above
                 u = apply(vb[k])
-            u, coeffs, alpha = _orthonormalize(u, ub[:k])
-            bmat[:k, k] = coeffs.real
+            # one-sided: a cycle's first A v_k is projected on every kept u
+            # (the coupling column), later ones once on u_{k-1} only; a V kept
+            # orthonormal keeps U orthogonal to working accuracy
+            lo, passes = (0, 2) if k == lock else (k - 1, 1)
+            u, coeffs, alpha = _orthonormalize(u, ub[lo:k], passes)
+            bmat[lo:k, k] = coeffs.real
             if k == rows or alpha <= tol * scale:
                 exact, residual = True, (0.0 if k == rows else alpha)
                 break
@@ -174,12 +183,13 @@ def top_singular(apply, apply_adjoint, dim: int, rng: np.random.Generator,
     return NormEstimate(value, "golub-kahan-lanczos", tol, steps, converged, residual), x
 
 
-def _orthonormalize(w: np.ndarray, basis: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    """``w`` projected off the orthonormal rows of ``basis`` twice (classical
-    Gram-Schmidt) and scaled to unit length, with the projection
+def _orthonormalize(w: np.ndarray, basis: np.ndarray,
+                    passes: int = 2) -> tuple[np.ndarray, np.ndarray, float]:
+    """``w`` projected off the orthonormal rows of ``basis`` ``passes`` times
+    (classical Gram-Schmidt) and scaled to unit length, with the projection
     coefficients and its norm before scaling."""
     coeffs = np.zeros(len(basis), dtype=np.complex128)
-    for _ in range(2):
+    for _ in range(passes):
         h = (basis @ w.conj()).conj()
         w = w - h @ basis
         coeffs += h

@@ -121,6 +121,47 @@ class TestRowBound:
         with pytest.raises(errors.ConfigurationError):
             row_bound(car_jordan_wigner(2), restarts=0)
 
+    @staticmethod
+    def _per_restart_loop(system, restarts, seed):
+        """The reference: one restart at a time, scalar steps."""
+        best, converged = 0.0, True
+        for child in np.random.SeedSequence(entropy=seed).spawn(restarts):
+            rng = np.random.default_rng(child)
+            alpha = rng.standard_normal(system.n) + 1j * rng.standard_normal(system.n)
+            alpha /= np.linalg.norm(alpha)
+            sigma_prev = -1.0
+            for _ in range(coeff_systems.ROW_BOUND_STEP_CAP):
+                u_mat, s, vh = np.linalg.svd(sum(a * c for a, c in zip(alpha, system.elements)))
+                sigma, u, v = float(s[0]), u_mat[:, 0], vh[0].conj()
+                grad = np.array([np.vdot(u, c @ v) for c in system.elements])
+                norm = np.linalg.norm(grad)
+                if norm == 0.0:
+                    break
+                alpha = grad.conj() / norm
+                if abs(sigma - sigma_prev) < 1e-13 * max(1.0, sigma):
+                    break
+                sigma_prev = sigma
+            else:
+                converged = False
+            best = max(best, sigma)
+        return best, converged
+
+    @pytest.mark.parametrize("system,restarts,seed,capped", [
+        (haar_unitaries(2, 2, seed=3), 32, 0, False),
+        (haar_unitaries(4, 4, seed=3), 32, 0, False),
+        (haar_unitaries(7, 7, seed=3), 16, 2, False),
+        (car_jordan_wigner(3), 32, 0, False),
+        (car_jordan_wigner(5), 32, 0, False),  # 1024 entries per M: 8 groups of 4
+        (car_jordan_wigner(6), 32, 0, False),  # 4096 entries per M: 32 groups of 1
+        (haar_unitaries(7, 7, seed=123), 16, 1, True),  # a restart hits the step cap
+    ])
+    def test_lockstep_matches_per_restart_loop(self, system, restarts, seed, capped):
+        want, want_converged = self._per_restart_loop(system, restarts, seed)
+        assert want_converged is not capped
+        got = row_bound(system, restarts=restarts, seed=seed)
+        assert got.value == pytest.approx(want, rel=1e-12, abs=0)
+        assert got.converged == want_converged
+
 
 class TestTensorCertificates:
     # frozen by hand: || sum C_k (x) conj(C_k) || for the anticommuting family

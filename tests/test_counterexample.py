@@ -36,7 +36,7 @@ from pbnc.hankel import (
     probe_search,
     random_poly,
 )
-from pbnc.numkit import Polynomial, op_norm, poly_of_matrix, sup_norm
+from pbnc.numkit import Polynomial, op_norm, poly_of_matrix, sup_norm, top_singular
 
 
 def _rng(seed):
@@ -168,6 +168,28 @@ class TestPolyOfT:
         assert sigma == pytest.approx(float(op_norm(poly_of_T(b, p))), rel=1e-10)
         apply, _ = _poly_t_applies(b, p)
         assert np.allclose(apply(v), sigma * u, rtol=0, atol=1e-8)
+        assert self._explicit_residual(b, p, sigma, v) <= 2e-10 * sigma
+
+    @staticmethod
+    def _explicit_residual(b, p, sigma, v):
+        """||A^H (A v / sigma) - sigma v|| for A = P(T), recomputed from the
+        matvecs rather than taken from the solver's estimate."""
+        apply, apply_adjoint = _poly_t_applies(b, p)
+        return float(np.linalg.norm(apply_adjoint(apply(v) / sigma) - sigma * v))
+
+    def test_haar7_fejer_residual_is_honest(self):
+        # N = 1806, the fcn experiment's n = 7 size: with the one-sided
+        # reorthogonalization the recomputed residual still matches the
+        # solver's estimate and passes its test
+        b = _small_bundle("haar", 7)
+        p = fejer_poly(2)
+        apply, apply_adjoint = _poly_t_applies(b, p)
+        est, v = top_singular(apply, apply_adjoint, b.total_dim, _rng(28), 1e-10,
+                              counterexample.PROBE_STEP_CAP)
+        assert est.converged
+        explicit = self._explicit_residual(b, p, est.value, v)
+        assert explicit <= 2e-10 * est.value
+        assert explicit == pytest.approx(est.residual, rel=1e-3)
 
     def test_identity_poly(self):
         b = _car_bundle(n=2)
@@ -183,16 +205,22 @@ class TestPolyOfT:
 
     @settings(max_examples=24, deadline=None, derandomize=True)
     @given(bundle=st.sampled_from(SMALL_BUNDLES), eps=st.floats(0.0, 4.0),
-           deg=st.integers(0, 17), seed=st.integers(0, 2**32 - 1))
-    def test_structured_matvecs_match_dense_property(self, bundle, eps, deg, seed):
+           deg=st.integers(0, 17), k=st.integers(0, 2**16), seed=st.integers(0, 2**32 - 1))
+    def test_structured_matvecs_match_dense_property(self, bundle, eps, deg, k, seed):
+        # the dense Toeplitz route, then the shift route of monomials c z^k:
+        # z^0 (no corner), z^D (S^k = 0) and a drawn k in [0, 2D - 2]
         b = with_eps(_small_bundle(*bundle), eps)
         rng = _rng(seed)
-        p = random_poly(min(deg, 2 * b.space.D - 1), rng)
-        dense = poly_of_T(b, p)
-        apply, apply_adjoint = _poly_t_applies(b, p)
-        x = rng.standard_normal(b.total_dim) + 1j * rng.standard_normal(b.total_dim)
-        assert _rel_err(apply(x), dense @ x) <= 1e-12
-        assert _rel_err(apply_adjoint(x), dense.conj().T @ x) <= 1e-12
+        D = b.space.D
+        c = complex(rng.standard_normal(), rng.standard_normal())
+        polys = [random_poly(min(deg, 2 * D - 1), rng)]
+        polys += [Polynomial.monomial(j, c) for j in (0, D, k % (2 * D - 1))]
+        for p in polys:
+            dense = poly_of_T(b, p)
+            apply, apply_adjoint = _poly_t_applies(b, p)
+            x = rng.standard_normal(b.total_dim) + 1j * rng.standard_normal(b.total_dim)
+            assert _rel_err(apply(x), dense @ x) <= 1e-12
+            assert _rel_err(apply_adjoint(x), dense.conj().T @ x) <= 1e-12
 
 
 class TestPbProbe:

@@ -180,6 +180,11 @@ class TestBlockHankel:
             MultiplierSeq.indicator(lacunary_default(3)), lacunary_default(3),
             haar_unitaries(3, 3, seed=4), D=5,
         )  # q = 8 > D
+        beyond = build_hankel(
+            MultiplierSeq.indicator(LacunarySpec((4,))), LacunarySpec((4,)),
+            haar_unitaries(1, 3, seed=4), D=2,
+        )  # q = 4 > 2D - 1: no coefficients, G = 0
+        assert not beyond.coefficients
         cases = [
             _small_car_hankel(n=2, D=6),  # every q <= D
             ones_basis_family(1),  # (2D-1) x 1 blocks, q up to 2D-1
@@ -187,6 +192,7 @@ class TestBlockHankel:
             ones_basis_family(5),
             lacunary_basis_family(9),  # q = 16 > D: rows start at q - D
             haar,
+            beyond,
         ]
         for g in cases:
             flat = g.flat()

@@ -37,7 +37,8 @@ from pbnc.cli import run
 SCAN_PROBE = {"n_random": 16, "ascent_restarts": 2, "ascent_steps": 24}
 
 CALLS = (
-    [(f"coeffs.car.n{n}", "coeffs", {"kind": "car", "n": n}) for n in (2, 3, 4, 5)]
+    # row_bound groups: 8 of 4 restarts at n = 5, 32 of 1 at n = 6 (4096 entries per element)
+    [(f"coeffs.car.n{n}", "coeffs", {"kind": "car", "n": n}) for n in (2, 3, 4, 5, 6)]
     + [("coeffs.haar.n3d3", "coeffs", {"kind": "haar_unitary", "n": 3, "dim": 3, "seed": 3}),
        ("hankel.probe.basis", "hankel", {"mode": "probe", "spec": [2, 4, 8]}),
        ("hankel.probe.car", "hankel",
