@@ -1,14 +1,12 @@
 """Reproduction driver.
 
 Subcommands: coeffs | hankel | certify | mc | fcn | sweep.  Configuration is
-a single JSON document (--config); the --seed/--out/--format/--threads flags
-override it, and the PBNC_THREADS environment variable overrides --threads.
-
-Each run writes into a per-configuration subdirectory of the output dir:
+a single JSON document (--config); --seed overrides its ``seed`` key.  Each
+run writes into a per-configuration subdirectory of --out (pbnc-out):
 
     <out>/<command>-<config-hash>/payload.json   canonical, byte-stable
     <out>/<command>-<hash>/report.json           payload + runtime_ms + hash
-    ... plus command CSV side files in csv mode
+    <out>/<command>-<hash>/<command>.csv         rows of scan, sweep, mc, fcn
 
 payload.json carries everything except wall-clock time, so re-running a
 stochastic command with the same seed reproduces it byte for byte.  Pass
@@ -16,8 +14,10 @@ flags come from the checked-in thresholds file (produced by
 tools/freeze_thresholds.py, never recomputed silently); every report embeds
 that file's version string and content hash.
 
-Exit codes: 0 all assertions pass, 1 an assertion failed, 2 configuration
-error, 3 numerical non-convergence.
+Exit codes: 0 all assertions pass, 1 an assertion failed, 2 a bad config (a
+ConfigurationError, DomainError or DimensionError, an unreadable file or
+malformed JSON), 3 numerical non-convergence.  Any other exception is a bug
+and propagates with its traceback.
 """
 
 from __future__ import annotations
@@ -26,9 +26,11 @@ import argparse
 import csv
 import hashlib
 import json
-import os
+import math
 import sys
 import time
+from dataclasses import asdict
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -59,6 +61,7 @@ from .errors import (
     NonConvergenceError,
 )
 from .hankel import (
+    SCAN_FAMILIES,
     LacunarySpec,
     MultiplierSeq,
     ProbeConfig,
@@ -117,80 +120,113 @@ def _seeded_rng(*parts: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=list(parts)))
 
 
-def _num(cast, value, key: str):
-    """``cast(value)`` (``int`` or ``float``) of the config value under
-    ``key``; a value the cast rejects is a ConfigurationError naming the
-    key, not a TypeError from deep inside a command."""
+_REQUIRED = object()
+
+
+class _Keys:
+    """One JSON object of a config as a handler reads it.  Each read names
+    its key once, with its default (none for a required key) and its cast or
+    shape; a failed cast, a wrong shape or a missing required key is a
+    ConfigurationError naming the dotted key (``search.seed``,
+    ``checks[2].k``).  ``done()``, after a handler's reads and before its
+    first expensive call, refuses every key no read asked for, here and in
+    the nested objects, so a misspelt key never runs its default."""
+
+    def __init__(self, doc, path: str = ""):
+        if not isinstance(doc, dict):
+            raise ConfigurationError(f"{path or 'config'} must be a JSON object, not {doc!r}")
+        self.doc = doc
+        self._path = path
+        self._read: set[str] = set()
+        self._nested: list[_Keys] = []
+
+    def _name(self, key: str) -> str:
+        return f"{self._path}.{key}" if self._path else key
+
+    def get(self, key: str, default=_REQUIRED, cast=None, lo: int | None = None):
+        """The value under ``key`` (``default`` when absent) through ``cast``;
+        with a None default the key is optional and None stays None."""
+        self._read.add(key)
+        if key not in self.doc and default is _REQUIRED:
+            raise ConfigurationError(f"{self._name(key)} is required")
+        value = self.doc.get(key, default)
+        if value is None and default is None:
+            return None
+        return _cast(cast, value, self._name(key), lo)
+
+    def obj(self, key: str, default=_REQUIRED) -> "_Keys":
+        return self.nest(self.get(key, default), self._name(key))
+
+    def nest(self, doc, path: str) -> "_Keys":
+        """A reader of ``doc`` whose keys this reader's ``done()`` checks."""
+        self._nested.append(_Keys(doc, path))
+        return self._nested[-1]
+
+    def done(self) -> None:
+        unknown = sorted(set(self.doc) - self._read)
+        if unknown:
+            raise ConfigurationError(f"unknown {self._path or 'config'} key(s) {unknown}; "
+                                     f"allowed: {sorted(self._read)}")
+        for child in self._nested:
+            child.done()
+
+
+def _cast(cast, value, name: str, lo: int | None = None):
+    """``value`` through ``cast``: None (as written), ``int`` or a finite
+    ``float`` (at least ``lo`` when given), a tuple of the allowed values, or
+    ``[c]``, a non-empty JSON list (an empty one would pass every flag) of
+    items through c.  A value it rejects is a ConfigurationError naming the
+    key, never a TypeError deep inside a command."""
+    if cast is None:
+        return value
+    if isinstance(cast, list):
+        if not isinstance(value, list) or not value:
+            raise ConfigurationError(f"{name} must be a non-empty JSON list, not {value!r}")
+        return [_cast(cast[0], v, f"{name}[{i}]") for i, v in enumerate(value)]
+    if isinstance(cast, tuple):
+        if value in cast:
+            return value
+        raise ConfigurationError(f"{name} must be one of {list(cast)}, not {value!r}")
     try:
-        return cast(value)
+        out = cast(value)
     except (TypeError, ValueError, OverflowError):
-        kind = "an integer" if cast is int else "a number"
-        raise ConfigurationError(f"{key} must be {kind}, not {value!r}") from None
+        out = None
+    if out is None or (lo is not None and out < lo) or (cast is float and not math.isfinite(out)):
+        kind = "an integer" if cast is int else "a finite number"
+        at_least = "" if lo is None else f" >= {lo}"
+        raise ConfigurationError(f"{name} must be {kind}{at_least}, not {value!r}")
+    return out
 
 
 # ---------------------------------------------------------------------------
-# command handlers: cfg -> (results, flags, csv_rows or None)
+# command handlers: cfg -> (results, flags, (csv name, csv rows) or None)
 
 
-def _build_system(cfg: dict):
-    kind = cfg.get("kind", "car")
-    n = _num(int, cfg.get("n", 3), "n")
+def _read_system(keys: _Keys):
+    """The builder of a coefficient system, read now and built on call, and
+    its seed; ``dim`` (default n) and ``seed`` shape only a Haar system."""
+    kind = keys.get("kind", "car", ("car", "haar_unitary", "basis_vector"))
+    n = keys.get("n", 3, int)
+    dim = keys.get("dim", n, int)
+    seed = keys.get("seed", 0, int, lo=0)
     if kind == "car":
-        return car_jordan_wigner(n)
+        return partial(car_jordan_wigner, n), seed
     if kind == "haar_unitary":
-        dim = _num(int, cfg.get("dim", n), "dim")
-        return haar_unitaries(n, dim, seed=_num(int, cfg.get("seed", 0), "seed"))
-    if kind == "basis_vector":
-        return basis_vectors(n)
-    raise ConfigurationError(f"unknown system kind {kind!r}")
-
-
-# The keys each command reads.  ``seed`` (set by --seed) and ``output_dir``
-# are allowed everywhere.
-COEFFS_KEYS = frozenset({"kind", "n", "dim", "seed", "restarts", "output_dir"})
-SYSTEM_KEYS = frozenset({"kind", "n", "dim", "seed"})
-HANKEL_PROBE_KEYS = frozenset({"mode", "spec", "L", "n", "D", "system", "f", "seed",
-                               "output_dir"})
-HANKEL_SCAN_KEYS = frozenset({"mode", "families", "D_list", "seed", "probe", "output_dir"})
-SCAN_PROBE_KEYS = frozenset({"n_random", "ascent_restarts", "ascent_steps"})
-CERTIFY_KEYS = frozenset({"system", "kind", "n", "dim", "eps", "D", "search", "seed",
-                          "output_dir"})
-SWEEP_KEYS = CERTIFY_KEYS - {"n"} | {"n_grid"}
-SEARCH_KEYS = frozenset({"restarts", "max_degree", "search_seed", "seed"})
-FCN_KEYS = frozenset({"n_grid", "c", "seed", "output_dir"})
-MC_KEYS = frozenset({"L", "n_samples", "seed", "checks", "output_dir"})
-MC_CHECK_KEYS = frozenset({"check", "level", "degree", "k", "n_max", "car_n"})
-
-
-def _reject_unknown_keys(doc, allowed: frozenset, where: str) -> None:
-    """A misspelt key would otherwise be ignored and its default run."""
-    if not isinstance(doc, dict):
-        raise ConfigurationError(f"{where} must be a JSON object")
-    unknown = sorted(set(doc) - allowed)
-    if unknown:
-        raise ConfigurationError(
-            f"unknown {where} key(s) {unknown}; allowed: {sorted(allowed)}")
-
-
-def _grid(cfg: dict, key: str, default, where: str) -> list:
-    """A list the command loops over: an empty one would pass every flag."""
-    grid = cfg.get(key, default)
-    if not isinstance(grid, list) or not grid:
-        raise ConfigurationError(f"{where} {key} must be a non-empty JSON list, not {grid!r}")
-    return grid
+        return partial(haar_unitaries, n, dim, seed=seed), seed
+    return partial(basis_vectors, n), seed
 
 
 def cmd_coeffs(cfg: dict, thresholds: dict, threads: int):
-    _reject_unknown_keys(cfg, COEFFS_KEYS, "coeffs config")
-    system = _build_system(cfg)
+    keys = _Keys(cfg)
+    build_system, seed = _read_system(keys)
+    restarts = keys.get("restarts", 32, int)
+    keys.done()
+    system = build_system()
     if system.is_square:
         check_tensor_budget(system)  # refuse before the relation and row-bound work
-    restarts = _num(int, cfg.get("restarts", 32), "restarts")
-    seed = _num(int, cfg.get("seed", 0), "seed")
-    n = system.n
     results = {
         "kind": system.kind,
-        "n": n,
+        "n": system.n,
         "dim": list(system.op_dim),
         "seed": system.seed,
     }
@@ -210,38 +246,29 @@ def cmd_coeffs(cfg: dict, thresholds: dict, threads: int):
         results["trace_witness"] = tw
         results["tensor_conj_norm"] = tn
         if system.kind == "car":
-            flags["trace_witness_half_n"] = abs(tw - n / 2.0) <= 1e-9
-            flags["tensor_at_least_witness"] = tn >= n / 2.0 - 1e-9
+            flags["trace_witness_half_n"] = abs(tw - system.n / 2.0) <= 1e-9
+            flags["tensor_at_least_witness"] = tn >= system.n / 2.0 - 1e-9
         if system.kind == "haar_unitary":
-            flags["trace_witness_n"] = abs(tw - n) <= 1e-9
-            flags["tensor_equals_n"] = abs(tn - n) <= 1e-8
+            flags["trace_witness_n"] = abs(tw - system.n) <= 1e-9
+            flags["tensor_equals_n"] = abs(tn - system.n) <= 1e-8
     return results, flags, None
 
 
-def _spec_from_cfg(cfg: dict) -> LacunarySpec:
-    if "spec" in cfg:
-        return LacunarySpec(tuple(_num(int, k, "spec") for k in cfg["spec"]))
-    key = "L" if "L" in cfg else "n"
-    return lacunary_default(_num(int, cfg.get(key, 3), key))
-
-
 def cmd_hankel(cfg: dict, thresholds: dict, threads: int):
-    mode = cfg.get("mode", "probe")
-    if mode == "scan":
-        return _hankel_scan(cfg, thresholds, threads)
-    if mode != "probe":
-        raise ConfigurationError(f"hankel mode must be 'probe' or 'scan', not {mode!r}")
-    _reject_unknown_keys(cfg, HANKEL_PROBE_KEYS, "hankel probe config")
-    if "system" in cfg:
-        _reject_unknown_keys(cfg["system"], SYSTEM_KEYS, "hankel system")
-    spec = _spec_from_cfg(cfg)
-    d = _num(int, cfg.get("D", max(spec.K) + 1), "D")
-    sys_cfg = cfg.get("system", {"kind": "basis_vector", "n": spec.L})
-    system = _build_system(sys_cfg)
-    m = MultiplierSeq.indicator(spec)
-    g = build_hankel(m, spec, system, d)
-    f = Polynomial(cfg.get("f", [0.0, 1.0]))
-    probe = bound_probe(g, f)
+    keys = _Keys(cfg)
+    if keys.get("mode", "probe", ("probe", "scan")) == "scan":
+        return _hankel_scan(keys, thresholds, threads)
+    keys.get("seed", 0, int, lo=0)  # --seed writes it; the probe draws nothing
+    spec_k = keys.get("spec", None, [int])
+    L = keys.get("L", 3, int)
+    spec = lacunary_default(L) if spec_k is None else LacunarySpec(tuple(spec_k))
+    d = keys.get("D", max(spec.K) + 1, int)
+    build_system, _ = _read_system(keys.obj("system", {"kind": "basis_vector", "n": spec.L}))
+    f_coeffs = keys.get("f", [0.0, 1.0], [float])
+    keys.done()
+    system = build_system()
+    g = build_hankel(MultiplierSeq.indicator(spec), spec, system, d)
+    probe = bound_probe(g, Polynomial(f_coeffs))
     results = {
         "mode": "probe",
         "D": d,
@@ -263,112 +290,92 @@ def cmd_hankel(cfg: dict, thresholds: dict, threads: int):
     return results, flags, None
 
 
-def _hankel_scan(cfg: dict, thresholds: dict, threads: int):
-    _reject_unknown_keys(cfg, HANKEL_SCAN_KEYS, "hankel scan config")
-    if "probe" in cfg:
-        _reject_unknown_keys(cfg["probe"], SCAN_PROBE_KEYS, "hankel scan probe")
-    families = _grid(cfg, "families", ["lacunary", "ones"], "hankel scan")
-    d_list = [_num(int, d, "D_list")
-              for d in _grid(cfg, "D_list", thresholds["scan"]["d_grid"], "hankel scan")]
-    seed = _num(int, cfg.get("seed", thresholds["scan"]["seed"]), "seed")
-    pc = cfg.get("probe", thresholds["scan"]["probe"])
-    probe_cfg = ProbeConfig(
-        n_random=_num(int, pc.get("n_random", 16), "probe.n_random"),
-        ascent_restarts=_num(int, pc.get("ascent_restarts", 2), "probe.ascent_restarts"),
-        ascent_steps=_num(int, pc.get("ascent_steps", 24), "probe.ascent_steps"),
-    )
+def _hankel_scan(keys: _Keys, thresholds: dict, threads: int):
+    frozen = thresholds["scan"]
+    families = keys.get("families", ["lacunary", "ones"], [tuple(SCAN_FAMILIES)])
+    d_list = keys.get("D_list", frozen["d_grid"], [int])
+    seed = keys.get("seed", frozen["seed"], int, lo=0)
+    pc = keys.obj("probe", frozen["probe"])
+    # the probe keys are ProbeConfig's fields, with its defaults
+    probe_cfg = ProbeConfig(**{k: pc.get(k, v, int) for k, v in asdict(ProbeConfig()).items()})
+    keys.done()
     all_rows = []
     for family in families:
         all_rows.extend(bound_scan(family, d_list, probe_cfg, seed=seed, threads=threads))
     results = {
         "mode": "scan",
-        "families": list(families),
+        "families": families,
         "D_list": d_list,
         "seed": seed,
-        "rows": [
-            {"D": r.D, "family": r.family, "best_ratio": r.best_ratio,
-             "argmax_poly_id": r.argmax_poly_id, "seed": r.seed}
-            for r in all_rows
-        ],
+        "rows": [asdict(r) for r in all_rows],
     }
     flags = {"row_count": len(all_rows) == len(d_list) * len(families)}
     csv_rows = [("D", "family", "best_ratio", "argmax_poly_id", "seed")]
     csv_rows += [(r.D, r.family, f"{r.best_ratio:.12g}", r.argmax_poly_id, r.seed)
                  for r in all_rows]
-    frozen = thresholds["scan"]
     matches_frozen = (d_list == list(frozen["d_grid"]) and seed == frozen["seed"]
-                      and pc == frozen["probe"])
+                      and pc.doc == frozen["probe"])
     if matches_frozen:
         rel = frozen["rel_tol"]
         for family in families:
             vals = [r.best_ratio for r in all_rows if r.family == family]
-            ref = frozen.get(family)
-            if ref is None:
-                continue
             flags[f"{family}_thresholds"] = all(
-                abs(v - t) <= rel * max(abs(t), 1.0) for v, t in zip(vals, ref)
+                abs(v - t) <= rel * max(abs(t), 1.0) for v, t in zip(vals, frozen[family])
             )
             if family == "ones":
                 flags["ones_growth"] = all(b > a for a, b in zip(vals, vals[1:]))
             if family == "lacunary":
                 flags["lacunary_plateau"] = max(vals) <= frozen["plateau_cap"]
-    return results, flags, ("scan.csv", csv_rows, True)
+    return results, flags, ("scan.csv", csv_rows)
 
 
-def _certify_one(cfg: dict, n: int, seed: int):
-    kind = cfg.get("system", cfg.get("kind", "car"))
-    eps = _num(float, cfg.get("eps", 1.0), "eps")
-    sc = cfg.get("search", {})
-    max_degree = sc.get("max_degree")
-    if max_degree is not None:
-        max_degree = _num(int, max_degree, "search.max_degree")
-        if max_degree < 1:
-            raise ConfigurationError(
-                f"search.max_degree must be an integer >= 1, not {sc['max_degree']!r}")
-    seed_key = "search_seed" if "search_seed" in sc else "seed"
+def _certifier(keys: _Keys):
+    """Read the keys certify and sweep share; return the probe budget and
+    n -> the certify row of the bundle at n."""
+    kind = keys.get("system", "car", ("car", "haar_unitary"))
+    eps = keys.get("eps", 1.0, float)
+    d = keys.get("D", None, int)
+    dim = keys.get("dim", None, int)
+    seed = keys.get("seed", 0, int, lo=0)
+    sk = keys.obj("search", {})
     search = PbSearch(
-        restarts=_num(int, sc.get("restarts", 4), "search.restarts"),
-        max_degree=max_degree,
-        seed=_num(int, sc.get(seed_key, 7), f"search.{seed_key}"),
+        restarts=sk.get("restarts", 4, int),
+        max_degree=sk.get("max_degree", None, int, lo=1),
+        seed=sk.get("seed", 7, int, lo=0),
     )
-    d = _num(int, cfg["D"], "D") if "D" in cfg else None
-    if kind == "car":
-        spec = lacunary_default(n)
-        bundle = build_T(car_jordan_wigner(n), spec, MultiplierSeq.indicator(spec), D=d, eps=eps)
-    elif kind == "haar_unitary":
-        bundle, _ = haar_bundle(n, _num(int, cfg.get("dim", n), "dim"), seed, seed, D=d, eps=eps)
-    else:
-        raise ConfigurationError(f"certify supports car/haar_unitary, not {kind!r}")
-    pb = pb_probe(bundle, search)
-    cb = cb_certificate(bundle, normalizer_seed=seed)
-    row = {
-        "n": n,
-        "D": bundle.space.D,
-        "h_dim": bundle.space.h_dim,
-        "N_total": bundle.total_dim,
-        "eps": eps,
-        "system_kind": bundle.system.kind,
-        "seed": seed,
-        "pb_probe": pb,
-        "cb_lower": cb,
-        "similarity_lower": cb,
-        "probe_budget": {"restarts": search.restarts,
-                         "max_degree": search.max_degree, "seed": search.seed},
-    }
-    return row, search
 
+    def certify(n: int) -> dict:
+        if kind == "car":
+            spec = lacunary_default(n)
+            bundle = build_T(car_jordan_wigner(n), spec, MultiplierSeq.indicator(spec),
+                             D=d, eps=eps)
+        else:
+            bundle, _ = haar_bundle(n, n if dim is None else dim, seed, seed, D=d, eps=eps)
+        pb = pb_probe(bundle, search)
+        cb = cb_certificate(bundle, normalizer_seed=seed)
+        return {
+            "n": n,
+            "D": bundle.space.D,
+            "h_dim": bundle.space.h_dim,
+            "N_total": bundle.total_dim,
+            "eps": eps,
+            "system_kind": bundle.system.kind,
+            "seed": seed,
+            "pb_probe": pb,
+            "cb_lower": cb,
+            "similarity_lower": cb,
+            "probe_budget": asdict(search),
+        }
 
-def _reject_unknown_certify_keys(cfg: dict, allowed: frozenset, where: str) -> None:
-    _reject_unknown_keys(cfg, allowed, where)
-    if "search" in cfg:
-        _reject_unknown_keys(cfg["search"], SEARCH_KEYS, f"{where} search")
+    return search, certify
 
 
 def cmd_certify(cfg: dict, thresholds: dict, threads: int):
-    _reject_unknown_certify_keys(cfg, CERTIFY_KEYS, "certify config")
-    n = _num(int, cfg.get("n", 3), "n")
-    seed = _num(int, cfg.get("seed", 0), "seed")
-    row, search = _certify_one(cfg, n, seed)
+    keys = _Keys(cfg)
+    n = keys.get("n", 3, int)
+    search, certify = _certifier(keys)
+    keys.done()
+    row = certify(n)
     flags = {}
     if row["eps"] == 0.0:
         flags["contraction_certificate_zero"] = row["similarity_lower"] == 0.0
@@ -386,28 +393,29 @@ def cmd_certify(cfg: dict, thresholds: dict, threads: int):
 
 
 def cmd_sweep(cfg: dict, thresholds: dict, threads: int):
-    _reject_unknown_certify_keys(cfg, SWEEP_KEYS, "sweep config")
-    n_grid = [_num(int, v, "n_grid") for v in _grid(cfg, "n_grid", [2, 3, 4], "sweep")]
-    seed = _num(int, cfg.get("seed", 0), "seed")
-    rows = []
-    for n in n_grid:
-        row, _ = _certify_one(cfg, n, seed)
+    keys = _Keys(cfg)
+    n_grid = keys.get("n_grid", [2, 3, 4], [int])
+    _, certify = _certifier(keys)
+    keys.done()
+    rows = [certify(n) for n in n_grid]
+    for row in rows:
         row["cb_over_pb"] = row["cb_lower"] / row["pb_probe"]
-        rows.append(row)
     results = {"n_grid": n_grid, "rows": rows}
     sims = [r["similarity_lower"] for r in rows]
     ratios = [r["cb_over_pb"] for r in rows]
     flags = {"similarity_growth": all(b > a for a, b in zip(sims, sims[1:]))}
     if len(ratios) >= 2:
         flags["separation_ratio_growth"] = ratios[-1] > ratios[0]
-    eps = _num(float, cfg.get("eps", 1.0), "eps")
-    if cfg.get("system", cfg.get("kind", "car")) == "car" and eps > 0:
+    if rows[0]["system_kind"] == "car" and rows[0]["eps"] > 0:
         flags["cb_at_least_half_sqrt_n"] = all(
-            r["cb_lower"] >= eps * np.sqrt(r["n"]) / 2.0 - 1e-8 for r in rows
+            r["cb_lower"] >= r["eps"] * np.sqrt(r["n"]) / 2.0 - 1e-8 for r in rows
         )
     csv_rows = [("n", "similarity_lower", "pb_probe", "cb_over_pb")]
     csv_rows += [(r["n"], r["similarity_lower"], r["pb_probe"], r["cb_over_pb"]) for r in rows]
-    return results, flags, ("sweep.csv", csv_rows, False)
+    return results, flags, ("sweep.csv", csv_rows)
+
+
+MC_CHECKS = ("drift", "eta_bound", "radial", "fourier", "multiplier", "orthogonality", "bridge")
 
 
 def _default_mc_checks(L: int) -> list[dict]:
@@ -418,18 +426,29 @@ def _default_mc_checks(L: int) -> list[dict]:
     if L >= 3:
         checks.append({"check": "multiplier", "level": 3, "k": 6, "degree": 10})
         checks.append({"check": "orthogonality", "level": 3, "degree": 5})
-    if L >= 3:
         checks.append({"check": "bridge", "car_n": 3, "degree": 8})
     return checks
 
 
-def _mc_estimator(kind: str, chk: dict, rng: np.random.Generator, spec: LacunarySpec):
-    """(samplers, finish, level) of one estimator check: the per-sample
-    functions of a path block its estimate streams through, and the map from
-    their estimates to (estimate, target).  The polynomials and vectors are
-    drawn here, from the check's own generator, in a fixed order."""
-    level = _num(int, chk.get("level", 0), "check level")
-    f = random_poly(_num(int, chk.get("degree", 6), "check degree"), rng)
+def _read_check(keys: _Keys) -> dict:
+    """One mc check's settings; ``k`` is required by a multiplier check."""
+    kind = keys.get("check", cast=MC_CHECKS)
+    return {"check": kind, "level": keys.get("level", 0, int),
+            "degree": keys.get("degree", 6, int, lo=0),
+            "k": keys.get("k", _REQUIRED if kind == "multiplier" else None, int),
+            "n_max": keys.get("n_max", 20, int), "car_n": keys.get("car_n", 3, int)}
+
+
+def _mc_estimator(chk: dict, rng: np.random.Generator, spec: LacunarySpec):
+    """(samplers, finish, level) of one check: the per-sample functions of a
+    path block its estimate streams through, and the map from their
+    estimates to (estimate, target); none for drift and eta_bound.  The
+    polynomials and vectors are drawn here, from the check's own generator,
+    in a fixed order."""
+    kind, level = chk["check"], chk["level"]
+    if kind in ("drift", "eta_bound"):  # read off the stream and the table
+        return [], None, level
+    f = random_poly(chk["degree"], rng)
 
     def coeff(k: int) -> complex:
         return complex(f.coeffs[k]) if k < f.coeffs.size else 0j
@@ -441,63 +460,54 @@ def _mc_estimator(kind: str, chk: dict, rng: np.random.Generator, spec: Lacunary
         return ([lambda p: fourier_samples(p, f, spec, level)],
                 lambda e: (e[0], coeff(spec.K[level - 1])), level)
     if kind == "multiplier":
-        k = _num(int, chk["k"], "check k")
+        k = chk["k"]
         return [lambda p: multiplier_samples(p, f, level, k)], lambda e: (e[0], coeff(k)), level
     if kind == "orthogonality":
-        g2 = random_poly(_num(int, chk.get("degree", 6), "check degree"), rng)
+        g2 = random_poly(chk["degree"], rng)
         return [lambda p: orthogonality_samples(p, f, g2, level)], lambda e: (e[0], 0j), level
-    if kind == "bridge":
-        car_n = _num(int, chk.get("car_n", 3), "check car_n")
-        bspec = LacunarySpec((1,) + tuple(2**t for t in range(2, car_n + 1)))
-        system = car_jordan_wigner(car_n)
-        m = MultiplierSeq.indicator(bspec)
-        g = build_hankel(m, bspec, system, D=max(bspec.K) + 1)
-        h = system.op_dim[0]
-        x = rng.standard_normal(h) + 1j * rng.standard_normal(h)
-        y = rng.standard_normal(h) + 1j * rng.standard_normal(h)
-        form = BridgeForm(g, f, x, y, bspec)
-        return form.samplers(), lambda e: (form.combine(e), form.exact), bspec.L
-    raise ConfigurationError(f"unknown mc check {kind!r}")
+    car_n = chk["car_n"]  # the bridge
+    bspec = LacunarySpec((1,) + tuple(2**t for t in range(2, car_n + 1)))
+    system = car_jordan_wigner(car_n)
+    m = MultiplierSeq.indicator(bspec)
+    g = build_hankel(m, bspec, system, D=max(bspec.K) + 1)
+    h = system.op_dim[0]
+    x = rng.standard_normal(h) + 1j * rng.standard_normal(h)
+    y = rng.standard_normal(h) + 1j * rng.standard_normal(h)
+    form = BridgeForm(g, f, x, y, bspec)
+    return form.samplers(), lambda e: (form.combine(e), form.exact), bspec.L
 
 
 def cmd_mc(cfg: dict, thresholds: dict, threads: int):
     """Every check's inputs are drawn first; then one pass over the path
     blocks (``stream_estimates``) feeds all estimators, so no array with
     ``n_samples`` rows is ever allocated."""
-    _reject_unknown_keys(cfg, MC_KEYS, "mc config")
-    L = _num(int, cfg.get("L", 6), "L")
-    n_samples = _num(int, cfg.get("n_samples", 100_000), "n_samples")
-    seed = _num(int, cfg.get("seed", 0), "seed")
-    checks = cfg.get("checks", _default_mc_checks(L))
-    if not isinstance(checks, list):
-        raise ConfigurationError("mc checks must be a JSON list")
-    for chk in checks:
-        _reject_unknown_keys(chk, MC_CHECK_KEYS, "mc check")
+    keys = _Keys(cfg)
+    L = keys.get("L", 6, int)
+    n_samples = keys.get("n_samples", 100_000, int)
+    seed = keys.get("seed", 0, int, lo=0)
+    checks = [_read_check(keys.nest(chk, f"checks[{i}]"))
+              for i, chk in enumerate(keys.get("checks", _default_mc_checks(L), [None]))]
+    keys.done()
     mcfg = MartingaleConfig(L=L, n_samples=n_samples, seed=seed)
     spec = lacunary_default(L)
-    plans, samplers = [], []  # plan: (kind, level, finish, its slice of samplers)
+    plans, samplers = [], []  # plan: (check, level, finish, its slice of samplers)
     for i, chk in enumerate(checks):
-        kind = chk["check"]
-        if kind in ("drift", "eta_bound"):
-            plans.append((kind, _num(int, chk.get("level", 0), "check level"), None, None))
-            continue
-        own, finish, level = _mc_estimator(kind, chk, _seeded_rng(seed, 0xC8EC, i), spec)
-        plans.append((kind, level, finish, slice(len(samplers), len(samplers) + len(own))))
+        own, finish, level = _mc_estimator(chk, _seeded_rng(seed, 0xC8EC, i), spec)
+        plans.append((chk, level, finish, slice(len(samplers), len(samplers) + len(own))))
         samplers += own
     estimates, drift, renorms = stream_estimates(mcfg, samplers)
     rows, flags = [], {}
-    for i, (kind, level, finish, own) in enumerate(plans):
-        row = {"check": kind, "level": level, "n_samples": n_samples, "seed": seed}
+    for i, (chk, level, finish, own) in enumerate(plans):
+        kind = chk["check"]
+        row = {"check": kind, "level": level, "n_samples": n_samples, "seed": seed,
+               "estimate_im": 0.0, "target_im": 0.0, "stderr": 0.0}
         if kind == "drift":
-            row.update(estimate_re=drift, estimate_im=0.0, target_re=0.0,
-                       target_im=0.0, stderr=0.0)
+            row.update(estimate_re=drift, target_re=0.0)
             row["pass"] = drift <= 1e-12
         elif kind == "eta_bound":
-            n_max = _num(int, checks[i].get("n_max", 20), "check n_max")
-            sup = eta_modulus_sup(n_max)
+            sup = eta_modulus_sup(chk["n_max"])
             bound = thresholds["eta"]["sup_n20"]
-            row.update(estimate_re=sup, estimate_im=0.0, target_re=bound,
-                       target_im=0.0, stderr=0.0)
+            row.update(estimate_re=sup, target_re=bound)
             row["pass"] = sup <= bound + 1e-9
         else:
             est, target = finish(estimates[own])
@@ -513,19 +523,19 @@ def cmd_mc(cfg: dict, thresholds: dict, threads: int):
     header = ("check", "level", "n_samples", "seed", "estimate_re", "estimate_im",
               "target_re", "target_im", "stderr", "pass")
     csv_rows = [header] + [tuple(r.get(k, "") for k in header) for r in rows]
-    return results, flags, ("mc.csv", csv_rows, False)
+    return results, flags, ("mc.csv", csv_rows)
 
 
 def cmd_fcn(cfg: dict, thresholds: dict, threads: int):
-    _reject_unknown_keys(cfg, FCN_KEYS, "fcn config")
-    n_grid = [_num(int, v, "n_grid")
-              for v in _grid(cfg, "n_grid", thresholds["fcn"]["n_grid"], "fcn")]
-    c = _num(float, cfg.get("c", thresholds["fcn"]["c"]), "c")
-    seed = _num(int, cfg.get("seed", thresholds["fcn"]["seed"]), "seed")
+    keys = _Keys(cfg)
+    frozen = thresholds["fcn"]
+    n_grid = keys.get("n_grid", frozen["n_grid"], [int])
+    c = keys.get("c", frozen["c"], float)
+    seed = keys.get("seed", frozen["seed"], int, lo=0)
+    keys.done()
     rows = [fcn_experiment(n, c, seed=seed) for n in n_grid]
     results = {"c": c, "seed": seed, "rows": rows}
     flags = {"scaled_positive": all(r["scaled"] > 0 for r in rows)}
-    frozen = thresholds["fcn"]
     if c == frozen["c"] and seed == frozen["seed"] and n_grid == list(frozen["n_grid"]):
         flags["scaled_band"] = all(
             frozen["scaled_lo"] <= r["scaled"] <= frozen["scaled_hi"] for r in rows
@@ -538,7 +548,7 @@ def cmd_fcn(cfg: dict, thresholds: dict, threads: int):
         results["log_scaled"] = crit
     csv_rows = [("n", "c", "cb_over_pb", "scaled")]
     csv_rows += [(r["n"], r["c"], r["cb_over_pb"], r["scaled"]) for r in rows]
-    return results, flags, ("fcn.csv", csv_rows, False)
+    return results, flags, ("fcn.csv", csv_rows)
 
 
 HANDLERS = {
@@ -560,8 +570,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("command", choices=sorted(HANDLERS))
     p.add_argument("--config", type=Path, default=None, help="JSON config document")
     p.add_argument("--seed", type=int, default=None, help="override config seed")
-    p.add_argument("--out", type=Path, default=None, help="output directory")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
+    p.add_argument("--out", type=Path, default=Path("pbnc-out"), help="output directory")
     p.add_argument("--threads", type=int, default=1)
     return p
 
@@ -571,19 +580,16 @@ def run(argv=None) -> int:
     try:
         cfg = {}
         if args.config is not None:
-            cfg = json.loads(Path(args.config).read_text())
+            # a non-UTF-8 byte reads as U+FFFD: bad JSON or a value the reader refuses
+            cfg = json.loads(args.config.read_text(errors="replace"))
             if not isinstance(cfg, dict):
                 raise ConfigurationError("config document must be a JSON object")
         if args.seed is not None:
             cfg["seed"] = args.seed
-        threads = args.threads
-        env_threads = os.environ.get("PBNC_THREADS")
-        if env_threads is not None:
-            threads = _num(int, env_threads, "PBNC_THREADS")
         thresholds, tver = load_thresholds()
 
         t0 = time.perf_counter()
-        results, flags, csv_spec = HANDLERS[args.command](cfg, thresholds, threads)
+        results, flags, csv_spec = HANDLERS[args.command](cfg, thresholds, args.threads)
         runtime_ms = int((time.perf_counter() - t0) * 1000)
 
         payload = {
@@ -597,11 +603,10 @@ def run(argv=None) -> int:
         }
         payload_bytes = _canonical_bytes(payload)
 
-        out_root = args.out or Path(cfg.get("output_dir", "pbnc-out"))
         cfg_hash = hashlib.sha256(
             _canonical_bytes({"command": args.command, "config": cfg})
         ).hexdigest()[:12]
-        run_dir = Path(out_root) / f"{args.command}-{cfg_hash}"
+        run_dir = args.out / f"{args.command}-{cfg_hash}"
         run_dir.mkdir(parents=True, exist_ok=True)
         (run_dir / "payload.json").write_bytes(payload_bytes)
         report = dict(payload)
@@ -609,9 +614,9 @@ def run(argv=None) -> int:
         report["payload_sha256"] = hashlib.sha256(payload_bytes).hexdigest()
         (run_dir / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
         if csv_spec is not None:
-            name, rows, always = csv_spec
-            if always or args.format == "csv":
-                _write_csv(run_dir / name, rows)
+            name, rows = csv_spec
+            with (run_dir / name).open("w", newline="") as fh:
+                csv.writer(fh).writerows(rows)
 
         for name, ok in flags.items():
             print(f"{'PASS' if ok else 'FAIL'} {name}")
@@ -620,17 +625,10 @@ def run(argv=None) -> int:
     except NonConvergenceError as e:
         print(f"non-convergence: {e}", file=sys.stderr)
         return 3
-    except (ConfigurationError, DomainError, DimensionError, ValueError,
-            KeyError, OSError, json.JSONDecodeError) as e:
+    except (ConfigurationError, DomainError, DimensionError, OSError,
+            json.JSONDecodeError) as e:
         print(f"configuration error: {e}", file=sys.stderr)
         return 2
-
-
-def _write_csv(path: Path, rows) -> None:
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        for row in rows:
-            writer.writerow(list(row))
 
 
 def main() -> None:

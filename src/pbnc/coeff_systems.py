@@ -258,8 +258,8 @@ def tensor_conj_norm(system: CoefficientSystem, weights=None) -> float:
     dim = system.op_dim[0]
     apply, apply_adjoint = _tensor_conj_applies(system, weights)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=0))
-    est, _ = numkit.top_singular(apply, apply_adjoint, dim * dim, rng, TENSOR_NORM_TOL,
-                                 numkit.LANCZOS_STEP_CAP)
+    est, _, _ = numkit.top_singular(apply, apply_adjoint, dim * dim, rng, TENSOR_NORM_TOL,
+                                    numkit.LANCZOS_STEP_CAP)
     return est.check_converged("tensor_conj_norm").value
 
 

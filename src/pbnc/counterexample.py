@@ -70,6 +70,7 @@ from .numkit import (
     Polynomial,
     op_norm,
     poly_derivative,
+    subdiagonal_sums,
     sup_norm,
     toeplitz,
     top_singular,
@@ -259,19 +260,14 @@ def _poly_t_applies(b: OperatorBundle, p: Polynomial):
     return apply, apply_adjoint
 
 
-def _poly_t_norm(b: OperatorBundle, p: Polynomial, rng: np.random.Generator,
-                 want_vectors: bool = False):
-    """||P(T)|| by ``top_singular`` on the structured matvecs; with
-    ``want_vectors`` also the top singular pair (u, v).  A solve that hits
-    PROBE_STEP_CAP raises NonConvergenceError."""
+def _poly_t_norm(b: OperatorBundle, p: Polynomial, rng: np.random.Generator):
+    """||P(T)|| by ``top_singular`` on the structured matvecs, with the top
+    singular pair (u, v).  A solve that hits PROBE_STEP_CAP raises
+    NonConvergenceError."""
     apply, apply_adjoint = _poly_t_applies(b, p)
-    est, v = top_singular(apply, apply_adjoint, b.total_dim, rng, 1e-10, PROBE_STEP_CAP)
+    est, u, v = top_singular(apply, apply_adjoint, b.total_dim, rng, 1e-10, PROBE_STEP_CAP)
     est.check_converged("P(T) Golub-Kahan-Lanczos")
-    if not want_vectors:
-        return est.value
-    av = apply(v)
-    nav = np.linalg.norm(av)
-    return est.value, (av / nav if nav > 0 else av), v
+    return est.value, u, v
 
 
 # ---------------------------------------------------------------------------
@@ -283,14 +279,6 @@ class PbSearch:
     restarts: int = 4
     max_degree: int | None = None
     seed: int = 0
-
-
-def _subdiagonal_sums(m: np.ndarray) -> np.ndarray:
-    """s[k] = sum_i m[i, i - k] for k = 0..D-1 of a D x D matrix."""
-    d = m.shape[0]
-    i, j = np.tril_indices(d)
-    k = i - j
-    return np.bincount(k, m.real[i, j], d) + 1j * np.bincount(k, m.imag[i, j], d)
 
 
 def _power_pairings(b: OperatorBundle, u: np.ndarray, v: np.ndarray, max_degree: int) -> np.ndarray:
@@ -310,9 +298,9 @@ def _power_pairings(b: OperatorBundle, u: np.ndarray, v: np.ndarray, max_degree:
     u1, u2 = u[:half].reshape(D, h), u[half:].reshape(D, h)
     v1, v2 = v[:half].reshape(D, h), v[half:].reshape(D, h)
     gh_u1 = b.hankel.apply_flat_adjoint(u[:half]).reshape(D, h)
-    top = _subdiagonal_sums(v1 @ u1.conj().T)  # <u1, (S^t)^k v1>
-    bottom = _subdiagonal_sums(u2.conj() @ v2.T)
-    corner = _subdiagonal_sums(gh_u1.conj() @ v2.T)
+    top = subdiagonal_sums(v1 @ u1.conj().T)  # <u1, (S^t)^k v1>
+    bottom = subdiagonal_sums(u2.conj() @ v2.T)
+    corner = subdiagonal_sums(gh_u1.conj() @ v2.T)
     out = np.zeros(max_degree + 1, dtype=np.complex128)
     n = min(max_degree + 1, D)
     out[:n] = top[:n] + bottom[:n]
@@ -328,10 +316,10 @@ def _pb_map(b: OperatorBundle, rng: np.random.Generator, max_degree: int):
     ball, with the top singular pair (u, v) of P(T) at each step."""
 
     def ratio_of(p: Polynomial) -> float:
-        return _poly_t_norm(b, p, rng) / sup_norm(p).certified_upper
+        return _poly_t_norm(b, p, rng)[0] / sup_norm(p).certified_upper
 
     def value_and_grad(p: Polynomial, sup: float):
-        sigma, u, v = _poly_t_norm(b, p, rng, want_vectors=True)
+        sigma, u, v = _poly_t_norm(b, p, rng)
         ratio = sigma / sup
         if sigma == 0.0:
             return ratio, None
@@ -375,7 +363,7 @@ def von_neumann_excess(b: OperatorBundle, n_polys: int, seed: int = 0) -> float:
         p = random_poly(min(deg, cap), rng)
         if p.is_zero:
             continue
-        excess = _poly_t_norm(b, p, nrng) - sup_norm(p).certified_upper
+        excess = _poly_t_norm(b, p, nrng)[0] - sup_norm(p).certified_upper
         worst = max(worst, excess)
     return float(worst)
 

@@ -1,7 +1,10 @@
 """Error taxonomy shared by all modules.
 
 The CLI maps these to exit codes: configuration/domain/dimension errors
-exit 2, non-convergence exits 3, failed numerical assertions exit 1.
+exit 2 (config values reach library preconditions such as c > 1 and
+eps >= 0), non-convergence exits 3, failed numerical assertions exit 1.  No
+other exception is a config error: a ValueError, KeyError or LinAlgError is
+a bug and propagates out of ``cli.run``.
 """
 
 

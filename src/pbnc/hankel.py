@@ -52,7 +52,7 @@ import numpy as np
 from . import numkit
 from .coeff_systems import CoefficientSystem, basis_vectors
 from .errors import ConfigurationError, DimensionError, DomainError
-from .numkit import Polynomial, poly_derivative, sup_norm, toeplitz, top_singular
+from .numkit import Polynomial, poly_derivative, subdiagonal_sums, sup_norm, toeplitz, top_singular
 
 FLAT_ENTRY_BUDGET = 1 << 26  # refuse to materialize flat matrices above ~1 GiB
 
@@ -165,9 +165,6 @@ class BlockHankel:
     def flat_shape(self) -> tuple[int, int]:
         out_dim, in_dim = self.block_shape
         return (self.D * out_dim, self.D * in_dim)
-
-    def coefficient(self, q: int) -> np.ndarray | None:
-        return self.coefficients.get(q)
 
     def _antidiag(self, q: int) -> tuple[int, int]:
         """Row-block range [lo, hi] of anti-diagonal i + j = q - 1."""
@@ -525,27 +522,23 @@ def hankel_map(g: BlockHankel, rng: np.random.Generator):
         t_h = t_f.conj().T
         apply = (lambda v: w((t_f @ v.reshape(-1, in_dim)).reshape(-1)))
         apply_adjoint = (lambda y: (t_h @ wh(y).reshape(-1, in_dim)).reshape(-1))
-        est, v = top_singular(apply, apply_adjoint, D * in_dim, rng, 1e-10, 200)
-        return est.value, apply, v
+        return top_singular(apply, apply_adjoint, D * in_dim, rng, 1e-10, 200)
 
     def ratio_of(f: Polynomial) -> float:
-        return solve(f)[0] / sup_norm(f).certified_upper
+        return solve(f)[0].value / sup_norm(f).certified_upper
 
     def value_and_grad(f: Polynomial, sup: float):
-        value, apply, v = solve(f)
-        ratio = value / sup
-        wv = apply(v)
-        nrm = np.linalg.norm(wv)
-        if value == 0.0 or nrm == 0.0:
+        est, u, v = solve(f)
+        ratio = est.value / sup
+        if est.value == 0.0:
             return ratio, None
         # gradient of Re u^H W (T(f') x I) v in the coefficients of f, with
         # u = W T v / ||W T v||: d/d f-hat(k+1) = (k+1) conj of
-        # sum_j <(W^H u)_{j+k}, v_j>
-        gu = wh(wv / nrm).reshape(D, in_dim)
-        vb = v.reshape(D, in_dim)
+        # sum_j <(W^H u)_{j+k}, v_j>, the k-th subdiagonal sum
+        gu = wh(u).reshape(D, in_dim)
         grad = np.zeros(2 * D, dtype=np.complex128)
-        for k in range(0, D):  # shift_k truncated: blocks j -> j+k
-            grad[k + 1] = (k + 1) * np.conj(np.vdot(gu[k:, :], vb[: D - k, :]))
+        k = np.arange(1, D + 1)
+        grad[1 : D + 1] = k * np.conj(subdiagonal_sums(gu.conj() @ v.reshape(D, in_dim).T))
         return ratio, grad
 
     return ratio_of, value_and_grad
@@ -615,23 +608,20 @@ SCAN_FAMILIES = {
 
 
 def bound_scan(
-    family,
+    family: str,
     d_list: list[int],
     cfg: ProbeConfig | None = None,
     seed: int = 0,
     threads: int = 1,
 ) -> list[ScanRow]:
-    """Max probe ratio per D.  family is a registered name or a callable
-    D -> BlockHankel.  Cells get deterministic spawned seeds and are
-    aggregated in D_list order regardless of thread count."""
-    if callable(family):
-        builder, family_name = family, getattr(family, "__name__", "custom")
-    else:
-        if family not in SCAN_FAMILIES:
-            raise ConfigurationError(
-                f"unknown scan family {family!r}; choose from {sorted(SCAN_FAMILIES)}"
-            )
-        builder, family_name = SCAN_FAMILIES[family], family
+    """Max probe ratio per D for a family of ``SCAN_FAMILIES``.  Cells get
+    deterministic spawned seeds and are aggregated in D_list order
+    regardless of thread count."""
+    if family not in SCAN_FAMILIES:
+        raise ConfigurationError(
+            f"unknown scan family {family!r}; choose from {sorted(SCAN_FAMILIES)}"
+        )
+    builder = SCAN_FAMILIES[family]
     cfg = cfg or ProbeConfig()
     children = np.random.SeedSequence(entropy=seed).spawn(len(d_list))
     cell_seeds = [int(c.generate_state(1)[0]) for c in children]
@@ -640,7 +630,7 @@ def bound_scan(
         d, cell_seed = args
         g = builder(d)
         best, best_id = scan_probe_best(g, cfg, cell_seed)
-        return ScanRow(D=d, family=family_name, best_ratio=best, argmax_poly_id=best_id, seed=seed)
+        return ScanRow(D=d, family=family, best_ratio=best, argmax_poly_id=best_id, seed=seed)
 
     jobs = list(zip(d_list, cell_seeds))
     if threads > 1 and len(jobs) > 1:

@@ -95,10 +95,10 @@ def op_norm(a, tol: float = 1e-12) -> NormEstimate:
 
 
 def top_singular(apply, apply_adjoint, dim: int, rng: np.random.Generator,
-                 tol: float, max_iter: int) -> tuple[NormEstimate, np.ndarray]:
-    """Top singular value of A (matvec closures) and its right Ritz vector x,
-    by Golub-Kahan-Lanczos bidiagonalization from a complex Gaussian start
-    drawn from ``rng``.
+                 tol: float, max_iter: int) -> tuple[NormEstimate, np.ndarray, np.ndarray]:
+    """Top singular value of A (matvec closures) with its left and right
+    Ritz vectors (u, x), by Golub-Kahan-Lanczos bidiagonalization from a
+    complex Gaussian start drawn from ``rng``.
 
     Step k applies A and A^H once each.  The reorthogonalization is
     one-sided (Simon & Zha 2000): A^H u_k is orthonormalized against the
@@ -119,7 +119,8 @@ def top_singular(apply, apply_adjoint, dim: int, rng: np.random.Generator,
     RESTART_KEEP Ritz pairs and v_{k+1} stay, B_k becomes diag(sigma) plus
     one coupling column (Baglama & Reichel 2005).  After ``max_iter`` steps
     it comes back with converged=False.  The value is the Rayleigh value
-    ||A x|| of the unit vector x, a lower bound converged or not."""
+    ||A x|| of the unit vector x, a lower bound converged or not, and
+    u = A x / ||A x|| comes from that same apply (u = A x when A x = 0)."""
     if max_iter < 1:
         raise DomainError("top_singular needs max_iter >= 1")
     x = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
@@ -179,8 +180,10 @@ def top_singular(apply, apply_adjoint, dim: int, rng: np.random.Generator,
         bmat[:lock, :lock] = np.diag(s[:lock])
     x = qh[0].conj() @ vb[:kk]
     x /= np.linalg.norm(x)
-    value = float(np.linalg.norm(apply(x)))
-    return NormEstimate(value, "golub-kahan-lanczos", tol, steps, converged, residual), x
+    ax = apply(x)
+    nrm = np.linalg.norm(ax)
+    est = NormEstimate(float(nrm), "golub-kahan-lanczos", tol, steps, converged, residual)
+    return est, (ax / nrm if nrm > 0 else ax), x
 
 
 def _orthonormalize(w: np.ndarray, basis: np.ndarray,
@@ -195,6 +198,18 @@ def _orthonormalize(w: np.ndarray, basis: np.ndarray,
         coeffs += h
     nrm = float(np.linalg.norm(w))
     return (w / nrm if nrm > 0.0 else w), coeffs, nrm
+
+
+def subdiagonal_sums(m: np.ndarray) -> np.ndarray:
+    """s[k] = sum_i m[i, i - k] for k = 0..D-1 of a D x D matrix.
+
+    With m = conj(A) C^T for D x h block rows A, C this is
+    s[k] = sum_i <A_i, C_{i-k}>, the pairing of A with C shifted down by k
+    block rows, for every k from one GEMM."""
+    d = m.shape[0]
+    i, j = np.tril_indices(d)
+    k = i - j
+    return np.bincount(k, m.real[i, j], d) + 1j * np.bincount(k, m.imag[i, j], d)
 
 
 # ---------------------------------------------------------------------------

@@ -35,12 +35,10 @@ def _write_config(tmp_path, doc, name="cfg.json"):
     return p
 
 
-def _run(tmp_path, command, doc=None, extra=(), fmt=None):
+def _run(tmp_path, command, doc=None, extra=()):
     argv = [command, "--out", str(tmp_path / "out")]
     if doc is not None:
         argv += ["--config", str(_write_config(tmp_path, doc))]
-    if fmt is not None:
-        argv += ["--format", fmt]
     argv += list(extra)
     return cli.run(argv)
 
@@ -58,12 +56,91 @@ def _est(samples, seed):
     ("sweep", {"n_grid": [[2]]}, "n_grid"),
     ("certify", {"search": {"restarts": [1]}}, "search.restarts"),
     ("mc", {"n_samples": [5]}, "n_samples"),
+    # wrong shapes and non-finite numbers
+    ("hankel", {"mode": "probe", "spec": 5}, "spec must"),
+    ("hankel", {"mode": "scan", "families": [["lacunary"]], "D_list": [5]}, "families[0] must"),
+    ("hankel", {"mode": "probe", "L": 2, "f": "abc"}, "f must"),
+    ("certify", {"n": 2, "eps": float("inf")}, "eps must"),
+    ("fcn", {"n_grid": [2], "c": float("nan")}, "c must"),
+    # missing required keys and negative seeds
+    ("mc", {"L": 3, "n_samples": 100, "checks": [{"level": 2}]}, "checks[0].check is required"),
+    ("mc", {"L": 3, "n_samples": 100, "checks": [{"check": "multiplier", "level": 3}]},
+     "checks[0].k is required"),
+    ("coeffs", {"kind": "car", "n": 2, "seed": -1}, "seed must"),
+    ("coeffs", {"kind": "haar_unitary", "n": 2, "seed": -1}, "seed must"),
+    ("fcn", {"n_grid": [2], "seed": -1}, "seed must"),
+    ("mc", {"L": 2, "n_samples": 100, "seed": -1}, "seed must"),
+    ("certify", {"n": 2, "search": {"seed": -1}}, "search.seed must"),
+    # second spellings of a setting
+    ("coeffs", {"kind": "car", "n": 2, "output_dir": "elsewhere"}, "'output_dir'"),
+    ("certify", {"n": 2, "search": {"search_seed": 3}}, "'search_seed'"),
+    ("hankel", {"mode": "probe", "n": 3}, "'n'"),
+    ("certify", {"kind": "car", "n": 2}, "'kind'"),
+    ("sweep", {"kind": "car", "n_grid": [2]}, "'kind'"),
 ])
 def test_uncastable_value_is_config_error(tmp_path, capsys, command, doc, key):
-    # int([2]) is a TypeError, which must not surface as a traceback
+    # int([2]) is a TypeError, which must not surface as a traceback; every
+    # malformed config exits 2 naming its key and writes no run directory
     assert _run(tmp_path, command, doc) == 2
     assert key in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+WORK = ("row_bound", "build_hankel", "bound_scan", "pb_probe", "fcn_experiment",
+        "stream_estimates")
+
+
+@pytest.mark.parametrize("command,doc,typo", [
+    ("coeffs", {"kind": "car", "n": 2, "restart": 4}, "restart"),
+    ("hankel", {"mode": "probe", "L": 2, "d": 5}, "'d'"),
+    ("hankel", {"mode": "scan", "D_list": [5], "probe": {"n_randm": 2}}, "n_randm"),
+    ("certify", {"n": 2, "search": {"restart": 1}}, "restart"),
+    ("sweep", {"n_grid": [2], "epsilon": 0.5}, "epsilon"),
+    ("fcn", {"n_grid": [2], "C": 3.0}, "'C'"),
+    # the bridge check builds a Hankel matrix: the typo after it still stops first
+    ("mc", {"L": 3, "n_samples": 100,
+            "checks": [{"check": "bridge"}, {"check": "radial", "levle": 2}]}, "levle"),
+])
+def test_unknown_key_is_refused_before_work(tmp_path, capsys, monkeypatch, command, doc, typo):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("work ran before the config was checked")
+
+    for name in WORK:
+        monkeypatch.setattr(cli, name, unreachable)
+    assert _run(tmp_path, command, doc) == 2
+    assert typo in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("error", [ValueError, KeyError, TypeError, np.linalg.LinAlgError])
+@pytest.mark.parametrize("command,doc", [
+    ("coeffs", {"kind": "car", "n": 2}),
+    ("hankel", {"mode": "probe", "L": 2}),
+    ("hankel", {"mode": "scan", "D_list": [5]}),
+    ("certify", {"n": 2}),
+    ("fcn", {"n_grid": [2]}),
+    ("mc", {"L": 2, "n_samples": 100}),
+])
+def test_internal_error_is_not_a_config_error(tmp_path, monkeypatch, error, command, doc):
+    # a bug in the numerics propagates with its traceback, never as exit 2
+    def bug(*args, **kwargs):
+        raise error("internal")
+
+    for name in WORK:
+        monkeypatch.setattr(cli, name, bug)
+    with pytest.raises(error):
+        _run(tmp_path, command, doc)
+    assert not (tmp_path / "out").exists()
+
+
+def test_removed_flag_and_variable(tmp_path, monkeypatch):
+    # --format is gone (the CSV side file is always written) and PBNC_THREADS
+    # no longer overrides --threads
+    with pytest.raises(SystemExit) as exc:
+        _run(tmp_path, "coeffs", {"kind": "car", "n": 2}, extra=["--format", "csv"])
+    assert exc.value.code == 2
+    monkeypatch.setenv("PBNC_THREADS", "not a number")
+    assert _run(tmp_path, "coeffs", {"kind": "car", "n": 2, "restarts": 2}) == 0
 
 
 class TestCoeffs:
@@ -231,7 +308,7 @@ class TestCertify:
 class TestSweep:
     def test_growth_flags(self, tmp_path, capsys):
         doc = {"system": "car", "n_grid": [2, 3], "search": {"restarts": 1}}
-        code = _run(tmp_path, "sweep", doc, fmt="csv")
+        code = _run(tmp_path, "sweep", doc)
         assert code == 0
         out = capsys.readouterr().out
         assert "PASS similarity_growth" in out
@@ -265,7 +342,7 @@ class TestMc:
                       {"check": "fourier", "level": 2, "degree": 6}]}
 
     def test_battery_passes(self, tmp_path):
-        code = _run(tmp_path, "mc", self.DOC, fmt="csv")
+        code = _run(tmp_path, "mc", self.DOC)
         assert code == 0
         run_dir = _run_dirs(tmp_path)[0]
         lines = (run_dir / "mc.csv").read_text().strip().splitlines()
@@ -358,7 +435,7 @@ class TestMc:
 
 class TestFcn:
     def test_small_grid(self, tmp_path):
-        code = _run(tmp_path, "fcn", {"n_grid": [2], "c": 2.0, "seed": 42}, fmt="csv")
+        code = _run(tmp_path, "fcn", {"n_grid": [2], "c": 2.0, "seed": 42})
         assert code == 0
         run_dir = _run_dirs(tmp_path)[0]
         payload = json.loads((run_dir / "payload.json").read_bytes())
@@ -424,6 +501,14 @@ class TestDriver:
         p.write_text("{not json")
         assert cli.run(["coeffs", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("raw", [b'{"kind": "car\xff", "n": 2}', b'{"n": 2}\xff',
+                                     b'{"n\xff": 2}'])
+    def test_non_utf8_config(self, tmp_path, raw):
+        p = tmp_path / "latin.json"
+        p.write_bytes(raw)
+        assert cli.run(["coeffs", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+        assert not (tmp_path / "o").exists()
+
     def test_non_object_config(self, tmp_path):
         p = tmp_path / "arr.json"
         p.write_text("[1, 2]")
@@ -440,15 +525,3 @@ class TestDriver:
         with pytest.raises(SystemExit) as exc:
             cli.run(["transmogrify"])
         assert exc.value.code == 2
-
-    def test_env_thread_override(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("PBNC_THREADS", "2")
-        doc = {"mode": "scan", "families": ["lacunary"], "D_list": [5, 9], "seed": 1,
-               "probe": {"n_random": 2, "ascent_restarts": 1, "ascent_steps": 2}}
-        assert _run(tmp_path, "hankel", doc) == 0
-        single = json.loads((_run_dirs(tmp_path)[0] / "payload.json").read_bytes())
-        monkeypatch.delenv("PBNC_THREADS")
-        doc2 = dict(doc)
-        assert _run(tmp_path, "hankel", doc2, extra=["--threads", "1"]) == 0
-        again = json.loads((_run_dirs(tmp_path)[0] / "payload.json").read_bytes())
-        assert single == again

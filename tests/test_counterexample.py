@@ -156,7 +156,7 @@ class TestPolyOfT:
         b = _car_bundle(n=3, eps=0.7)
         rng = _rng(26)
         for p in (random_poly(5, rng), fejer_poly(8), Polynomial.monomial(3)):
-            assert _poly_t_norm(b, p, rng) == pytest.approx(
+            assert _poly_t_norm(b, p, rng)[0] == pytest.approx(
                 float(op_norm(poly_of_T(b, p))), rel=1e-10)
 
     def test_car5_clustered_norm_matches_dense(self):
@@ -164,7 +164,7 @@ class TestPolyOfT:
         # where the power iteration stalled
         b = _car_bundle(n=5)
         p = fejer_poly(2)
-        sigma, u, v = _poly_t_norm(b, p, _rng(27), want_vectors=True)
+        sigma, u, v = _poly_t_norm(b, p, _rng(27))
         assert sigma == pytest.approx(float(op_norm(poly_of_T(b, p))), rel=1e-10)
         apply, _ = _poly_t_applies(b, p)
         assert np.allclose(apply(v), sigma * u, rtol=0, atol=1e-8)
@@ -184,7 +184,7 @@ class TestPolyOfT:
         b = _small_bundle("haar", 7)
         p = fejer_poly(2)
         apply, apply_adjoint = _poly_t_applies(b, p)
-        est, v = top_singular(apply, apply_adjoint, b.total_dim, _rng(28), 1e-10,
+        est, _, v = top_singular(apply, apply_adjoint, b.total_dim, _rng(28), 1e-10,
                               counterexample.PROBE_STEP_CAP)
         assert est.converged
         explicit = self._explicit_residual(b, p, est.value, v)

@@ -6,7 +6,7 @@ from functools import cached_property
 import numpy as np
 import pytest
 
-from pbnc import cli, errors
+from pbnc import cli, errors, hankel
 from pbnc.coeff_systems import basis_vectors, car_jordan_wigner, haar_unitaries
 from pbnc.hankel import (
     BlockHankel,
@@ -30,7 +30,7 @@ from pbnc.hankel import (
     scan_probe_best,
     symbol_block,
 )
-from pbnc.numkit import Polynomial, op_norm, poly_derivative, sup_norm, toeplitz
+from pbnc.numkit import Polynomial, op_norm, poly_derivative, sup_norm, toeplitz, top_singular
 
 
 def _rng(seed):
@@ -104,9 +104,9 @@ class TestBlockHankel:
 
     def test_coefficient_scaling(self):
         g = _small_car_hankel(n=2, D=5)
-        c2 = g.coefficient(2)
+        c2 = g.coefficients[2]
         assert np.allclose(c2, 0.5 * car_jordan_wigner(2).elements[0], atol=1e-15)
-        assert g.coefficient(3) is None
+        assert 3 not in g.coefficients
 
     def test_unsupported_block_is_zero(self):
         g = _small_car_hankel(n=2, D=5)
@@ -353,6 +353,31 @@ class TestProbeSearch:
         assert hankel_map(g, _rng(3))[0](f) == pytest.approx(best, rel=1e-9)
         assert bound_probe(g, f).ratio == pytest.approx(best, rel=1e-9)
 
+    @pytest.mark.parametrize("g", [_small_car_hankel(2, 9), ones_basis_family(6)],
+                             ids=["car", "ones"])
+    def test_gradient_matches_pairing_loop(self, g, monkeypatch):
+        # the ascent gradient from one subdiagonal-sum GEMM against the
+        # per-shift loop sum_j <(W^H u)_{j+k}, v_j> on the solve's own (u, v)
+        solves = []
+
+        def recording(*args):
+            solves.append(top_singular(*args))
+            return solves[-1]
+
+        monkeypatch.setattr(hankel, "top_singular", recording)
+        diag = g.gram_diagonal_or_none()
+        wh = g.apply_flat_adjoint if diag is None else (lambda y: np.sqrt(diag) * y)
+        _, value_and_grad = hankel_map(g, _rng(4))
+        D, in_dim = g.D, g.block_shape[1]
+        for f in (random_poly(7, _rng(5)), fejer_poly(5)):
+            _, grad = value_and_grad(f, sup_norm(f).certified_upper)
+            _, u, v = solves[-1]
+            gu, vb = wh(u).reshape(D, in_dim), v.reshape(D, in_dim)
+            loop = np.zeros(2 * D, dtype=np.complex128)
+            for k in range(D):
+                loop[k + 1] = (k + 1) * np.conj(np.vdot(gu[k:], vb[: D - k]))
+            assert np.abs(grad - loop).max() <= 1e-12 * np.abs(loop).max()
+
     def test_fejer_ascent_passes_the_certified_bound(self):
         # the renormalizing FFT's bound, rescaled, stands in for sup_norm(f)
         rng = np.random.default_rng(3)
@@ -382,10 +407,14 @@ class TestBoundScan:
         b = bound_scan("ones", [5, 9, 17], self.CFG, seed=4, threads=3)
         assert a == b
 
-    def test_callable_family(self):
-        rows = bound_scan(lambda d: _small_car_hankel(n=2, D=d), [4, 6], self.CFG, seed=0)
-        assert [r.D for r in rows] == [4, 6]
-        assert all(r.best_ratio > 0 for r in rows)
+    def test_non_diagonal_gram_cell(self):
+        # a CAR Hankel matrix has no Gram diagonal: the cell runs the full
+        # search on G itself, monomials included
+        for d in (4, 6):
+            g = _small_car_hankel(n=2, D=d)
+            assert g.gram_diagonal_or_none() is None
+            best, best_id = scan_probe_best(g, self.CFG, seed=0)
+            assert best > 0 and ":" in best_id
 
     def test_unknown_family(self):
         with pytest.raises(errors.ConfigurationError):

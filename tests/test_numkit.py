@@ -12,6 +12,7 @@ from pbnc.numkit import (
     poly_derivative,
     poly_eval,
     poly_of_matrix,
+    subdiagonal_sums,
     sup_norm,
     toeplitz,
     top_singular,
@@ -84,21 +85,24 @@ class TestTopSingular:
     @given(a=_complex_matrices(), seed=st.integers(0, 2**32 - 1))
     def test_rayleigh_lower_bound_matches_svd(self, a, seed):
         exact = np.linalg.svd(a, compute_uv=False)[0]
-        est, v = self._solve(a, seed, 1e-14, 20_000)
+        est, u, v = self._solve(a, seed, 1e-14, 20_000)
         assert est.value <= exact * (1 + 1e-12)
-        assert v.shape == (a.shape[1],)
+        assert v.shape == (a.shape[1],) and u.shape == (a.shape[0],)
+        # u is A v / ||A v|| from the solve's own last apply
+        if est.value > 0.0:
+            assert np.array_equal(u, (a @ v) / np.linalg.norm(a @ v))
         if est.converged:
             assert est.value == pytest.approx(exact, rel=1e-8, abs=1e-12)
 
     def test_cap_reports_not_converged(self):
         a = _random_complex(_rng(11), (8, 8))
         exact = np.linalg.svd(a, compute_uv=False)[0]
-        est, _ = self._solve(a, 12, 1e-12, 2)
+        est, _, _ = self._solve(a, 12, 1e-12, 2)
         assert not est.converged and est.iterations == 2
         assert 0.0 < est.value <= exact * (1 + 1e-12)
 
     def test_zero_operator(self):
-        est, _ = self._solve(np.zeros((3, 4), dtype=np.complex128), 0, 1e-12, 10)
+        est, _, _ = self._solve(np.zeros((3, 4), dtype=np.complex128), 0, 1e-12, 10)
         assert est.value == 0.0 and est.converged and est.iterations == 1
         with pytest.raises(errors.DomainError):
             self._solve(np.eye(2), 0, 1e-12, 0)
@@ -121,7 +125,7 @@ class TestTopSingular:
         # sigma_1 = sigma_2 and sigma_3 = sigma_1 (1 - 1e-6): a converged
         # value is the top singular value, restarts included (k > 40)
         a = self._with_spectrum(_rng(seed), rows, cols, [1.0, 1.0, 1.0 - 1e-6])
-        est, v = self._solve(a, seed + 1, tol, 2_000)
+        est, _, v = self._solve(a, seed + 1, tol, 2_000)
         exact = np.linalg.svd(a, compute_uv=False)[0]
         assert est.value <= exact * (1 + 1e-12)
         assert est.method == "golub-kahan-lanczos"
@@ -135,7 +139,7 @@ class TestTopSingular:
     def test_exhausted_krylov_space_is_exact(self, shape):
         # k = min(rows, cols) steps span one side: converged at any tol
         a = _random_complex(_rng(31), shape)
-        est, _ = self._solve(a, 32, 1e-300, 10_000)
+        est, _, _ = self._solve(a, 32, 1e-300, 10_000)
         assert est.converged and est.iterations <= min(shape) + 1
         assert est.value == pytest.approx(np.linalg.svd(a, compute_uv=False)[0], rel=1e-13)
 
@@ -145,9 +149,18 @@ class TestTopSingular:
         u, _ = np.linalg.qr(_random_complex(rng, (60, 4)))
         v, _ = np.linalg.qr(_random_complex(rng, (50, 4)))
         a = (u * [3.0, 2.0, 1.5, 1.0]) @ v.conj().T
-        est, _ = self._solve(a, 34, 1e-10, 10_000)
+        est, _, _ = self._solve(a, 34, 1e-10, 10_000)
         assert est.converged and est.iterations <= 6
         assert est.value == pytest.approx(3.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("d", [1, 2, 7, 33])
+def test_subdiagonal_sums_match_loop(d):
+    m = _random_complex(_rng(d), (d, d))
+    loop = [sum(m[i, i - k] for i in range(k, d)) for k in range(d)]
+    got = subdiagonal_sums(m)
+    assert got.shape == (d,)
+    assert np.abs(got - loop).max() <= 1e-12 * np.abs(loop).max()
 
 
 class TestPolynomial:

@@ -61,6 +61,32 @@ CALLS = (
        ("mc.L6", "mc", {"L": 6, "n_samples": 1_000_000, "seed": 1}),
        # SIM_BLOCK + 1 samples: a one-row last block, below numpy's elision size
        ("mc.L6.n16385", "mc", {"L": 6, "n_samples": 16_385, "seed": 1})]
+    # cheap calls that set every other config key to a value other than its default
+    + [("coeffs.haar.n2d3", "coeffs",
+        {"kind": "haar_unitary", "n": 2, "dim": 3, "seed": 4, "restarts": 8}),
+       ("hankel.probe.haar", "hankel",
+        {"mode": "probe", "L": 2, "D": 6, "seed": 3, "f": [0.0, 0.5, 0.0, 1.0],
+         "system": {"kind": "haar_unitary", "n": 2, "dim": 3, "seed": 5}}),
+       ("scan.budget", "hankel",
+        {"mode": "scan", "families": ["ones", "lacunary"], "D_list": [5, 9], "seed": 2,
+         "probe": {"n_random": 3, "ascent_restarts": 1, "ascent_steps": 3}}),
+       ("certify.car.eps2", "certify",
+        {"system": "car", "n": 2, "eps": 2.0, "D": 6, "search": {"max_degree": 6}}),
+       ("certify.haar.dim3", "certify",
+        {"system": "haar_unitary", "n": 2, "dim": 3, "eps": 0.5, "D": 6, "seed": 4,
+         "search": {"restarts": 1, "max_degree": 8, "seed": 3}}),
+       ("sweep.haar", "sweep",
+        {"system": "haar_unitary", "n_grid": [2, 3], "dim": 3, "eps": 0.5, "D": 9, "seed": 2,
+         "search": {"restarts": 1, "max_degree": 6, "seed": 1}}),
+       ("fcn.c3", "fcn", {"c": 3.0, "n_grid": [2], "seed": 5}),
+       ("mc.checks", "mc",
+        {"L": 4, "n_samples": 2000, "seed": 3,
+         "checks": [{"check": "drift", "level": 1}, {"check": "eta_bound", "n_max": 12},
+                    {"check": "radial", "level": 3, "degree": 5},
+                    {"check": "fourier", "level": 2, "degree": 7},
+                    {"check": "multiplier", "level": 3, "k": 5, "degree": 8},
+                    {"check": "orthogonality", "level": 2, "degree": 4},
+                    {"check": "bridge", "car_n": 2, "degree": 5}]})]
 )
 
 
