@@ -25,7 +25,6 @@ from .coeff_systems import (
 from .counterexample import (
     OperatorBundle,
     PbSearch,
-    TruncatedSpace,
     build_T,
     cb_certificate,
     eps_for_target_c,

@@ -175,8 +175,10 @@ def _cast(cast, value, name: str, lo: int | None = None):
     """``value`` through ``cast``: None (as written), ``int`` or a finite
     ``float`` (at least ``lo`` when given), a tuple of the allowed values, or
     ``[c]``, a non-empty JSON list (an empty one would pass every flag) of
-    items through c.  A value it rejects is a ConfigurationError naming the
-    key, never a TypeError deep inside a command."""
+    items through c.  Booleans and non-integral ``int`` numbers (1.5, not 1e6
+    or "8") are refused, not truncated.  A value it rejects is a
+    ConfigurationError naming the key, never a TypeError deep inside a
+    command."""
     if cast is None:
         return value
     if isinstance(cast, list):
@@ -188,8 +190,10 @@ def _cast(cast, value, name: str, lo: int | None = None):
             return value
         raise ConfigurationError(f"{name} must be one of {list(cast)}, not {value!r}")
     try:
-        out = cast(value)
+        out = None if isinstance(value, bool) else cast(value)
     except (TypeError, ValueError, OverflowError):
+        out = None
+    if cast is int and isinstance(value, float) and out != value:
         out = None
     if out is None or (lo is not None and out < lo) or (cast is float and not math.isfinite(out)):
         kind = "an integer" if cast is int else "a finite number"
@@ -268,6 +272,9 @@ def cmd_hankel(cfg: dict, thresholds: dict, threads: int):
     keys.done()
     system = build_system()
     g = build_hankel(MultiplierSeq.indicator(spec), spec, system, d)
+    # flat() checks FLAT_ENTRY_BUDGET before the probe's D x D Toeplitz work
+    out_dim, in_dim = g.block_shape
+    blocks = g.flat().reshape(d, out_dim, d, in_dim)
     probe = bound_probe(g, Polynomial(f_coeffs))
     results = {
         "mode": "probe",
@@ -281,8 +288,6 @@ def cmd_hankel(cfg: dict, thresholds: dict, threads: int):
     # structural identities: blocks (i, j) and (j, i) of the materialized
     # matrix agree, and every block equals the symbol m(q)/q * C_phi(q)
     # rebuilt from multiplier, map and system
-    out_dim, in_dim = g.block_shape
-    blocks = g.flat().reshape(d, out_dim, d, in_dim)
     hankel_exact = np.array_equal(blocks, blocks.transpose(2, 1, 0, 3))
     roundtrip_exact = all(np.array_equal(g.block(i, j), symbol_block(g, i, j))
                           for i in range(d) for j in range(d))
@@ -355,11 +360,11 @@ def _certifier(keys: _Keys):
         cb = cb_certificate(bundle, normalizer_seed=seed)
         return {
             "n": n,
-            "D": bundle.space.D,
-            "h_dim": bundle.space.h_dim,
+            "D": bundle.hankel.D,
+            "h_dim": bundle.hankel.block_shape[0],
             "N_total": bundle.total_dim,
             "eps": eps,
-            "system_kind": bundle.system.kind,
+            "system_kind": bundle.hankel.system.kind,
             "seed": seed,
             "pb_probe": pb,
             "cb_lower": cb,

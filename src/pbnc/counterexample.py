@@ -32,7 +32,7 @@ flat, the desk-scale form of the separation.  Haar-unitary bundles (CLI
 certify and the fcn experiment) all come from ``haar_bundle``: multiplier
 1/K2 on the dyadic frequencies, K2 the empirical row bound of the system.
 The fcn experiment sets eps from the same search on ``hankel.hankel_map``
-with a light budget (``_light_hankel_probe``).
+with a light budget (``haar_bundle_for_target``).
 
 Supported frequencies must stay <= D: within that range the truncated
 transpose(S)^a G S^b collapse exactly to G S^{a+b}, which is what makes the
@@ -44,6 +44,7 @@ rejects such multipliers.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -81,48 +82,18 @@ DENSE_T_ENTRY_BUDGET = 1 << 26
 NORMALIZER_RESTARTS = 32  # row_bound restarts behind the non-CAR cb normalizer
 
 
-@dataclass(frozen=True)
-class TruncatedSpace:
-    """Degree-truncated vector-valued polynomial space; basis (i, j) <-> z^i e_j,
-    i major."""
-
-    D: int
-    h_dim: int
-
-    def __post_init__(self):
-        if self.D < 1 or self.h_dim < 1:
-            raise ConfigurationError("TruncatedSpace needs D >= 1 and h_dim >= 1")
-
-    @property
-    def total_dim(self) -> int:
-        return self.D * self.h_dim
-
-
 @dataclass
 class OperatorBundle:
-    space: TruncatedSpace
+    """T at ``eps``; the BlockHankel holds D, the block shape, the system and
+    the multiplier.  Basis (i, j) <-> z^i e_j, i major, in each summand."""
+
     hankel: BlockHankel
     eps: float
-    system: CoefficientSystem
     spec: LacunarySpec
-    multiplier: MultiplierSeq
 
     @property
     def total_dim(self) -> int:
-        return 2 * self.space.total_dim
-
-    @property
-    def shift(self) -> np.ndarray:
-        """D x D one-step shift z^i -> z^{i+1}, truncated."""
-        return np.eye(self.space.D, k=-1, dtype=np.complex128)
-
-    @property
-    def S(self) -> np.ndarray:
-        return np.kron(self.shift, np.eye(self.space.h_dim, dtype=np.complex128))
-
-    @property
-    def G_flat(self) -> np.ndarray:
-        return self.hankel.flat()
+        return 2 * self.hankel.flat_shape[1]
 
     @property
     def T(self) -> np.ndarray:
@@ -131,9 +102,11 @@ class OperatorBundle:
             raise ConfigurationError(
                 f"dense T would be {n}x{n}; use the structured matvec routines"
             )
-        s = self.S
-        z = np.zeros_like(s)
-        return np.block([[s.T, self.eps * self.G_flat], [z, s]])
+        g = self.hankel
+        # S = shift (x) I, the one-step shift z^i -> z^{i+1}, truncated
+        s = np.kron(np.eye(g.D, k=-1, dtype=np.complex128),
+                    np.eye(g.block_shape[1], dtype=np.complex128))
+        return np.block([[s.T, self.eps * g.flat()], [np.zeros_like(s), s]])
 
 
 def build_T(
@@ -164,12 +137,7 @@ def build_T(
             f"multiplier supported at {over} beyond D = {D}; the truncated block "
             "formula is exact only for frequencies <= D"
         )
-    g = build_hankel(m, spec, s_sys, D)
-    h_dim = s_sys.op_dim[0]
-    space = TruncatedSpace(D=D, h_dim=h_dim)
-    return OperatorBundle(
-        space=space, hankel=g, eps=float(eps), system=s_sys, spec=spec, multiplier=m,
-    )
+    return OperatorBundle(hankel=build_hankel(m, spec, s_sys, D), eps=float(eps), spec=spec)
 
 
 def with_eps(b: OperatorBundle, eps: float) -> OperatorBundle:
@@ -183,11 +151,11 @@ def poly_of_T(b: OperatorBundle, p: Polynomial) -> np.ndarray:
     """Dense P(T) by the block formula [[P(S)^t, eps*G*(T(P') (x) I)], [0, P(S)]];
     agrees with Horner evaluation to rounding because supported frequencies
     stay <= D.  The reference the structured matvecs are tested against."""
-    D, h = b.space.D, b.space.h_dim
+    D, h = b.hankel.D, b.hankel.block_shape[1]
     # P(S) = T(p) (x) I: the truncated shift's powers are the Toeplitz diagonals
     ps = np.kron(toeplitz(p, D), np.eye(h, dtype=np.complex128))
     tp = np.kron(toeplitz(poly_derivative(p), D), np.eye(h, dtype=np.complex128))
-    corner = b.eps * (b.G_flat @ tp)
+    corner = b.eps * (b.hankel.flat() @ tp)
     z = np.zeros_like(ps)
     return np.block([[ps.T, corner], [z, ps]])
 
@@ -222,7 +190,8 @@ def _poly_t_applies(b: OperatorBundle, p: Polynomial):
     c k S^{k-1}, applied as shifts in O(D h); any other polynomial uses the
     dense Toeplitz matrices, conjugated once, in O(D^2 h).  The Hankel
     apply adds O(F D h^2) per matvec, against O((Dh)^2) for a dense P(T)."""
-    D, h = b.space.D, b.space.h_dim
+    g = b.hankel
+    D, h = g.D, g.block_shape[1]
     if np.count_nonzero(p.coeffs) == 1:
         k, c = p.degree, p.coeffs[-1]
         cc = np.conj(c)
@@ -237,7 +206,6 @@ def _poly_t_applies(b: OperatorBundle, p: Polynomial):
         ps, ps_t, corner = (lambda x: t_p @ x), (lambda x: t_p.T @ x), (lambda x: t_pp @ x)
         ps_h, ps_t_h = (lambda x: t_p_h @ x), (lambda x: t_p_conj @ x)
         corner_h = (lambda x: t_pp_h @ x)
-    g = b.hankel
     eps = b.eps
     half = D * h
 
@@ -293,7 +261,7 @@ def _power_pairings(b: OperatorBundle, u: np.ndarray, v: np.ndarray, max_degree:
     subdiagonal sum of the D x D product conj(A) C^t of the D x h block rows;
     one adjoint Hankel apply and three such products give every k.  All
     three terms vanish beyond k = D."""
-    D, h = b.space.D, b.space.h_dim
+    D, h = b.hankel.D, b.hankel.block_shape[1]
     half = D * h
     u1, u2 = u[:half].reshape(D, h), u[half:].reshape(D, h)
     v1, v2 = v[:half].reshape(D, h), v[half:].reshape(D, h)
@@ -310,23 +278,11 @@ def _power_pairings(b: OperatorBundle, u: np.ndarray, v: np.ndarray, max_degree:
 
 
 def _pb_map(b: OperatorBundle, rng: np.random.Generator, max_degree: int):
-    """(ratio_of, value_and_grad) of P -> P(T) for ``probe_search``: each norm
-    is a ``_poly_t_norm`` solve drawing from ``rng``, and the ascent
-    maximizes Re sum_k P-hat(k) <u, T^k v> over the grid-discretized sup-norm
-    ball, with the top singular pair (u, v) of P(T) at each step."""
-
-    def ratio_of(p: Polynomial) -> float:
-        return _poly_t_norm(b, p, rng)[0] / sup_norm(p).certified_upper
-
-    def value_and_grad(p: Polynomial, sup: float):
-        sigma, u, v = _poly_t_norm(b, p, rng)
-        ratio = sigma / sup
-        if sigma == 0.0:
-            return ratio, None
-        # grad wrt P-hat(k) of Re <u, P(T) v> is conj(<u, T^k v>)
-        return ratio, np.conj(_power_pairings(b, u, v, max_degree))
-
-    return ratio_of, value_and_grad
+    """(solve, direction) of P -> P(T) for ``probe_search``: each norm is a
+    ``_poly_t_norm`` solve drawing from ``rng``, and the ascent maximizes
+    Re sum_k P-hat(k) <u, T^k v>, whose gradient is conj(<u, T^k v>)."""
+    return (partial(_poly_t_norm, b, rng=rng),
+            lambda u, v: np.conj(_power_pairings(b, u, v, max_degree)))
 
 
 def pb_probe(b: OperatorBundle, search: PbSearch | None = None) -> float:
@@ -336,17 +292,16 @@ def pb_probe(b: OperatorBundle, search: PbSearch | None = None) -> float:
     the result is >= 1 exactly."""
     search = search or PbSearch()
     max_degree = search.max_degree
-    cap = 2 * b.space.D - 2  # T^{2D} = 0: higher coefficients act as zero
+    cap = 2 * b.hankel.D - 2  # T^{2D} = 0: higher coefficients act as zero
     if max_degree is None:
         max_degree = cap
     if not 1 <= max_degree <= cap:
         raise ConfigurationError(f"max_degree {max_degree} outside 1..2D-2 = {cap}")
-    ss = np.random.SeedSequence(entropy=search.seed)
-    ratio_of, value_and_grad = _pb_map(b, np.random.default_rng(ss.spawn(1)[0]), max_degree)
     best, _ = probe_search(
-        ratio_of, value_and_grad, max_degree, monomial_grid(max_degree, b.multiplier.support),
+        partial(_pb_map, b, max_degree=max_degree), max_degree,
+        monomial_grid(max_degree, b.hankel.multiplier.support),
         n_random=4 * max(1, search.restarts), n_degrees=4,
-        ascent_restarts=max(1, search.restarts // 2), ascent_steps=12, seed=ss)
+        ascent_restarts=max(1, search.restarts // 2), ascent_steps=12, seed=search.seed)
     return best
 
 
@@ -357,7 +312,7 @@ def von_neumann_excess(b: OperatorBundle, n_polys: int, seed: int = 0) -> float:
     rng = np.random.default_rng(ss)
     nrng = np.random.default_rng(ss.spawn(1)[0])
     worst = -np.inf
-    cap = 2 * b.space.D - 2
+    cap = 2 * b.hankel.D - 2
     for _ in range(n_polys):
         deg = int(rng.integers(1, max(cap, 2)))
         p = random_poly(min(deg, cap), rng)
@@ -387,15 +342,15 @@ def cb_certificate(b: OperatorBundle, normalizer_seed: int = 0) -> float:
     the division is by the exact value 1; for other systems the conjugated
     row bound is re-estimated empirically and divided out.
     """
-    n = b.system.n
-    compressed = b.eps * (n ** -0.5) * tensor_conj_norm(
-        b.system, [b.multiplier(k) for k in b.spec.K]
+    system, m = b.hankel.system, b.hankel.multiplier
+    compressed = b.eps * (system.n ** -0.5) * tensor_conj_norm(
+        system, [m(k) for k in b.spec.K]
     )
-    if b.system.kind == "car":
+    if system.kind == "car":
         normalizer = 1.0
     else:
         normalizer = float(
-            row_bound(conj_system(b.system), restarts=NORMALIZER_RESTARTS,
+            row_bound(conj_system(system), restarts=NORMALIZER_RESTARTS,
                       seed=normalizer_seed)
         )
         normalizer = max(normalizer, 1e-300)
@@ -416,19 +371,6 @@ def eps_for_target_c(c: float, c_probe: float) -> float:
     return (c - 1.0) / c_probe
 
 
-def _light_hankel_probe(g: BlockHankel, seed: int) -> float:
-    """Cheap lower bound for the Hankel boundedness constant: ``probe_search``
-    on ``hankel_map`` over z, the supported monomials, the Fejer means and four
-    random polynomials, with no ascent."""
-    ss = np.random.SeedSequence(entropy=seed)
-    ratio_of, value_and_grad = hankel_map(g, np.random.default_rng(ss.spawn(1)[0]))
-    max_degree = 2 * g.D - 1
-    monomials = [1] + [q for q in g.multiplier.support if q <= max_degree]
-    best, _ = probe_search(ratio_of, value_and_grad, max_degree, monomials,
-                           n_random=4, n_degrees=4, seed=ss)
-    return best
-
-
 def haar_bundle(n: int, dim: int, system_seed: int, row_bound_seed: int, *,
                 D: int | None, eps: float) -> tuple[OperatorBundle, float]:
     """Haar-unitary bundle and its K2: n unitaries of size dim drawn at
@@ -444,7 +386,10 @@ def haar_bundle(n: int, dim: int, system_seed: int, row_bound_seed: int, *,
 
 def haar_bundle_for_target(n: int, c: float, seed: int) -> tuple[OperatorBundle, dict]:
     """``haar_bundle`` with dim H = n and D = 2^n + 1 at target probe
-    constant c: eps from the probed Hankel constant."""
+    constant c: eps from C_probe, a cheap lower bound for the Hankel
+    boundedness constant by ``probe_search`` on ``hankel_map`` over z, the
+    supported monomials, the Fejer means and four random polynomials, with
+    no ascent."""
     if c <= 1:
         raise DomainError("target c must exceed 1")
     ss = np.random.SeedSequence(entropy=seed)
@@ -452,7 +397,11 @@ def haar_bundle_for_target(n: int, c: float, seed: int) -> tuple[OperatorBundle,
     sys_seed = int(sys_child.generate_state(1)[0])
     base, k2 = haar_bundle(n, n, sys_seed, int(rb_child.generate_state(1)[0]), D=None,
                            eps=0.0)
-    c_probe = _light_hankel_probe(base.hankel, seed=int(probe_child.generate_state(1)[0]))
+    g = base.hankel
+    max_degree = 2 * g.D - 1
+    monomials = [1] + [q for q in g.multiplier.support if q <= max_degree]
+    c_probe, _ = probe_search(partial(hankel_map, g), max_degree, monomials, n_random=4,
+                              n_degrees=4, seed=int(probe_child.generate_state(1)[0]))
     eps = eps_for_target_c(c, c_probe)
     info = {"K2": k2, "C_probe": c_probe, "eps": eps, "system_seed": sys_seed}
     return with_eps(base, eps), info
@@ -464,7 +413,7 @@ def fcn_experiment(n: int, c: float, seed: int = 0) -> dict:
     column staying inside a positive band reproduces the lower half of the
     two-sided sqrt(n) estimate empirically."""
     bundle, info = haar_bundle_for_target(n, c, seed)
-    search = PbSearch(restarts=2, max_degree=min(2 * bundle.space.D - 2, 64), seed=seed)
+    search = PbSearch(restarts=2, max_degree=min(2 * bundle.hankel.D - 2, 64), seed=seed)
     sim = cb_certificate(bundle, normalizer_seed=seed)
     pb = pb_probe(bundle, search)
     cb_over_pb = sim / pb

@@ -18,12 +18,13 @@ All probe results are empirical maxima, i.e. lower bounds for C; the
 normalization divides by the certified sup-norm upper bound so reported
 ratios never overstate C.
 
-``probe_search`` is the one candidate enumeration (``monomial_grid``, Fejer
-means, seeded random polynomials, ``fejer_ascent``) over a map given as
-(ratio_of, value_and_grad).  ``hankel_map`` is the map f -> G T(f'): each
-norm is a ``numkit.top_singular`` solve on W (T(f') (x) I) with
-W^H W = G^H G (the root of the Gram diagonal for basis-vector blocks, G
-itself otherwise), so no dense Gram matrix is formed.  ``scan_probe_best``
+``probe_search`` is the one probe pipeline (``monomial_grid``, Fejer means,
+seeded random polynomials, ``fejer_ascent``) over a map given as a norm solve
+and an ascent direction; it alone seeds and certifies.  ``hankel_map`` is the
+map f -> G T(f'): each norm is a ``numkit.top_singular`` solve on
+W (T(f') (x) I) with W^H W = G^H G (the root of the Gram diagonal for
+basis-vector blocks, G itself otherwise), so no dense Gram matrix is
+formed.  ``scan_probe_best``
 runs it on each scan cell, with closed-form monomials when the Gram matrix is
 diagonal; ``counterexample`` runs the same search on P -> P(T) and, with a
 light budget, on ``hankel_map`` to set eps in the fcn experiment.
@@ -45,7 +46,7 @@ once per (frozen) BlockHankel.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -389,7 +390,10 @@ def fejer_poly(degree: int) -> Polynomial:
 
 def random_poly(degree: int, rng: np.random.Generator) -> Polynomial:
     """Seeded probe polynomial: iid complex Gaussian coefficients scaled by
-    1/deg (the sup normalization happens in the certified ratio)."""
+    1/deg (the sup normalization happens in the certified ratio), refused
+    above ``numkit.DEGREE_CAP`` before anything is drawn."""
+    if degree > numkit.DEGREE_CAP:
+        raise ConfigurationError(f"degree {degree} exceeds cap {numkit.DEGREE_CAP}")
     c = rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1)
     return Polynomial(c / max(degree, 1))
 
@@ -415,13 +419,13 @@ def monomial_grid(max_degree: int, support: tuple[int, ...]) -> list[int]:
     return sorted(ks)
 
 
-def fejer_ascent(start: Polynomial, max_degree: int, steps: int, value_and_grad) -> float:
-    """Best ratio seen by a coefficient ascent: ``value_and_grad(f, sup)``
-    gets f and its certified sup-norm upper bound and gives a certified ratio
-    and an ascent direction (length max_degree + 1, None to stop); each step
-    moves by half the coefficient norm along the direction damped by the
-    Fejer weights, then renormalizes on the sup grid, whose FFT also gives
-    the next step's bound (the grid and slack depend on the degree only)."""
+def fejer_ascent(start: Polynomial, max_degree: int, steps: int, solve, direction) -> float:
+    """Best ratio seen by a coefficient ascent on a map of ``probe_search``:
+    sigma of ``solve(f)`` over f's certified sup bound, stopping at sigma = 0;
+    each step moves by half the coefficient norm along ``direction(u, v)``
+    damped by the Fejer weights, then renormalizes on the sup grid, whose FFT
+    also gives the next step's bound (the grid and slack depend on the degree
+    only)."""
     c = np.zeros(max_degree + 1, dtype=np.complex128)
     c[: start.coeffs.size] = start.coeffs
     damp = 1.0 - np.arange(max_degree + 1) / (max_degree + 1.0)
@@ -431,10 +435,12 @@ def fejer_ascent(start: Polynomial, max_degree: int, steps: int, value_and_grad)
         f = Polynomial(c)
         if f.is_zero:
             break
-        ratio, grad = value_and_grad(f, sup)
-        best = max(best, ratio)
-        if grad is None:
+        sigma, u, v = solve(f)
+        best = max(best, sigma / sup)
+        if sigma == 0.0:
             break
+        grad = direction(u, v)
+        del u, v  # freed before the renormalizing FFT: they would raise the peak
         step = 0.5 * np.linalg.norm(c) / max(np.linalg.norm(grad), 1e-30)
         c = c + step * damp * grad
         bound = sup_norm(Polynomial(c))
@@ -445,10 +451,10 @@ def fejer_ascent(start: Polynomial, max_degree: int, steps: int, value_and_grad)
     return best
 
 
-def probe_search(ratio_of, value_and_grad, max_degree: int, monomials, *,
-                 n_random: int = 0, n_degrees: int = 1, ascent_restarts: int = 1,
-                 ascent_steps: int = 0, seed: np.random.SeedSequence) -> tuple[float, str]:
-    """The one probe enumeration: the best certified ratio ``ratio_of(f)``
+def probe_search(map_of, max_degree: int, monomials, *, n_random: int = 0,
+                 n_degrees: int = 1, ascent_restarts: int = 1, ascent_steps: int = 0,
+                 seed: int) -> tuple[float, str]:
+    """The one probe pipeline: the best certified ratio ||map(f)|| / sup|f|
     over the candidates below, in this order, and the id of the first
     polynomial that reached it ("none" when every ratio is 0).
 
@@ -456,16 +462,22 @@ def probe_search(ratio_of, value_and_grad, max_degree: int, monomials, *,
     - ``fejer:d``: the Fejer means of degree d = 2, 4, 8, ... <= max_degree;
     - ``random:i``: ``n_random`` seeded random polynomials, split evenly over
       a geometric grid of at most ``n_degrees`` degrees in [2, max_degree];
-    - ``ascent:i``: ``fejer_ascent`` on ``value_and_grad`` for
-      ``ascent_steps`` steps (none when 0), started from
-      fejer_poly(min(8, max_degree)) and from ``ascent_restarts - 1`` random
-      polynomials of degree min(16, max_degree).
+    - ``ascent:i``: ``fejer_ascent`` for ``ascent_steps`` steps (none when
+      0), started from fejer_poly(min(8, max_degree)) and from
+      ``ascent_restarts - 1`` random polynomials of degree min(16, max_degree).
 
-    ``seed`` spawns two children: the first draws the random candidates, the
-    second the random starts.  The map owns the stream of its norm solves.
+    ``map_of(rng)`` is ``(solve, direction)``: ``solve(f)`` gives the norm
+    sigma (a lower bound) with its top singular pair (u, v), and
+    ``direction(u, v)`` the ascent direction, length max_degree + 1.  ``seed``
+    spawns three children: ``rng``, the random candidates, the random starts.
     A lower-bound search: the ratio returned is reached by the polynomial
     named."""
+    map_seed, rand_seed, ascent_seed = np.random.SeedSequence(seed).spawn(3)
+    solve, direction = map_of(np.random.default_rng(map_seed))
     best, best_id = 0.0, "none"
+
+    def ratio_of(f: Polynomial) -> float:
+        return solve(f)[0] / sup_norm(f).certified_upper
 
     def offer(ratio: float, poly_id: str) -> None:
         nonlocal best, best_id
@@ -479,8 +491,7 @@ def probe_search(ratio_of, value_and_grad, max_degree: int, monomials, *,
         offer(ratio_of(fejer_poly(deg)), f"fejer:{deg}")
         deg *= 2
 
-    child_rand, child_ascent = seed.spawn(2)
-    rng = np.random.default_rng(child_rand)
+    rng = np.random.default_rng(rand_seed)
     degrees = np.unique(np.geomspace(2, max(max_degree, 2), num=max(n_degrees, 1)).astype(int))
     degrees = degrees[degrees <= max_degree]
     poly_id = 0
@@ -490,18 +501,18 @@ def probe_search(ratio_of, value_and_grad, max_degree: int, monomials, *,
             poly_id += 1
 
     if ascent_steps > 0:
-        arng = np.random.default_rng(child_ascent)
+        arng = np.random.default_rng(ascent_seed)
         starts = [fejer_poly(min(8, max_degree))]
         starts += [random_poly(min(16, max_degree), arng) for _ in range(ascent_restarts - 1)]
         for s_idx, start in enumerate(starts):
-            offer(fejer_ascent(start, max_degree, ascent_steps, value_and_grad),
+            offer(fejer_ascent(start, max_degree, ascent_steps, solve, direction),
                   f"ascent:{s_idx}")
     return best, best_id
 
 
 def hankel_map(g: BlockHankel, rng: np.random.Generator):
-    """(ratio_of, value_and_grad) of f -> G (T(f') (x) I) for ``probe_search``
-    with max_degree 2D - 1.
+    """(solve, direction) of f -> G (T(f') (x) I) for ``probe_search`` with
+    max_degree 2D - 1.
 
     Each norm is a ``top_singular`` solve, started from ``rng``, on
     W (T(f') (x) I) with W^H W = G^H G: W is the square root of the Gram
@@ -522,16 +533,10 @@ def hankel_map(g: BlockHankel, rng: np.random.Generator):
         t_h = t_f.conj().T
         apply = (lambda v: w((t_f @ v.reshape(-1, in_dim)).reshape(-1)))
         apply_adjoint = (lambda y: (t_h @ wh(y).reshape(-1, in_dim)).reshape(-1))
-        return top_singular(apply, apply_adjoint, D * in_dim, rng, 1e-10, 200)
+        est, u, v = top_singular(apply, apply_adjoint, D * in_dim, rng, 1e-10, 200)
+        return est.value, u, v
 
-    def ratio_of(f: Polynomial) -> float:
-        return solve(f)[0].value / sup_norm(f).certified_upper
-
-    def value_and_grad(f: Polynomial, sup: float):
-        est, u, v = solve(f)
-        ratio = est.value / sup
-        if est.value == 0.0:
-            return ratio, None
+    def direction(u: np.ndarray, v: np.ndarray) -> np.ndarray:
         # gradient of Re u^H W (T(f') x I) v in the coefficients of f, with
         # u = W T v / ||W T v||: d/d f-hat(k+1) = (k+1) conj of
         # sum_j <(W^H u)_{j+k}, v_j>, the k-th subdiagonal sum
@@ -539,9 +544,9 @@ def hankel_map(g: BlockHankel, rng: np.random.Generator):
         grad = np.zeros(2 * D, dtype=np.complex128)
         k = np.arange(1, D + 1)
         grad[1 : D + 1] = k * np.conj(subdiagonal_sums(gu.conj() @ v.reshape(D, in_dim).T))
-        return ratio, grad
+        return grad
 
-    return ratio_of, value_and_grad
+    return solve, direction
 
 
 @dataclass(frozen=True)
@@ -572,11 +577,9 @@ def scan_probe_best(g: BlockHankel, cfg: ProbeConfig, seed: int) -> tuple[float,
             if ratio > best:
                 best, best_id = ratio, f"monomial:{k}"
         ks = []
-    ss = np.random.SeedSequence(entropy=seed)
-    ratio_of, value_and_grad = hankel_map(g, np.random.default_rng(ss.spawn(1)[0]))
-    found = probe_search(ratio_of, value_and_grad, max_degree, ks, n_random=cfg.n_random,
+    found = probe_search(partial(hankel_map, g), max_degree, ks, n_random=cfg.n_random,
                          n_degrees=cfg.n_random, ascent_restarts=cfg.ascent_restarts,
-                         ascent_steps=cfg.ascent_steps, seed=ss)
+                         ascent_steps=cfg.ascent_steps, seed=seed)
     return found if found[0] > best else (best, best_id)
 
 

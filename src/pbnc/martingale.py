@@ -120,8 +120,6 @@ class PathBatch:
 class McEstimate:
     mean: complex
     stderr: float
-    n_samples: int
-    seed: int
 
 
 class McAccumulator:
@@ -151,10 +149,10 @@ class McAccumulator:
             self.count = n
         return self
 
-    def estimate(self, seed: int) -> McEstimate:
+    def estimate(self) -> McEstimate:
         n = self.count
         sd = float(np.sqrt(self.m2 / (n - 1))) if n > 1 else 0.0
-        return McEstimate(mean=self.mean, stderr=sd / np.sqrt(n), n_samples=n, seed=seed)
+        return McEstimate(mean=self.mean, stderr=sd / np.sqrt(n))
 
 
 def _product(*factors) -> np.ndarray:
@@ -365,8 +363,7 @@ class BridgeForm:
         for est, coeff in zip(estimates, self.coeffs, strict=True):
             mc_total += complex(est.mean) * coeff
             err_total += abs(coeff) * est.stderr
-        return McEstimate(mean=mc_total, stderr=err_total,
-                          n_samples=estimates[0].n_samples, seed=estimates[0].seed)
+        return McEstimate(mean=mc_total, stderr=err_total)
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +377,7 @@ def stream_estimates(cfg: MartingaleConfig, samplers) -> tuple[list[McEstimate],
     O(SIM_BLOCK * L) for any ``n_samples``.
 
     Returns (estimates, max radial drift, renormalization count), equal to
-    ``McAccumulator().add(samplers[i](paths)).estimate(cfg.seed)``,
+    ``McAccumulator().add(samplers[i](paths)).estimate()``,
     ``paths.max_radial_drift()`` and ``paths.renorm_count`` of
     ``paths = simulate_paths(cfg)``, bit for bit."""
     accs = [McAccumulator() for _ in samplers]
@@ -391,4 +388,4 @@ def stream_estimates(cfg: MartingaleConfig, samplers) -> tuple[list[McEstimate],
         renorms += paths.renorm_count
         for acc, sample in zip(accs, samplers):
             acc.add(sample(paths))
-    return [acc.estimate(cfg.seed) for acc in accs], drift, renorms
+    return [acc.estimate() for acc in accs], drift, renorms

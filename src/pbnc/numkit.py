@@ -54,7 +54,6 @@ def as_matrix(a) -> np.ndarray:
 class NormEstimate:
     value: float
     method: str  # "exact-eigensolve" | "golub-kahan-lanczos"
-    tolerance: float
     iterations: int
     converged: bool = True  # the residual test passed
     residual: float = 0.0  # ||A^H u - value v|| of the returned pair (0 when exact)
@@ -70,20 +69,18 @@ class NormEstimate:
         return self
 
 
-def op_norm(a, tol: float = 1e-12) -> NormEstimate:
+def op_norm(a) -> NormEstimate:
     """Largest singular value of ``a``: Hermitian eigensolve of the Gram
     matrix on the smaller side, largest eigenvalue, square root.  A side
     longer than OP_NORM_EXACT_MAX_DIM raises DimensionError; matrix-free
     norms go through ``top_singular``.
     """
     a = as_matrix(a)
-    if tol <= 0:
-        raise DomainError("tol must be positive")
     if max(a.shape) > OP_NORM_EXACT_MAX_DIM:
         raise DimensionError(f"op_norm is exact only up to dimension {OP_NORM_EXACT_MAX_DIM}, "
                              f"got shape {a.shape}")
     if a.size == 0:
-        return NormEstimate(0.0, "exact-eigensolve", tol, 0)
+        return NormEstimate(0.0, "exact-eigensolve", 0)
     # Gram matrix on the smaller side has the same nonzero spectrum.
     if a.shape[0] <= a.shape[1]:
         gram = a @ a.conj().T
@@ -91,7 +88,7 @@ def op_norm(a, tol: float = 1e-12) -> NormEstimate:
         gram = a.conj().T @ a
     w = np.linalg.eigvalsh(gram)
     value = float(np.sqrt(max(w[-1], 0.0)))
-    return NormEstimate(value, "exact-eigensolve", tol, 0)
+    return NormEstimate(value, "exact-eigensolve", 0)
 
 
 def top_singular(apply, apply_adjoint, dim: int, rng: np.random.Generator,
@@ -182,7 +179,7 @@ def top_singular(apply, apply_adjoint, dim: int, rng: np.random.Generator,
     x /= np.linalg.norm(x)
     ax = apply(x)
     nrm = np.linalg.norm(ax)
-    est = NormEstimate(float(nrm), "golub-kahan-lanczos", tol, steps, converged, residual)
+    est = NormEstimate(float(nrm), "golub-kahan-lanczos", steps, converged, residual)
     return est, (ax / nrm if nrm > 0 else ax), x
 
 

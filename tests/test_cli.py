@@ -47,9 +47,9 @@ def _run_dirs(tmp_path):
     return sorted((tmp_path / "out").iterdir())
 
 
-def _est(samples, seed):
+def _est(samples):
     """The package's one reducer over a full batch of per-sample values."""
-    return McAccumulator().add(samples).estimate(seed)
+    return McAccumulator().add(samples).estimate()
 
 
 @pytest.mark.parametrize("command,doc,key", [
@@ -77,6 +77,13 @@ def _est(samples, seed):
     ("hankel", {"mode": "probe", "n": 3}, "'n'"),
     ("certify", {"kind": "car", "n": 2}, "'kind'"),
     ("sweep", {"kind": "car", "n_grid": [2]}, "'kind'"),
+    # booleans and non-integral numbers are refused, not truncated
+    ("coeffs", {"kind": "car", "n": 1.5}, "n must be an integer"),
+    ("coeffs", {"kind": "car", "n": 2, "restarts": True}, "restarts must be an integer"),
+    ("mc", {"L": 2, "n_samples": 100.5}, "n_samples must be an integer"),
+    ("certify", {"n": 2, "eps": True}, "eps must be a finite number"),
+    ("hankel", {"mode": "probe", "L": 2, "f": [0.0, False]}, "f[1] must"),
+    ("hankel", {"mode": "scan", "D_list": [5], "probe": {"n_random": 2.5}}, "probe.n_random"),
 ])
 def test_uncastable_value_is_config_error(tmp_path, capsys, command, doc, key):
     # int([2]) is a TypeError, which must not surface as a traceback; every
@@ -109,6 +116,25 @@ def test_unknown_key_is_refused_before_work(tmp_path, capsys, monkeypatch, comma
         monkeypatch.setattr(cli, name, unreachable)
     assert _run(tmp_path, command, doc) == 2
     assert typo in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command,doc,message,work", [
+    ("mc", {"L": 2, "n_samples": 100, "checks": [{"check": "radial", "degree": 1 << 20}]},
+     "exceeds cap", "stream_estimates"),
+    ("hankel", {"mode": "probe", "D": 1_000_000}, "budget", "bound_probe"),
+])
+def test_size_above_its_cap_is_refused_before_work(tmp_path, capsys, monkeypatch, command, doc,
+                                                   message, work):
+    # a degree above DEGREE_CAP is refused before its coefficients are drawn,
+    # and a flat Hankel matrix above FLAT_ENTRY_BUDGET before bound_probe
+    # builds its D x D Toeplitz matrix
+    def unreachable(*args, **kwargs):
+        raise AssertionError("work ran before the size was checked")
+
+    monkeypatch.setattr(cli, work, unreachable)
+    assert _run(tmp_path, command, doc) == 2
+    assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -304,6 +330,14 @@ class TestCertify:
         assert len(rows) == 2 and rows[0] == rows[1]
         assert rows[0]["probe_budget"]["max_degree"] == 8
 
+    def test_integral_number_is_an_integer(self, tmp_path):
+        # 8.0 and 4e0 are integral: read as 8 and 4, not refused
+        doc = {"system": "car", "n": 2.0, "search": {"restarts": 4e0, "max_degree": 8.0}}
+        assert _run(tmp_path, "certify", doc) == 0
+        (run_dir,) = _run_dirs(tmp_path)
+        row = json.loads((run_dir / "payload.json").read_bytes())["results"]
+        assert row["n"] == 2 and row["probe_budget"] == {"restarts": 4, "max_degree": 8, "seed": 7}
+
 
 class TestSweep:
     def test_growth_flags(self, tmp_path, capsys):
@@ -379,14 +413,14 @@ class TestMc:
         f = random_poly(int(chk.get("degree", 6)), rng)
         kind, level = chk["check"], int(chk.get("level", 0))
         if kind == "radial":
-            return _est(radial_samples(paths, f, level), seed)
+            return _est(radial_samples(paths, f, level))
         if kind == "fourier":
-            return _est(fourier_samples(paths, f, lacunary_default(L), level), seed)
+            return _est(fourier_samples(paths, f, lacunary_default(L), level))
         if kind == "multiplier":
-            return _est(multiplier_samples(paths, f, level, int(chk["k"])), seed)
+            return _est(multiplier_samples(paths, f, level, int(chk["k"])))
         if kind == "orthogonality":
             g2 = random_poly(int(chk["degree"]), rng)
-            return _est(orthogonality_samples(paths, f, g2, level), seed)
+            return _est(orthogonality_samples(paths, f, g2, level))
         assert kind == "bridge"
         car_n = int(chk["car_n"])
         bspec = LacunarySpec((1,) + tuple(2**t for t in range(2, car_n + 1)))
@@ -396,7 +430,7 @@ class TestMc:
         x = rng.standard_normal(h) + 1j * rng.standard_normal(h)
         y = rng.standard_normal(h) + 1j * rng.standard_normal(h)
         form = BridgeForm(g, f, x, y, bspec)
-        return form.combine([_est(sample(paths), seed) for sample in form.samplers()])
+        return form.combine([_est(sample(paths)) for sample in form.samplers()])
 
     @pytest.mark.parametrize("n_samples", [SIM_BLOCK, SIM_BLOCK + 1, 3 * SIM_BLOCK + 5])
     def test_streamed_rows_equal_full_batch_estimators(self, n_samples):

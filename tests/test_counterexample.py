@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 
 import numpy as np
@@ -10,7 +11,6 @@ from pbnc.coeff_systems import basis_vectors, car_jordan_wigner, haar_unitaries
 from pbnc.counterexample import (
     OperatorBundle,
     PbSearch,
-    TruncatedSpace,
     _pb_map,
     _poly_t_applies,
     _poly_t_norm,
@@ -65,22 +65,22 @@ def _rel_err(got, want):
 class TestBuildT:
     def test_default_truncation(self):
         b = _car_bundle(n=3)
-        assert b.space.D == 9 and b.space.h_dim == 8
+        assert b.hankel.D == 9 and b.hankel.block_shape == (8, 8)
         assert b.total_dim == 2 * 9 * 8
 
     def test_block_layout(self):
         b = _car_bundle(n=2, eps=0.5)
         t = b.T
-        half = b.space.total_dim
-        s = b.S
+        half = b.total_dim // 2
+        s = np.kron(np.eye(b.hankel.D, k=-1), np.eye(b.hankel.block_shape[1]))  # shift (x) I
         assert np.array_equal(t[:half, :half], s.T)
         assert np.array_equal(t[half:, half:], s)
-        assert np.allclose(t[:half, half:], 0.5 * b.G_flat, atol=1e-15)
+        assert np.allclose(t[:half, half:], 0.5 * b.hankel.flat(), atol=1e-15)
         assert not t[half:, :half].any()
 
     def test_nilpotent(self):
         b = _car_bundle(n=2)
-        t = np.linalg.matrix_power(b.T, 2 * b.space.D)
+        t = np.linalg.matrix_power(b.T, 2 * b.hankel.D)
         assert np.abs(t).max() <= 1e-12
 
     def test_validation(self):
@@ -100,17 +100,18 @@ class TestBuildT:
             build_T(car_jordan_wigner(3), spec, MultiplierSeq.indicator(spec), D=7)
         build_T(car_jordan_wigner(3), spec, MultiplierSeq.indicator(spec), D=8)
 
+    def test_bundle_holds_no_copy(self):
+        # D, the system and the multiplier are read off the one BlockHankel,
+        # so replace() cannot make two copies of them disagree
+        assert [f.name for f in dataclasses.fields(OperatorBundle)] == ["hankel", "eps", "spec"]
+
     def test_with_eps(self):
         b = _car_bundle(n=2, eps=1.0)
         b2 = with_eps(b, 0.25)
-        assert b2.eps == 0.25 and b2.space.D == b.space.D
+        assert b2.eps == 0.25 and b2.hankel.D == b.hankel.D
         assert b2.hankel is b.hankel and b.eps == 1.0  # shared, not rebuilt
         with pytest.raises(errors.DomainError):
             with_eps(b, -1.0)
-
-    def test_space_validation(self):
-        with pytest.raises(errors.ConfigurationError):
-            TruncatedSpace(0, 4)
 
 
 class TestPolyOfT:
@@ -127,7 +128,7 @@ class TestPolyOfT:
     def test_matches_horner_high_degree(self):
         rng = _rng(22)
         b = _car_bundle(n=2)
-        p = random_poly(2 * b.space.D - 2, rng)
+        p = random_poly(2 * b.hankel.D - 2, rng)
         assert np.abs(poly_of_matrix(p, b.T) - poly_of_T(b, p)).max() <= 1e-10
 
     def test_structured_matvec_agrees(self):
@@ -200,7 +201,7 @@ class TestPolyOfT:
            deg=st.integers(0, 17), seed=st.integers(0, 2**32 - 1))
     def test_block_formula_matches_horner_property(self, bundle, eps, deg, seed):
         b = with_eps(_small_bundle(*bundle), eps)
-        p = random_poly(min(deg, 2 * b.space.D - 1), _rng(seed))
+        p = random_poly(min(deg, 2 * b.hankel.D - 1), _rng(seed))
         assert _rel_err(poly_of_T(b, p), poly_of_matrix(p, b.T)) <= 1e-12
 
     @settings(max_examples=24, deadline=None, derandomize=True)
@@ -211,7 +212,7 @@ class TestPolyOfT:
         # z^0 (no corner), z^D (S^k = 0) and a drawn k in [0, 2D - 2]
         b = with_eps(_small_bundle(*bundle), eps)
         rng = _rng(seed)
-        D = b.space.D
+        D = b.hankel.D
         c = complex(rng.standard_normal(), rng.standard_normal())
         polys = [random_poly(min(deg, 2 * D - 1), rng)]
         polys += [Polynomial.monomial(j, c) for j in (0, D, k % (2 * D - 1))]
@@ -244,7 +245,7 @@ class TestPbProbe:
     def test_max_degree_cap(self):
         b = _car_bundle(n=2)
         with pytest.raises(errors.ConfigurationError):
-            pb_probe(b, PbSearch(max_degree=2 * b.space.D - 1))
+            pb_probe(b, PbSearch(max_degree=2 * b.hankel.D - 1))
 
     def test_deterministic(self):
         b = _car_bundle(n=2)
@@ -255,11 +256,10 @@ class TestPbProbe:
     def test_witness_reproduces_best(self, kind):
         # without monomials the best is a Fejer mean; the dense P(T) checks it
         b = _car_bundle(n=2)
-        max_degree = 2 * b.space.D - 2
-        ks = monomial_grid(max_degree, b.multiplier.support) if kind == "monomial" else ()
-        ratio_of, value_and_grad = _pb_map(b, _rng(1), max_degree)
-        best, best_id = probe_search(ratio_of, value_and_grad, max_degree, ks,
-                                     seed=np.random.SeedSequence(2))
+        max_degree = 2 * b.hankel.D - 2
+        ks = monomial_grid(max_degree, b.hankel.multiplier.support) if kind == "monomial" else ()
+        best, best_id = probe_search(functools.partial(_pb_map, b, max_degree=max_degree),
+                                     max_degree, ks, seed=2)
         name, degree = best_id.split(":")
         assert name == kind
         p = Polynomial.monomial(int(degree)) if kind == "monomial" else fejer_poly(int(degree))
@@ -285,11 +285,11 @@ class TestPbProbe:
         rng = _rng(32 + n)
         u, v = (rng.standard_normal(b.total_dim) + 1j * rng.standard_normal(b.total_dim)
                 for _ in range(2))
-        max_degree = 2 * b.space.D - 2
+        max_degree = 2 * b.hankel.D - 2
         want = self._pairings_by_matvec(b, u, v, max_degree)
         got = _power_pairings(b, u, v, max_degree)
         assert _rel_err(got, want) <= 1e-12
-        assert not got[b.space.D + 1:].any()
+        assert not got[b.hankel.D + 1:].any()
         short = _power_pairings(b, u, v, 3)
         assert np.array_equal(short, got[:4])
 
@@ -335,12 +335,12 @@ class TestTargetScaling:
 
     def test_haar_bundle_wiring(self):
         bundle, info = haar_bundle_for_target(2, 2.0, seed=42)
-        assert bundle.system.kind == "haar_unitary"
-        assert bundle.system.seed == info["system_seed"]
-        assert bundle.space.D == 5
+        assert bundle.hankel.system.kind == "haar_unitary"
+        assert bundle.hankel.system.seed == info["system_seed"]
+        assert bundle.hankel.D == 5
         assert info["eps"] == pytest.approx((2.0 - 1.0) / info["C_probe"], rel=1e-12)
         assert info["K2"] >= 1.0
-        m_val = bundle.multiplier(2)
+        m_val = bundle.hankel.multiplier(2)
         assert abs(m_val - 1.0 / info["K2"]) <= 1e-12
 
     def test_c_probe_at_the_frozen_seed(self):

@@ -1,12 +1,12 @@
 import csv
 import json
 from dataclasses import FrozenInstanceError
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 import pytest
 
-from pbnc import cli, errors, hankel
+from pbnc import cli, errors
 from pbnc.coeff_systems import basis_vectors, car_jordan_wigner, haar_unitaries
 from pbnc.hankel import (
     BlockHankel,
@@ -30,7 +30,14 @@ from pbnc.hankel import (
     scan_probe_best,
     symbol_block,
 )
-from pbnc.numkit import Polynomial, op_norm, poly_derivative, sup_norm, toeplitz, top_singular
+from pbnc.numkit import (
+    DEGREE_CAP,
+    Polynomial,
+    op_norm,
+    poly_derivative,
+    sup_norm,
+    toeplitz,
+)
 
 
 def _rng(seed):
@@ -344,34 +351,26 @@ class TestProbeSearch:
         g = lacunary_basis_family(9) if system == "basis" else _small_car_hankel(2, 9)
         max_degree = 2 * g.D - 1
         ks = monomial_grid(max_degree, g.multiplier.support) if kind == "monomial" else ()
-        ratio_of, value_and_grad = hankel_map(g, _rng(1))
-        best, best_id = probe_search(ratio_of, value_and_grad, max_degree, ks,
-                                     seed=np.random.SeedSequence(2))
+        best, best_id = probe_search(partial(hankel_map, g), max_degree, ks, seed=2)
         name, degree = best_id.split(":")
         assert name == kind
         f = Polynomial.monomial(int(degree)) if kind == "monomial" else fejer_poly(int(degree))
-        assert hankel_map(g, _rng(3))[0](f) == pytest.approx(best, rel=1e-9)
+        solve, _ = hankel_map(g, _rng(3))
+        assert solve(f)[0] / sup_norm(f).certified_upper == pytest.approx(best, rel=1e-9)
         assert bound_probe(g, f).ratio == pytest.approx(best, rel=1e-9)
 
     @pytest.mark.parametrize("g", [_small_car_hankel(2, 9), ones_basis_family(6)],
                              ids=["car", "ones"])
-    def test_gradient_matches_pairing_loop(self, g, monkeypatch):
-        # the ascent gradient from one subdiagonal-sum GEMM against the
+    def test_gradient_matches_pairing_loop(self, g):
+        # the ascent direction from one subdiagonal-sum GEMM against the
         # per-shift loop sum_j <(W^H u)_{j+k}, v_j> on the solve's own (u, v)
-        solves = []
-
-        def recording(*args):
-            solves.append(top_singular(*args))
-            return solves[-1]
-
-        monkeypatch.setattr(hankel, "top_singular", recording)
         diag = g.gram_diagonal_or_none()
         wh = g.apply_flat_adjoint if diag is None else (lambda y: np.sqrt(diag) * y)
-        _, value_and_grad = hankel_map(g, _rng(4))
+        solve, direction = hankel_map(g, _rng(4))
         D, in_dim = g.D, g.block_shape[1]
         for f in (random_poly(7, _rng(5)), fejer_poly(5)):
-            _, grad = value_and_grad(f, sup_norm(f).certified_upper)
-            _, u, v = solves[-1]
+            _, u, v = solve(f)
+            grad = direction(u, v)
             gu, vb = wh(u).reshape(D, in_dim), v.reshape(D, in_dim)
             loop = np.zeros(2 * D, dtype=np.complex128)
             for k in range(D):
@@ -379,19 +378,65 @@ class TestProbeSearch:
             assert np.abs(grad - loop).max() <= 1e-12 * np.abs(loop).max()
 
     def test_fejer_ascent_passes_the_certified_bound(self):
-        # the renormalizing FFT's bound, rescaled, stands in for sup_norm(f)
-        rng = np.random.default_rng(3)
+        # the renormalizing FFT's bound, rescaled, stands in for sup_norm(f):
+        # a solve that returns sup_norm(f)'s bound at step j and a negligible
+        # norm at every other step makes the best ratio that of step j
+        for j in range(6):
+            rng = np.random.default_rng(3)
+            seen = []
+
+            def solve(f):
+                seen.append(f)
+                return (sup_norm(f).certified_upper if len(seen) == j + 1 else 1e-300), None, None
+
+            def direction(u, v):
+                return rng.standard_normal(9) + 1j * rng.standard_normal(9)
+
+            best = fejer_ascent(random_poly(4, rng), 8, 6, solve, direction)
+            assert len(seen) == 6 and best == pytest.approx(1.0, rel=4e-16)
+
+    @staticmethod
+    def _stub_search(sigma_of, **budget):
+        """probe_search over a map whose i-th solve returns the norm
+        ``sigma_of(i)``, with the polynomials it solved; a direction is never
+        asked for."""
         seen = []
 
-        def value_and_grad(f, sup):
-            seen.append((f, sup))
-            grad = rng.standard_normal(9) + 1j * rng.standard_normal(9)
-            return 1.0 / sup, grad
+        def map_of(rng):
+            def solve(f):
+                seen.append(f)
+                return sigma_of(len(seen) - 1), None, None
 
-        best = fejer_ascent(random_poly(4, rng), 8, 6, value_and_grad)
-        assert len(seen) == 6 and best == max(1.0 / sup for _, sup in seen)
-        for f, sup in seen:
-            assert sup == pytest.approx(sup_norm(f).certified_upper, rel=4e-16)
+            return solve, lambda u, v: pytest.fail("the ascent asked for a direction")
+
+        best, best_id = probe_search(map_of, 12, range(13), n_random=6, n_degrees=3, seed=5,
+                                     **budget)
+        return best, best_id, seen
+
+    def test_stub_map_ratio_is_sigma_over_certified_sup(self):
+        # a norm of 0.5 at candidate i alone: the search returns that
+        # candidate's sigma over sup_norm's certified bound, under its id
+        ids = ([f"monomial:{k}" for k in range(13)] + [f"fejer:{d}" for d in (2, 4, 8)]
+               + [f"random:{i}" for i in range(6)])
+        for i, poly_id in enumerate(ids):
+            best, best_id, seen = self._stub_search(lambda call: 0.5 if call == i else 0.0)
+            assert len(seen) == len(ids)
+            assert best == 0.5 / sup_norm(seen[i]).certified_upper and best_id == poly_id
+
+    def test_stub_map_zero_norm_ends_the_ascent(self):
+        # two ascents of up to 5 steps each make one solve apiece
+        best, best_id, seen = self._stub_search(lambda call: 0.0, ascent_restarts=2,
+                                                ascent_steps=5)
+        assert len(seen) == 22 + 2
+        assert best == 0.0 and best_id == "none"
+
+    def test_random_poly_degree_cap(self):
+        rng = _rng(6)
+        state = rng.bit_generator.state
+        with pytest.raises(errors.ConfigurationError, match="cap"):
+            random_poly(DEGREE_CAP + 1, rng)
+        assert rng.bit_generator.state == state  # refused before any draw
+        assert random_poly(DEGREE_CAP, rng).degree == DEGREE_CAP
 
 
 class TestBoundScan:

@@ -26,9 +26,9 @@ def _rng(seed):
     return np.random.default_rng(np.random.SeedSequence(entropy=seed))
 
 
-def _est(samples, seed=0):
+def _est(samples):
     """The package's one reducer over a full batch of per-sample values."""
-    return McAccumulator().add(samples).estimate(seed)
+    return McAccumulator().add(samples).estimate()
 
 
 def _paths(L=5, n=40_000, seed=3):
@@ -330,12 +330,12 @@ class TestStreaming:
         # the pairwise merge agrees with the two-pass formulas to rounding,
         # and a single chunk reproduces them exactly
         x = _rng(20).standard_normal(3 * SIM_BLOCK + 7) * (1 + 2j) + 0.5j
-        est = McAccumulator().add(x).estimate(0)
+        est = McAccumulator().add(x).estimate()
         sd = np.sqrt(np.sum(np.abs(x - x.mean()) ** 2) / (x.size - 1))
         assert abs(est.mean - x.mean()) <= 1e-14
         assert est.stderr == pytest.approx(sd / np.sqrt(x.size), rel=1e-12)
         head = x[:100]
-        one = McAccumulator().add(head).estimate(0)
+        one = McAccumulator().add(head).estimate()
         assert one.mean == complex(head.mean())
         assert one.stderr == np.sqrt(np.sum(np.abs(head - complex(head.mean())) ** 2) / 99) / 10
 
