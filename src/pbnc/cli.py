@@ -38,6 +38,7 @@ import numpy as np
 from . import __version__
 from .coeff_systems import (
     basis_vectors,
+    car_dim,
     car_jordan_wigner,
     car_relation_residual,
     check_tensor_budget,
@@ -207,27 +208,28 @@ def _cast(cast, value, name: str, lo: int | None = None):
 
 
 def _read_system(keys: _Keys):
-    """The builder of a coefficient system, read now and built on call, and
-    its seed; ``dim`` (default n) and ``seed`` shape only a Haar system."""
+    """The builder of a coefficient system, read now and built on call, its
+    seed and the side of its square elements (None for basis vectors, which
+    are columns); ``dim`` (default n) and ``seed`` shape only a Haar system."""
     kind = keys.get("kind", "car", ("car", "haar_unitary", "basis_vector"))
     n = keys.get("n", 3, int)
     dim = keys.get("dim", n, int)
     seed = keys.get("seed", 0, int, lo=0)
     if kind == "car":
-        return partial(car_jordan_wigner, n), seed
+        return partial(car_jordan_wigner, n), seed, car_dim(n)
     if kind == "haar_unitary":
-        return partial(haar_unitaries, n, dim, seed=seed), seed
-    return partial(basis_vectors, n), seed
+        return partial(haar_unitaries, n, dim, seed=seed), seed, dim
+    return partial(basis_vectors, n), seed, None
 
 
 def cmd_coeffs(cfg: dict, thresholds: dict, threads: int):
     keys = _Keys(cfg)
-    build_system, seed = _read_system(keys)
+    build_system, seed, side = _read_system(keys)
     restarts = keys.get("restarts", 32, int)
     keys.done()
+    if side is not None:
+        check_tensor_budget(side)  # refuse before the system is built
     system = build_system()
-    if system.is_square:
-        check_tensor_budget(system)  # refuse before the relation and row-bound work
     results = {
         "kind": system.kind,
         "n": system.n,
@@ -267,7 +269,7 @@ def cmd_hankel(cfg: dict, thresholds: dict, threads: int):
     L = keys.get("L", 3, int)
     spec = lacunary_default(L) if spec_k is None else LacunarySpec(tuple(spec_k))
     d = keys.get("D", max(spec.K) + 1, int)
-    build_system, _ = _read_system(keys.obj("system", {"kind": "basis_vector", "n": spec.L}))
+    build_system, _, _ = _read_system(keys.obj("system", {"kind": "basis_vector", "n": spec.L}))
     f_coeffs = keys.get("f", [0.0, 1.0], [float])
     keys.done()
     system = build_system()
@@ -334,9 +336,11 @@ def _hankel_scan(keys: _Keys, thresholds: dict, threads: int):
     return results, flags, ("scan.csv", csv_rows)
 
 
-def _certifier(keys: _Keys):
-    """Read the keys certify and sweep share; return the probe budget and
-    n -> the certify row of the bundle at n."""
+def _certifier(keys: _Keys, n_grid: list[int]):
+    """Read the keys certify and sweep share and close the config; refuse
+    an n of ``n_grid`` whose elements exceed the tensor budget before any
+    bundle is built; return the probe budget and n -> the certify row of the
+    bundle at n."""
     kind = keys.get("system", "car", ("car", "haar_unitary"))
     eps = keys.get("eps", 1.0, float)
     d = keys.get("D", None, int)
@@ -348,6 +352,9 @@ def _certifier(keys: _Keys):
         max_degree=sk.get("max_degree", None, int, lo=1),
         seed=sk.get("seed", 7, int, lo=0),
     )
+    keys.done()
+    for n in n_grid:  # cb_certificate takes the tensor norm of every bundle
+        check_tensor_budget(car_dim(n) if kind == "car" else (n if dim is None else dim))
 
     def certify(n: int) -> dict:
         if kind == "car":
@@ -378,8 +385,7 @@ def _certifier(keys: _Keys):
 def cmd_certify(cfg: dict, thresholds: dict, threads: int):
     keys = _Keys(cfg)
     n = keys.get("n", 3, int)
-    search, certify = _certifier(keys)
-    keys.done()
+    search, certify = _certifier(keys, [n])
     row = certify(n)
     flags = {}
     if row["eps"] == 0.0:
@@ -400,8 +406,7 @@ def cmd_certify(cfg: dict, thresholds: dict, threads: int):
 def cmd_sweep(cfg: dict, thresholds: dict, threads: int):
     keys = _Keys(cfg)
     n_grid = keys.get("n_grid", [2, 3, 4], [int])
-    _, certify = _certifier(keys)
-    keys.done()
+    _, certify = _certifier(keys, n_grid)
     rows = [certify(n) for n in n_grid]
     for row in rows:
         row["cb_over_pb"] = row["cb_lower"] / row["pb_probe"]

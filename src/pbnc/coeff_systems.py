@@ -34,6 +34,8 @@ from . import numkit
 from .errors import ConfigurationError, DimensionError, DomainError
 
 CAR_MAX_N = 12  # dense elements: n * 4^n complex entries, 3.2 GB at n = 12
+HAAR_MAX_ENTRIES = 1 << 27  # n * dim^2 complex entries of the elements, 2.1 GB
+BASIS_MAX_N = 1 << 13  # eye(n) and its n columns: 2 n^2 complex entries, 2.1 GB
 TENSOR_MAX_DIM = 256  # CAR n <= 8: tensor_conj_norm's apply costs O(n dim^3)
 TENSOR_NORM_TOL = 1e-12  # top_singular residual tolerance of tensor_conj_norm
 ROW_BOUND_STEP_CAP = 200  # alternating-ascent steps per row_bound restart
@@ -77,10 +79,17 @@ class CoefficientSystem:
         return out_dim == in_dim
 
 
-def car_jordan_wigner(n: int) -> CoefficientSystem:
-    """CAR system on 2^n dimensions; see the module docstring for the recipe."""
+def car_dim(n: int) -> int:
+    """2^n, the side of the CAR elements on n modes; n outside 1..CAR_MAX_N
+    is refused before anything is built."""
     if not 1 <= n <= CAR_MAX_N:
         raise ConfigurationError(f"car_jordan_wigner needs 1 <= n <= {CAR_MAX_N}, got {n}")
+    return 1 << n
+
+
+def car_jordan_wigner(n: int) -> CoefficientSystem:
+    """CAR system on 2^n dimensions; see the module docstring for the recipe."""
+    car_dim(n)
     elements = []
     for k in range(1, n + 1):
         m = np.ones((1, 1), dtype=np.complex128)
@@ -94,6 +103,9 @@ def haar_unitaries(n: int, dim: int, seed: int) -> CoefficientSystem:
     """n independent Haar unitaries, deterministic per seed."""
     if n < 1 or dim < 1:
         raise ConfigurationError("haar_unitaries needs n >= 1 and dim >= 1")
+    if n * dim * dim > HAAR_MAX_ENTRIES:
+        raise ConfigurationError(
+            f"haar_unitaries needs n * dim^2 <= {HAAR_MAX_ENTRIES}, got n = {n}, dim = {dim}")
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))
     elements = []
     for _ in range(n):
@@ -105,8 +117,8 @@ def haar_unitaries(n: int, dim: int, seed: int) -> CoefficientSystem:
 
 
 def basis_vectors(n: int) -> CoefficientSystem:
-    if n < 1:
-        raise ConfigurationError("basis_vectors needs n >= 1")
+    if not 1 <= n <= BASIS_MAX_N:
+        raise ConfigurationError(f"basis_vectors needs 1 <= n <= {BASIS_MAX_N}, got {n}")
     eye = np.eye(n, dtype=np.complex128)
     return CoefficientSystem("basis_vector", [eye[:, k : k + 1].copy() for k in range(n)])
 
@@ -202,11 +214,10 @@ def row_bound(system: CoefficientSystem, restarts: int = 32, seed: int = 0) -> R
     return RowBoundEstimate(best, restarts, seed, converged)
 
 
-def check_tensor_budget(system: CoefficientSystem) -> None:
-    """Raise ConfigurationError when ``tensor_conj_norm`` would refuse the
-    system (element dimension above TENSOR_MAX_DIM), so a caller can refuse
-    before any other work."""
-    dim = system.op_dim[0]
+def check_tensor_budget(dim: int) -> None:
+    """Raise ConfigurationError when ``tensor_conj_norm`` would refuse square
+    elements of side ``dim`` (above TENSOR_MAX_DIM), so a caller that knows
+    the side from its config can refuse before building anything."""
     if dim > TENSOR_MAX_DIM:
         raise ConfigurationError(
             f"element dimension {dim} exceeds the tensor-norm budget {TENSOR_MAX_DIM}"
@@ -254,8 +265,8 @@ def tensor_conj_norm(system: CoefficientSystem, weights=None) -> float:
     LANCZOS_STEP_CAP raises NonConvergenceError.  The value is the Rayleigh
     value ||M x|| of a unit vector x, a lower bound on the norm.
     """
-    check_tensor_budget(system)
     dim = system.op_dim[0]
+    check_tensor_budget(dim)
     apply, apply_adjoint = _tensor_conj_applies(system, weights)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=0))
     est, _, _ = numkit.top_singular(apply, apply_adjoint, dim * dim, rng, TENSOR_NORM_TOL,

@@ -288,8 +288,9 @@ def _pb_map(b: OperatorBundle, rng: np.random.Generator, max_degree: int):
 def pb_probe(b: OperatorBundle, search: PbSearch | None = None) -> float:
     """Empirical max of ||P(T)|| / certified sup|P| over ``probe_search``'s
     monomials, Fejer means, seeded random polynomials and coefficient ascent.
-    A lower bound on the polynomial-boundedness constant; includes P = 1, so
-    the result is >= 1 exactly."""
+    A lower bound on the polynomial-boundedness constant.  P = 1 is a
+    candidate with ||I|| / sup|1| = 1 exactly, but its Rayleigh value can
+    round below 1, so the result is floored at 1."""
     search = search or PbSearch()
     max_degree = search.max_degree
     cap = 2 * b.hankel.D - 2  # T^{2D} = 0: higher coefficients act as zero
@@ -302,7 +303,7 @@ def pb_probe(b: OperatorBundle, search: PbSearch | None = None) -> float:
         monomial_grid(max_degree, b.hankel.multiplier.support),
         n_random=4 * max(1, search.restarts), n_degrees=4,
         ascent_restarts=max(1, search.restarts // 2), ascent_steps=12, seed=search.seed)
-    return best
+    return max(best, 1.0)
 
 
 def von_neumann_excess(b: OperatorBundle, n_polys: int, seed: int = 0) -> float:

@@ -39,7 +39,11 @@ take every elementwise product in one fixed operand order into a fresh array
 batch holds.  ``stream_estimates`` therefore runs any ``n_samples`` with one
 block of ``SIM_BLOCK x (2L + 1)`` path values live at a time, and returns the
 same bits as one ``McAccumulator`` over the per-sample function of the full
-``simulate_paths(cfg)``.
+``simulate_paths(cfg)``.  It frees block b before drawing block b + 1, and
+``simulate_paths`` writes the unimodular draws straight into ``Z``, so at
+the peak one block is alive together with either the level recurrence's
+few column temporaries or one check's per-sample arrays: about 1.4 blocks
+under tracemalloc for the default L = 6 battery.
 """
 
 from __future__ import annotations
@@ -203,8 +207,11 @@ def simulate_paths(cfg: MartingaleConfig, blocks: range | None = None) -> PathBa
         child = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(b,))
         rng = np.random.default_rng(child)
         theta = rng.uniform(0.0, 2.0 * np.pi, size=(hi - lo, L))
-        zb = np.exp(1j * theta)
-        Z[lo:hi] = zb
+        # exp(1j * theta) by the same two ufuncs, written straight into Z
+        zb = Z[lo:hi]
+        np.multiply(theta, 1j, out=zb)
+        np.exp(zb, out=zb)
+        del theta
         prev = np.zeros(hi - lo, dtype=np.complex128)
         for k in range(1, L + 1):
             rk = radius(k)
@@ -388,4 +395,5 @@ def stream_estimates(cfg: MartingaleConfig, samplers) -> tuple[list[McEstimate],
         renorms += paths.renorm_count
         for acc, sample in zip(accs, samplers):
             acc.add(sample(paths))
+        del paths  # block b is freed before block b + 1 is drawn
     return [acc.estimate() for acc in accs], drift, renorms

@@ -123,12 +123,20 @@ def test_unknown_key_is_refused_before_work(tmp_path, capsys, monkeypatch, comma
     ("mc", {"L": 2, "n_samples": 100, "checks": [{"check": "radial", "degree": 1 << 20}]},
      "exceeds cap", "stream_estimates"),
     ("hankel", {"mode": "probe", "D": 1_000_000}, "budget", "bound_probe"),
+    ("coeffs", {"kind": "haar_unitary", "n": 2, "dim": 100_000}, "budget", "haar_unitaries"),
+    ("coeffs", {"kind": "basis_vector", "n": 100_000_000}, "basis_vectors needs", "row_bound"),
+    ("hankel", {"mode": "probe", "system": {"kind": "haar_unitary", "n": 2, "dim": 100_000}},
+     "haar_unitaries needs", "build_hankel"),
+    ("certify", {"system": "haar_unitary", "n": 2, "dim": 257,
+                 "search": {"restarts": 1, "max_degree": 2}}, "budget", "pb_probe"),
 ])
 def test_size_above_its_cap_is_refused_before_work(tmp_path, capsys, monkeypatch, command, doc,
                                                    message, work):
     # a degree above DEGREE_CAP is refused before its coefficients are drawn,
-    # and a flat Hankel matrix above FLAT_ENTRY_BUDGET before bound_probe
-    # builds its D x D Toeplitz matrix
+    # a flat Hankel matrix above FLAT_ENTRY_BUDGET before bound_probe builds
+    # its D x D Toeplitz matrix, elements over the tensor budget before the
+    # system is built or probed, and a Haar or basis-vector system above its
+    # cap before its arrays are allocated
     def unreachable(*args, **kwargs):
         raise AssertionError("work ran before the size was checked")
 

@@ -229,6 +229,12 @@ class TestPbProbe:
         b = _car_bundle(n=2, eps=0.0)
         assert pb_probe(b, PbSearch(restarts=1, seed=0)) >= 1.0
 
+    def test_identity_ratio_rounding_below_one_is_floored(self):
+        # a contraction: every candidate, P = 1 included, reads at most
+        # 0.9999999999999999 here, while ||I|| / sup|1| = 1 exactly
+        b = _car_bundle(n=4, eps=0.0)
+        assert pb_probe(b, PbSearch(restarts=2, seed=0)) == 1.0
+
     def test_contraction_regime(self):
         b = _car_bundle(n=2, eps=0.0)
         assert von_neumann_excess(b, 20, seed=5) <= 1e-6

@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from pbnc import errors
+from pbnc import cli, errors
 from pbnc.coeff_systems import car_jordan_wigner
 from pbnc.hankel import LacunarySpec, MultiplierSeq, build_hankel, lacunary_default
 from pbnc.martingale import (
@@ -18,6 +20,7 @@ from pbnc.martingale import (
     radial_samples,
     radius,
     simulate_paths,
+    stream_estimates,
 )
 from pbnc.numkit import Polynomial
 
@@ -338,6 +341,25 @@ class TestStreaming:
         one = McAccumulator().add(head).estimate()
         assert one.mean == complex(head.mean())
         assert one.stderr == np.sqrt(np.sum(np.abs(head - complex(head.mean())) ** 2) / 99) / 10
+
+    def test_stream_holds_one_block(self):
+        # the default L = 6 battery over three full blocks and a five-row one:
+        # the traced peak stays within 1.6 blocks of path values, so block b
+        # is freed before block b + 1 is drawn and Z takes no complex copies
+        L = 6
+        spec = lacunary_default(L)
+        samplers = []
+        for i, doc in enumerate(cli._default_mc_checks(L)):
+            own, _, _ = cli._mc_estimator(cli._read_check(cli._Keys(doc)), _rng(i), spec)
+            samplers += own
+        cfg = MartingaleConfig(L=L, n_samples=3 * SIM_BLOCK + 5, seed=1)
+        tracemalloc.start()
+        try:
+            stream_estimates(cfg, samplers)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.6 * SIM_BLOCK * (2 * L + 1) * 16
 
     def test_blocks_validated(self):
         cfg = MartingaleConfig(L=2, n_samples=SIM_BLOCK + 1)

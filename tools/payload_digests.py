@@ -35,6 +35,13 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from pbnc.cli import run
 
 SCAN_PROBE = {"n_random": 16, "ascent_restarts": 2, "ascent_steps": 24}
+# one check of every kind, each setting away from its default
+MC_CHECKS = [{"check": "drift", "level": 1}, {"check": "eta_bound", "n_max": 12},
+             {"check": "radial", "level": 3, "degree": 5},
+             {"check": "fourier", "level": 2, "degree": 7},
+             {"check": "multiplier", "level": 3, "k": 5, "degree": 8},
+             {"check": "orthogonality", "level": 2, "degree": 4},
+             {"check": "bridge", "car_n": 2, "degree": 5}]
 
 CALLS = (
     # row_bound groups: 8 of 4 restarts at n = 5, 32 of 1 at n = 6 (4096 entries per element)
@@ -79,14 +86,10 @@ CALLS = (
         {"system": "haar_unitary", "n_grid": [2, 3], "dim": 3, "eps": 0.5, "D": 9, "seed": 2,
          "search": {"restarts": 1, "max_degree": 6, "seed": 1}}),
        ("fcn.c3", "fcn", {"c": 3.0, "n_grid": [2], "seed": 5}),
-       ("mc.checks", "mc",
-        {"L": 4, "n_samples": 2000, "seed": 3,
-         "checks": [{"check": "drift", "level": 1}, {"check": "eta_bound", "n_max": 12},
-                    {"check": "radial", "level": 3, "degree": 5},
-                    {"check": "fourier", "level": 2, "degree": 7},
-                    {"check": "multiplier", "level": 3, "k": 5, "degree": 8},
-                    {"check": "orthogonality", "level": 2, "degree": 4},
-                    {"check": "bridge", "car_n": 2, "degree": 5}]})]
+       ("mc.checks", "mc", {"L": 4, "n_samples": 2000, "seed": 3, "checks": MC_CHECKS}),
+       # three blocks, the last of five rows: every check kind across the block hand-off
+       ("mc.checks.n32773", "mc",
+        {"L": 4, "n_samples": 2 * 16_384 + 5, "seed": 3, "checks": MC_CHECKS})]
 )
 
 
