@@ -51,6 +51,7 @@ from .counterexample import (
     PbSearch,
     build_T,
     cb_certificate,
+    check_fcn_n,
     fcn_experiment,
     haar_bundle,
     pb_probe,
@@ -543,6 +544,8 @@ def cmd_fcn(cfg: dict, thresholds: dict, threads: int):
     c = keys.get("c", frozen["c"], float)
     seed = keys.get("seed", frozen["seed"], int, lo=0)
     keys.done()
+    for n in n_grid:
+        check_fcn_n(n)
     rows = [fcn_experiment(n, c, seed=seed) for n in n_grid]
     results = {"c": c, "seed": seed, "rows": rows}
     flags = {"scaled_positive": all(r["scaled"] > 0 for r in rows)}

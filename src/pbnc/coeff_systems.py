@@ -35,7 +35,7 @@ from .errors import ConfigurationError, DimensionError, DomainError
 
 CAR_MAX_N = 12  # dense elements: n * 4^n complex entries, 3.2 GB at n = 12
 HAAR_MAX_ENTRIES = 1 << 27  # n * dim^2 complex entries of the elements, 2.1 GB
-BASIS_MAX_N = 1 << 13  # eye(n) and its n columns: 2 n^2 complex entries, 2.1 GB
+BASIS_MAX_N = 1 << 13  # n columns of n entries: n^2 complex entries, 1.1 GB
 TENSOR_MAX_DIM = 256  # CAR n <= 8: tensor_conj_norm's apply costs O(n dim^3)
 TENSOR_NORM_TOL = 1e-12  # top_singular residual tolerance of tensor_conj_norm
 ROW_BOUND_STEP_CAP = 200  # alternating-ascent steps per row_bound restart
@@ -119,8 +119,12 @@ def haar_unitaries(n: int, dim: int, seed: int) -> CoefficientSystem:
 def basis_vectors(n: int) -> CoefficientSystem:
     if not 1 <= n <= BASIS_MAX_N:
         raise ConfigurationError(f"basis_vectors needs 1 <= n <= {BASIS_MAX_N}, got {n}")
-    eye = np.eye(n, dtype=np.complex128)
-    return CoefficientSystem("basis_vector", [eye[:, k : k + 1].copy() for k in range(n)])
+    elements = []
+    for k in range(n):
+        e = np.zeros((n, 1), dtype=np.complex128)
+        e[k, 0] = 1.0
+        elements.append(e)
+    return CoefficientSystem("basis_vector", elements)
 
 
 def conj_system(system: CoefficientSystem) -> CoefficientSystem:

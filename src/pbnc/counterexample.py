@@ -80,6 +80,7 @@ from .numkit import (
 PROBE_STEP_CAP = 20_000  # top_singular step cap of the P(T) norms
 DENSE_T_ENTRY_BUDGET = 1 << 26
 NORMALIZER_RESTARTS = 32  # row_bound restarts behind the non-CAR cb normalizer
+FCN_MAX_N = 12  # D = 2^n + 1: 4097^2 Toeplitz entries, the last n under FLAT_ENTRY_BUDGET
 
 
 @dataclass
@@ -228,12 +229,14 @@ def _poly_t_applies(b: OperatorBundle, p: Polynomial):
     return apply, apply_adjoint
 
 
-def _poly_t_norm(b: OperatorBundle, p: Polynomial, rng: np.random.Generator):
-    """||P(T)|| by ``top_singular`` on the structured matvecs, with the top
-    singular pair (u, v).  A solve that hits PROBE_STEP_CAP raises
-    NonConvergenceError."""
+def _poly_t_norm(b: OperatorBundle, p: Polynomial, rng: np.random.Generator,
+                 start: np.ndarray | None = None):
+    """||P(T)|| by ``top_singular`` on the structured matvecs, from ``start``
+    when given, with the top singular pair (u, v).  A solve that hits
+    PROBE_STEP_CAP raises NonConvergenceError."""
     apply, apply_adjoint = _poly_t_applies(b, p)
-    est, u, v = top_singular(apply, apply_adjoint, b.total_dim, rng, 1e-10, PROBE_STEP_CAP)
+    est, u, v = top_singular(apply, apply_adjoint, b.total_dim, rng, 1e-10, PROBE_STEP_CAP,
+                             start)
     est.check_converged("P(T) Golub-Kahan-Lanczos")
     return est.value, u, v
 
@@ -279,7 +282,8 @@ def _power_pairings(b: OperatorBundle, u: np.ndarray, v: np.ndarray, max_degree:
 
 def _pb_map(b: OperatorBundle, rng: np.random.Generator, max_degree: int):
     """(solve, direction) of P -> P(T) for ``probe_search``: each norm is a
-    ``_poly_t_norm`` solve drawing from ``rng``, and the ascent maximizes
+    ``_poly_t_norm`` solve drawing from ``rng``, warm from the ``start`` the
+    ascent passes, and the ascent maximizes
     Re sum_k P-hat(k) <u, T^k v>, whose gradient is conj(<u, T^k v>)."""
     return (partial(_poly_t_norm, b, rng=rng),
             lambda u, v: np.conj(_power_pairings(b, u, v, max_degree)))
@@ -385,12 +389,22 @@ def haar_bundle(n: int, dim: int, system_seed: int, row_bound_seed: int, *,
     return build_T(system, spec, m, D=D, eps=eps), k2
 
 
+def check_fcn_n(n: int) -> None:
+    """Raise ConfigurationError unless 1 <= n <= FCN_MAX_N, so a caller that
+    knows an fcn row's n from its config can refuse it before any row runs:
+    above it the D x D Toeplitz matrices of D = 2^n + 1 exceed
+    FLAT_ENTRY_BUDGET."""
+    if not 1 <= n <= FCN_MAX_N:
+        raise ConfigurationError(f"an fcn row needs 1 <= n <= {FCN_MAX_N}, got {n}")
+
+
 def haar_bundle_for_target(n: int, c: float, seed: int) -> tuple[OperatorBundle, dict]:
     """``haar_bundle`` with dim H = n and D = 2^n + 1 at target probe
     constant c: eps from C_probe, a cheap lower bound for the Hankel
     boundedness constant by ``probe_search`` on ``hankel_map`` over z, the
     supported monomials, the Fejer means and four random polynomials, with
     no ascent."""
+    check_fcn_n(n)
     if c <= 1:
         raise DomainError("target c must exceed 1")
     ss = np.random.SeedSequence(entropy=seed)

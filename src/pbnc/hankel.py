@@ -421,26 +421,34 @@ def monomial_grid(max_degree: int, support: tuple[int, ...]) -> list[int]:
 
 def fejer_ascent(start: Polynomial, max_degree: int, steps: int, solve, direction) -> float:
     """Best ratio seen by a coefficient ascent on a map of ``probe_search``:
-    sigma of ``solve(f)`` over f's certified sup bound, stopping at sigma = 0;
-    each step moves by half the coefficient norm along ``direction(u, v)``
-    damped by the Fejer weights, then renormalizes on the sup grid, whose FFT
-    also gives the next step's bound (the grid and slack depend on the degree
-    only)."""
+    sigma of ``solve(f, start=v)`` over f's certified sup bound, stopping at
+    sigma = 0; each step moves by half the coefficient norm along
+    ``direction(u, v)`` damped by the Fejer weights, then renormalizes on the
+    sup grid, whose FFT also gives the next step's bound (the grid and slack
+    depend on the degree only).  Consecutive polynomials are close, so each
+    solve after the first starts warm from the previous step's right vector
+    v; its value is a Rayleigh lower bound all the same."""
     c = np.zeros(max_degree + 1, dtype=np.complex128)
     c[: start.coeffs.size] = start.coeffs
     damp = 1.0 - np.arange(max_degree + 1) / (max_degree + 1.0)
     best = 0.0
     sup = sup_norm(start).certified_upper
+    prev = None  # the last v, in one buffer for the whole ascent
     for _ in range(steps):
         f = Polynomial(c)
         if f.is_zero:
             break
-        sigma, u, v = solve(f)
+        sigma, u, v = solve(f, start=prev)
         best = max(best, sigma / sup)
         if sigma == 0.0:
             break
         grad = direction(u, v)
-        del u, v  # freed before the renormalizing FFT: they would raise the peak
+        if prev is None:
+            prev = np.empty_like(v)
+        prev[...] = v
+        # a fresh u or v kept across the renormalizing FFT raised the fcn
+        # benchmark's peak RSS by about 0.6 MB
+        del u, v
         step = 0.5 * np.linalg.norm(c) / max(np.linalg.norm(grad), 1e-30)
         c = c + step * damp * grad
         bound = sup_norm(Polynomial(c))
@@ -466,12 +474,13 @@ def probe_search(map_of, max_degree: int, monomials, *, n_random: int = 0,
       0), started from fejer_poly(min(8, max_degree)) and from
       ``ascent_restarts - 1`` random polynomials of degree min(16, max_degree).
 
-    ``map_of(rng)`` is ``(solve, direction)``: ``solve(f)`` gives the norm
-    sigma (a lower bound) with its top singular pair (u, v), and
-    ``direction(u, v)`` the ascent direction, length max_degree + 1.  ``seed``
-    spawns three children: ``rng``, the random candidates, the random starts.
-    A lower-bound search: the ratio returned is reached by the polynomial
-    named."""
+    ``map_of(rng)`` is ``(solve, direction)``: ``solve(f, start=None)`` gives
+    the norm sigma (a lower bound) with its top singular pair (u, v), from
+    the right vector ``start`` when one is given (only the ascent gives one),
+    and ``direction(u, v)`` the ascent direction, length max_degree + 1.
+    ``seed`` spawns three children: ``rng``, the random candidates, the
+    random starts.  A lower-bound search: the ratio returned is reached by
+    the polynomial named."""
     map_seed, rand_seed, ascent_seed = np.random.SeedSequence(seed).spawn(3)
     solve, direction = map_of(np.random.default_rng(map_seed))
     best, best_id = 0.0, "none"
@@ -514,7 +523,8 @@ def hankel_map(g: BlockHankel, rng: np.random.Generator):
     """(solve, direction) of f -> G (T(f') (x) I) for ``probe_search`` with
     max_degree 2D - 1.
 
-    Each norm is a ``top_singular`` solve, started from ``rng``, on
+    Each norm is a ``top_singular`` solve, drawing from ``rng`` and warm
+    from ``start`` when the ascent passes one, on
     W (T(f') (x) I) with W^H W = G^H G: W is the square root of the Gram
     diagonal when the blocks are orthogonal basis vectors, G itself
     otherwise, so no dense Gram matrix is formed.  A Rayleigh value never
@@ -528,12 +538,12 @@ def hankel_map(g: BlockHankel, rng: np.random.Generator):
         root = np.sqrt(diag)
         w = wh = (lambda x: root * x)
 
-    def solve(f: Polynomial):
+    def solve(f: Polynomial, start: np.ndarray | None = None):
         t_f = toeplitz(poly_derivative(f), D)
         t_h = t_f.conj().T
         apply = (lambda v: w((t_f @ v.reshape(-1, in_dim)).reshape(-1)))
         apply_adjoint = (lambda y: (t_h @ wh(y).reshape(-1, in_dim)).reshape(-1))
-        est, u, v = top_singular(apply, apply_adjoint, D * in_dim, rng, 1e-10, 200)
+        est, u, v = top_singular(apply, apply_adjoint, D * in_dim, rng, 1e-10, 200, start)
         return est.value, u, v
 
     def direction(u: np.ndarray, v: np.ndarray) -> np.ndarray:

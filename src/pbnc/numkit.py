@@ -12,7 +12,10 @@ Conventions fixed here and relied on everywhere else:
     full on the right basis only, and thick restarts): a Rayleigh lower
     bound, its residual and a ``converged`` flag that means the residual test
     passed, never a raise.  Every ``P(T)`` norm and every tensor certificate
-    is one such solve.
+    is one such solve.  It starts from a Gaussian vector, or warm from a
+    given vector plus a little of that Gaussian, and runs its residual test
+    (one SVD of the projected matrix) only where the residual's observed
+    decay says the test can pass.
   * Analytic polynomials are Taylor coefficient vectors P-hat(0..deg); the
     sup norm over the unit circle is certified from a roots-of-unity grid
     through the Bernstein derivative bound ||P'|| <= deg * ||P||.
@@ -35,7 +38,9 @@ OP_NORM_EXACT_MAX_DIM = 4096
 LANCZOS_STEP_CAP = 100_000  # step cap of tensor_conj_norm
 RESTART_STEPS = 40  # top_singular's basis size: it restarts when the basis is full
 RESTART_KEEP = 10  # Ritz pairs a top_singular restart keeps
-CHECK_EVERY_STEP = 12  # top_singular tests the residual at each of a cycle's first steps
+WARM_START_NOISE = 1e-6  # relative size of the Gaussian a warm top_singular start is mixed with
+CHECK_SHRINK = 0.7  # share of the predicted steps to convergence before the next residual test
+CHECK_MAX_GAP = 8  # most steps between two of a cycle's residual tests
 DEGREE_CAP = 1 << 16
 HORNER_CHUNK = 1 << 14  # points poly_eval's accumulator covers at a time (256 KB)
 
@@ -57,6 +62,7 @@ class NormEstimate:
     iterations: int
     converged: bool = True  # the residual test passed
     residual: float = 0.0  # ||A^H u - value v|| of the returned pair (0 when exact)
+    checks: int = 0  # residual tests run (one SVD of the projected matrix each)
 
     def __float__(self) -> float:
         return self.value
@@ -92,10 +98,16 @@ def op_norm(a) -> NormEstimate:
 
 
 def top_singular(apply, apply_adjoint, dim: int, rng: np.random.Generator,
-                 tol: float, max_iter: int) -> tuple[NormEstimate, np.ndarray, np.ndarray]:
+                 tol: float, max_iter: int,
+                 start: np.ndarray | None = None) -> tuple[NormEstimate, np.ndarray, np.ndarray]:
     """Top singular value of A (matvec closures) with its left and right
-    Ritz vectors (u, x), by Golub-Kahan-Lanczos bidiagonalization from a
-    complex Gaussian start drawn from ``rng``.
+    Ritz vectors (u, x), by Golub-Kahan-Lanczos bidiagonalization.
+
+    The first vector is a complex Gaussian g drawn from ``rng``, or, with a
+    nonzero ``start``, start + WARM_START_NOISE ||start|| g / ||g||, both
+    normalized.  g is drawn either way, so a warm start leaves the rng
+    stream as a cold one would; the noise keeps an overlap with a top
+    vector that ``start`` misses.
 
     Step k applies A and A^H once each.  The reorthogonalization is
     one-sided (Simon & Zha 2000): A^H u_k is orthonormalized against the
@@ -106,21 +118,26 @@ def top_singular(apply, apply_adjoint, dim: int, rng: np.random.Generator,
     A V_k = U_k B_k and A^H U_k = V_k B_k^H + beta_k v_{k+1} e_k^T with
     B_k real upper triangular (bidiagonal until a restart).
     The top singular triple (sigma, p, q) of B_k gives x = V_k q with
-    residual ||A^H (A x / sigma) - sigma x|| = beta_k |e_k^T p|, tested after
-    each of a cycle's first CHECK_EVERY_STEP steps and every third step
-    after.  The solve converges when that residual is <= tol * sigma, or on
-    a breakdown (a new basis vector of norm <= tol times the largest one
-    kept) or an exhausted Krylov space (k = min(rows, cols)), where B_k is
-    exact and the residual reported is the dropped norm.  When the basis
-    holds RESTART_STEPS vectors it restarts thick: the top
-    RESTART_KEEP Ritz pairs and v_{k+1} stay, B_k becomes diag(sigma) plus
-    one coupling column (Baglama & Reichel 2005).  After ``max_iter`` steps
-    it comes back with converged=False.  The value is the Rayleigh value
-    ||A x|| of the unit vector x, a lower bound converged or not, and
-    u = A x / ||A x|| comes from that same apply (u = A x when A x = 0)."""
+    residual ||A^H (A x / sigma) - sigma x|| = beta_k |e_k^T p|.  The test
+    costs an SVD of B_k, so it runs only where it can pass: at each step of
+    a cycle until two tested residuals fall, then after a share of the steps
+    their rate predicts to reach tol * sigma (``_check_gap``), and always
+    when the basis is full or at ``max_iter``.  The solve converges when
+    that residual is <= tol * sigma, or on a breakdown (a new basis vector
+    of norm <= tol times the largest one kept) or an exhausted Krylov space
+    (k = min(rows, cols)), where B_k is exact and the residual reported is
+    the dropped norm.  When the basis holds RESTART_STEPS vectors it
+    restarts thick: the top RESTART_KEEP Ritz pairs and v_{k+1} stay, B_k
+    becomes diag(sigma) plus one coupling column (Baglama & Reichel 2005).
+    After ``max_iter`` steps it comes back with converged=False.  The value
+    is the Rayleigh value ||A x|| of the unit vector x, a lower bound
+    converged or not, from any start, and u = A x / ||A x|| comes from that
+    same apply (u = A x when A x = 0)."""
     if max_iter < 1:
         raise DomainError("top_singular needs max_iter >= 1")
     x = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    if start is not None and (start_norm := np.linalg.norm(start)) > 0.0:
+        x = start + (WARM_START_NOISE * start_norm / np.linalg.norm(x)) * x
     x /= np.linalg.norm(x)
     u = apply(x)
     rows = u.size
@@ -129,9 +146,9 @@ def top_singular(apply, apply_adjoint, dim: int, rng: np.random.Generator,
     ub = np.empty((m, rows), dtype=np.complex128)
     bmat = np.zeros((m, m))  # U^H A V, real up to rounding: alpha, beta >= 0
     vb[0] = x
-    lock, steps, scale, converged = 0, 0, 0.0, False
+    lock, steps, scale, converged, checks = 0, 0, 0.0, False, 0
     while True:
-        exact = False
+        exact, tested, next_check = False, None, lock + 1
         for k in range(lock, min(m, lock + max_iter - steps)):
             steps += 1
             if steps > 1:  # the first step's A x is the ``u`` applied above
@@ -157,12 +174,15 @@ def top_singular(apply, apply_adjoint, dim: int, rng: np.random.Generator,
             scale = max(scale, beta)
             vb[k + 1] = w
             kk = k + 1
-            if kk == m or steps == max_iter or kk - lock <= CHECK_EVERY_STEP or kk % 3 == 0:
+            if kk == m or steps == max_iter or kk >= next_check:
                 p, s, qh = np.linalg.svd(bmat[:kk, :kk])
+                checks += 1
                 residual = float(beta * abs(p[kk - 1, 0]))
                 converged = bool(residual <= tol * s[0])
                 if converged:
                     break
+                next_check = kk + _check_gap(tested, kk, residual, tol * s[0], lock)
+                tested = (kk, residual)
         if exact:
             kk = k + 1
             p, s, qh = np.linalg.svd(bmat[:kk, :kk])
@@ -179,8 +199,26 @@ def top_singular(apply, apply_adjoint, dim: int, rng: np.random.Generator,
     x /= np.linalg.norm(x)
     ax = apply(x)
     nrm = np.linalg.norm(ax)
-    est = NormEstimate(float(nrm), "golub-kahan-lanczos", steps, converged, residual)
+    est = NormEstimate(float(nrm), "golub-kahan-lanczos", steps, converged, residual, checks)
     return est, (ax / nrm if nrm > 0 else ax), x
+
+
+def _check_gap(tested: tuple[int, float] | None, k: int, residual: float,
+               target: float, lock: int) -> int:
+    """Steps from a failed residual test at step k of a cycle that began
+    after step ``lock`` to the next test.  With an earlier test (j, r_j) of
+    the cycle and r_j > r_k = ``residual``, the residual falls by
+    rate = (r_k / r_j)^(1 / (k - j)) per step, so it needs about
+    log(target / r_k) / log(rate) more steps to pass; the next test comes
+    after CHECK_SHRINK of them, at least 1 and at most CHECK_MAX_GAP or the
+    k - lock steps the cycle has taken, whichever is less: early rates
+    overstate the steps left, and a short solve would pay for that in steps
+    it did not need.  With no such test yet it comes at the next step."""
+    if tested is None or residual >= tested[1]:
+        return 1
+    j, r_j = tested
+    predicted = np.log(target / residual) * (k - j) / np.log(residual / r_j)
+    return int(min(max(CHECK_SHRINK * predicted, 1), CHECK_MAX_GAP, k - lock))
 
 
 def _orthonormalize(w: np.ndarray, basis: np.ndarray,

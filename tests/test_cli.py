@@ -129,14 +129,16 @@ def test_unknown_key_is_refused_before_work(tmp_path, capsys, monkeypatch, comma
      "haar_unitaries needs", "build_hankel"),
     ("certify", {"system": "haar_unitary", "n": 2, "dim": 257,
                  "search": {"restarts": 1, "max_degree": 2}}, "budget", "pb_probe"),
+    ("fcn", {"n_grid": [2, 40]}, "fcn row needs 1 <= n <= 12", "fcn_experiment"),
 ])
 def test_size_above_its_cap_is_refused_before_work(tmp_path, capsys, monkeypatch, command, doc,
                                                    message, work):
     # a degree above DEGREE_CAP is refused before its coefficients are drawn,
     # a flat Hankel matrix above FLAT_ENTRY_BUDGET before bound_probe builds
     # its D x D Toeplitz matrix, elements over the tensor budget before the
-    # system is built or probed, and a Haar or basis-vector system above its
-    # cap before its arrays are allocated
+    # system is built or probed, a Haar or basis-vector system above its cap
+    # before its arrays are allocated, and an fcn n whose D = 2^n + 1 is above
+    # the flat budget before any row runs
     def unreachable(*args, **kwargs):
         raise AssertionError("work ran before the size was checked")
 

@@ -40,6 +40,7 @@ class TestConstruction:
         assert sys_.op_dim == (4, 1) and not sys_.is_square
         stacked = np.hstack(sys_.elements)
         assert np.array_equal(stacked, np.eye(4, dtype=np.complex128))
+        assert all(e.base is None for e in sys_.elements)  # no view into an n x n array
 
     def test_haar_determinism(self):
         a = haar_unitaries(3, 5, seed=42)

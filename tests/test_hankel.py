@@ -385,15 +385,34 @@ class TestProbeSearch:
             rng = np.random.default_rng(3)
             seen = []
 
-            def solve(f):
+            def solve(f, start=None):
                 seen.append(f)
-                return (sup_norm(f).certified_upper if len(seen) == j + 1 else 1e-300), None, None
+                sigma = sup_norm(f).certified_upper if len(seen) == j + 1 else 1e-300
+                return sigma, None, np.zeros(2)
 
             def direction(u, v):
                 return rng.standard_normal(9) + 1j * rng.standard_normal(9)
 
             best = fejer_ascent(random_poly(4, rng), 8, 6, solve, direction)
             assert len(seen) == 6 and best == pytest.approx(1.0, rel=4e-16)
+
+    def test_ascent_starts_each_solve_from_the_previous_v(self):
+        # the first solve starts cold, every later one from the right vector
+        # the step before returned
+        rng = np.random.default_rng(4)
+        starts, vs = [], []
+
+        def solve(f, start=None):
+            starts.append(None if start is None else start.copy())
+            vs.append(rng.standard_normal(3))
+            return 1.0, None, vs[-1]
+
+        def direction(u, v):
+            return rng.standard_normal(9) + 1j * rng.standard_normal(9)
+
+        fejer_ascent(random_poly(4, rng), 8, 5, solve, direction)
+        assert len(starts) == 5 and starts[0] is None
+        assert all(np.array_equal(s, v) for s, v in zip(starts[1:], vs))
 
     @staticmethod
     def _stub_search(sigma_of, **budget):
@@ -403,7 +422,7 @@ class TestProbeSearch:
         seen = []
 
         def map_of(rng):
-            def solve(f):
+            def solve(f, start=None):
                 seen.append(f)
                 return sigma_of(len(seen) - 1), None, None
 

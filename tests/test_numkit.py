@@ -152,6 +152,72 @@ class TestTopSingular:
         assert est.value == pytest.approx(3.0, rel=1e-12)
 
 
+class TestWarmStart:
+    @staticmethod
+    def _solve(a, seed, tol, start):
+        ah = a.conj().T
+        return top_singular(lambda v: a @ v, lambda w: ah @ w, a.shape[1], _rng(seed),
+                            tol, 10_000, start)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(a=_complex_matrices(), seed=st.integers(0, 2**32 - 1),
+           tol=st.sampled_from([1e-10, 1e-14]))
+    def test_rayleigh_lower_bound_from_any_start(self, a, seed, tol):
+        # a start of the solve's own draws or a basis vector: the value is a
+        # Rayleigh lower bound, and converged means the residual test passed
+        exact = np.linalg.svd(a, compute_uv=False)[0]
+        for start in (_random_complex(_rng(seed + 1), a.shape[1]),
+                      np.eye(a.shape[1])[a.shape[1] - 1]):
+            est, _, v = self._solve(a, seed, tol, start)
+            assert est.value <= exact * (1 + 1e-12)
+            assert est.value == pytest.approx(np.linalg.norm(a @ v), rel=1e-14, abs=1e-300)
+            if est.converged:
+                assert est.residual <= tol * est.value
+
+    @staticmethod
+    def _separated(seed):
+        """70 x 60 with sigma_1 = 1 and the other singular values below 0.5."""
+        rng = _rng(seed)
+        u, _ = np.linalg.qr(_random_complex(rng, (70, 60)))
+        v, _ = np.linalg.qr(_random_complex(rng, (60, 60)))
+        s = np.concatenate([[1.0], np.sort(rng.uniform(0.0, 0.5, 59))[::-1]])
+        return (u * s) @ v.conj().T
+
+    @pytest.mark.parametrize("seed", [41, 43, 45])
+    def test_start_at_the_top_vector_converges_in_a_few_steps(self, seed):
+        # the noise, 1e-6 of the start, has to fall by 1e-4: 5 steps where a
+        # cold start takes 11 or 12
+        a = self._separated(seed)
+        top = np.linalg.svd(a)[2][0].conj()
+        cold, _, _ = self._solve(a, seed + 1, 1e-10, None)
+        warm, _, _ = self._solve(a, seed + 1, 1e-10, top)
+        assert warm.converged and warm.iterations <= 6 < cold.iterations
+        assert warm.value == pytest.approx(1.0, rel=1e-12)
+
+    def test_start_orthogonal_to_the_top_vector_still_finds_it(self):
+        # the relative noise keeps an overlap with the top vector
+        a = self._separated(43)
+        second = np.linalg.svd(a)[2][1].conj()
+        est, _, _ = self._solve(a, 44, 1e-10, second)
+        assert est.converged and est.value == pytest.approx(1.0, rel=1e-12)
+
+    def test_rng_stream_is_that_of_a_cold_start(self):
+        a = self._separated(45)
+        ah = a.conj().T
+        states = []
+        for start in (None, np.ones(60)):
+            rng = _rng(46)
+            top_singular(lambda v: a @ v, lambda w: ah @ w, 60, rng, 1e-10, 100, start)
+            states.append(rng.bit_generator.state)
+        assert states[0] == states[1]
+
+    def test_zero_start_is_a_cold_start(self):
+        a = self._separated(47)
+        cold, _, v_cold = self._solve(a, 48, 1e-10, None)
+        zero, _, v_zero = self._solve(a, 48, 1e-10, np.zeros(60))
+        assert cold == zero and np.array_equal(v_cold, v_zero)
+
+
 @pytest.mark.parametrize("d", [1, 2, 7, 33])
 def test_subdiagonal_sums_match_loop(d):
     m = _random_complex(_rng(d), (d, d))

@@ -1,12 +1,18 @@
 """tools/freeze_thresholds.py is the only sanctioned way to regenerate
-src/pbnc/thresholds.json, and tools/payload_digests.py compares payloads
-across commits; importing them (without running main) makes a rename in src/
-that breaks a tool fail here, and the digest tool's exit code is checked on
-a call that writes no payload."""
+src/pbnc/thresholds.json, tools/payload_digests.py compares payloads
+across commits, and tools/probe_cost.py counts the solves of a CAR
+pb_probe; importing them (without running main) makes a rename in src/
+that breaks a tool fail here, the digest tool's exit code is checked on
+a call that writes no payload, and the cost tool runs at n = 2."""
 
 import importlib.util
 import os
 from pathlib import Path
+
+from pbnc import counterexample, hankel, numkit
+from pbnc.coeff_systems import car_jordan_wigner
+from pbnc.counterexample import PbSearch, build_T, pb_probe
+from pbnc.hankel import MultiplierSeq, lacunary_default
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "freeze_thresholds.py"
 
@@ -20,14 +26,17 @@ def test_freeze_tool_imports():
     assert tool.OUT.name == "thresholds.json" and tool.OUT.exists()
 
 
-def _digest_tool(monkeypatch):
+def _tool(monkeypatch, name):
     # the tool pins the BLAS thread variables at import; keep them local
     monkeypatch.setattr(os, "environ", dict(os.environ))
-    spec = importlib.util.spec_from_file_location(
-        "payload_digests", TOOL.with_name("payload_digests.py"))
+    spec = importlib.util.spec_from_file_location(name, TOOL.with_name(f"{name}.py"))
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
     return tool
+
+
+def _digest_tool(monkeypatch):
+    return _tool(monkeypatch, "payload_digests")
 
 
 def test_payload_digest_tool_imports(monkeypatch):
@@ -57,3 +66,22 @@ def test_payload_digest_tool_fails_on_a_missing_payload(monkeypatch, tmp_path, c
     digests.write_text(good_lines)
     monkeypatch.setattr(tool, "CALLS", [ok])
     assert tool.main(["--check", str(digests)]) == 0
+
+
+def test_probe_cost_tool_counts_a_car_probe(monkeypatch, capsys):
+    tool = _tool(monkeypatch, "probe_cost")
+    search = PbSearch(restarts=1)
+    row = tool.probe_cost(2, search)
+    assert row["steps"] > row["ascent_steps"] > 0 and row["checks"] > 0 and row["wall_s"] > 0
+    spec = lacunary_default(2)
+    bundle = build_T(car_jordan_wigner(2), spec, MultiplierSeq.indicator(spec))
+    assert row["pb_probe"] == pb_probe(bundle, search)
+    # the counting wrappers are gone again
+    assert counterexample.top_singular is numkit.top_singular
+    assert hankel.fejer_ascent.__module__ == "pbnc.hankel"
+    assert tool.main(["2", "--restarts", "1"]) == 0
+    header, line = capsys.readouterr().out.splitlines()
+    assert header.split() == ["n", "wall_s", "steps", "ascent_steps", "checks", "pb_probe"]
+    fields = line.split()
+    assert fields[0] == "2" and [int(f) for f in fields[2:5]] == [
+        row["steps"], row["ascent_steps"], row["checks"]]
