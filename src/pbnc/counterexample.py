@@ -43,6 +43,7 @@ rejects such multipliers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import partial
 
@@ -57,6 +58,7 @@ from .coeff_systems import (
 )
 from .errors import ConfigurationError, DimensionError, DomainError
 from .hankel import (
+    FLAT_ENTRY_BUDGET,
     BlockHankel,
     LacunarySpec,
     MultiplierSeq,
@@ -80,7 +82,6 @@ from .numkit import (
 PROBE_STEP_CAP = 20_000  # top_singular step cap of the P(T) norms
 DENSE_T_ENTRY_BUDGET = 1 << 26
 NORMALIZER_RESTARTS = 32  # row_bound restarts behind the non-CAR cb normalizer
-FCN_MAX_N = 12  # D = 2^n + 1: 4097^2 Toeplitz entries, the last n under FLAT_ENTRY_BUDGET
 
 
 @dataclass
@@ -390,12 +391,13 @@ def haar_bundle(n: int, dim: int, system_seed: int, row_bound_seed: int, *,
 
 
 def check_fcn_n(n: int) -> None:
-    """Raise ConfigurationError unless 1 <= n <= FCN_MAX_N, so a caller that
-    knows an fcn row's n from its config can refuse it before any row runs:
-    above it the D x D Toeplitz matrices of D = 2^n + 1 exceed
-    FLAT_ENTRY_BUDGET."""
-    if not 1 <= n <= FCN_MAX_N:
-        raise ConfigurationError(f"an fcn row needs 1 <= n <= {FCN_MAX_N}, got {n}")
+    """Raise ConfigurationError unless n >= 1 and the D x D Toeplitz matrices
+    of D = 2^n + 1 fit FLAT_ENTRY_BUDGET, so a caller that knows an fcn
+    row's n from its config can refuse it before any row runs."""
+    # 2^n + 1 <= isqrt(budget) <=> n <= max_n, without forming 2^n
+    max_n = (math.isqrt(FLAT_ENTRY_BUDGET) - 1).bit_length() - 1
+    if not 1 <= n <= max_n:
+        raise ConfigurationError(f"an fcn row needs 1 <= n <= {max_n}, got {n}")
 
 
 def haar_bundle_for_target(n: int, c: float, seed: int) -> tuple[OperatorBundle, dict]:

@@ -3,7 +3,8 @@ src/pbnc/thresholds.json, tools/payload_digests.py compares payloads
 across commits, and tools/probe_cost.py counts the solves of a CAR
 pb_probe; importing them (without running main) makes a rename in src/
 that breaks a tool fail here, the digest tool's exit code is checked on
-a call that writes no payload, and the cost tool runs at n = 2."""
+a call that writes no payload, and the cost tool runs at n = 2 and pins
+the solve budget of the car_chain sweep."""
 
 import importlib.util
 import os
@@ -85,3 +86,14 @@ def test_probe_cost_tool_counts_a_car_probe(monkeypatch, capsys):
     fields = line.split()
     assert fields[0] == "2" and [int(f) for f in fields[2:5]] == [
         row["steps"], row["ascent_steps"], row["checks"]]
+
+
+def test_car_sweep_solve_cost(monkeypatch):
+    # pb_probe at CAR n = 2..4 with the default PbSearch, the car_chain
+    # benchmark's sweep: 3 408 GKL steps and 1 258 residual tests, where
+    # cold ascent solves and a test at each of a cycle's first 12 steps
+    # (every third step after) took 4 036 steps and 2 683 tests
+    tool = _tool(monkeypatch, "probe_cost")
+    rows = [tool.probe_cost(n, PbSearch()) for n in (2, 3, 4)]
+    assert sum(r["steps"] for r in rows) <= 3_500
+    assert sum(r["checks"] for r in rows) <= 1_300

@@ -38,10 +38,10 @@ from pbnc.counterexample import PbSearch, build_T, pb_probe
 from pbnc.hankel import MultiplierSeq, lacunary_default
 
 
-def probe_cost(n: int, search: PbSearch, eps: float = 1.0) -> dict:
+def probe_cost(n: int, search: PbSearch) -> dict:
     """pb_probe of the CAR bundle at n with its wall time and solve counts."""
     spec = lacunary_default(n)
-    bundle = build_T(car_jordan_wigner(n), spec, MultiplierSeq.indicator(spec), eps=eps)
+    bundle = build_T(car_jordan_wigner(n), spec, MultiplierSeq.indicator(spec))
     counts = {"steps": 0, "ascent_steps": 0, "checks": 0}
     in_ascent = False
     solve, ascent = counterexample.top_singular, hankel.fejer_ascent
@@ -76,10 +76,9 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("n", type=int, nargs="+", help="CAR sizes")
     ap.add_argument("--restarts", type=int, default=PbSearch.restarts)
     ap.add_argument("--seed", type=int, default=PbSearch.seed)
-    ap.add_argument("--eps", type=float, default=1.0)
     args = ap.parse_args(argv)
     search = PbSearch(restarts=args.restarts, seed=args.seed)
-    rows = [probe_cost(n, search, args.eps) for n in args.n]
+    rows = [probe_cost(n, search) for n in args.n]
     print(f"{'n':>5} {'wall_s':>8} {'steps':>7} {'ascent_steps':>12} {'checks':>7}  pb_probe")
     for r in rows:
         print(f"{r['n']:>5} {r['wall_s']:8.3f} {r['steps']:7d} {r['ascent_steps']:12d} "
