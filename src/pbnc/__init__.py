@@ -30,7 +30,6 @@ from .counterexample import (
     eps_for_target_c,
     fcn_experiment,
     pb_probe,
-    row_bound_check,
 )
 from .errors import (
     ConfigurationError,
@@ -51,7 +50,6 @@ from .hankel import (
     build_hankel,
     fejer_poly,
     lacunary_default,
-    multiplier_block_sup,
     symbol_block,
 )
 from .martingale import (
@@ -66,7 +64,6 @@ from .numkit import (
     NormEstimate,
     Polynomial,
     SupNormBound,
-    op_norm,
     poly_derivative,
     poly_eval,
     sup_norm,

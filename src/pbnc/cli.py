@@ -244,7 +244,7 @@ def cmd_coeffs(cfg: dict, thresholds: dict, threads: int):
         flags["car_relations"] = residual <= 1e-12
     rb = row_bound(system, restarts=restarts, seed=seed)
     results["row_bound"] = rb.value
-    results["row_bound_restarts"] = rb.restarts
+    results["row_bound_restarts"] = restarts
     if system.kind in ("car", "basis_vector"):
         flags["row_bound_unit"] = abs(rb.value - 1.0) <= 1e-6
     if system.is_square:
@@ -292,7 +292,7 @@ def cmd_hankel(cfg: dict, thresholds: dict, threads: int):
     # matrix agree, and every block equals the symbol m(q)/q * C_phi(q)
     # rebuilt from multiplier, map and system
     hankel_exact = np.array_equal(blocks, blocks.transpose(2, 1, 0, 3))
-    roundtrip_exact = all(np.array_equal(g.block(i, j), symbol_block(g, i, j))
+    roundtrip_exact = all(np.array_equal(blocks[i, :, j, :], symbol_block(g, i, j))
                           for i in range(d) for j in range(d))
     flags = {"hankel_property": hankel_exact, "symbol_roundtrip": roundtrip_exact}
     return results, flags, None
@@ -453,12 +453,16 @@ def _read_check(keys: _Keys) -> dict:
 def _mc_estimator(chk: dict, rng: np.random.Generator, spec: LacunarySpec):
     """(samplers, finish, level) of one check: the per-sample functions of a
     path block its estimate streams through, and the map from their
-    estimates to (estimate, target); none for drift and eta_bound.  The
-    polynomials and vectors are drawn here, from the check's own generator,
-    in a fixed order."""
+    estimates to (estimate, target); no samplers for drift and eta_bound,
+    whose finish gives the closed-form sup, taken here so that a bad n_max
+    is refused before any path is drawn.  The polynomials and vectors are
+    drawn here, from the check's own generator, in a fixed order."""
     kind, level = chk["check"], chk["level"]
-    if kind in ("drift", "eta_bound"):  # read off the stream and the table
+    if kind == "drift":  # read off the stream
         return [], None, level
+    if kind == "eta_bound":
+        sup = eta_modulus_sup(chk["n_max"])
+        return [], lambda e: sup, level
     f = random_poly(chk["degree"], rng)
 
     def coeff(k: int) -> complex:
@@ -516,7 +520,7 @@ def cmd_mc(cfg: dict, thresholds: dict, threads: int):
             row.update(estimate_re=drift, target_re=0.0)
             row["pass"] = drift <= 1e-12
         elif kind == "eta_bound":
-            sup = eta_modulus_sup(chk["n_max"])
+            sup = finish(estimates[own])
             bound = thresholds["eta"]["sup_n20"]
             row.update(estimate_re=sup, target_re=bound)
             row["pass"] = sup <= bound + 1e-9

@@ -153,8 +153,6 @@ def car_relation_residual(system: CoefficientSystem) -> float:
 @dataclass(frozen=True)
 class RowBoundEstimate:
     value: float
-    restarts: int
-    seed: int
     converged: bool  # no restart's ascent stopped at ROW_BOUND_STEP_CAP
 
     def __float__(self) -> float:
@@ -215,7 +213,7 @@ def row_bound(system: CoefficientSystem, restarts: int = 32, seed: int = 0) -> R
         else:
             converged = False
         best = max(best, float(sigma.max()))
-    return RowBoundEstimate(best, restarts, seed, converged)
+    return RowBoundEstimate(best, converged)
 
 
 def check_tensor_budget(dim: int) -> None:

@@ -16,7 +16,7 @@ Two quantities are attached to a bundle and deliberately kept asymmetric:
   ||P(T)|| is a ``numkit.top_singular`` (Golub-Kahan-Lanczos) solve on the
   structured matvecs of ``_poly_t_applies``; a solve that hits
   PROBE_STEP_CAP raises NonConvergenceError.  P(T) is never materialized
-  (``poly_of_T`` is the tests' reference).
+  here; tests/reference.py builds it densely as the tests' reference.
 * cb_certificate: a certified lower bound on the completely bounded norm
   of P -> P(T), hence on ||V|| ||V^{-1}|| for every invertible V with
   ||V^{-1} T V|| <= 1 (reported as ``similarity_lower`` in the fcn rows and
@@ -56,7 +56,7 @@ from .coeff_systems import (
     row_bound,
     tensor_conj_norm,
 )
-from .errors import ConfigurationError, DimensionError, DomainError
+from .errors import ConfigurationError, DomainError
 from .hankel import (
     FLAT_ENTRY_BUDGET,
     BlockHankel,
@@ -67,48 +67,25 @@ from .hankel import (
     lacunary_default,
     monomial_grid,
     probe_search,
-    random_poly,
 )
-from .numkit import (
-    Polynomial,
-    op_norm,
-    poly_derivative,
-    subdiagonal_sums,
-    sup_norm,
-    toeplitz,
-    top_singular,
-)
+from .numkit import Polynomial, poly_derivative, subdiagonal_sums, toeplitz, top_singular
 
 PROBE_STEP_CAP = 20_000  # top_singular step cap of the P(T) norms
-DENSE_T_ENTRY_BUDGET = 1 << 26
 NORMALIZER_RESTARTS = 32  # row_bound restarts behind the non-CAR cb normalizer
 
 
 @dataclass
 class OperatorBundle:
-    """T at ``eps``; the BlockHankel holds D, the block shape, the system and
-    the multiplier.  Basis (i, j) <-> z^i e_j, i major, in each summand."""
+    """T at ``eps``; the BlockHankel holds D, the block shape, the system,
+    the multiplier and the frequency map.  Basis (i, j) <-> z^i e_j, i major,
+    in each summand."""
 
     hankel: BlockHankel
     eps: float
-    spec: LacunarySpec
 
     @property
     def total_dim(self) -> int:
         return 2 * self.hankel.flat_shape[1]
-
-    @property
-    def T(self) -> np.ndarray:
-        n = self.total_dim
-        if n * n > DENSE_T_ENTRY_BUDGET:
-            raise ConfigurationError(
-                f"dense T would be {n}x{n}; use the structured matvec routines"
-            )
-        g = self.hankel
-        # S = shift (x) I, the one-step shift z^i -> z^{i+1}, truncated
-        s = np.kron(np.eye(g.D, k=-1, dtype=np.complex128),
-                    np.eye(g.block_shape[1], dtype=np.complex128))
-        return np.block([[s.T, self.eps * g.flat()], [np.zeros_like(s), s]])
 
 
 def build_T(
@@ -139,7 +116,7 @@ def build_T(
             f"multiplier supported at {over} beyond D = {D}; the truncated block "
             "formula is exact only for frequencies <= D"
         )
-    return OperatorBundle(hankel=build_hankel(m, spec, s_sys, D), eps=float(eps), spec=spec)
+    return OperatorBundle(hankel=build_hankel(m, spec, s_sys, D), eps=float(eps))
 
 
 def with_eps(b: OperatorBundle, eps: float) -> OperatorBundle:
@@ -147,19 +124,6 @@ def with_eps(b: OperatorBundle, eps: float) -> OperatorBundle:
     if eps < 0:
         raise DomainError("eps must be >= 0")
     return replace(b, eps=float(eps))
-
-
-def poly_of_T(b: OperatorBundle, p: Polynomial) -> np.ndarray:
-    """Dense P(T) by the block formula [[P(S)^t, eps*G*(T(P') (x) I)], [0, P(S)]];
-    agrees with Horner evaluation to rounding because supported frequencies
-    stay <= D.  The reference the structured matvecs are tested against."""
-    D, h = b.hankel.D, b.hankel.block_shape[1]
-    # P(S) = T(p) (x) I: the truncated shift's powers are the Toeplitz diagonals
-    ps = np.kron(toeplitz(p, D), np.eye(h, dtype=np.complex128))
-    tp = np.kron(toeplitz(poly_derivative(p), D), np.eye(h, dtype=np.complex128))
-    corner = b.eps * (b.hankel.flat() @ tp)
-    z = np.zeros_like(ps)
-    return np.block([[ps.T, corner], [z, ps]])
 
 
 # ---------------------------------------------------------------------------
@@ -311,24 +275,6 @@ def pb_probe(b: OperatorBundle, search: PbSearch | None = None) -> float:
     return max(best, 1.0)
 
 
-def von_neumann_excess(b: OperatorBundle, n_polys: int, seed: int = 0) -> float:
-    """max over seeded polynomials of ||P(T)|| - certified sup|P|; for a
-    contraction bundle (eps = 0) this never exceeds rounding."""
-    ss = np.random.SeedSequence(entropy=seed)
-    rng = np.random.default_rng(ss)
-    nrng = np.random.default_rng(ss.spawn(1)[0])
-    worst = -np.inf
-    cap = 2 * b.hankel.D - 2
-    for _ in range(n_polys):
-        deg = int(rng.integers(1, max(cap, 2)))
-        p = random_poly(min(deg, cap), rng)
-        if p.is_zero:
-            continue
-        excess = _poly_t_norm(b, p, nrng)[0] - sup_norm(p).certified_upper
-        worst = max(worst, excess)
-    return float(worst)
-
-
 # ---------------------------------------------------------------------------
 # certified lower bound on the completely bounded norm
 
@@ -349,9 +295,10 @@ def cb_certificate(b: OperatorBundle, normalizer_seed: int = 0) -> float:
     row bound is re-estimated empirically and divided out.
     """
     system, m = b.hankel.system, b.hankel.multiplier
-    compressed = b.eps * (system.n ** -0.5) * tensor_conj_norm(
-        system, [m(k) for k in b.spec.K]
-    )
+    weights = np.zeros(system.n, dtype=np.complex128)
+    for q, t in b.hankel.freq_map.items():  # K_t -> t
+        weights[t - 1] = m(q)
+    compressed = b.eps * (system.n ** -0.5) * tensor_conj_norm(system, weights)
     if system.kind == "car":
         normalizer = 1.0
     else:
@@ -386,7 +333,7 @@ def haar_bundle(n: int, dim: int, system_seed: int, row_bound_seed: int, *,
     system = haar_unitaries(n, dim, seed=system_seed)
     spec = lacunary_default(n)
     k2 = float(row_bound(system, restarts=16, seed=row_bound_seed))
-    m = MultiplierSeq({k: 1.0 / k2 for k in spec.K}, support_cutoff=max(spec.K))
+    m = MultiplierSeq({k: 1.0 / k2 for k in spec.K})
     return build_T(system, spec, m, D=D, eps=eps), k2
 
 
@@ -447,41 +394,3 @@ def fcn_experiment(n: int, c: float, seed: int = 0) -> dict:
     }
     report.update(info)
     return report
-
-
-# ---------------------------------------------------------------------------
-# row-bound inequality for block matrices
-
-
-def _row_bound_holds(blocks: np.ndarray, slack: float = 1e-10) -> bool:
-    """|| (a_ij) || <= sqrt(n) * max_i || (sum_j a_ij a_ij^H)^{1/2} ||."""
-    n = blocks.shape[0]
-    if blocks.shape[1] != n:
-        raise DimensionError("row_bound_check needs an n x n grid of blocks")
-    flat = np.block([[blocks[i, j] for j in range(n)] for i in range(n)])
-    lhs = float(op_norm(flat))
-    rhs_rows = []
-    for i in range(n):
-        s = sum(blocks[i, j] @ blocks[i, j].conj().T for j in range(n))
-        w = np.linalg.eigvalsh(s)
-        rhs_rows.append(np.sqrt(max(float(w[-1]), 0.0)))
-    rhs = np.sqrt(n) * max(rhs_rows)
-    return lhs <= rhs + slack
-
-
-def row_bound_check(blocks, trials: int = 0, seed: int = 0) -> bool:
-    """Check the row-bound inequality on the given n x n block grid, plus
-    `trials` seeded random grids of the same block shape."""
-    arr = np.array([[np.asarray(b, dtype=np.complex128) for b in row] for row in blocks])
-    if not _row_bound_holds(arr):
-        return False
-    if trials > 0:
-        n = arr.shape[0]
-        dims = arr[0, 0].shape
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))
-        for _ in range(trials):
-            rand = (rng.standard_normal((n, n) + dims)
-                    + 1j * rng.standard_normal((n, n) + dims))
-            if not _row_bound_holds(rand):
-                return False
-    return True

@@ -100,17 +100,12 @@ class MultiplierSeq:
     """Sparse multiplier m: frequency k >= 1 -> complex value (missing = 0)."""
 
     values: dict[int, complex]
-    support_cutoff: int
 
     def __post_init__(self):
         cleaned = {}
         for k, v in self.values.items():
             if int(k) != k or k < 1:
                 raise ConfigurationError(f"multiplier frequency {k} must be a positive integer")
-            if k > self.support_cutoff:
-                raise ConfigurationError(
-                    f"multiplier supported at {k} beyond cutoff {self.support_cutoff}"
-                )
             v = complex(v)
             if v != 0:
                 cleaned[int(k)] = v
@@ -123,26 +118,13 @@ class MultiplierSeq:
     def support(self) -> tuple[int, ...]:
         return tuple(sorted(self.values))
 
-    def block_sum(self, n: int) -> float:
-        """sum of |m(k)|^2 over the dyadic block 2^{n-1} < k <= 2^n (n >= 0)."""
-        lo = 2 ** (n - 1) if n >= 1 else 0.5
-        hi = 2**n
-        return float(sum(abs(v) ** 2 for k, v in self.values.items() if lo < k <= hi))
-
     @classmethod
-    def indicator(cls, spec: LacunarySpec, value: complex = 1.0) -> "MultiplierSeq":
-        return cls({k: value for k in spec.K}, support_cutoff=max(spec.K))
+    def indicator(cls, spec: LacunarySpec) -> "MultiplierSeq":
+        return cls({k: 1.0 for k in spec.K})
 
     @classmethod
     def ones(cls, cutoff: int) -> "MultiplierSeq":
-        return cls({k: 1.0 for k in range(1, cutoff + 1)}, support_cutoff=cutoff)
-
-
-def multiplier_block_sup(m: MultiplierSeq, n_max: int) -> float:
-    """max over 0 <= n <= n_max of the dyadic block sums of |m|^2."""
-    if n_max < 0:
-        raise DomainError("n_max must be >= 0")
-    return max(m.block_sum(n) for n in range(n_max + 1))
+        return cls({k: 1.0 for k in range(1, cutoff + 1)})
 
 
 # ---------------------------------------------------------------------------
@@ -170,12 +152,6 @@ class BlockHankel:
     def _antidiag(self, q: int) -> tuple[int, int]:
         """Row-block range [lo, hi] of anti-diagonal i + j = q - 1."""
         return max(0, q - self.D), min(self.D - 1, q - 1)
-
-    def block(self, i: int, j: int) -> np.ndarray:
-        if not (0 <= i < self.D and 0 <= j < self.D):
-            raise DimensionError(f"block index ({i},{j}) outside D={self.D}")
-        c = self.coefficients.get(i + j + 1)
-        return c.copy() if c is not None else np.zeros(self.block_shape, dtype=np.complex128)
 
     def flat(self) -> np.ndarray:
         """Materialized (D*out) x (D*in) matrix."""
@@ -332,8 +308,8 @@ def build_hankel(
 def symbol_block(g: BlockHankel, i: int, j: int) -> np.ndarray:
     """Block (i, j) rebuilt from the symbol q -> m(q)/q * C_{phi(q)},
     q = i + j + 1, out of the multiplier, frequency map and system (not out
-    of the stored coefficients), so comparing it with ``g.block(i, j)``
-    checks the assembly."""
+    of the stored coefficients), so comparing it with block (i, j) of
+    ``g.flat()`` checks the assembly."""
     q = i + j + 1
     mq = g.multiplier(q)
     if mq == 0:

@@ -4,7 +4,9 @@ Paths follow psi_0 = 0, psi_n = r_n * Phi(psi_{n-1}/r_n, Z_n) with
 Phi(z, zeta) = (zeta + z)/(1 + conj(z) zeta), r_n = 1 - 2^{-n}, and Z_n
 independent uniform on the unit circle.  |psi_n| = r_n identically (Moebius
 maps preserve the circle), so each level lives on its own centered circle
-and psi_n is uniformly distributed on it.
+and psi_n is uniformly distributed on it.  Levels stop at ``MAX_LEVEL``, the
+last n whose r_n still differs from r_{n-1} in float64: above it the
+extraction weights below divide by r_n^2 - r_{n-1}^2 = 0.
 
 The engine verifies, at sampling accuracy, the identities this construction
 is built to satisfy, each as the mean of one per-sample function:
@@ -54,7 +56,7 @@ import numpy as np
 
 from .errors import ConfigurationError, DomainError
 from .hankel import BlockHankel, LacunarySpec
-from .numkit import Polynomial, poly_derivative, poly_eval, toeplitz
+from .numkit import Polynomial, poly_derivative, poly_eval
 
 SIM_BLOCK = 1 << 14
 RENORM_TOL = 1e-12
@@ -62,6 +64,26 @@ RENORM_TOL = 1e-12
 
 def radius(k: int) -> float:
     return 1.0 - 2.0 ** (-k)
+
+
+def _last_distinct_level() -> int:
+    """The last k with radius(k) != radius(k - 1) in float64."""
+    k = 1
+    while radius(k + 1) != radius(k):
+        k += 1
+    return k
+
+
+MAX_LEVEL = _last_distinct_level()
+
+
+def _check_level(name: str, n: int) -> None:
+    """Raise ConfigurationError for a level ``n`` above MAX_LEVEL, naming
+    the setting ``name`` it came from."""
+    if n > MAX_LEVEL:
+        raise ConfigurationError(
+            f"{name} = {n} is above {MAX_LEVEL}, the last level whose radius 1 - 2^-n "
+            "differs from the one before in float64")
 
 
 @dataclass(frozen=True)
@@ -73,13 +95,9 @@ class MartingaleConfig:
     def __post_init__(self):
         if self.L < 1:
             raise ConfigurationError("MartingaleConfig needs L >= 1")
+        _check_level("L", self.L)
         if self.n_samples < 1:
             raise ConfigurationError("n_samples must be positive")
-
-    @property
-    def radii(self) -> tuple[float, ...]:
-        """r_k = 1 - 2^{-k} for k = 1..L."""
-        return tuple(radius(k) for k in range(1, self.L + 1))
 
     @property
     def n_blocks(self) -> int:
@@ -256,6 +274,7 @@ def eta_modulus_sup(n_max: int) -> float:
     one-time peak at n = 2."""
     if n_max < 2:
         raise DomainError("n_max must be >= 2")
+    _check_level("n_max", n_max)
     return max(eta_modulus(n, 2**n) for n in range(2, n_max + 1))
 
 
@@ -351,8 +370,10 @@ class BridgeForm:
         self.p, self.spec = p, spec
         self.coeffs = tuple(g.multiplier(kt) * complex(y @ (g.system.elements[t - 1] @ x))
                             for t, kt in enumerate(spec.K, start=1))
-        # (T(P') (x) I)(e_0 (x) x): block i is P'-hat(i) * x
-        dp_col = toeplitz(poly_derivative(p), g.D)[:, 0]
+        # (T(P') (x) I)(e_0 (x) x): block i is P'-hat(i) * x, i < D
+        dp = poly_derivative(p).coeffs[: g.D]
+        dp_col = np.zeros(g.D, dtype=np.complex128)
+        dp_col[: dp.size] = dp
         embedded = (dp_col[:, None] * x[None, :]).reshape(g.D * in_dim)
         gv = g.apply_flat(embedded)
         self.exact = complex(y @ gv.reshape(g.D, out_dim)[0])

@@ -1,12 +1,10 @@
-"""Dense complex matrix arithmetic, spectral norms, and analytic polynomials.
+"""Matrix-free spectral norms, Toeplitz matrices and analytic polynomials.
 
 Conventions fixed here and relied on everywhere else:
 
-  * A matrix is a 2-d numpy array of complex128 values, row-major.
-  * ``op_norm`` returns the largest singular value of a dense matrix by an
-    exact Hermitian eigensolve of A*A, up to dimension 4096; a larger matrix
-    is a DimensionError.  No certificate goes through it; it is the dense
-    reference of ``row_bound_check`` and the tests.
+  * A matrix is a 2-d numpy array of complex128 values, row-major.  The
+    dense references the tests compare against (an exact eigensolve norm,
+    Horner evaluation of P(A)) live in tests/reference.py, not here.
   * ``top_singular`` is the package's one matrix-free norm solver
     (Golub-Kahan-Lanczos bidiagonalization with one-sided reorthogonalization,
     full on the right basis only, and thick restarts): a Rayleigh lower
@@ -27,14 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ConfigurationError,
-    DimensionError,
-    DomainError,
-    NonConvergenceError,
-)
+from .errors import ConfigurationError, DomainError, NonConvergenceError
 
-OP_NORM_EXACT_MAX_DIM = 4096
 LANCZOS_STEP_CAP = 100_000  # step cap of tensor_conj_norm
 RESTART_STEPS = 40  # top_singular's basis size: it restarts when the basis is full
 RESTART_KEEP = 10  # Ritz pairs a top_singular restart keeps
@@ -43,16 +35,6 @@ CHECK_SHRINK = 0.7  # share of the predicted steps to convergence before the nex
 CHECK_MAX_GAP = 8  # most steps between two of a cycle's residual tests
 DEGREE_CAP = 1 << 16
 HORNER_CHUNK = 1 << 14  # points poly_eval's accumulator covers at a time (256 KB)
-
-
-def as_matrix(a) -> np.ndarray:
-    """Coerce to a C-ordered complex128 2-d array and require finite entries."""
-    m = np.ascontiguousarray(a, dtype=np.complex128)
-    if m.ndim != 2:
-        raise DimensionError(f"expected a 2-d matrix, got ndim={m.ndim}")
-    if m.size and not np.isfinite(m).all():
-        raise DomainError("matrix has non-finite entries")
-    return m
 
 
 @dataclass(frozen=True)
@@ -73,28 +55,6 @@ class NormEstimate:
             raise NonConvergenceError(f"{what} did not converge in {self.iterations} "
                                       "iterations", self.iterations, self.value)
         return self
-
-
-def op_norm(a) -> NormEstimate:
-    """Largest singular value of ``a``: Hermitian eigensolve of the Gram
-    matrix on the smaller side, largest eigenvalue, square root.  A side
-    longer than OP_NORM_EXACT_MAX_DIM raises DimensionError; matrix-free
-    norms go through ``top_singular``.
-    """
-    a = as_matrix(a)
-    if max(a.shape) > OP_NORM_EXACT_MAX_DIM:
-        raise DimensionError(f"op_norm is exact only up to dimension {OP_NORM_EXACT_MAX_DIM}, "
-                             f"got shape {a.shape}")
-    if a.size == 0:
-        return NormEstimate(0.0, "exact-eigensolve", 0)
-    # Gram matrix on the smaller side has the same nonzero spectrum.
-    if a.shape[0] <= a.shape[1]:
-        gram = a @ a.conj().T
-    else:
-        gram = a.conj().T @ a
-    w = np.linalg.eigvalsh(gram)
-    value = float(np.sqrt(max(w[-1], 0.0)))
-    return NormEstimate(value, "exact-eigensolve", 0)
 
 
 def top_singular(apply, apply_adjoint, dim: int, rng: np.random.Generator,
@@ -335,18 +295,6 @@ def poly_eval(p: Polynomial, z):
             np.add(prod, c, out=acc)
     out = out.reshape(z.shape)
     return out if out.shape else complex(out)
-
-
-def poly_of_matrix(p: Polynomial, a) -> np.ndarray:
-    """Horner evaluation of P(A)."""
-    a = as_matrix(a)
-    if a.shape[0] != a.shape[1]:
-        raise DimensionError("poly_of_matrix needs a square matrix")
-    eye = np.eye(a.shape[0], dtype=np.complex128)
-    acc = p.coeffs[-1] * eye
-    for c in p.coeffs[-2::-1]:
-        acc = acc @ a + c * eye
-    return acc
 
 
 @dataclass(frozen=True)

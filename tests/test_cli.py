@@ -130,6 +130,11 @@ def test_unknown_key_is_refused_before_work(tmp_path, capsys, monkeypatch, comma
     ("certify", {"system": "haar_unitary", "n": 2, "dim": 257,
                  "search": {"restarts": 1, "max_degree": 2}}, "budget", "pb_probe"),
     ("fcn", {"n_grid": [2, 40]}, "fcn row needs 1 <= n <= 12", "fcn_experiment"),
+    ("mc", {"L": 4, "n_samples": 100, "checks": [{"check": "eta_bound", "n_max": 55}]},
+     "n_max = 55 is above 54", "stream_estimates"),
+    ("mc", {"L": 56, "n_samples": 100, "checks": [{"check": "fourier", "level": 55, "degree": 3}]},
+     "L = 56 is above 54", "stream_estimates"),
+    ("mc", {"L": 300_000, "n_samples": 10}, "L = 300000 is above 54", "stream_estimates"),
 ])
 def test_size_above_its_cap_is_refused_before_work(tmp_path, capsys, monkeypatch, command, doc,
                                                    message, work):
@@ -137,8 +142,10 @@ def test_size_above_its_cap_is_refused_before_work(tmp_path, capsys, monkeypatch
     # a flat Hankel matrix above FLAT_ENTRY_BUDGET before bound_probe builds
     # its D x D Toeplitz matrix, elements over the tensor budget before the
     # system is built or probed, a Haar or basis-vector system above its cap
-    # before its arrays are allocated, and an fcn n whose D = 2^n + 1 is above
-    # the flat budget before any row runs
+    # before its arrays are allocated, an fcn n whose D = 2^n + 1 is above
+    # the flat budget before any row runs, and an mc level whose radius
+    # 1 - 2^-n rounds to the one before (r_n^2 - r_{n-1}^2 = 0 in the eta
+    # weights) before any path is drawn
     def unreachable(*args, **kwargs):
         raise AssertionError("work ran before the size was checked")
 
@@ -258,8 +265,9 @@ class TestHankelCommand:
         monkeypatch.setattr(BlockHankel, "flat", one_wrong_block)
         code = _run(tmp_path, "hankel", {"mode": "probe", "L": 2, "D": 5})
         out = capsys.readouterr().out
+        # both flags read the materialized blocks, so the broken one fails both
         assert "FAIL hankel_property" in out
-        assert "PASS symbol_roundtrip" in out
+        assert "FAIL symbol_roundtrip" in out
         assert code == 1
 
     @pytest.mark.parametrize("doc,typo", [

@@ -14,7 +14,7 @@ from pbnc.coeff_systems import (
     tensor_conj_norm,
     trace_witness,
 )
-from pbnc.numkit import op_norm
+from reference import op_norm
 
 
 def _rng(seed):

@@ -22,7 +22,6 @@ from pbnc.hankel import (
     hankel_map,
     lacunary_default,
     monomial_grid,
-    multiplier_block_sup,
     norm_gtf,
     ones_basis_family,
     probe_search,
@@ -33,11 +32,11 @@ from pbnc.hankel import (
 from pbnc.numkit import (
     DEGREE_CAP,
     Polynomial,
-    op_norm,
     poly_derivative,
     sup_norm,
     toeplitz,
 )
+from reference import op_norm
 
 
 def _rng(seed):
@@ -72,6 +71,11 @@ class TestLacunarySpec:
         assert lacunary_default(3).freq_map() == {2: 1, 4: 2, 8: 3}
 
 
+def _block_sum(m: MultiplierSeq, n: int) -> float:
+    """Sum of |m(k)|^2 over the dyadic block 2^{n-1} < k <= 2^n, n >= 1."""
+    return sum(abs(m(k)) ** 2 for k in range(2 ** (n - 1) + 1, 2**n + 1))
+
+
 class TestMultiplierSeq:
     def test_indicator(self):
         m = MultiplierSeq.indicator(lacunary_default(3))
@@ -79,25 +83,23 @@ class TestMultiplierSeq:
         assert m(4) == 1.0 and m(3) == 0j
 
     def test_zero_values_dropped(self):
-        m = MultiplierSeq({2: 0.0, 4: 1.0}, support_cutoff=8)
+        m = MultiplierSeq({2: 0.0, 4: 1.0})
         assert m.support == (4,)
 
-    def test_cutoff_enforced(self):
+    def test_frequency_validated(self):
         with pytest.raises(errors.ConfigurationError):
-            MultiplierSeq({9: 1.0}, support_cutoff=8)
+            MultiplierSeq({0: 1.0})
         with pytest.raises(errors.ConfigurationError):
-            MultiplierSeq({0: 1.0}, support_cutoff=8)
+            MultiplierSeq({2.5: 1.0})
 
     def test_block_sums(self):
         lac = MultiplierSeq.indicator(lacunary_default(4))
         for n in range(1, 5):
-            assert lac.block_sum(n) == pytest.approx(1.0)
+            assert _block_sum(lac, n) == pytest.approx(1.0)
         ones = MultiplierSeq.ones(16)
         # block (2^{n-1}, 2^n] holds 2^{n-1} integers
         for n in range(1, 5):
-            assert ones.block_sum(n) == pytest.approx(2.0 ** (n - 1))
-        assert multiplier_block_sup(lac, 8) == pytest.approx(1.0)
-        assert multiplier_block_sup(ones, 4) == pytest.approx(8.0)
+            assert _block_sum(ones, n) == pytest.approx(2.0 ** (n - 1))
 
 
 class TestBlockHankel:
@@ -117,7 +119,9 @@ class TestBlockHankel:
 
     def test_unsupported_block_is_zero(self):
         g = _small_car_hankel(n=2, D=5)
-        assert not g.block(1, 1).any()  # frequency 3 unsupported
+        out_dim, in_dim = g.block_shape
+        blocks = g.flat().reshape(g.D, out_dim, g.D, in_dim)
+        assert not blocks[1, :, 1, :].any()  # frequency 3 unsupported
 
     def test_flat_layout(self):
         g = _small_car_hankel(n=2, D=4)
@@ -126,9 +130,8 @@ class TestBlockHankel:
         h = g.block_shape[0]
         for i in range(4):
             for j in range(4):
-                assert np.array_equal(
-                    flat[i * h : (i + 1) * h, j * h : (j + 1) * h], g.block(i, j)
-                )
+                want = g.coefficients.get(i + j + 1, np.zeros(g.block_shape))
+                assert np.array_equal(flat[i * h : (i + 1) * h, j * h : (j + 1) * h], want)
 
     def test_gram_equals_flat_product(self):
         for g in [_small_car_hankel(n=2, D=6), lacunary_basis_family(9), ones_basis_family(5)]:
@@ -146,7 +149,7 @@ class TestBlockHankel:
 
     def test_gram_diagonal_none_on_shared_element(self):
         # frequencies 1 and 2 both map to e_1: C_1^H C_2 != 0
-        m = MultiplierSeq({1: 1.0, 2: 1.0}, support_cutoff=2)
+        m = MultiplierSeq({1: 1.0, 2: 1.0})
         g = build_hankel(m, LacunarySpec((1,)), basis_vectors(1), D=3, freq_map={1: 1, 2: 1})
         assert g.gram_diagonal_or_none() is None
         assert np.abs(g.gram() - np.diag(np.diag(g.gram()))).max() > 0
@@ -211,11 +214,6 @@ class TestBlockHankel:
             assert np.allclose(ghy, flat.conj().T @ y, atol=1e-13)
             assert np.vdot(y, gx) == pytest.approx(np.vdot(ghy, x), abs=1e-12)
 
-    def test_block_index_bounds(self):
-        g = _small_car_hankel(n=2, D=4)
-        with pytest.raises(errors.DimensionError):
-            g.block(4, 0)
-
     def test_flat_budget(self):
         with pytest.raises(errors.ConfigurationError):
             ones_basis_family(513).flat()
@@ -224,7 +222,7 @@ class TestBlockHankel:
 class TestBuildHankel:
     def test_unmapped_frequency_rejected(self):
         spec = lacunary_default(2)
-        m = MultiplierSeq({2: 1.0, 4: 1.0, 3: 1.0}, support_cutoff=8)
+        m = MultiplierSeq({2: 1.0, 4: 1.0, 3: 1.0})
         with pytest.raises(errors.ConfigurationError):
             build_hankel(m, spec, car_jordan_wigner(2), D=5)
 
@@ -236,7 +234,7 @@ class TestBuildHankel:
 
     def test_zero_multiplier_gives_zero_matrix(self):
         spec = lacunary_default(2)
-        m = MultiplierSeq({}, support_cutoff=4)
+        m = MultiplierSeq({})
         g = build_hankel(m, spec, car_jordan_wigner(2), D=4)
         assert not g.flat().any()
         assert float(op_norm(g.flat())) == 0.0
@@ -255,13 +253,15 @@ class TestSymbol:
         # every block equals m(q)/q * C_phi(q), q = i + j + 1, rebuilt here
         # from the multiplier, frequency map and system
         for g in [_small_car_hankel(n=3, D=9), lacunary_basis_family(9), ones_basis_family(5)]:
+            out_dim, in_dim = g.block_shape
+            blocks = g.flat().reshape(g.D, out_dim, g.D, in_dim)
             for i in range(g.D):
                 for j in range(g.D):
                     q = i + j + 1
                     mq = g.multiplier(q)
                     ref = (np.zeros(g.block_shape) if mq == 0
                            else (mq / q) * g.system.elements[g.freq_map[q] - 1])
-                    assert np.array_equal(g.block(i, j), ref)
+                    assert np.array_equal(blocks[i, :, j, :], ref)
                     assert np.array_equal(symbol_block(g, i, j), ref)
 
     def test_coefficient_indexing(self):
@@ -504,7 +504,7 @@ class TestFamilies:
     def test_lacunary_family_block_sums(self):
         g = lacunary_basis_family(17)
         for n in range(1, 6):
-            assert g.multiplier.block_sum(n) == pytest.approx(1.0)
+            assert _block_sum(g.multiplier, n) == pytest.approx(1.0)
 
     def test_ones_family_support(self):
         g = ones_basis_family(5)

