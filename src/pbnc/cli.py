@@ -51,7 +51,6 @@ from .counterexample import (
     PbSearch,
     build_T,
     cb_certificate,
-    check_fcn_n,
     fcn_experiment,
     haar_bundle,
     pb_probe,
@@ -70,6 +69,7 @@ from .hankel import (
     bound_probe,
     bound_scan,
     build_hankel,
+    check_default_depth,
     lacunary_default,
     random_poly,
     symbol_block,
@@ -268,8 +268,11 @@ def cmd_hankel(cfg: dict, thresholds: dict, threads: int):
     keys.get("seed", 0, int, lo=0)  # --seed writes it; the probe draws nothing
     spec_k = keys.get("spec", None, [int])
     L = keys.get("L", 3, int)
+    d = keys.get("D", None, int)
+    if spec_k is None and d is None:  # D = 2^L + 1
+        check_default_depth(L, "a probe with the default D", "L")
     spec = lacunary_default(L) if spec_k is None else LacunarySpec(tuple(spec_k))
-    d = keys.get("D", max(spec.K) + 1, int)
+    d = max(spec.K) + 1 if d is None else d
     build_system, _, _ = _read_system(keys.obj("system", {"kind": "basis_vector", "n": spec.L}))
     f_coeffs = keys.get("f", [0.0, 1.0], [float])
     keys.done()
@@ -339,9 +342,9 @@ def _hankel_scan(keys: _Keys, thresholds: dict, threads: int):
 
 def _certifier(keys: _Keys, n_grid: list[int]):
     """Read the keys certify and sweep share and close the config; refuse
-    an n of ``n_grid`` whose elements exceed the tensor budget before any
-    bundle is built; return the probe budget and n -> the certify row of the
-    bundle at n."""
+    an n of ``n_grid`` whose elements exceed the tensor budget, or whose
+    default D = 2^n + 1 exceeds the flat budget, before any bundle is built;
+    return the probe budget and n -> the certify row of the bundle at n."""
     kind = keys.get("system", "car", ("car", "haar_unitary"))
     eps = keys.get("eps", 1.0, float)
     d = keys.get("D", None, int)
@@ -356,6 +359,8 @@ def _certifier(keys: _Keys, n_grid: list[int]):
     keys.done()
     for n in n_grid:  # cb_certificate takes the tensor norm of every bundle
         check_tensor_budget(car_dim(n) if kind == "car" else (n if dim is None else dim))
+        if d is None:  # D = 2^n + 1
+            check_default_depth(n, "a bundle with the default D", "n")
 
     def certify(n: int) -> dict:
         if kind == "car":
@@ -549,7 +554,7 @@ def cmd_fcn(cfg: dict, thresholds: dict, threads: int):
     seed = keys.get("seed", frozen["seed"], int, lo=0)
     keys.done()
     for n in n_grid:
-        check_fcn_n(n)
+        check_default_depth(n, "an fcn row", "n")
     rows = [fcn_experiment(n, c, seed=seed) for n in n_grid]
     results = {"c": c, "seed": seed, "rows": rows}
     flags = {"scaled_positive": all(r["scaled"] > 0 for r in rows)}

@@ -43,7 +43,6 @@ rejects such multipliers.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from functools import partial
 
@@ -58,11 +57,11 @@ from .coeff_systems import (
 )
 from .errors import ConfigurationError, DomainError
 from .hankel import (
-    FLAT_ENTRY_BUDGET,
     BlockHankel,
     LacunarySpec,
     MultiplierSeq,
     build_hankel,
+    check_default_depth,
     hankel_map,
     lacunary_default,
     monomial_grid,
@@ -131,18 +130,23 @@ def with_eps(b: OperatorBundle, eps: float) -> OperatorBundle:
 
 
 def _shift(k: int, c: complex, down: bool):
-    """x -> c S^k x (``down``) or c (S^t)^k x on D x h block rows, by
-    slicing: S moves block row i to i + 1, and S^k = 0 for k >= D.  k = -1,
-    the corner of z^0 (whose derivative is 0), is the zero factor too."""
+    """x -> c S^k x (``down``) or c (S^t)^k x on D x h block rows, written
+    into ``out`` when given, by slicing: S moves block row i to i + 1, and
+    S^k = 0 for k >= D.  k = -1, the corner of z^0 (whose derivative is 0),
+    is the zero factor too."""
 
-    def apply(x: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(x)
+    def apply(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         d = x.shape[0]
-        if 0 <= k < d:
-            if down:
-                out[k:] = c * x[: d - k]
-            else:
-                out[: d - k] = c * x[k:]
+        if out is None:
+            out = np.empty_like(x)
+        if not 0 <= k < d:
+            out[...] = 0.0
+        elif down:
+            out[:k] = 0.0
+            np.multiply(x[: d - k], c, out=out[k:])
+        else:
+            np.multiply(x[k:], c, out=out[: d - k])
+            out[d - k :] = 0.0
         return out
 
     return apply
@@ -151,45 +155,50 @@ def _shift(k: int, c: complex, down: bool):
 def _poly_t_applies(b: OperatorBundle, p: Polynomial):
     """(apply, apply_adjoint) closures for P(T) on flat vectors of length
     2*D*h, out of three D x D factors on block rows and their adjoints:
-    P(S), P(S)^t and the corner's T(P') before the Hankel apply (one gather
-    and one GEMM).  A monomial c z^k has the factors c S^k, c (S^t)^k and
-    c k S^{k-1}, applied as shifts in O(D h); any other polynomial uses the
-    dense Toeplitz matrices, conjugated once, in O(D^2 h).  The Hankel
-    apply adds O(F D h^2) per matvec, against O((Dh)^2) for a dense P(T)."""
+    P(S), P(S)^t and the corner's eps T(P') before the Hankel apply (one
+    gather and one GEMM).  A monomial c z^k has the factors c S^k, c (S^t)^k
+    and eps c k S^{k-1}, applied as shifts in O(D h); any other polynomial
+    uses the dense Toeplitz matrices, conjugated once, in O(D^2 h).  The
+    Hankel apply adds O(F D h^2) per matvec, against O((Dh)^2) for a dense
+    P(T).  Each factor writes its block rows straight into the one output
+    vector."""
     g = b.hankel
     D, h = g.D, g.block_shape[1]
+    eps = b.eps
     if np.count_nonzero(p.coeffs) == 1:
         k, c = p.degree, p.coeffs[-1]
         cc = np.conj(c)
         ps, ps_t = _shift(k, c, True), _shift(k, c, False)
         ps_h, ps_t_h = _shift(k, cc, False), _shift(k, cc, True)
-        corner, corner_h = _shift(k - 1, k * c, True), _shift(k - 1, k * cc, False)
+        corner, corner_h = _shift(k - 1, eps * k * c, True), _shift(k - 1, eps * k * cc, False)
     else:
         t_p = toeplitz(p, D)
         t_pp = toeplitz(poly_derivative(p), D)
+        t_pp *= eps  # in place: a second D x D temporary raised the fcn peak RSS
         t_p_conj = t_p.conj()  # (t_p.T)^H
-        t_p_h, t_pp_h = t_p_conj.T, t_pp.conj().T
-        ps, ps_t, corner = (lambda x: t_p @ x), (lambda x: t_p.T @ x), (lambda x: t_pp @ x)
-        ps_h, ps_t_h = (lambda x: t_p_h @ x), (lambda x: t_p_conj @ x)
-        corner_h = (lambda x: t_pp_h @ x)
-    eps = b.eps
+        ps, ps_t, corner, ps_h, ps_t_h, corner_h = (
+            partial(np.matmul, t) for t in (t_p, t_p.T, t_pp, t_p_conj.T, t_p_conj,
+                                            t_pp.conj().T))
     half = D * h
 
     def apply(x: np.ndarray) -> np.ndarray:
-        x1 = x[:half].reshape(D, h)
         x2 = x[half:].reshape(D, h)
-        y2 = ps(x2)
-        w = corner(x2)
-        y1 = ps_t(x1) + eps * g.apply_flat(w.reshape(-1)).reshape(D, h)
-        return np.concatenate([y1.reshape(-1), y2.reshape(-1)])
+        out = np.empty(2 * half, dtype=np.complex128)
+        y1, y2 = out[:half].reshape(D, h), out[half:].reshape(D, h)
+        ps(x2, out=y2)
+        corner(x2, out=y1)  # eps T(P') x2, read by the Hankel apply before y1 is filled
+        gw = g.apply_flat(out[:half]).reshape(D, h)
+        ps_t(x[:half].reshape(D, h), out=y1)
+        y1 += gw
+        return out
 
     def apply_adjoint(x: np.ndarray) -> np.ndarray:
-        x1 = x[:half].reshape(D, h)
-        x2 = x[half:].reshape(D, h)
-        y1 = ps_t_h(x1)
-        gh = g.apply_flat_adjoint(x1.reshape(-1)).reshape(D, h)
-        y2 = ps_h(x2) + eps * corner_h(gh)
-        return np.concatenate([y1.reshape(-1), y2.reshape(-1)])
+        out = np.empty(2 * half, dtype=np.complex128)
+        y1, y2 = out[:half].reshape(D, h), out[half:].reshape(D, h)
+        ps_h(x[half:].reshape(D, h), out=y2)
+        y2 += corner_h(g.apply_flat_adjoint(x[:half]).reshape(D, h))
+        ps_t_h(x[:half].reshape(D, h), out=y1)
+        return out
 
     return apply, apply_adjoint
 
@@ -337,23 +346,13 @@ def haar_bundle(n: int, dim: int, system_seed: int, row_bound_seed: int, *,
     return build_T(system, spec, m, D=D, eps=eps), k2
 
 
-def check_fcn_n(n: int) -> None:
-    """Raise ConfigurationError unless n >= 1 and the D x D Toeplitz matrices
-    of D = 2^n + 1 fit FLAT_ENTRY_BUDGET, so a caller that knows an fcn
-    row's n from its config can refuse it before any row runs."""
-    # 2^n + 1 <= isqrt(budget) <=> n <= max_n, without forming 2^n
-    max_n = (math.isqrt(FLAT_ENTRY_BUDGET) - 1).bit_length() - 1
-    if not 1 <= n <= max_n:
-        raise ConfigurationError(f"an fcn row needs 1 <= n <= {max_n}, got {n}")
-
-
 def haar_bundle_for_target(n: int, c: float, seed: int) -> tuple[OperatorBundle, dict]:
     """``haar_bundle`` with dim H = n and D = 2^n + 1 at target probe
     constant c: eps from C_probe, a cheap lower bound for the Hankel
     boundedness constant by ``probe_search`` on ``hankel_map`` over z, the
     supported monomials, the Fejer means and four random polynomials, with
     no ascent."""
-    check_fcn_n(n)
+    check_default_depth(n, "an fcn row", "n")
     if c <= 1:
         raise DomainError("target c must exceed 1")
     ss = np.random.SeedSequence(entropy=seed)

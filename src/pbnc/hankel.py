@@ -45,6 +45,7 @@ once per (frozen) BlockHankel.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 
@@ -93,6 +94,17 @@ def lacunary_default(L: int) -> LacunarySpec:
     if L < 1:
         raise ConfigurationError("lacunary_default needs L >= 1")
     return LacunarySpec(tuple(2**t for t in range(1, L + 1)))
+
+
+def check_default_depth(L: int, what: str, key: str) -> None:
+    """Raise ConfigurationError unless L >= 1 and D = 2^L + 1, the default
+    truncation of ``lacunary_default(L)``, keeps D x D matrices within
+    FLAT_ENTRY_BUDGET, so a caller that reads the depth from its config (as
+    ``key``) refuses it before 2^L or any system is built."""
+    # 2^L + 1 <= isqrt(budget) <=> L <= max_l, without forming 2^L
+    max_l = (math.isqrt(FLAT_ENTRY_BUDGET) - 1).bit_length() - 1
+    if not 1 <= L <= max_l:
+        raise ConfigurationError(f"{what} needs 1 <= {key} <= {max_l}, got {L}")
 
 
 @dataclass
@@ -452,8 +464,12 @@ def probe_search(map_of, max_degree: int, monomials, *, n_random: int = 0,
 
     ``map_of(rng)`` is ``(solve, direction)``: ``solve(f, start=None)`` gives
     the norm sigma (a lower bound) with its top singular pair (u, v), from
-    the right vector ``start`` when one is given (only the ascent gives one),
-    and ``direction(u, v)`` the ascent direction, length max_degree + 1.
+    the right vector ``start`` when one is given, and ``direction(u, v)`` the
+    ascent direction, length max_degree + 1.  The monomials, the Fejer means
+    and the random candidates are three warm chains: each solve starts from
+    the right vector of the last solve of its chain whose sigma was nonzero
+    (z^k from the last nonzero z^j, fejer:2d from fejer:d, random:i from
+    random:i-1), the first of each cold; each ascent is a chain of its own.
     ``seed`` spawns three children: ``rng``, the random candidates, the
     random starts.  A lower-bound search: the ratio returned is reached by
     the polynomial named."""
@@ -461,29 +477,34 @@ def probe_search(map_of, max_degree: int, monomials, *, n_random: int = 0,
     solve, direction = map_of(np.random.default_rng(map_seed))
     best, best_id = 0.0, "none"
 
-    def ratio_of(f: Polynomial) -> float:
-        return solve(f)[0] / sup_norm(f).certified_upper
-
     def offer(ratio: float, poly_id: str) -> None:
         nonlocal best, best_id
         if ratio > best:
             best, best_id = ratio, poly_id
 
-    for k in monomials:
-        offer(ratio_of(Polynomial.monomial(k)), f"monomial:{k}")
-    deg = 2
-    while deg <= max_degree:
-        offer(ratio_of(fejer_poly(deg)), f"fejer:{deg}")
-        deg *= 2
+    def chain(candidates) -> None:
+        prev = None  # the last nonzero v, in one buffer for the whole chain
+        for f, poly_id in candidates:
+            sigma, u, v = solve(f, start=prev)
+            if sigma > 0.0:
+                if prev is None:
+                    prev = np.empty_like(v)
+                prev[...] = v
+            # as in fejer_ascent, a fresh u or v kept across the sup-norm FFT
+            # raised the fcn benchmark's peak RSS (by about 0.8 MB here)
+            del u, v
+            offer(sigma / sup_norm(f).certified_upper, poly_id)
+
+    chain((Polynomial.monomial(k), f"monomial:{k}") for k in monomials)
+    fejer_degrees = [2**j for j in range(1, int(max_degree).bit_length())]  # 2, 4, ... <= max
+    chain((fejer_poly(deg), f"fejer:{deg}") for deg in fejer_degrees)
 
     rng = np.random.default_rng(rand_seed)
     degrees = np.unique(np.geomspace(2, max(max_degree, 2), num=max(n_degrees, 1)).astype(int))
     degrees = degrees[degrees <= max_degree]
-    poly_id = 0
-    for deg in degrees:
-        for _ in range(n_random // len(degrees)):
-            offer(ratio_of(random_poly(int(deg), rng)), f"random:{poly_id}")
-            poly_id += 1
+    per_degree = n_random // len(degrees)
+    chain((random_poly(int(deg), rng), f"random:{i * per_degree + r}")
+          for i, deg in enumerate(degrees) for r in range(per_degree))
 
     if ascent_steps > 0:
         arng = np.random.default_rng(ascent_seed)

@@ -11,9 +11,11 @@ Conventions fixed here and relied on everywhere else:
     bound, its residual and a ``converged`` flag that means the residual test
     passed, never a raise.  Every ``P(T)`` norm and every tensor certificate
     is one such solve.  It starts from a Gaussian vector, or warm from a
-    given vector plus a little of that Gaussian, and runs its residual test
-    (one SVD of the projected matrix) only where the residual's observed
-    decay says the test can pass.
+    given vector plus a little of that Gaussian, runs a second Gram-Schmidt
+    pass only where the first lost too much of the new vector (DGKS), and
+    runs its residual test (the top eigenpair of B B^T for the projected
+    matrix B; an SVD only before a restart) only where the residual's
+    observed decay says the test can pass.
   * Analytic polynomials are Taylor coefficient vectors P-hat(0..deg); the
     sup norm over the unit circle is certified from a roots-of-unity grid
     through the Bernstein derivative bound ||P'|| <= deg * ||P||.
@@ -21,6 +23,7 @@ Conventions fixed here and relied on everywhere else:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +36,7 @@ RESTART_KEEP = 10  # Ritz pairs a top_singular restart keeps
 WARM_START_NOISE = 1e-6  # relative size of the Gaussian a warm top_singular start is mixed with
 CHECK_SHRINK = 0.7  # share of the predicted steps to convergence before the next residual test
 CHECK_MAX_GAP = 8  # most steps between two of a cycle's residual tests
+DGKS_RATIO = math.sqrt(0.5)  # a second Gram-Schmidt pass runs below this share of the norm
 DEGREE_CAP = 1 << 16
 HORNER_CHUNK = 1 << 14  # points poly_eval's accumulator covers at a time (256 KB)
 
@@ -44,7 +48,7 @@ class NormEstimate:
     iterations: int
     converged: bool = True  # the residual test passed
     residual: float = 0.0  # ||A^H u - value v|| of the returned pair (0 when exact)
-    checks: int = 0  # residual tests run (one SVD of the projected matrix each)
+    checks: int = 0  # residual tests run (one small eigensolve or SVD each)
 
     def __float__(self) -> float:
         return self.value
@@ -70,35 +74,39 @@ def top_singular(apply, apply_adjoint, dim: int, rng: np.random.Generator,
     vector that ``start`` misses.
 
     Step k applies A and A^H once each.  The reorthogonalization is
-    one-sided (Simon & Zha 2000): A^H u_k is orthonormalized against the
-    whole preallocated V basis (twice, classical Gram-Schmidt), while A v_k
-    is projected once on u_{k-1} only, except at a cycle's first step, where
-    it is projected twice on every kept u to form the restart's coupling
-    column.  So
+    one-sided (Simon & Zha 2000): A^H u_k is orthogonalized against the
+    whole preallocated V basis by classical Gram-Schmidt, with a second pass
+    only when the first removed more than half of its squared norm (Daniel,
+    Gragg, Kaufman & Stewart 1976), while A v_k is projected once on u_{k-1}
+    only, except at a cycle's first step, where it is projected twice on
+    every kept u to form the restart's coupling column.  So
     A V_k = U_k B_k and A^H U_k = V_k B_k^H + beta_k v_{k+1} e_k^T with
     B_k real upper triangular (bidiagonal until a restart).
     The top singular triple (sigma, p, q) of B_k gives x = V_k q with
     residual ||A^H (A x / sigma) - sigma x|| = beta_k |e_k^T p|.  The test
-    costs an SVD of B_k, so it runs only where it can pass: at each step of
-    a cycle until two tested residuals fall, then after a share of the steps
-    their rate predicts to reach tol * sigma (``_check_gap``), and always
-    when the basis is full or at ``max_iter``.  The solve converges when
-    that residual is <= tol * sigma, or on a breakdown (a new basis vector
-    of norm <= tol times the largest one kept) or an exhausted Krylov space
-    (k = min(rows, cols)), where B_k is exact and the residual reported is
-    the dropped norm.  When the basis holds RESTART_STEPS vectors it
-    restarts thick: the top RESTART_KEEP Ritz pairs and v_{k+1} stay, B_k
-    becomes diag(sigma) plus one coupling column (Baglama & Reichel 2005).
-    After ``max_iter`` steps it comes back with converged=False.  The value
-    is the Rayleigh value ||A x|| of the unit vector x, a lower bound
-    converged or not, from any start, and u = A x / ||A x|| comes from that
+    reads sigma and p from the top eigenpair of B_k B_k^T (an SVD only when
+    the basis is full, where a restart needs every triple), and it runs only
+    where it can pass: at each step of a cycle until two tested residuals
+    fall, then after a share of the steps their rate predicts to reach
+    tol * sigma (``_check_gap``), and always when the basis is full or at
+    ``max_iter``.  The solve converges when that residual is <= tol * sigma,
+    and the residual reported is the one that passed; or on a breakdown (a
+    new basis vector of norm <= tol times the largest one kept) or an
+    exhausted Krylov space (k = min(rows, cols)), where B_k is exact and the
+    residual reported is the dropped norm.  When the basis holds
+    RESTART_STEPS vectors it restarts thick: the top RESTART_KEEP Ritz pairs
+    and v_{k+1} stay, B_k becomes diag(sigma) plus one coupling column
+    (Baglama & Reichel 2005).  After ``max_iter`` steps it comes back with
+    converged=False.  The value is the Rayleigh quotient ||A x|| / ||x|| of
+    the normalized x = V_k B_k^T p, a lower bound converged or not, from any
+    start (exactly 1 when A x is x), and u = A x / ||A x|| comes from that
     same apply (u = A x when A x = 0)."""
     if max_iter < 1:
         raise DomainError("top_singular needs max_iter >= 1")
     x = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    if start is not None and (start_norm := np.linalg.norm(start)) > 0.0:
-        x = start + (WARM_START_NOISE * start_norm / np.linalg.norm(x)) * x
-    x /= np.linalg.norm(x)
+    if start is not None and (start_norm := _norm(start)) > 0.0:
+        x = start + (WARM_START_NOISE * start_norm / _norm(x)) * x
+    x /= _norm(x)
     u = apply(x)
     rows = u.size
     m = min(RESTART_STEPS, min(rows, dim) + 1)
@@ -116,36 +124,48 @@ def top_singular(apply, apply_adjoint, dim: int, rng: np.random.Generator,
             # one-sided: a cycle's first A v_k is projected on every kept u
             # (the coupling column), later ones once on u_{k-1} only; a V kept
             # orthonormal keeps U orthogonal to working accuracy
-            lo, passes = (0, 2) if k == lock else (k - 1, 1)
-            u, coeffs, alpha = _orthonormalize(u, ub[lo:k], passes)
-            bmat[lo:k, k] = coeffs.real
+            if k > lock:
+                h = np.vdot(ub[k - 1], u)
+                u = u - h * ub[k - 1]
+                bmat[k - 1, k] = h.real
+            elif k > 0:
+                for _ in range(2):
+                    h = (ub[:k] @ u.conj()).conj()
+                    u = u - h @ ub[:k]
+                    bmat[:k, k] += h.real
+            alpha = _norm(u)
             if k == rows or alpha <= tol * scale:
                 exact, residual = True, (0.0 if k == rows else alpha)
                 break
             scale = max(scale, alpha)
-            bmat[k, k], ub[k] = alpha, u
+            bmat[k, k] = alpha
+            np.divide(u, alpha, out=ub[k])
             if k + 1 == dim:
                 exact, residual = True, 0.0
                 break
-            w, _, beta = _orthonormalize(apply_adjoint(ub[k]), vb[: k + 1])
+            w, beta = _dgks(apply_adjoint(ub[k]), vb[: k + 1])
             if beta <= tol * scale:
                 exact, residual = True, beta
                 break
             scale = max(scale, beta)
-            vb[k + 1] = w
+            np.divide(w, beta, out=vb[k + 1])
             kk = k + 1
             if kk == m or steps == max_iter or kk >= next_check:
-                p, s, qh = np.linalg.svd(bmat[:kk, :kk])
                 checks += 1
-                residual = float(beta * abs(p[kk - 1, 0]))
-                converged = bool(residual <= tol * s[0])
+                if kk == m:  # a restart keeps RESTART_KEEP triples
+                    p, s, qh = np.linalg.svd(bmat[:kk, :kk])
+                    top, sigma = p[:, 0], s[0]
+                else:
+                    top, sigma = _top_left(bmat[:kk, :kk])
+                residual = float(beta * abs(top[kk - 1]))
+                converged = bool(residual <= tol * sigma)
                 if converged:
                     break
-                next_check = kk + _check_gap(tested, kk, residual, tol * s[0], lock)
+                next_check = kk + _check_gap(tested, kk, residual, tol * sigma, lock)
                 tested = (kk, residual)
         if exact:
             kk = k + 1
-            p, s, qh = np.linalg.svd(bmat[:kk, :kk])
+            top, _ = _top_left(bmat[:kk, :kk])
             converged = True
         if converged or steps >= max_iter:
             break
@@ -155,12 +175,47 @@ def top_singular(apply, apply_adjoint, dim: int, rng: np.random.Generator,
         vb[lock] = vb[kk]
         bmat[:] = 0.0
         bmat[:lock, :lock] = np.diag(s[:lock])
-    x = qh[0].conj() @ vb[:kk]
-    x /= np.linalg.norm(x)
+    q = bmat[:kk, :kk].T @ top  # sigma times the top right vector of B_k
+    if not q.any():  # B_k = 0: every unit vector is a top vector
+        q[0] = 1.0
+    x = q @ vb[:kk]
+    x /= _norm(x)
     ax = apply(x)
+    # one norm function for ||A x|| and ||x||: the quotient is exactly 1 when
+    # A x is x, as for P = 1
     nrm = np.linalg.norm(ax)
-    est = NormEstimate(float(nrm), "golub-kahan-lanczos", steps, converged, residual, checks)
+    est = NormEstimate(float(nrm / np.linalg.norm(x)), "golub-kahan-lanczos", steps, converged,
+                       residual, checks)
     return est, (ax / nrm if nrm > 0 else ax), x
+
+
+def _top_left(b: np.ndarray) -> tuple[np.ndarray, float]:
+    """Top left singular vector p and value sigma of a real square b, from
+    the top eigenpair of b b^T (sigma^2, p): cheaper than an SVD, and as
+    accurate for the top triple."""
+    lam, vecs = np.linalg.eigh(b @ b.T)
+    return vecs[:, -1], math.sqrt(max(lam[-1], 0.0))
+
+
+def _dgks(w: np.ndarray, basis: np.ndarray) -> tuple[np.ndarray, float]:
+    """``w`` projected off the orthonormal rows of ``basis`` by classical
+    Gram-Schmidt, and its norm.  A second pass runs only when the first left
+    less than DGKS_RATIO = 1/sqrt(2) of ||w|| (Daniel, Gragg, Kaufman &
+    Stewart 1976): when more is left, the rounding of the first pass is
+    small against what is left, and the result is orthogonal to working
+    accuracy."""
+    before = _norm(w)
+    w = w - (basis @ w.conj()).conj() @ basis
+    after = _norm(w)
+    if after < before * DGKS_RATIO:
+        w = w - (basis @ w.conj()).conj() @ basis
+        after = _norm(w)
+    return w, after
+
+
+def _norm(w: np.ndarray) -> float:
+    """Euclidean norm of a complex vector from one dot product."""
+    return math.sqrt(np.vdot(w, w).real)
 
 
 def _check_gap(tested: tuple[int, float] | None, k: int, residual: float,
@@ -179,20 +234,6 @@ def _check_gap(tested: tuple[int, float] | None, k: int, residual: float,
     j, r_j = tested
     predicted = np.log(target / residual) * (k - j) / np.log(residual / r_j)
     return int(min(max(CHECK_SHRINK * predicted, 1), CHECK_MAX_GAP, k - lock))
-
-
-def _orthonormalize(w: np.ndarray, basis: np.ndarray,
-                    passes: int = 2) -> tuple[np.ndarray, np.ndarray, float]:
-    """``w`` projected off the orthonormal rows of ``basis`` ``passes`` times
-    (classical Gram-Schmidt) and scaled to unit length, with the projection
-    coefficients and its norm before scaling."""
-    coeffs = np.zeros(len(basis), dtype=np.complex128)
-    for _ in range(passes):
-        h = (basis @ w.conj()).conj()
-        w = w - h @ basis
-        coeffs += h
-    nrm = float(np.linalg.norm(w))
-    return (w / nrm if nrm > 0.0 else w), coeffs, nrm
 
 
 def subdiagonal_sums(m: np.ndarray) -> np.ndarray:

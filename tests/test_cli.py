@@ -1,5 +1,6 @@
 import csv
 import json
+import time
 import tracemalloc
 
 import numpy as np
@@ -135,6 +136,9 @@ def test_unknown_key_is_refused_before_work(tmp_path, capsys, monkeypatch, comma
     ("mc", {"L": 56, "n_samples": 100, "checks": [{"check": "fourier", "level": 55, "degree": 3}]},
      "L = 56 is above 54", "stream_estimates"),
     ("mc", {"L": 300_000, "n_samples": 10}, "L = 300000 is above 54", "stream_estimates"),
+    ("hankel", {"mode": "probe", "L": 300_000}, "1 <= L <= 12, got 300000", "lacunary_default"),
+    ("certify", {"system": "haar_unitary", "n": 300_000, "dim": 2}, "1 <= n <= 12, got 300000",
+     "haar_bundle"),
 ])
 def test_size_above_its_cap_is_refused_before_work(tmp_path, capsys, monkeypatch, command, doc,
                                                    message, work):
@@ -142,15 +146,18 @@ def test_size_above_its_cap_is_refused_before_work(tmp_path, capsys, monkeypatch
     # a flat Hankel matrix above FLAT_ENTRY_BUDGET before bound_probe builds
     # its D x D Toeplitz matrix, elements over the tensor budget before the
     # system is built or probed, a Haar or basis-vector system above its cap
-    # before its arrays are allocated, an fcn n whose D = 2^n + 1 is above
-    # the flat budget before any row runs, and an mc level whose radius
-    # 1 - 2^-n rounds to the one before (r_n^2 - r_{n-1}^2 = 0 in the eta
-    # weights) before any path is drawn
+    # before its arrays are allocated, an fcn n, a probe depth L or a bundle
+    # n whose default D = 2^n + 1 is above the flat budget before any row
+    # runs or 2^n is formed, and an mc level whose radius 1 - 2^-n rounds to
+    # the one before (r_n^2 - r_{n-1}^2 = 0 in the eta weights) before any
+    # path is drawn
     def unreachable(*args, **kwargs):
         raise AssertionError("work ran before the size was checked")
 
     monkeypatch.setattr(cli, work, unreachable)
+    t0 = time.perf_counter()
     assert _run(tmp_path, command, doc) == 2
+    assert time.perf_counter() - t0 < 1.0
     assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 

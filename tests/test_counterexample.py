@@ -17,7 +17,6 @@ from pbnc.counterexample import (
     _power_pairings,
     build_T,
     cb_certificate,
-    check_fcn_n,
     eps_for_target_c,
     fcn_experiment,
     haar_bundle,
@@ -28,6 +27,7 @@ from pbnc.counterexample import (
 from pbnc.hankel import (
     LacunarySpec,
     MultiplierSeq,
+    check_default_depth,
     fejer_poly,
     lacunary_default,
     monomial_grid,
@@ -274,7 +274,7 @@ class TestPbProbe:
 
     def test_cold_solves_do_not_see_the_warm_starts(self, monkeypatch):
         # a warm start draws what a cold one draws, so every solve offered no
-        # start (the monomials, Fejer means, random candidates and each
+        # start (the first of each chain: z^0, fejer:2, random:0 and each
         # ascent's first step) returns the same bits with warm starts or without
         solve, values = counterexample.top_singular, {}
         for warm in (True, False):
@@ -289,8 +289,10 @@ class TestPbProbe:
             monkeypatch.setattr(counterexample, "top_singular", recorded)
             pb_probe(_car_bundle(n=3), PbSearch(restarts=4, seed=3))
             values[warm] = [value for offered, value in seen if not offered]
-            assert sum(offered for offered, _ in seen) == 2 * 11  # 2 ascents of 12 steps
-        assert len(values[True]) > 30 and values[True] == values[False]
+            # D = 9: z^1..z^16 after z^0, fejer:4..16 after fejer:2, random:1..15
+            # after random:0, and 2 ascents of 12 steps
+            assert sum(offered for offered, _ in seen) == 16 + 3 + 15 + 2 * 11
+        assert len(values[True]) == 5 and values[True] == values[False]
 
     @staticmethod
     def _pairings_by_matvec(b, u, v, max_degree):
@@ -377,10 +379,10 @@ class TestTargetScaling:
 
     def test_fcn_size_cap_is_the_flat_budget(self):
         # D = 2^n + 1: 4097^2 Toeplitz entries fit 2^26, 8193^2 do not
-        check_fcn_n(12)
+        check_default_depth(12, "an fcn row", "n")
         for n in (0, 13, 10**9):
             with pytest.raises(errors.ConfigurationError, match="1 <= n <= 12"):
-                check_fcn_n(n)
+                check_default_depth(n, "an fcn row", "n")
         with pytest.raises(errors.ConfigurationError, match="1 <= n <= 12"):
             haar_bundle_for_target(13, 2.0, seed=0)
 

@@ -15,6 +15,9 @@ from pbnc.numkit import (
     toeplitz,
     top_singular,
 )
+from pbnc.coeff_systems import car_jordan_wigner
+from pbnc.counterexample import _poly_t_applies, build_T
+from pbnc.hankel import MultiplierSeq, fejer_poly, lacunary_default
 from reference import OP_NORM_EXACT_MAX_DIM, op_norm, poly_of_matrix
 
 
@@ -149,6 +152,29 @@ class TestTopSingular:
         est, _, _ = self._solve(a, 34, 1e-10, 10_000)
         assert est.converged and est.iterations <= 6
         assert est.value == pytest.approx(3.0, rel=1e-12)
+
+    def test_clustered_car_operator_keeps_v_orthonormal(self, monkeypatch):
+        # fejer:2 at CAR n = 4: the top singular values cluster, so the solve
+        # restarts (about 80 steps); V stays orthonormal although most of its
+        # Gram-Schmidt steps make one pass, and the residual read from the
+        # top eigenpair of B B^T bounds the true one
+        spec = lacunary_default(4)
+        b = build_T(car_jordan_wigner(4), spec, MultiplierSeq.indicator(spec))
+        apply, apply_adjoint = _poly_t_applies(b, fejer_poly(2))
+        dgks, worst = numkit._dgks, []
+
+        def checked(w, basis):
+            w, beta = dgks(w, basis)
+            v = np.vstack([basis, w / beta])
+            worst.append(np.abs(v @ v.conj().T - np.eye(len(v))).max())
+            return w, beta
+
+        monkeypatch.setattr(numkit, "_dgks", checked)
+        tol = 1e-10
+        est, u, x = top_singular(apply, apply_adjoint, b.total_dim, _rng(0), tol, 20_000)
+        assert est.converged and 2 * numkit.RESTART_STEPS <= est.iterations <= 100
+        assert max(worst) <= 1e-12
+        assert np.linalg.norm(apply_adjoint(u) - est.value * x) <= 10 * tol * est.value
 
 
 class TestWarmStart:

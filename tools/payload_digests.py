@@ -1,4 +1,5 @@
-"""Print the sha256 of payload.json for a fixed list of CLI calls.
+"""Print the sha256 of payload.json for a fixed list of CLI calls, and show
+how far the payloads of two checkouts moved.
 
 Each call runs ``pbnc.cli.run`` into a temporary directory with BLAS at one
 thread, so two checkouts can be compared byte for byte:
@@ -11,6 +12,17 @@ payload).  The exit code is 1 when any call wrote no payload (the labels are
 named on stderr), so a crashed call never passes; with ``--check FILE`` it is
 also 1 when any line differs from FILE, each difference reported.  Otherwise
 it is 0.
+
+``--dump DIR`` also writes each payload to ``DIR/<label>.json``.  With two
+such directories (one per checkout, on the same machine)
+
+    python3 tools/payload_digests.py --compare DIR_A DIR_B
+
+runs no call: it prints a Markdown table with one row per label whose
+payload differs, the number of fields that differ and the largest relative
+change |a - b| / max(|a|, |b|) of a numeric field.  Its exit code is 1 when
+a non-numeric field differs or the two payloads of a label (or the two sets
+of labels) do not have the same fields, and 0 otherwise.
 """
 
 from __future__ import annotations
@@ -93,7 +105,8 @@ CALLS = (
 )
 
 
-def digest(command: str, cfg: dict, out: Path) -> str:
+def payload(command: str, cfg: dict, out: Path) -> bytes | None:
+    """The payload.json bytes of one CLI call, or None when it wrote none."""
     config = out / f"{command}.json"
     config.write_text(json.dumps(cfg))
     sink = io.StringIO()
@@ -102,19 +115,90 @@ def digest(command: str, cfg: dict, out: Path) -> str:
     reports = [ln[len("report: "):] for ln in sink.getvalue().splitlines()
                if ln.startswith("report: ")]
     if not reports:
-        return "none"
-    return hashlib.sha256((Path(reports[-1]).parent / "payload.json").read_bytes()).hexdigest()
+        return None
+    return (Path(reports[-1]).parent / "payload.json").read_bytes()
+
+
+def digest(data: bytes | None) -> str:
+    return "none" if data is None else hashlib.sha256(data).hexdigest()
+
+
+def _fields(doc, path: str = "") -> dict:
+    """Leaf values of a JSON document by their dotted path."""
+    if isinstance(doc, dict):
+        items = doc.items()
+    elif isinstance(doc, list):
+        items = enumerate(doc)
+    else:
+        return {path: doc}
+    out = {}
+    for key, value in items:
+        out.update(_fields(value, f"{path}.{key}" if path else str(key)))
+    return out
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def compare(dir_a: Path, dir_b: Path) -> int:
+    """Print the fields that moved between two ``--dump`` directories; 1 when
+    a move is not numeric or the fields differ, else 0."""
+    known = [label for label, _, _ in CALLS]
+    labels = {p.stem for d in (dir_a, dir_b) for p in d.glob("*.json")}
+    order = [lb for lb in known if lb in labels] + sorted(labels.difference(known))
+    rows, broken, same = [], [], 0
+    for label in order:
+        a, b = dir_a / f"{label}.json", dir_b / f"{label}.json"
+        if not (a.exists() and b.exists()):
+            broken.append(f"{label}: payload only in {a.parent if a.exists() else b.parent}")
+            continue
+        if a.read_bytes() == b.read_bytes():
+            same += 1
+            continue
+        fa, fb = _fields(json.loads(a.read_text())), _fields(json.loads(b.read_text()))
+        if fa.keys() != fb.keys():
+            broken.append(f"{label}: fields {sorted(fa.keys() ^ fb.keys())} in one payload only")
+        moved, worst = 0, 0.0
+        for key in sorted(fa.keys() & fb.keys()):
+            x, y = fa[key], fb[key]
+            if x == y:
+                continue
+            moved += 1
+            if _is_number(x) and _is_number(y):
+                worst = max(worst, abs(x - y) / max(abs(x), abs(y)))
+            else:
+                broken.append(f"{label}: {key} {x!r} -> {y!r}")
+        rows.append(f"| {label} | {moved} | {worst:.2g} |")
+    print(f"{same}/{len(order)} payloads identical")
+    if rows:
+        print("\n| label | fields that differ | largest relative change |\n| --- | --- | --- |")
+        print("\n".join(rows))
+    for line in broken:
+        print(f"FAIL {line}")
+    return 1 if broken else 0
 
 
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--check", type=Path, default=None,
                    help="digest file to compare against; exit 1 on any difference")
+    p.add_argument("--dump", type=Path, default=None, metavar="DIR",
+                   help="also write each payload to DIR/<label>.json")
+    p.add_argument("--compare", type=Path, nargs=2, default=None, metavar=("DIR_A", "DIR_B"),
+                   help="compare two --dump directories field by field and run no call")
     args = p.parse_args(argv)
+    if args.compare is not None:
+        return compare(*args.compare)
+    if args.dump is not None:
+        args.dump.mkdir(parents=True, exist_ok=True)
     lines = []
     with tempfile.TemporaryDirectory() as tmp:
         for label, command, cfg in CALLS:
-            line = f"{label} {digest(command, cfg, Path(tmp))}"
+            data = payload(command, cfg, Path(tmp))
+            if data is not None and args.dump is not None:
+                (args.dump / f"{label}.json").write_bytes(data)
+            line = f"{label} {digest(data)}"
             print(line, flush=True)
             lines.append(line)
     missing = [line.split()[0] for line in lines if line.endswith(" none")]

@@ -9,7 +9,8 @@ runs ``pb_probe`` once with BLAS at one thread, and prints one line:
 
 ``steps`` counts the Golub-Kahan-Lanczos steps of every ``top_singular``
 solve, ``ascent_steps`` those of the solves inside ``fejer_ascent``, and
-``checks`` the residual tests (one SVD of the projected matrix each).  With
+``checks`` the residual tests (each the top eigenpair of B B^T for the
+projected matrix B, or its SVD when a restart follows).  With
 more than one n a ``total`` line follows.  The defaults are those of
 ``PbSearch()``; the ``car_chain`` benchmark's sweep is ``2 3 4`` with its
 seed:
