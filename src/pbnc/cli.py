@@ -70,6 +70,7 @@ from .hankel import (
     bound_scan,
     build_hankel,
     check_default_depth,
+    check_truncation,
     lacunary_default,
     random_poly,
     symbol_block,
@@ -269,8 +270,10 @@ def cmd_hankel(cfg: dict, thresholds: dict, threads: int):
     spec_k = keys.get("spec", None, [int])
     L = keys.get("L", 3, int)
     d = keys.get("D", None, int)
-    if spec_k is None and d is None:  # D = 2^L + 1
-        check_default_depth(L, "a probe with the default D", "L")
+    if spec_k is None:
+        check_default_depth(L, "a lacunary probe", "L")
+    if d is not None:
+        check_truncation(d, "D")
     spec = lacunary_default(L) if spec_k is None else LacunarySpec(tuple(spec_k))
     d = max(spec.K) + 1 if d is None else d
     build_system, _, _ = _read_system(keys.obj("system", {"kind": "basis_vector", "n": spec.L}))
@@ -305,6 +308,8 @@ def _hankel_scan(keys: _Keys, thresholds: dict, threads: int):
     frozen = thresholds["scan"]
     families = keys.get("families", ["lacunary", "ones"], [tuple(SCAN_FAMILIES)])
     d_list = keys.get("D_list", frozen["d_grid"], [int])
+    for i, d in enumerate(d_list):
+        check_truncation(d, f"D_list[{i}]")
     seed = keys.get("seed", frozen["seed"], int, lo=0)
     pc = keys.obj("probe", frozen["probe"])
     # the probe keys are ProbeConfig's fields, with its defaults
@@ -342,9 +347,11 @@ def _hankel_scan(keys: _Keys, thresholds: dict, threads: int):
 
 def _certifier(keys: _Keys, n_grid: list[int]):
     """Read the keys certify and sweep share and close the config; refuse
-    an n of ``n_grid`` whose elements exceed the tensor budget, or whose
-    default D = 2^n + 1 exceeds the flat budget, before any bundle is built;
-    return the probe budget and n -> the certify row of the bundle at n."""
+    an explicit D above the flat budget, and an n of ``n_grid`` whose
+    elements exceed the tensor budget, whose default D = 2^n + 1 exceeds the
+    flat budget or whose frequency 2^n exceeds the explicit D, before any
+    bundle is built; return the probe budget and n -> the certify row of the
+    bundle at n."""
     kind = keys.get("system", "car", ("car", "haar_unitary"))
     eps = keys.get("eps", 1.0, float)
     d = keys.get("D", None, int)
@@ -357,10 +364,13 @@ def _certifier(keys: _Keys, n_grid: list[int]):
         seed=sk.get("seed", 7, int, lo=0),
     )
     keys.done()
+    if d is not None:
+        check_truncation(d, "D")
     for n in n_grid:  # cb_certificate takes the tensor norm of every bundle
         check_tensor_budget(car_dim(n) if kind == "car" else (n if dim is None else dim))
-        if d is None:  # D = 2^n + 1
-            check_default_depth(n, "a bundle with the default D", "n")
+        check_default_depth(n, "a bundle", "n")
+        if d is not None and n >= d.bit_length():  # 2^n > D, without forming 2^n
+            raise ConfigurationError(f"n = {n} puts frequency 2^{n} above D = {d}")
 
     def certify(n: int) -> dict:
         if kind == "car":

@@ -13,10 +13,10 @@ Two quantities are attached to a bundle and deliberately kept asymmetric:
   P -> P(T) of ``_pb_map``.  Reported maxima are achieved by concrete
   polynomials and normalized by certified sup-norm upper bounds, so the
   probe never overstates the constant.  No upper bound is claimed.  Each
-  ||P(T)|| is a ``numkit.top_singular`` (Golub-Kahan-Lanczos) solve on the
-  structured matvecs of ``_poly_t_applies``; a solve that hits
-  PROBE_STEP_CAP raises NonConvergenceError.  P(T) is never materialized
-  here; tests/reference.py builds it densely as the tests' reference.
+  ||P(T)|| is a ``hankel.probe_solve`` on the matvecs of ``_poly_t_applies``,
+  whose P(S), P(S)^t and T(P') are ``numkit.toeplitz_factor``s, as the
+  Hankel map's T(f') is.  P(T) is never materialized here;
+  tests/reference.py builds it densely as the tests' reference.
 * cb_certificate: a certified lower bound on the completely bounded norm
   of P -> P(T), hence on ||V|| ||V^{-1}|| for every invertible V with
   ||V^{-1} T V|| <= 1 (reported as ``similarity_lower`` in the fcn rows and
@@ -66,10 +66,10 @@ from .hankel import (
     lacunary_default,
     monomial_grid,
     probe_search,
+    probe_solve,
 )
-from .numkit import Polynomial, poly_derivative, subdiagonal_sums, toeplitz, top_singular
+from .numkit import Polynomial, poly_derivative, subdiagonal_sums, toeplitz_factor
 
-PROBE_STEP_CAP = 20_000  # top_singular step cap of the P(T) norms
 NORMALIZER_RESTARTS = 32  # row_bound restarts behind the non-CAR cb normalizer
 
 
@@ -95,7 +95,9 @@ def build_T(
     eps: float = 1.0,
 ) -> OperatorBundle:
     """Assemble the bundle.  Default D = 2^n + 1 for an n-level spec, so every
-    frequency K_t <= 2^n sits inside the exactness window."""
+    frequency K_t <= 2^n sits inside the exactness window.  A supported
+    frequency above D is refused, also above 2D - 1 where no block sees it:
+    ``cb_certificate`` weights every frequency of the map."""
     if eps < 0:
         raise DomainError("eps must be >= 0")
     if spec.L != s_sys.n:
@@ -108,8 +110,7 @@ def build_T(
         D = 2**spec.L + 1
     if D < 1:
         raise ConfigurationError("build_T needs D >= 1")
-    supported = [q for q in m.support if q <= 2 * D - 1]
-    over = [q for q in supported if q > D]
+    over = [q for q in m.support if q > D]
     if over:
         raise ConfigurationError(
             f"multiplier supported at {over} beyond D = {D}; the truncated block "
@@ -129,56 +130,16 @@ def with_eps(b: OperatorBundle, eps: float) -> OperatorBundle:
 # structured matvecs: P(T) and P(T)^H without materializing P(T)
 
 
-def _shift(k: int, c: complex, down: bool):
-    """x -> c S^k x (``down``) or c (S^t)^k x on D x h block rows, written
-    into ``out`` when given, by slicing: S moves block row i to i + 1, and
-    S^k = 0 for k >= D.  k = -1, the corner of z^0 (whose derivative is 0),
-    is the zero factor too."""
-
-    def apply(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        d = x.shape[0]
-        if out is None:
-            out = np.empty_like(x)
-        if not 0 <= k < d:
-            out[...] = 0.0
-        elif down:
-            out[:k] = 0.0
-            np.multiply(x[: d - k], c, out=out[k:])
-        else:
-            np.multiply(x[k:], c, out=out[: d - k])
-            out[d - k :] = 0.0
-        return out
-
-    return apply
-
-
 def _poly_t_applies(b: OperatorBundle, p: Polynomial):
     """(apply, apply_adjoint) closures for P(T) on flat vectors of length
-    2*D*h, out of three D x D factors on block rows and their adjoints:
+    2*D*h, out of views of two ``numkit.toeplitz_factor``s on block rows:
     P(S), P(S)^t and the corner's eps T(P') before the Hankel apply (one
-    gather and one GEMM).  A monomial c z^k has the factors c S^k, c (S^t)^k
-    and eps c k S^{k-1}, applied as shifts in O(D h); any other polynomial
-    uses the dense Toeplitz matrices, conjugated once, in O(D^2 h).  The
-    Hankel apply adds O(F D h^2) per matvec, against O((Dh)^2) for a dense
-    P(T).  Each factor writes its block rows straight into the one output
-    vector."""
+    gather and one GEMM, O(F D h^2) per matvec), and their adjoints.  Each
+    view writes its block rows straight into the one output vector."""
     g = b.hankel
     D, h = g.D, g.block_shape[1]
-    eps = b.eps
-    if np.count_nonzero(p.coeffs) == 1:
-        k, c = p.degree, p.coeffs[-1]
-        cc = np.conj(c)
-        ps, ps_t = _shift(k, c, True), _shift(k, c, False)
-        ps_h, ps_t_h = _shift(k, cc, False), _shift(k, cc, True)
-        corner, corner_h = _shift(k - 1, eps * k * c, True), _shift(k - 1, eps * k * cc, False)
-    else:
-        t_p = toeplitz(p, D)
-        t_pp = toeplitz(poly_derivative(p), D)
-        t_pp *= eps  # in place: a second D x D temporary raised the fcn peak RSS
-        t_p_conj = t_p.conj()  # (t_p.T)^H
-        ps, ps_t, corner, ps_h, ps_t_h, corner_h = (
-            partial(np.matmul, t) for t in (t_p, t_p.T, t_pp, t_p_conj.T, t_p_conj,
-                                            t_pp.conj().T))
+    ps, ps_t, ps_h, ps_t_h = toeplitz_factor(p, D)
+    corner, _, corner_h, _ = toeplitz_factor(poly_derivative(p), D, b.eps)
     half = D * h
 
     def apply(x: np.ndarray) -> np.ndarray:
@@ -201,18 +162,6 @@ def _poly_t_applies(b: OperatorBundle, p: Polynomial):
         return out
 
     return apply, apply_adjoint
-
-
-def _poly_t_norm(b: OperatorBundle, p: Polynomial, rng: np.random.Generator,
-                 start: np.ndarray | None = None):
-    """||P(T)|| by ``top_singular`` on the structured matvecs, from ``start``
-    when given, with the top singular pair (u, v).  A solve that hits
-    PROBE_STEP_CAP raises NonConvergenceError."""
-    apply, apply_adjoint = _poly_t_applies(b, p)
-    est, u, v = top_singular(apply, apply_adjoint, b.total_dim, rng, 1e-10, PROBE_STEP_CAP,
-                             start)
-    est.check_converged("P(T) Golub-Kahan-Lanczos")
-    return est.value, u, v
 
 
 # ---------------------------------------------------------------------------
@@ -256,10 +205,10 @@ def _power_pairings(b: OperatorBundle, u: np.ndarray, v: np.ndarray, max_degree:
 
 def _pb_map(b: OperatorBundle, rng: np.random.Generator, max_degree: int):
     """(solve, direction) of P -> P(T) for ``probe_search``: each norm is a
-    ``_poly_t_norm`` solve drawing from ``rng``, warm from the ``start`` the
-    ascent passes, and the ascent maximizes
-    Re sum_k P-hat(k) <u, T^k v>, whose gradient is conj(<u, T^k v>)."""
-    return (partial(_poly_t_norm, b, rng=rng),
+    ``hankel.probe_solve`` on ``_poly_t_applies`` drawing from ``rng``, and
+    the ascent maximizes Re sum_k P-hat(k) <u, T^k v>, whose gradient is
+    conj(<u, T^k v>)."""
+    return (probe_solve(partial(_poly_t_applies, b), b.total_dim, rng, "P(T)"),
             lambda u, v: np.conj(_power_pairings(b, u, v, max_degree)))
 
 

@@ -20,11 +20,12 @@ ratios never overstate C.
 
 ``probe_search`` is the one probe pipeline (``monomial_grid``, Fejer means,
 seeded random polynomials, ``fejer_ascent``) over a map given as a norm solve
-and an ascent direction; it alone seeds and certifies.  ``hankel_map`` is the
-map f -> G T(f'): each norm is a ``numkit.top_singular`` solve on
-W (T(f') (x) I) with W^H W = G^H G (the root of the Gram diagonal for
-basis-vector blocks, G itself otherwise), so no dense Gram matrix is
-formed.  ``scan_probe_best``
+and an ascent direction; it alone seeds and certifies.  Every norm is one
+``probe_solve``: ``numkit.top_singular`` at tol 1e-10, NonConvergenceError
+(exit 3) at PROBE_STEP_CAP steps.  ``hankel_map`` is the map f -> G T(f'):
+its solve runs on W (T(f') (x) I), W^H W = G^H G (the root of the Gram
+diagonal for basis-vector blocks, G otherwise, so no Gram matrix is formed),
+with T(f') a ``numkit.toeplitz_factor`` as in P -> P(T).  ``scan_probe_best``
 runs it on each scan cell, with closed-form monomials when the Gram matrix is
 diagonal; ``counterexample`` runs the same search on P -> P(T) and, with a
 light budget, on ``hankel_map`` to set eps in the fcn experiment.
@@ -54,9 +55,11 @@ import numpy as np
 from . import numkit
 from .coeff_systems import CoefficientSystem, basis_vectors
 from .errors import ConfigurationError, DimensionError, DomainError
-from .numkit import Polynomial, poly_derivative, subdiagonal_sums, sup_norm, toeplitz, top_singular
+from .numkit import (Polynomial, poly_derivative, subdiagonal_sums, sup_norm, toeplitz,
+                     toeplitz_factor, top_singular)
 
 FLAT_ENTRY_BUDGET = 1 << 26  # refuse to materialize flat matrices above ~1 GiB
+PROBE_STEP_CAP = 20_000  # top_singular step cap of every probe solve
 
 
 @dataclass(frozen=True)
@@ -100,11 +103,23 @@ def check_default_depth(L: int, what: str, key: str) -> None:
     """Raise ConfigurationError unless L >= 1 and D = 2^L + 1, the default
     truncation of ``lacunary_default(L)``, keeps D x D matrices within
     FLAT_ENTRY_BUDGET, so a caller that reads the depth from its config (as
-    ``key``) refuses it before 2^L or any system is built."""
+    ``key``) refuses it before 2^L or any system is built.  Callers apply it
+    whether D is given or not, so no config reaches a deeper
+    ``lacunary_default``."""
     # 2^L + 1 <= isqrt(budget) <=> L <= max_l, without forming 2^L
     max_l = (math.isqrt(FLAT_ENTRY_BUDGET) - 1).bit_length() - 1
     if not 1 <= L <= max_l:
         raise ConfigurationError(f"{what} needs 1 <= {key} <= {max_l}, got {L}")
+
+
+def check_truncation(D: int, key: str) -> None:
+    """Raise ConfigurationError unless 1 <= D <= isqrt(FLAT_ENTRY_BUDGET), so
+    that a D x D matrix of a D read from a config (as ``key``) stays within
+    FLAT_ENTRY_BUDGET; a caller checks it before anything of size D is built."""
+    cap = math.isqrt(FLAT_ENTRY_BUDGET)
+    if not 1 <= D <= cap:
+        raise ConfigurationError(f"{key} must be in 1..{cap} (D x D within the flat "
+                                 f"budget), not {D}")
 
 
 @dataclass
@@ -457,7 +472,8 @@ def probe_search(map_of, max_degree: int, monomials, *, n_random: int = 0,
     - ``monomial:k``: z^k for each k in ``monomials``;
     - ``fejer:d``: the Fejer means of degree d = 2, 4, 8, ... <= max_degree;
     - ``random:i``: ``n_random`` seeded random polynomials, split evenly over
-      a geometric grid of at most ``n_degrees`` degrees in [2, max_degree];
+      a geometric grid of at most ``n_degrees`` degrees in [2, max_degree]
+      (none when max_degree < 2);
     - ``ascent:i``: ``fejer_ascent`` for ``ascent_steps`` steps (none when
       0), started from fejer_poly(min(8, max_degree)) and from
       ``ascent_restarts - 1`` random polynomials of degree min(16, max_degree).
@@ -502,7 +518,7 @@ def probe_search(map_of, max_degree: int, monomials, *, n_random: int = 0,
     rng = np.random.default_rng(rand_seed)
     degrees = np.unique(np.geomspace(2, max(max_degree, 2), num=max(n_degrees, 1)).astype(int))
     degrees = degrees[degrees <= max_degree]
-    per_degree = n_random // len(degrees)
+    per_degree = n_random // max(len(degrees), 1)
     chain((random_poly(int(deg), rng), f"random:{i * per_degree + r}")
           for i, deg in enumerate(degrees) for r in range(per_degree))
 
@@ -516,16 +532,28 @@ def probe_search(map_of, max_degree: int, monomials, *, n_random: int = 0,
     return best, best_id
 
 
+def probe_solve(applies, dim: int, rng: np.random.Generator, what: str):
+    """The ``solve`` of a probe map: ``solve(f, start=None)`` is (sigma, u, v)
+    of one ``top_singular`` solve at tol 1e-10 on ``applies(f)`` =
+    (apply, apply_adjoint) of the map at f, drawing from ``rng``, warm from
+    ``start`` when given; one that hits PROBE_STEP_CAP raises
+    NonConvergenceError naming ``what``."""
+
+    def solve(f: Polynomial, start: np.ndarray | None = None):
+        est, u, v = top_singular(*applies(f), dim, rng, 1e-10, PROBE_STEP_CAP, start)
+        return est.check_converged(f"{what} Golub-Kahan-Lanczos").value, u, v
+
+    return solve
+
+
 def hankel_map(g: BlockHankel, rng: np.random.Generator):
     """(solve, direction) of f -> G (T(f') (x) I) for ``probe_search`` with
     max_degree 2D - 1.
 
-    Each norm is a ``top_singular`` solve, drawing from ``rng`` and warm
-    from ``start`` when the ascent passes one, on
-    W (T(f') (x) I) with W^H W = G^H G: W is the square root of the Gram
-    diagonal when the blocks are orthogonal basis vectors, G itself
-    otherwise, so no dense Gram matrix is formed.  A Rayleigh value never
-    exceeds the true norm, converged or not, so every ratio is honest."""
+    Each norm is a ``probe_solve`` drawing from ``rng`` on W (T(f') (x) I)
+    with W^H W = G^H G: W is the square root of the Gram diagonal when the
+    blocks are orthogonal basis vectors, G itself otherwise, so no dense
+    Gram matrix is formed; T(f') is a shift when f is a monomial."""
     D = g.D
     _, in_dim = g.block_shape
     diag = g.gram_diagonal_or_none()
@@ -535,13 +563,10 @@ def hankel_map(g: BlockHankel, rng: np.random.Generator):
         root = np.sqrt(diag)
         w = wh = (lambda x: root * x)
 
-    def solve(f: Polynomial, start: np.ndarray | None = None):
-        t_f = toeplitz(poly_derivative(f), D)
-        t_h = t_f.conj().T
-        apply = (lambda v: w((t_f @ v.reshape(-1, in_dim)).reshape(-1)))
-        apply_adjoint = (lambda y: (t_h @ wh(y).reshape(-1, in_dim)).reshape(-1))
-        est, u, v = top_singular(apply, apply_adjoint, D * in_dim, rng, 1e-10, 200, start)
-        return est.value, u, v
+    def applies(f: Polynomial):
+        t_f, _, t_h, _ = toeplitz_factor(poly_derivative(f), D)
+        return (lambda v: w(t_f(v.reshape(D, in_dim)).reshape(-1)),
+                lambda y: t_h(wh(y).reshape(D, in_dim)).reshape(-1))
 
     def direction(u: np.ndarray, v: np.ndarray) -> np.ndarray:
         # gradient of Re u^H W (T(f') x I) v in the coefficients of f, with
@@ -553,7 +578,7 @@ def hankel_map(g: BlockHankel, rng: np.random.Generator):
         grad[1 : D + 1] = k * np.conj(subdiagonal_sums(gu.conj() @ v.reshape(D, in_dim).T))
         return grad
 
-    return solve, direction
+    return probe_solve(applies, D * in_dim, rng, "G T(f')"), direction
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,8 @@ Conventions fixed here and relied on everywhere else:
     runs its residual test (the top eigenpair of B B^T for the projected
     matrix B; an SVD only before a restart) only where the residual's
     observed decay says the test can pass.
+  * ``toeplitz_factor`` is the one Toeplitz factor scale T(p) of the probe
+    maps, a shift when p has one term.
   * Analytic polynomials are Taylor coefficient vectors P-hat(0..deg); the
     sup norm over the unit circle is certified from a roots-of-unity grid
     through the Bernstein derivative bound ||P'|| <= deg * ||P||.
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -384,3 +387,39 @@ def toeplitz(f: Polynomial, d: int) -> np.ndarray:
     n = min(f.coeffs.size, d)
     c[:n] = f.coeffs[:n]
     return c[np.subtract.outer(np.arange(d), np.arange(d))]
+
+
+def toeplitz_factor(p: Polynomial, d: int, scale: complex = 1.0):
+    """The four views (A x, A^t x, A^H x, conj(A) x) of A = scale T(p) on
+    D x h block rows x, each ``view(x, out=None)`` writing into ``out`` when
+    given; ``scale`` multiplies the D coefficients T(p) sees.  With at most
+    one nonzero c z^k among them, A = c S^k for the shift S (block row i to
+    i + 1), applied by slicing in O(D h); otherwise the views are products
+    with one dense ``toeplitz`` matrix and its conjugate, O(D^2 h)."""
+    c = p.coeffs[:d] * scale
+    nz = np.flatnonzero(c)
+    if nz.size > 1:
+        t = toeplitz(Polynomial(c), d)
+        t_conj = t.conj()
+        return tuple(partial(np.matmul, m) for m in (t, t.T, t_conj.T, t_conj))
+    k, ck = (nz[0], c[nz[0]]) if nz.size else (-1, 0j)  # k = -1: the zero factor
+    cc = np.conj(ck)
+    return _shift(k, ck, True), _shift(k, ck, False), _shift(k, cc, False), _shift(k, cc, True)
+
+
+def _shift(k: int, c: complex, down: bool):
+    """x -> c S^k x (``down``) or c (S^t)^k x, zero for k = -1."""
+
+    def apply(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        d, out = x.shape[0], (np.empty_like(x) if out is None else out)
+        if k < 0:
+            out[...] = 0.0
+        elif down:
+            out[:k] = 0.0
+            np.multiply(x[: d - k], c, out=out[k:])
+        else:
+            np.multiply(x[k:], c, out=out[: d - k])
+            out[d - k :] = 0.0
+        return out
+
+    return apply

@@ -139,6 +139,19 @@ def test_unknown_key_is_refused_before_work(tmp_path, capsys, monkeypatch, comma
     ("hankel", {"mode": "probe", "L": 300_000}, "1 <= L <= 12, got 300000", "lacunary_default"),
     ("certify", {"system": "haar_unitary", "n": 300_000, "dim": 2}, "1 <= n <= 12, got 300000",
      "haar_bundle"),
+    # an explicit D: above the flat budget, over the depth cap, below 2^n
+    ("certify", {"n": 2, "D": 20_000, "search": {"max_degree": 4}}, "D must be in 1..8192",
+     "build_T"),
+    ("certify", {"system": "haar_unitary", "n": 2, "dim": 2, "D": 30_000},
+     "D must be in 1..8192", "haar_bundle"),
+    ("hankel", {"mode": "scan", "families": ["lacunary"], "D_list": [5, 30_000]},
+     "D_list[1] must be in 1..8192", "bound_scan"),
+    ("hankel", {"mode": "probe", "L": 300_000, "D": 5}, "1 <= L <= 12, got 300000",
+     "lacunary_default"),
+    ("certify", {"system": "haar_unitary", "n": 300_000, "dim": 2, "D": 4},
+     "1 <= n <= 12, got 300000", "haar_bundle"),
+    ("sweep", {"system": "haar_unitary", "n_grid": [2, 12], "dim": 2, "D": 4095},
+     "2^12 above D = 4095", "haar_bundle"),
 ])
 def test_size_above_its_cap_is_refused_before_work(tmp_path, capsys, monkeypatch, command, doc,
                                                    message, work):
@@ -160,6 +173,16 @@ def test_size_above_its_cap_is_refused_before_work(tmp_path, capsys, monkeypatch
     assert time.perf_counter() - t0 < 1.0
     assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command,doc", [
+    ("certify", {"n": 2, "search": {"max_degree": 1, "restarts": 1}}),
+    ("hankel", {"mode": "scan", "families": ["lacunary"], "D_list": [1]}),
+])
+def test_no_degree_for_random_candidates_runs(tmp_path, command, doc):
+    # max_degree 1 leaves no random degree in [2, max_degree]: the search
+    # draws no random candidate instead of dividing by zero
+    assert _run(tmp_path, command, doc) == 0
 
 
 @pytest.mark.parametrize("error", [ValueError, KeyError, TypeError, np.linalg.LinAlgError])

@@ -6,14 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pbnc import counterexample, errors
+from pbnc import errors, hankel
 from pbnc.coeff_systems import basis_vectors, car_jordan_wigner, haar_unitaries
 from pbnc.counterexample import (
     OperatorBundle,
     PbSearch,
     _pb_map,
     _poly_t_applies,
-    _poly_t_norm,
     _power_pairings,
     build_T,
     cb_certificate,
@@ -57,6 +56,11 @@ def _small_bundle(kind, n):
 SMALL_BUNDLES = [("car", 2), ("car", 3), ("haar", 2), ("haar", 3)]
 
 
+def _pt_solve(b, rng):
+    """The probe solve of P -> P(T), as pb_probe runs it."""
+    return _pb_map(b, rng, 2 * b.hankel.D - 2)[0]
+
+
 def _rel_err(got, want):
     return float(np.abs(got - want).max() / max(np.abs(want).max(), 1.0))
 
@@ -93,10 +97,12 @@ class TestBuildT:
             build_T(basis_vectors(2), spec, MultiplierSeq.indicator(spec))
 
     def test_frequency_window_enforced(self):
-        # frequency 8 sticks out of a D = 7 truncation's exactness window
+        # frequency 8 sticks out of a D = 7 truncation's exactness window, and
+        # out of D = 4, where no block sees it but cb_certificate would weight it
         spec = lacunary_default(3)
-        with pytest.raises(errors.ConfigurationError):
-            build_T(car_jordan_wigner(3), spec, MultiplierSeq.indicator(spec), D=7)
+        for d in (7, 4):
+            with pytest.raises(errors.ConfigurationError, match=r"\[8\] beyond D"):
+                build_T(car_jordan_wigner(3), spec, MultiplierSeq.indicator(spec), D=d)
         build_T(car_jordan_wigner(3), spec, MultiplierSeq.indicator(spec), D=8)
 
     def test_bundle_holds_no_copy(self):
@@ -145,9 +151,9 @@ class TestPolyOfT:
         b = _car_bundle(n=2, eps=0.7)
         p = random_poly(6, _rng(24))
         # every bundle takes the structured route; cap it at 2 steps
-        monkeypatch.setattr(counterexample, "PROBE_STEP_CAP", 2)
+        monkeypatch.setattr(hankel, "PROBE_STEP_CAP", 2)
         with pytest.raises(errors.NonConvergenceError) as exc:
-            _poly_t_norm(b, p, _rng(25))
+            _pt_solve(b, _rng(25))(p)
         assert exc.value.iterations == 2
         # a Rayleigh estimate: positive and never above the exact norm
         assert 0.0 < exc.value.last_estimate <= float(op_norm(poly_of_T(b, p))) * (1 + 1e-12)
@@ -156,7 +162,7 @@ class TestPolyOfT:
         b = _car_bundle(n=3, eps=0.7)
         rng = _rng(26)
         for p in (random_poly(5, rng), fejer_poly(8), Polynomial.monomial(3)):
-            assert _poly_t_norm(b, p, rng)[0] == pytest.approx(
+            assert _pt_solve(b, rng)(p)[0] == pytest.approx(
                 float(op_norm(poly_of_T(b, p))), rel=1e-10)
 
     def test_car5_clustered_norm_matches_dense(self):
@@ -164,7 +170,7 @@ class TestPolyOfT:
         # where the power iteration stalled
         b = _car_bundle(n=5)
         p = fejer_poly(2)
-        sigma, u, v = _poly_t_norm(b, p, _rng(27))
+        sigma, u, v = _pt_solve(b, _rng(27))(p)
         assert sigma == pytest.approx(float(op_norm(poly_of_T(b, p))), rel=1e-10)
         apply, _ = _poly_t_applies(b, p)
         assert np.allclose(apply(v), sigma * u, rtol=0, atol=1e-8)
@@ -185,7 +191,7 @@ class TestPolyOfT:
         p = fejer_poly(2)
         apply, apply_adjoint = _poly_t_applies(b, p)
         est, _, v = top_singular(apply, apply_adjoint, b.total_dim, _rng(28), 1e-10,
-                              counterexample.PROBE_STEP_CAP)
+                              hankel.PROBE_STEP_CAP)
         assert est.converged
         explicit = self._explicit_residual(b, p, est.value, v)
         assert explicit <= 2e-10 * est.value
@@ -276,7 +282,7 @@ class TestPbProbe:
         # a warm start draws what a cold one draws, so every solve offered no
         # start (the first of each chain: z^0, fejer:2, random:0 and each
         # ascent's first step) returns the same bits with warm starts or without
-        solve, values = counterexample.top_singular, {}
+        solve, values = hankel.top_singular, {}
         for warm in (True, False):
             seen = []
 
@@ -286,7 +292,7 @@ class TestPbProbe:
                 seen.append((start is not None, est.value))
                 return est, u, v
 
-            monkeypatch.setattr(counterexample, "top_singular", recorded)
+            monkeypatch.setattr(hankel, "top_singular", recorded)
             pb_probe(_car_bundle(n=3), PbSearch(restarts=4, seed=3))
             values[warm] = [value for offered, value in seen if not offered]
             # D = 9: z^1..z^16 after z^0, fejer:4..16 after fejer:2, random:1..15

@@ -6,7 +6,7 @@ from functools import cached_property, partial
 import numpy as np
 import pytest
 
-from pbnc import cli, errors
+from pbnc import cli, errors, hankel, numkit
 from pbnc.coeff_systems import basis_vectors, car_jordan_wigner, haar_unitaries
 from pbnc.hankel import (
     BlockHankel,
@@ -448,6 +448,50 @@ class TestProbeSearch:
                                                 ascent_steps=5)
         assert len(seen) == 22 + 2
         assert best == 0.0 and best_id == "none"
+
+    def test_no_random_candidate_below_degree_two(self):
+        # max_degree 1: z^0, z^1 and the two ascents, no Fejer mean (degree
+        # 2 and up) and no random candidate, with no degree to split over
+        seen = []
+
+        def map_of(rng):
+            def solve(f, start=None):
+                seen.append(f)
+                return 0.0, None, None
+
+            return solve, lambda u, v: pytest.fail("the ascent asked for a direction")
+
+        assert probe_search(map_of, 1, range(2), n_random=6, n_degrees=3, ascent_restarts=2,
+                            ascent_steps=3, seed=5) == (0.0, "none")
+        assert [f.degree for f in seen] == [0, 1, 1, 1]
+
+    def test_hankel_map_solve_cap_is_loud(self, monkeypatch):
+        # the one probe solve: capped at 2 steps it raises, with a Rayleigh
+        # value that is positive and never above the exact norm
+        g = _small_car_hankel(2, 9)
+        f = random_poly(6, _rng(24))
+        monkeypatch.setattr(hankel, "PROBE_STEP_CAP", 2)
+        solve, _ = hankel_map(g, _rng(25))
+        with pytest.raises(errors.NonConvergenceError) as exc:
+            solve(f)
+        assert exc.value.iterations == 2
+        assert 0.0 < exc.value.last_estimate <= norm_gtf(g, f) * (1 + 1e-12)
+
+    def test_one_term_hankel_map_solve_is_a_shift(self, monkeypatch):
+        # T(f') of a monomial c z^k is c k S^(k-1), zero for k = 0 and k > D:
+        # the solve builds no D x D Toeplitz matrix and keeps the exact norm
+        g = _small_car_hankel(2, 9)
+        polys = [Polynomial.monomial(k, 0.5 - 2j) for k in (0, 1, 4, 9, 10, 17)]
+        want = [norm_gtf(g, f) for f in polys]
+
+        def no_toeplitz(*args, **kwargs):
+            raise AssertionError("a one-term factor built a dense Toeplitz matrix")
+
+        for module in (numkit, hankel):
+            monkeypatch.setattr(module, "toeplitz", no_toeplitz)
+        solve, _ = hankel_map(g, _rng(26))
+        for f, norm in zip(polys, want):
+            assert solve(f)[0] == pytest.approx(norm, rel=1e-10, abs=1e-12)
 
     def test_random_poly_degree_cap(self):
         rng = _rng(6)

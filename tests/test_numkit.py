@@ -13,6 +13,7 @@ from pbnc.numkit import (
     subdiagonal_sums,
     sup_norm,
     toeplitz,
+    toeplitz_factor,
     top_singular,
 )
 from pbnc.coeff_systems import car_jordan_wigner
@@ -433,4 +434,30 @@ class TestToeplitz:
     def test_needs_positive_dim(self):
         with pytest.raises(errors.DomainError):
             toeplitz(Polynomial([1.0]), 0)
+
+    @pytest.mark.parametrize("coeffs,dense", [
+        ([0.0], False),
+        ([0.0, 0.0, 2.0 - 1.0j], False),
+        ([0.0] * 5 + [3.0], False),  # z^5 is 0 on D = 5
+        ([0.0, 1.5j] + [0.0] * 5 + [4.0], False),  # one term below D
+        ([1.0, 2.0j, -3.0, 0.5], True),
+    ], ids=["zero", "one-term", "beyond-D", "one-term-below-D", "dense"])
+    @pytest.mark.parametrize("scale", [1.0, 0.7 - 0.2j, 0.0])
+    def test_factor_views_match_dense(self, monkeypatch, coeffs, dense, scale):
+        # A x, A^t x, A^H x and conj(A) x of A = scale T(p) on D x h block
+        # rows, returned and written into ``out``; a factor with at most one
+        # term left builds no Toeplitz matrix
+        rng = _rng(14)
+        d, h = 5, 3
+        p = Polynomial(coeffs)
+        a = scale * toeplitz(p, d)
+        if not dense or scale == 0.0:
+            monkeypatch.setattr(numkit, "toeplitz", lambda *args: pytest.fail("dense factor"))
+        views = toeplitz_factor(p, d, scale)
+        for view, want in zip(views, (a, a.T, a.conj().T, a.conj())):
+            x = _random_complex(rng, (d, h))
+            out = np.full((d, h), np.nan, dtype=np.complex128)
+            assert np.allclose(view(x), want @ x, rtol=0, atol=1e-13)
+            assert view(x, out=out) is out
+            assert np.allclose(out, want @ x, rtol=0, atol=1e-13)
 

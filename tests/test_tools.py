@@ -14,7 +14,7 @@ import os
 from collections import defaultdict
 from pathlib import Path
 
-from pbnc import counterexample, hankel, numkit
+from pbnc import hankel, numkit
 from pbnc.coeff_systems import car_jordan_wigner
 from pbnc.counterexample import PbSearch, build_T, pb_probe
 from pbnc.hankel import MultiplierSeq, lacunary_default
@@ -125,7 +125,7 @@ def test_probe_cost_tool_counts_a_car_probe(monkeypatch, capsys):
     bundle = build_T(car_jordan_wigner(2), spec, MultiplierSeq.indicator(spec))
     assert row["pb_probe"] == pb_probe(bundle, search)
     # the counting wrappers are gone again
-    assert counterexample.top_singular is numkit.top_singular
+    assert hankel.top_singular is numkit.top_singular
     assert hankel.fejer_ascent.__module__ == "pbnc.hankel"
     assert tool.main(["2", "--restarts", "1"]) == 0
     header, line = capsys.readouterr().out.splitlines()

@@ -7,8 +7,9 @@ runs ``pb_probe`` once with BLAS at one thread, and prints one line:
 
     n  wall_s  steps  ascent_steps  checks  pb_probe
 
-``steps`` counts the Golub-Kahan-Lanczos steps of every ``top_singular``
-solve, ``ascent_steps`` those of the solves inside ``fejer_ascent``, and
+``steps`` counts the Golub-Kahan-Lanczos steps of every solve of
+``hankel.probe_solve`` (its one ``top_singular`` call), ``ascent_steps``
+those of the solves inside ``fejer_ascent``, and
 ``checks`` the residual tests (each the top eigenpair of B B^T for the
 projected matrix B, or its SVD when a restart follows).  With
 more than one n a ``total`` line follows.  The defaults are those of
@@ -33,7 +34,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from pbnc import counterexample, hankel
+from pbnc import hankel
 from pbnc.coeff_systems import car_jordan_wigner
 from pbnc.counterexample import PbSearch, build_T, pb_probe
 from pbnc.hankel import MultiplierSeq, lacunary_default
@@ -45,7 +46,7 @@ def probe_cost(n: int, search: PbSearch) -> dict:
     bundle = build_T(car_jordan_wigner(n), spec, MultiplierSeq.indicator(spec))
     counts = {"steps": 0, "ascent_steps": 0, "checks": 0}
     in_ascent = False
-    solve, ascent = counterexample.top_singular, hankel.fejer_ascent
+    solve, ascent = hankel.top_singular, hankel.fejer_ascent
 
     def counted_solve(*args, **kwargs):
         est, u, v = solve(*args, **kwargs)
@@ -62,13 +63,13 @@ def probe_cost(n: int, search: PbSearch) -> dict:
         finally:
             in_ascent = False
 
-    counterexample.top_singular, hankel.fejer_ascent = counted_solve, counted_ascent
+    hankel.top_singular, hankel.fejer_ascent = counted_solve, counted_ascent
     try:
         t0 = time.perf_counter()
         value = pb_probe(bundle, search)
         wall = time.perf_counter() - t0
     finally:
-        counterexample.top_singular, hankel.fejer_ascent = solve, ascent
+        hankel.top_singular, hankel.fejer_ascent = solve, ascent
     return {"n": n, "wall_s": wall, **counts, "pb_probe": value}
 
 
