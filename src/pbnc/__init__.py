@@ -16,7 +16,6 @@ from .coeff_systems import (
     basis_vectors,
     car_jordan_wigner,
     car_relation_residual,
-    conj_system,
     haar_unitaries,
     row_bound,
     tensor_conj_norm,

@@ -212,14 +212,15 @@ def _cast(cast, value, name: str, lo: int | None = None):
 def _read_system(keys: _Keys):
     """The builder of a coefficient system, read now and built on call, its
     seed and the side of its square elements (None for basis vectors, which
-    are columns); ``dim`` (default n) and ``seed`` shape only a Haar system."""
+    are columns); ``seed`` shapes only a Haar system, and ``dim`` (default
+    n) is read only for one, so that elsewhere it is an unknown key."""
     kind = keys.get("kind", "car", ("car", "haar_unitary", "basis_vector"))
     n = keys.get("n", 3, int)
-    dim = keys.get("dim", n, int)
     seed = keys.get("seed", 0, int, lo=0)
     if kind == "car":
         return partial(car_jordan_wigner, n), seed, car_dim(n)
     if kind == "haar_unitary":
+        dim = keys.get("dim", n, int)
         return partial(haar_unitaries, n, dim, seed=seed), seed, dim
     return partial(basis_vectors, n), seed, None
 
@@ -308,8 +309,9 @@ def _hankel_scan(keys: _Keys, thresholds: dict, threads: int):
     frozen = thresholds["scan"]
     families = keys.get("families", ["lacunary", "ones"], [tuple(SCAN_FAMILIES)])
     d_list = keys.get("D_list", frozen["d_grid"], [int])
-    for i, d in enumerate(d_list):
-        check_truncation(d, f"D_list[{i}]")
+    for family in families:  # each family's own cap
+        for i, d in enumerate(d_list):
+            check_truncation(d, f"D_list[{i}]", family)
     seed = keys.get("seed", frozen["seed"], int, lo=0)
     pc = keys.obj("probe", frozen["probe"])
     # the probe keys are ProbeConfig's fields, with its defaults
@@ -355,7 +357,8 @@ def _certifier(keys: _Keys, n_grid: list[int]):
     kind = keys.get("system", "car", ("car", "haar_unitary"))
     eps = keys.get("eps", 1.0, float)
     d = keys.get("D", None, int)
-    dim = keys.get("dim", None, int)
+    # only a Haar system reads dim, so done() refuses it beside a CAR one
+    dim = keys.get("dim", None, int) if kind == "haar_unitary" else None
     seed = keys.get("seed", 0, int, lo=0)
     sk = keys.obj("search", {})
     search = PbSearch(
@@ -378,9 +381,9 @@ def _certifier(keys: _Keys, n_grid: list[int]):
             bundle = build_T(car_jordan_wigner(n), spec, MultiplierSeq.indicator(spec),
                              D=d, eps=eps)
         else:
-            bundle, _ = haar_bundle(n, n if dim is None else dim, seed, seed, D=d, eps=eps)
+            bundle = haar_bundle(n, n if dim is None else dim, seed, seed, D=d, eps=eps)
         pb = pb_probe(bundle, search)
-        cb = cb_certificate(bundle, normalizer_seed=seed)
+        cb = cb_certificate(bundle)
         return {
             "n": n,
             "D": bundle.hankel.D,

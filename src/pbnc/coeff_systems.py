@@ -7,10 +7,11 @@ Three kinds are supported:
     and A = [[0,1],[0,0]].  Both relations C_iC_j + C_jC_i = 0 and
     C_i*C_j + C_jC_i* = delta_ij I hold exactly, and every unit coefficient
     vector alpha gives ||sum alpha_k C_k|| = 1 (the row bound is attained
-    with equality).
+    with equality), so the system carries ``row_bound`` = 1.
   * ``haar_unitary``: independent Haar-distributed unitaries, sampled by QR
     of a seeded complex Gaussian matrix with the R-diagonal phase divided
-    out.  Row bounds are empirical per seed.
+    out.  Row bounds are empirical per seed: ``counterexample.haar_bundle``
+    sets ``row_bound`` to the ``row_bound`` ascent's K2.
   * ``basis_vector``: the canonical columns e_k as n x 1 matrices; the row
     bound is exactly 1 since sum alpha_k e_k has norm ||alpha||_2.
 
@@ -55,6 +56,9 @@ class CoefficientSystem:
     kind: str  # car | haar_unitary | basis_vector
     elements: list[np.ndarray]
     seed: int | None = None
+    # sup over ||alpha||_2 = 1 of ||sum alpha_k C_k||, the divisor of the cb
+    # certificate: exactly 1 for CAR, the empirical K2 of a Haar bundle
+    row_bound: float | None = None
 
     def __post_init__(self):
         if self.kind not in ("car", "haar_unitary", "basis_vector"):
@@ -96,7 +100,7 @@ def car_jordan_wigner(n: int) -> CoefficientSystem:
         for factor in [_Z] * (k - 1) + [_A] + [_I2] * (n - k):
             m = np.kron(m, factor)
         elements.append(m)
-    return CoefficientSystem("car", elements)
+    return CoefficientSystem("car", elements, row_bound=1.0)
 
 
 def haar_unitaries(n: int, dim: int, seed: int) -> CoefficientSystem:
@@ -125,14 +129,6 @@ def basis_vectors(n: int) -> CoefficientSystem:
         e[k, 0] = 1.0
         elements.append(e)
     return CoefficientSystem("basis_vector", elements)
-
-
-def conj_system(system: CoefficientSystem) -> CoefficientSystem:
-    """Entrywise conjugate of every element; kind is preserved (conjugation
-    preserves the CAR relations and unitarity)."""
-    return CoefficientSystem(
-        system.kind, [np.conj(e) for e in system.elements], seed=system.seed
-    )
 
 
 def car_relation_residual(system: CoefficientSystem) -> float:

@@ -17,22 +17,24 @@ Two quantities are attached to a bundle and deliberately kept asymmetric:
   whose P(S), P(S)^t and T(P') are ``numkit.toeplitz_factor``s, as the
   Hankel map's T(f') is.  P(T) is never materialized here;
   tests/reference.py builds it densely as the tests' reference.
-* cb_certificate: a certified lower bound on the completely bounded norm
-  of P -> P(T), hence on ||V|| ||V^{-1}|| for every invertible V with
+* cb_certificate: a lower bound on the completely bounded norm of
+  P -> P(T), hence on ||V|| ||V^{-1}|| for every invertible V with
   ||V^{-1} T V|| <= 1 (reported as ``similarity_lower`` in the fcn rows and
   CLI payloads).  The certificate compresses the matrix polynomial
   sum_k conj(C_k) (x) (z^{K_k})(T) through coordinate isometries, which
   lands exactly on eps * n^{-1/2} * sum_k m(K_k) conj(C_k) (x) C_k, the
-  weighted ``coeff_systems.tensor_conj_norm``.  That norm is a matrix-free
-  ``top_singular`` solve whose Rayleigh value is itself a lower bound, so
-  the certificate stays one; the Kronecker sum is never built.
+  weighted ``coeff_systems.tensor_conj_norm``, and divides by the system's
+  ``row_bound``.  That norm is a matrix-free ``top_singular`` solve whose
+  Rayleigh value is itself a lower bound; the Kronecker sum is never built.
+  The divisor is exactly 1 for CAR, so the CAR value is certified.
 
 With CAR systems the certificate grows like sqrt(n) while the probe stays
 flat, the desk-scale form of the separation.  Haar-unitary bundles (CLI
 certify and the fcn experiment) all come from ``haar_bundle``: multiplier
-1/K2 on the dyadic frequencies, K2 the empirical row bound of the system.
-The fcn experiment sets eps from the same search on ``hankel.hankel_map``
-with a light budget (``haar_bundle_for_target``).
+1/K2 on the dyadic frequencies, K2 the empirical row bound of the system,
+which the certificate also divides by; a Haar cb value is therefore
+empirical.  The fcn experiment sets eps from the same search on
+``hankel.hankel_map`` with a light budget (``haar_bundle_for_target``).
 
 Supported frequencies must stay <= D: within that range the truncated
 transpose(S)^a G S^b collapse exactly to G S^{a+b}, which is what makes the
@@ -48,13 +50,7 @@ from functools import partial
 
 import numpy as np
 
-from .coeff_systems import (
-    CoefficientSystem,
-    conj_system,
-    haar_unitaries,
-    row_bound,
-    tensor_conj_norm,
-)
+from .coeff_systems import CoefficientSystem, haar_unitaries, row_bound, tensor_conj_norm
 from .errors import ConfigurationError, DomainError
 from .hankel import (
     BlockHankel,
@@ -69,8 +65,6 @@ from .hankel import (
     probe_solve,
 )
 from .numkit import Polynomial, poly_derivative, subdiagonal_sums, toeplitz_factor
-
-NORMALIZER_RESTARTS = 32  # row_bound restarts behind the non-CAR cb normalizer
 
 
 @dataclass
@@ -234,38 +228,36 @@ def pb_probe(b: OperatorBundle, search: PbSearch | None = None) -> float:
 
 
 # ---------------------------------------------------------------------------
-# certified lower bound on the completely bounded norm
+# lower bound on the completely bounded norm (certified for CAR)
 
 
-def cb_certificate(b: OperatorBundle, normalizer_seed: int = 0) -> float:
-    """Certified lower bound on the cb norm of P -> P(T).
+def cb_certificate(b: OperatorBundle) -> float:
+    """Lower bound on the cb norm of P -> P(T).
 
     The matrix polynomial A(z) = n^{-1/2} sum_k conj(C_k) z^{K_k} has
-    sup-norm <= row bound of the conjugated system (exactly 1 for CAR, since
-    conjugation preserves the anticommutation relations).  Compressing
-    (id (x) u_T)(A) through the coordinate isometries -- row 0 of the dual
-    summand out, e_0 (x) x into the analytic summand -- lands exactly on
+    sup-norm <= the system's ``row_bound``: at each z, with
+    alpha_k = n^{-1/2} z^{K_k} of norm 1,
+    ||sum alpha_k conj(C_k)|| = ||sum conj(alpha_k) C_k||, and alpha ->
+    conj(alpha) maps the unit sphere onto itself, so conjugation leaves the
+    row bound as it is.  Compressing (id (x) u_T)(A) through the coordinate
+    isometries -- row 0 of the dual summand out, e_0 (x) x into the
+    analytic summand -- lands exactly on
 
         eps * n^{-1/2} * sum_k m(K_k) conj(C_k) (x) C_k,
 
-    whose norm divided by the sup bound of A is the certificate.  For CAR
-    the division is by the exact value 1; for other systems the conjugated
-    row bound is re-estimated empirically and divided out.
+    whose norm divided by that row bound is the certificate.  For CAR the
+    divisor is the exact 1 and the value is certified.  A Haar bundle
+    divides by its K2, an empirical lower bound on the supremum, so its
+    value is empirical.  A system without a row bound is refused.
     """
     system, m = b.hankel.system, b.hankel.multiplier
+    if system.row_bound is None:
+        raise ConfigurationError(f"a {system.kind} system without a row bound has no "
+                                 "cb certificate")
     weights = np.zeros(system.n, dtype=np.complex128)
     for q, t in b.hankel.freq_map.items():  # K_t -> t
         weights[t - 1] = m(q)
-    compressed = b.eps * (system.n ** -0.5) * tensor_conj_norm(system, weights)
-    if system.kind == "car":
-        normalizer = 1.0
-    else:
-        normalizer = float(
-            row_bound(conj_system(system), restarts=NORMALIZER_RESTARTS,
-                      seed=normalizer_seed)
-        )
-        normalizer = max(normalizer, 1e-300)
-    return compressed / normalizer
+    return b.eps * (system.n ** -0.5) * tensor_conj_norm(system, weights) / system.row_bound
 
 
 # ---------------------------------------------------------------------------
@@ -283,16 +275,16 @@ def eps_for_target_c(c: float, c_probe: float) -> float:
 
 
 def haar_bundle(n: int, dim: int, system_seed: int, row_bound_seed: int, *,
-                D: int | None, eps: float) -> tuple[OperatorBundle, float]:
-    """Haar-unitary bundle and its K2: n unitaries of size dim drawn at
-    ``system_seed`` on the default dyadic frequencies, multiplier 1/K2 with
-    K2 the empirical row bound of the system (16 restarts at
-    ``row_bound_seed``)."""
+                D: int | None, eps: float) -> OperatorBundle:
+    """Haar-unitary bundle: n unitaries of size dim drawn at ``system_seed``
+    on the default dyadic frequencies, multiplier 1/K2 with K2 the empirical
+    row bound of the system (16 restarts at ``row_bound_seed``), kept as
+    the system's ``row_bound``."""
     system = haar_unitaries(n, dim, seed=system_seed)
+    system.row_bound = float(row_bound(system, restarts=16, seed=row_bound_seed))
     spec = lacunary_default(n)
-    k2 = float(row_bound(system, restarts=16, seed=row_bound_seed))
-    m = MultiplierSeq({k: 1.0 / k2 for k in spec.K})
-    return build_T(system, spec, m, D=D, eps=eps), k2
+    m = MultiplierSeq({k: 1.0 / system.row_bound for k in spec.K})
+    return build_T(system, spec, m, D=D, eps=eps)
 
 
 def haar_bundle_for_target(n: int, c: float, seed: int) -> tuple[OperatorBundle, dict]:
@@ -307,15 +299,14 @@ def haar_bundle_for_target(n: int, c: float, seed: int) -> tuple[OperatorBundle,
     ss = np.random.SeedSequence(entropy=seed)
     sys_child, rb_child, probe_child = ss.spawn(3)
     sys_seed = int(sys_child.generate_state(1)[0])
-    base, k2 = haar_bundle(n, n, sys_seed, int(rb_child.generate_state(1)[0]), D=None,
-                           eps=0.0)
+    base = haar_bundle(n, n, sys_seed, int(rb_child.generate_state(1)[0]), D=None, eps=0.0)
     g = base.hankel
     max_degree = 2 * g.D - 1
     monomials = [1] + [q for q in g.multiplier.support if q <= max_degree]
     c_probe, _ = probe_search(partial(hankel_map, g), max_degree, monomials, n_random=4,
                               n_degrees=4, seed=int(probe_child.generate_state(1)[0]))
     eps = eps_for_target_c(c, c_probe)
-    info = {"K2": k2, "C_probe": c_probe, "eps": eps, "system_seed": sys_seed}
+    info = {"K2": g.system.row_bound, "C_probe": c_probe, "eps": eps, "system_seed": sys_seed}
     return with_eps(base, eps), info
 
 
@@ -326,7 +317,7 @@ def fcn_experiment(n: int, c: float, seed: int = 0) -> dict:
     two-sided sqrt(n) estimate empirically."""
     bundle, info = haar_bundle_for_target(n, c, seed)
     search = PbSearch(restarts=2, max_degree=min(2 * bundle.hankel.D - 2, 64), seed=seed)
-    sim = cb_certificate(bundle, normalizer_seed=seed)
+    sim = cb_certificate(bundle)
     pb = pb_probe(bundle, search)
     cb_over_pb = sim / pb
     scaled = cb_over_pb / ((c - 1.0) * np.sqrt(n))

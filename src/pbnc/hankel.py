@@ -53,7 +53,7 @@ from functools import cached_property, partial
 import numpy as np
 
 from . import numkit
-from .coeff_systems import CoefficientSystem, basis_vectors
+from .coeff_systems import BASIS_MAX_N, CoefficientSystem, basis_vectors
 from .errors import ConfigurationError, DimensionError, DomainError
 from .numkit import (Polynomial, poly_derivative, subdiagonal_sums, sup_norm, toeplitz,
                      toeplitz_factor, top_singular)
@@ -112,14 +112,18 @@ def check_default_depth(L: int, what: str, key: str) -> None:
         raise ConfigurationError(f"{what} needs 1 <= {key} <= {max_l}, got {L}")
 
 
-def check_truncation(D: int, key: str) -> None:
+def check_truncation(D: int, key: str, family: str | None = None) -> None:
     """Raise ConfigurationError unless 1 <= D <= isqrt(FLAT_ENTRY_BUDGET), so
     that a D x D matrix of a D read from a config (as ``key``) stays within
-    FLAT_ENTRY_BUDGET; a caller checks it before anything of size D is built."""
-    cap = math.isqrt(FLAT_ENTRY_BUDGET)
+    FLAT_ENTRY_BUDGET, and for the ``ones`` scan ``family`` unless its
+    2D - 1 basis vectors stay within BASIS_MAX_N (D <= 4096); a caller
+    checks it before anything of size D is built."""
+    cap, why = math.isqrt(FLAT_ENTRY_BUDGET), "D x D within the flat budget"
+    if family == "ones":
+        cap = min(cap, (BASIS_MAX_N + 1) // 2)
+        why = f"the ones family's 2D - 1 basis vectors within BASIS_MAX_N = {BASIS_MAX_N}"
     if not 1 <= D <= cap:
-        raise ConfigurationError(f"{key} must be in 1..{cap} (D x D within the flat "
-                                 f"budget), not {D}")
+        raise ConfigurationError(f"{key} must be in 1..{cap} ({why}), not {D}")
 
 
 @dataclass

@@ -395,16 +395,26 @@ def toeplitz_factor(p: Polynomial, d: int, scale: complex = 1.0):
     given; ``scale`` multiplies the D coefficients T(p) sees.  With at most
     one nonzero c z^k among them, A = c S^k for the shift S (block row i to
     i + 1), applied by slicing in O(D h); otherwise the views are products
-    with one dense ``toeplitz`` matrix and its conjugate, O(D^2 h)."""
+    with one dense ``toeplitz`` matrix T, O(D^2 h), the last two as
+    conj(T^t conj(x)) and conj(T conj(x)), so no conjugate copy is kept."""
     c = p.coeffs[:d] * scale
     nz = np.flatnonzero(c)
     if nz.size > 1:
         t = toeplitz(Polynomial(c), d)
-        t_conj = t.conj()
-        return tuple(partial(np.matmul, m) for m in (t, t.T, t_conj.T, t_conj))
+        return partial(np.matmul, t), partial(np.matmul, t.T), _conj_view(t.T), _conj_view(t)
     k, ck = (nz[0], c[nz[0]]) if nz.size else (-1, 0j)  # k = -1: the zero factor
     cc = np.conj(ck)
     return _shift(k, ck, True), _shift(k, ck, False), _shift(k, cc, False), _shift(k, cc, True)
+
+
+def _conj_view(m: np.ndarray):
+    """x -> conj(m) x, as conj(m conj(x)) written into ``out``."""
+
+    def apply(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        out = np.matmul(m, x.conj(), out=out)
+        return np.conjugate(out, out=out)
+
+    return apply
 
 
 def _shift(k: int, c: complex, down: bool):

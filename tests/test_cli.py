@@ -108,6 +108,9 @@ WORK = ("row_bound", "build_hankel", "bound_scan", "pb_probe", "fcn_experiment",
     # the bridge check builds a Hankel matrix: the typo after it still stops first
     ("mc", {"L": 3, "n_samples": 100,
             "checks": [{"check": "bridge"}, {"check": "radial", "levle": 2}]}, "levle"),
+    # dim shapes only a Haar system
+    ("coeffs", {"kind": "car", "n": 2, "dim": 7}, "'dim'"),
+    ("certify", {"system": "car", "n": 2, "dim": 7}, "'dim'"),
 ])
 def test_unknown_key_is_refused_before_work(tmp_path, capsys, monkeypatch, command, doc, typo):
     def unreachable(*args, **kwargs):
@@ -152,6 +155,9 @@ def test_unknown_key_is_refused_before_work(tmp_path, capsys, monkeypatch, comma
      "1 <= n <= 12, got 300000", "haar_bundle"),
     ("sweep", {"system": "haar_unitary", "n_grid": [2, 12], "dim": 2, "D": 4095},
      "2^12 above D = 4095", "haar_bundle"),
+    # the ones family's 2D - 1 = 8193 basis vectors are above BASIS_MAX_N
+    ("hankel", {"mode": "scan", "families": ["ones"], "D_list": [3, 4097]},
+     "D_list[1] must be in 1..4096", "bound_scan"),
 ])
 def test_size_above_its_cap_is_refused_before_work(tmp_path, capsys, monkeypatch, command, doc,
                                                    message, work):

@@ -8,7 +8,6 @@ from pbnc.coeff_systems import (
     basis_vectors,
     car_jordan_wigner,
     car_relation_residual,
-    conj_system,
     haar_unitaries,
     row_bound,
     tensor_conj_norm,
@@ -70,8 +69,7 @@ class TestCarRelations:
             assert car_relation_residual(car_jordan_wigner(n)) <= 1e-12
 
     def test_conjugate_preserves_relations(self):
-        sys_ = conj_system(car_jordan_wigner(3))
-        assert sys_.kind == "car"
+        sys_ = CoefficientSystem("car", [np.conj(e) for e in car_jordan_wigner(3).elements])
         assert car_relation_residual(sys_) <= 1e-12
 
     def test_row_isometry_identity(self):
@@ -90,9 +88,13 @@ class TestCarRelations:
 
 class TestRowBound:
     def test_car_is_one(self):
+        # the ascent reaches the exact value a CAR system carries
         for n in range(2, 5):
-            rb = row_bound(car_jordan_wigner(n), restarts=4, seed=0)
-            assert rb.value == pytest.approx(1.0, abs=1e-6)
+            system = car_jordan_wigner(n)
+            rb = row_bound(system, restarts=4, seed=0)
+            assert system.row_bound == 1.0
+            assert rb.value == pytest.approx(system.row_bound, abs=1e-6)
+        assert haar_unitaries(2, 2, seed=0).row_bound is None
 
     def test_basis_is_one(self):
         rb = row_bound(basis_vectors(5), restarts=4, seed=0)

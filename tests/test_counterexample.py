@@ -6,8 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pbnc import errors, hankel
-from pbnc.coeff_systems import basis_vectors, car_jordan_wigner, haar_unitaries
+from pbnc import counterexample, errors, hankel
+from pbnc.coeff_systems import (
+    CoefficientSystem,
+    basis_vectors,
+    car_jordan_wigner,
+    haar_unitaries,
+    row_bound,
+    tensor_conj_norm,
+)
 from pbnc.counterexample import (
     OperatorBundle,
     PbSearch,
@@ -50,7 +57,7 @@ def _car_bundle(n=2, eps=1.0, D=None):
 def _small_bundle(kind, n):
     if kind == "car":
         return _car_bundle(n=n)
-    return haar_bundle(n, n, system_seed=5, row_bound_seed=6, D=None, eps=1.0)[0]
+    return haar_bundle(n, n, system_seed=5, row_bound_seed=6, D=None, eps=1.0)
 
 
 SMALL_BUNDLES = [("car", 2), ("car", 3), ("haar", 2), ("haar", 3)]
@@ -350,13 +357,62 @@ class TestCbCertificate:
         if kind == "car":
             b = _car_bundle(n=n)
         else:
-            b = haar_bundle(n, n, system_seed=5, row_bound_seed=6, D=None, eps=1.0)[0]
+            b = haar_bundle(n, n, system_seed=5, row_bound_seed=6, D=None, eps=1.0)
         unit = cb_certificate(with_eps(b, 1.0))
         assert cb_certificate(with_eps(b, e)) == pytest.approx(e * unit, rel=1e-14, abs=0)
 
     def test_dominates_trace_witness_rate(self):
         for n in (2, 3, 4):
             assert cb_certificate(_car_bundle(n=n)) >= np.sqrt(n) / 2.0 - 1e-8
+
+    def test_haar_divisor_is_the_bundles_k2(self, monkeypatch):
+        # haar_bundle measures K2 once; the certificate runs no second ascent
+        b = haar_bundle(3, 3, system_seed=5, row_bound_seed=6, D=None, eps=1.0)
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("cb_certificate ran a row-bound ascent")
+
+        monkeypatch.setattr(counterexample, "row_bound", unreachable)
+        assert cb_certificate(b) > 0.0
+
+    def test_system_without_row_bound_is_refused(self):
+        spec = lacunary_default(2)
+        b = build_T(haar_unitaries(2, 2, seed=0), spec, MultiplierSeq.indicator(spec))
+        with pytest.raises(errors.ConfigurationError, match="row bound"):
+            cb_certificate(b)
+
+    # (n, dim, seed, D, eps) of the Haar bundles certify and sweep build in
+    # tools/payload_digests.py (certify.haar.n2, .n6, .dim3 and sweep.haar),
+    # whose row bounds run at the config seed
+    DIGEST_HAAR = [(2, 2, 5, None, 1.0), (6, 6, 5, None, 1.0), (2, 3, 4, 6, 0.5),
+                   (2, 3, 2, 9, 0.5), (3, 3, 2, 9, 0.5)]
+
+    @staticmethod
+    def _old_divisor(system, seed):
+        """The divisor cb_certificate used before it read the system's
+        row_bound: a second 32-restart ascent on the conjugated system."""
+        conj = CoefficientSystem(system.kind, [np.conj(e) for e in system.elements])
+        return row_bound(conj, restarts=32, seed=seed).value
+
+    def _check_divisor(self, b, seed):
+        system = b.hankel.system
+        k2 = system.row_bound
+        tcn = tensor_conj_norm(system, np.full(system.n, 1.0 / k2, dtype=np.complex128))
+        cb = cb_certificate(b)
+        assert cb == b.eps * system.n ** -0.5 * tcn / k2
+        old = b.eps * system.n ** -0.5 * tcn / self._old_divisor(system, seed)
+        assert cb == pytest.approx(old, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("n,dim,seed,d,eps", DIGEST_HAAR)
+    def test_haar_k2_matches_the_conjugate_ascent(self, n, dim, seed, d, eps):
+        self._check_divisor(haar_bundle(n, dim, seed, seed, D=d, eps=eps), seed)
+
+    @pytest.mark.parametrize("n", [2, 4, 7, 8])
+    def test_fcn_k2_matches_the_conjugate_ascent(self, monkeypatch, n):
+        # the fcn bundles at seed 42; a stub C_probe = 1 skips the eps search
+        monkeypatch.setattr(counterexample, "probe_search", lambda *args, **kwargs: (1.0, "z"))
+        b, _ = haar_bundle_for_target(n, 2.0, seed=42)
+        self._check_divisor(b, 42)
 
 
 class TestTargetScaling:

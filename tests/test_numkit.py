@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -461,3 +463,16 @@ class TestToeplitz:
             assert view(x, out=out) is out
             assert np.allclose(out, want @ x, rtol=0, atol=1e-13)
 
+    def test_dense_factor_holds_one_matrix(self):
+        # A^H x and conj(A) x are conj(T^t conj(x)) and conj(T conj(x)): a
+        # dense factor keeps T only, 16 MB at D = 1024, not T and conj(T)
+        d = 1024
+        p = Polynomial(np.full(d, 1.0 + 1.0j))
+        tracemalloc.start()
+        try:
+            views = toeplitz_factor(p, d)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        one = d * d * np.dtype(np.complex128).itemsize
+        assert len(views) == 4 and one <= held < 1.5 * one

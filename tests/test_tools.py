@@ -153,12 +153,12 @@ UNREFERENCED_ALLOWED: dict[str, str] = {}
 
 
 def _unreferenced() -> list[str]:
-    """Public module-level functions, classes and methods of src/pbnc,
-    outside UNREFERENCED_ALLOWED, that nothing in src/pbnc or tools/ refers
-    to by name outside their own definition and outside other such code (a
-    helper that only dead code calls is dead too).  Imports are not
-    references, and neither is an attribute of a module bound by ``import``
-    (``np.block``)."""
+    """Public module-level functions, classes, methods and constants (names
+    bound by a module-level assignment) of src/pbnc, outside
+    UNREFERENCED_ALLOWED, that nothing in src/pbnc or tools/ refers to by
+    name outside their own definition and outside other such code (a helper
+    that only dead code calls is dead too).  Imports are not references, and
+    neither is an attribute of a module bound by ``import`` (``np.block``)."""
     src = ROOT / "src" / "pbnc"
     defs = []  # (qualified name, name, path, first line, last line)
     refs = defaultdict(list)  # name -> [(path, line)]
@@ -175,6 +175,11 @@ def _unreferenced() -> list[str]:
         if path.parent != src:
             continue
         for node in tree.body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                for name in (t.id for t in targets if isinstance(t, ast.Name)):
+                    defs.append((f"{path.stem}.{name}", name, path, node.lineno, node.end_lineno))
+                continue
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 continue
             qual = f"{path.stem}.{node.name}"
