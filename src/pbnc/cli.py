@@ -228,7 +228,7 @@ def _read_system(keys: _Keys):
 def cmd_coeffs(cfg: dict, thresholds: dict, threads: int):
     keys = _Keys(cfg)
     build_system, seed, side = _read_system(keys)
-    restarts = keys.get("restarts", 32, int)
+    restarts = keys.get("restarts", 32, int, lo=1)
     keys.done()
     if side is not None:
         check_tensor_budget(side)  # refuse before the system is built
@@ -314,8 +314,12 @@ def _hankel_scan(keys: _Keys, thresholds: dict, threads: int):
             check_truncation(d, f"D_list[{i}]", family)
     seed = keys.get("seed", frozen["seed"], int, lo=0)
     pc = keys.obj("probe", frozen["probe"])
-    # the probe keys are ProbeConfig's fields, with its defaults
-    probe_cfg = ProbeConfig(**{k: pc.get(k, v, int) for k, v in asdict(ProbeConfig()).items()})
+    # the probe keys are ProbeConfig's fields, with its defaults and least
+    # values; the first ascent starts from a Fejer mean, so ascent_restarts
+    # counts it and 0 would run as 1
+    least = {"n_random": 0, "ascent_restarts": 1, "ascent_steps": 0}
+    probe_cfg = ProbeConfig(**{k: pc.get(k, v, int, lo=least[k])
+                               for k, v in asdict(ProbeConfig()).items()})
     keys.done()
     all_rows = []
     for family in families:
@@ -355,21 +359,23 @@ def _certifier(keys: _Keys, n_grid: list[int]):
     bundle is built; return the probe budget and n -> the certify row of the
     bundle at n."""
     kind = keys.get("system", "car", ("car", "haar_unitary"))
-    eps = keys.get("eps", 1.0, float)
+    eps = keys.get("eps", 1.0, float, lo=0)
     d = keys.get("D", None, int)
     # only a Haar system reads dim, so done() refuses it beside a CAR one
     dim = keys.get("dim", None, int) if kind == "haar_unitary" else None
     seed = keys.get("seed", 0, int, lo=0)
     sk = keys.obj("search", {})
     search = PbSearch(
-        restarts=sk.get("restarts", 4, int),
+        restarts=sk.get("restarts", 4, int, lo=1),
         max_degree=sk.get("max_degree", None, int, lo=1),
         seed=sk.get("seed", 7, int, lo=0),
     )
     keys.done()
     if d is not None:
         check_truncation(d, "D")
-    for n in n_grid:  # cb_certificate takes the tensor norm of every bundle
+    # cb_certificate runs no solve: here the tensor budget bounds pb_probe,
+    # whose GKL solves on P(T) would run for hours from CAR n = 9 (dim 512) on
+    for n in n_grid:
         check_tensor_budget(car_dim(n) if kind == "car" else (n if dim is None else dim))
         check_default_depth(n, "a bundle", "n")
         if d is not None and n >= d.bit_length():  # 2^n > D, without forming 2^n

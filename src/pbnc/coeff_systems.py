@@ -15,14 +15,40 @@ Three kinds are supported:
   * ``basis_vector``: the canonical columns e_k as n x 1 matrices; the row
     bound is exactly 1 since sum alpha_k e_k has norm ||alpha||_2.
 
-The certificates computed here feed the operator-bundle lower bounds:
-``tensor_conj_norm`` is ||sum w_k conj(C_k) (x) C_k|| (w_k = 1 unless
-given) and ``trace_witness`` is the rank-one evaluation
+The certificates computed here feed the operator-bundle lower bounds.  The
+two square constructors set ``tensor_norm``, the exact norm of
+M = sum_t conj(C_t) (x) C_t, which the cb certificate reads:
+
+  * CAR: ||M|| = sqrt(floor((n + 1)^2 / 4)), by the quasi-spin reduction.
+    The Jordan-Wigner elements are real, so conj(C_t) (x) C_t = C_t (x) C_t;
+    pairing the two tensor factors site by site (a permutation unitary)
+    turns it into (Z (x) Z)^{(x)(t-1)} (x) |00><11| (x) I on (C^4)^{(x)n}.
+    Each site splits into the pair space span{|00>, |11>}, where Z (x) Z = 1
+    and |00><11| is the lowering operator s- (|11> -> |00>), and the
+    spectator space span{|01>, |10>}, where Z (x) Z = -1 and |00><11| = 0.
+    No term changes which sites are spectators, so M is a direct sum over
+    the set S of paired sites (and the spectator states) of
+    sum_{t in S} +-s-_t, the sign of t fixed by the spectators before t.
+    The diagonal unitary diag(1, -1) on each site with a minus sign removes
+    the signs, leaving J- = sum_{t in S} s-_t on |S| spins 1/2.  On spin j
+    (2j <= |S|) J-|j, m> = sqrt((j + m)(j - m + 1)) |j, m - 1>, and with
+    a = j + m in 1..2j the largest a(2j + 1 - a) is floor((2j + 1)^2 / 4),
+    which grows with j; the symmetric spin j = n/2 at S = all sites gives
+    ||M||^2 = floor((n + 1)^2 / 4).
+  * Haar unitaries (any unitaries): ||M|| = n.  The triangle inequality
+    gives ||M|| <= sum_t ||conj(C_t)|| ||C_t|| = n, and with row-major vec
+    M vec(I) = sum_t vec(conj(C_t) C_t^T) = sum_t vec(conj(C_t C_t^*))
+    = n vec(I), so the unit vector vec(I)/sqrt(dim) attains n.
+
+Basis vectors and systems built by hand carry no ``tensor_norm``.
+``tensor_conj_norm`` is the independent numerical route to the same norm,
+which ``coeffs`` reports and the tests compare the closed forms against:
+one matrix-free ``numkit.top_singular`` solve on X -> sum conj(C_t) X C_t^T
+(``_tensor_conj_applies``), so the dim^2 x dim^2 operator is never built;
+its Rayleigh value is a lower bound on the norm, converged to a 1e-12
+residual.  ``trace_witness`` is the rank-one evaluation
 |sum tr(C_k X C_k* Y)| at X = Y = I/sqrt(tr I), which can never exceed the
-unweighted norm.  The tensor norm is matrix-free: one ``numkit.top_singular``
-solve on X -> sum w_k conj(C_k) X C_k^T (``_tensor_conj_applies``), so the
-dim^2 x dim^2 operator is never built; its Rayleigh value is a lower bound
-on the norm, converged to a 1e-12 residual.
+norm.
 """
 
 from __future__ import annotations
@@ -59,6 +85,8 @@ class CoefficientSystem:
     # sup over ||alpha||_2 = 1 of ||sum alpha_k C_k||, the divisor of the cb
     # certificate: exactly 1 for CAR, the empirical K2 of a Haar bundle
     row_bound: float | None = None
+    # exact ||sum_t conj(C_t) (x) C_t|| (module docstring): CAR and Haar only
+    tensor_norm: float | None = None
 
     def __post_init__(self):
         if self.kind not in ("car", "haar_unitary", "basis_vector"):
@@ -100,7 +128,7 @@ def car_jordan_wigner(n: int) -> CoefficientSystem:
         for factor in [_Z] * (k - 1) + [_A] + [_I2] * (n - k):
             m = np.kron(m, factor)
         elements.append(m)
-    return CoefficientSystem("car", elements, row_bound=1.0)
+    return CoefficientSystem("car", elements, row_bound=1.0, tensor_norm=np.sqrt((n + 1) ** 2 // 4))
 
 
 def haar_unitaries(n: int, dim: int, seed: int) -> CoefficientSystem:
@@ -117,7 +145,7 @@ def haar_unitaries(n: int, dim: int, seed: int) -> CoefficientSystem:
         q, r = np.linalg.qr(g)
         d = np.diagonal(r)
         elements.append(q * (d / np.abs(d)))  # phase fix makes the law Haar
-    return CoefficientSystem("haar_unitary", elements, seed=seed)
+    return CoefficientSystem("haar_unitary", elements, seed=seed, tensor_norm=float(n))
 
 
 def basis_vectors(n: int) -> CoefficientSystem:
@@ -222,28 +250,25 @@ def check_tensor_budget(dim: int) -> None:
         )
 
 
-def _tensor_conj_applies(system: CoefficientSystem, weights=None):
-    """(apply, apply_adjoint) of M = sum_t w_t conj(C_t) (x) C_t on flat
-    vectors of length dim^2, w_t = 1 when ``weights`` is None.
+def _tensor_conj_applies(system: CoefficientSystem):
+    """(apply, apply_adjoint) of M = sum_t conj(C_t) (x) C_t on flat vectors
+    of length dim^2.
 
     With row-major vec, kron(conj C, C) vec(X) = vec(conj(C) X C^T), so the
-    apply is X -> sum_t w_t conj(C_t) X C_t^T and the adjoint is
-    Y -> sum_t conj(w_t) C_t^T Y conj(C_t) on dim x dim reshapes.  Each is
-    one batched product X C_t^T (resp. Y conj(C_t)) for every t and one
-    contraction over (t, j) with the stacked left factors; M is never built.
+    apply is X -> sum_t conj(C_t) X C_t^T and the adjoint is
+    Y -> sum_t C_t^T Y conj(C_t) on dim x dim reshapes.  Each is one batched
+    product X C_t^T (resp. Y conj(C_t)) for every t and one contraction over
+    (t, j) with the stacked left factors; M is never built.
     """
     if not system.is_square:
         raise DomainError("tensor_conj_norm needs square elements")
     dim, n = system.op_dim[0], system.n
-    w = np.ones(n) if weights is None else np.asarray(weights, dtype=np.complex128)
-    if w.shape != (n,):
-        raise DimensionError(f"need {n} weights, got shape {w.shape}")
     c = np.stack(system.elements)  # (t, i, j)
     right = c.transpose(0, 2, 1)  # C_t^T
     right_adj = c.conj()  # conj(C_t)
     # left[i, (t, j)]: the t-th left factor in columns t*dim .. t*dim + dim - 1
-    left = (w[:, None, None] * c.conj()).transpose(1, 0, 2).reshape(dim, n * dim)
-    left_adj = (np.conj(w)[:, None, None] * right).transpose(1, 0, 2).reshape(dim, n * dim)
+    left = right_adj.transpose(1, 0, 2).reshape(dim, n * dim)
+    left_adj = right.transpose(1, 0, 2).reshape(dim, n * dim)
 
     def apply(x: np.ndarray) -> np.ndarray:
         return (left @ (x.reshape(dim, dim) @ right).reshape(n * dim, dim)).reshape(-1)
@@ -254,9 +279,10 @@ def _tensor_conj_applies(system: CoefficientSystem, weights=None):
     return apply, apply_adjoint
 
 
-def tensor_conj_norm(system: CoefficientSystem, weights=None) -> float:
-    """||sum_t w_t conj(C_t) (x) C_t||, with w_t = 1 when ``weights`` is None
-    (a factor swap is a unitary similarity, so that is ||sum C_t (x) conj(C_t)||).
+def tensor_conj_norm(system: CoefficientSystem) -> float:
+    """||sum_t conj(C_t) (x) C_t|| (a factor swap is a unitary similarity,
+    so that is ||sum C_t (x) conj(C_t)||), computed: the independent check
+    of the closed form a system carries as ``tensor_norm``.
 
     One ``numkit.top_singular`` solve on ``_tensor_conj_applies`` from a fixed
     seeded start, so the value is the same run to run; a solve that hits
@@ -265,7 +291,7 @@ def tensor_conj_norm(system: CoefficientSystem, weights=None) -> float:
     """
     dim = system.op_dim[0]
     check_tensor_budget(dim)
-    apply, apply_adjoint = _tensor_conj_applies(system, weights)
+    apply, apply_adjoint = _tensor_conj_applies(system)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=0))
     est, _, _ = numkit.top_singular(apply, apply_adjoint, dim * dim, rng, TENSOR_NORM_TOL,
                                     numkit.LANCZOS_STEP_CAP)

@@ -22,11 +22,11 @@ Two quantities are attached to a bundle and deliberately kept asymmetric:
   ||V^{-1} T V|| <= 1 (reported as ``similarity_lower`` in the fcn rows and
   CLI payloads).  The certificate compresses the matrix polynomial
   sum_k conj(C_k) (x) (z^{K_k})(T) through coordinate isometries, which
-  lands exactly on eps * n^{-1/2} * sum_k m(K_k) conj(C_k) (x) C_k, the
-  weighted ``coeff_systems.tensor_conj_norm``, and divides by the system's
-  ``row_bound``.  That norm is a matrix-free ``top_singular`` solve whose
-  Rayleigh value is itself a lower bound; the Kronecker sum is never built.
-  The divisor is exactly 1 for CAR, so the CAR value is certified.
+  lands exactly on eps * n^{-1/2} * sum_k m(K_k) conj(C_k) (x) C_k, and
+  divides by the system's ``row_bound``.  Every bundle a command builds has
+  one multiplier value w on its frequencies, so that norm is |w| times the
+  system's ``tensor_norm``, proven in closed form in ``coeff_systems``; no
+  solve runs.  For CAR both factors are exact, so the CAR value is certified.
 
 With CAR systems the certificate grows like sqrt(n) while the probe stays
 flat, the desk-scale form of the separation.  Haar-unitary bundles (CLI
@@ -50,7 +50,7 @@ from functools import partial
 
 import numpy as np
 
-from .coeff_systems import CoefficientSystem, haar_unitaries, row_bound, tensor_conj_norm
+from .coeff_systems import CoefficientSystem, haar_unitaries, row_bound
 from .errors import ConfigurationError, DomainError
 from .hankel import (
     BlockHankel,
@@ -91,7 +91,7 @@ def build_T(
     """Assemble the bundle.  Default D = 2^n + 1 for an n-level spec, so every
     frequency K_t <= 2^n sits inside the exactness window.  A supported
     frequency above D is refused, also above 2D - 1 where no block sees it:
-    ``cb_certificate`` weights every frequency of the map."""
+    ``cb_certificate`` reads the multiplier at every frequency of the map."""
     if eps < 0:
         raise DomainError("eps must be >= 0")
     if spec.L != s_sys.n:
@@ -222,7 +222,7 @@ def pb_probe(b: OperatorBundle, search: PbSearch | None = None) -> float:
     best, _ = probe_search(
         partial(_pb_map, b, max_degree=max_degree), max_degree,
         monomial_grid(max_degree, b.hankel.multiplier.support),
-        n_random=4 * max(1, search.restarts), n_degrees=4,
+        n_random=4 * search.restarts, n_degrees=4,
         ascent_restarts=max(1, search.restarts // 2), ascent_steps=12, seed=search.seed)
     return max(best, 1.0)
 
@@ -245,19 +245,21 @@ def cb_certificate(b: OperatorBundle) -> float:
 
         eps * n^{-1/2} * sum_k m(K_k) conj(C_k) (x) C_k,
 
-    whose norm divided by that row bound is the certificate.  For CAR the
-    divisor is the exact 1 and the value is certified.  A Haar bundle
-    divides by its K2, an empirical lower bound on the supremum, so its
-    value is empirical.  A system without a row bound is refused.
+    whose norm divided by that row bound is the certificate.  The multiplier
+    must take one value w on the frequencies (1 for the indicator, 1/K2 for
+    a Haar bundle); then that norm is |w| times the system's exact
+    ``tensor_norm``, so no solve runs.  For CAR the divisor is the exact 1
+    and the value is certified.  A Haar bundle divides by its K2, an
+    empirical lower bound on the supremum, so its value is empirical.  A
+    system without a row bound or a tensor norm, and a multiplier with two
+    values on the frequencies, are refused; no command builds either.
     """
     system, m = b.hankel.system, b.hankel.multiplier
-    if system.row_bound is None:
-        raise ConfigurationError(f"a {system.kind} system without a row bound has no "
-                                 "cb certificate")
-    weights = np.zeros(system.n, dtype=np.complex128)
-    for q, t in b.hankel.freq_map.items():  # K_t -> t
-        weights[t - 1] = m(q)
-    return b.eps * (system.n ** -0.5) * tensor_conj_norm(system, weights) / system.row_bound
+    values = {m(q) for q in b.hankel.freq_map}
+    if system.row_bound is None or system.tensor_norm is None or len(values) != 1:
+        raise ConfigurationError("cb_certificate needs a row bound, a tensor norm and one "
+                                 f"multiplier value: {system.kind} system, {len(values)} values")
+    return b.eps * (system.n ** -0.5) * abs(values.pop()) * system.tensor_norm / system.row_bound
 
 
 # ---------------------------------------------------------------------------

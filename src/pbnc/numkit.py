@@ -9,10 +9,11 @@ Conventions fixed here and relied on everywhere else:
     (Golub-Kahan-Lanczos bidiagonalization with one-sided reorthogonalization,
     full on the right basis only, and thick restarts): a Rayleigh lower
     bound, its residual and a ``converged`` flag that means the residual test
-    passed, never a raise.  Every ``P(T)`` norm and every tensor certificate
-    is one such solve.  It starts from a Gaussian vector, or warm from a
-    given vector plus a little of that Gaussian, runs a second Gram-Schmidt
-    pass only where the first lost too much of the new vector (DGKS), and
+    passed, never a raise.  Every ``P(T)`` norm is one such solve, and so
+    is ``coeff_systems.tensor_conj_norm``, the numerical check of the closed
+    tensor norms.  It starts from a Gaussian vector, or warm from a given
+    vector plus a little of that Gaussian, runs a second Gram-Schmidt pass
+    only where the first lost too much of the new vector (DGKS), and
     runs its residual test (the top eigenpair of B B^T for the projected
     matrix B; an SVD only before a restart) only where the residual's
     observed decay says the test can pass.

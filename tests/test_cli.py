@@ -53,6 +53,10 @@ def _est(samples):
     return McAccumulator().add(samples).estimate()
 
 
+WORK = ("row_bound", "build_hankel", "bound_scan", "pb_probe", "fcn_experiment",
+        "stream_estimates")
+
+
 @pytest.mark.parametrize("command,doc,key", [
     ("sweep", {"n_grid": [[2]]}, "n_grid"),
     ("certify", {"search": {"restarts": [1]}}, "search.restarts"),
@@ -85,17 +89,32 @@ def _est(samples):
     ("certify", {"n": 2, "eps": True}, "eps must be a finite number"),
     ("hankel", {"mode": "probe", "L": 2, "f": [0.0, False]}, "f[1] must"),
     ("hankel", {"mode": "scan", "D_list": [5], "probe": {"n_random": 2.5}}, "probe.n_random"),
+    # integers and numbers below their least value are refused, not clamped
+    ("certify", {"n": 2, "search": {"restarts": -5}}, "search.restarts must be an integer >= 1"),
+    ("hankel", {"mode": "scan", "families": ["lacunary"], "D_list": [5],
+                "probe": {"n_random": -3, "ascent_restarts": -1, "ascent_steps": -2}},
+     "probe.n_random must be an integer >= 0"),
+    ("hankel", {"mode": "scan", "families": ["lacunary"], "D_list": [5],
+                "probe": {"ascent_restarts": 0}}, "probe.ascent_restarts must be an integer >= 1"),
+    ("hankel", {"mode": "scan", "families": ["lacunary"], "D_list": [5],
+                "probe": {"ascent_steps": -2}}, "probe.ascent_steps must be an integer >= 0"),
+    ("coeffs", {"kind": "car", "n": 3, "restarts": 0}, "restarts must be an integer >= 1"),
+    ("certify", {"system": "haar_unitary", "n": 2, "eps": -0.5},
+     "eps must be a finite number >= 0"),
+    ("sweep", {"system": "haar_unitary", "n_grid": [2], "eps": -0.5}, "eps must"),
 ])
-def test_uncastable_value_is_config_error(tmp_path, capsys, command, doc, key):
+def test_uncastable_value_is_config_error(tmp_path, capsys, monkeypatch, command, doc, key):
     # int([2]) is a TypeError, which must not surface as a traceback; every
-    # malformed config exits 2 naming its key and writes no run directory
+    # malformed config exits 2 naming its key, before any work, and writes
+    # no run directory
+    def unreachable(*args, **kwargs):
+        raise AssertionError("work ran before the config was checked")
+
+    for name in WORK + ("car_relation_residual", "haar_bundle"):
+        monkeypatch.setattr(cli, name, unreachable)
     assert _run(tmp_path, command, doc) == 2
     assert key in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
-
-
-WORK = ("row_bound", "build_hankel", "bound_scan", "pb_probe", "fcn_experiment",
-        "stream_estimates")
 
 
 @pytest.mark.parametrize("command,doc,typo", [

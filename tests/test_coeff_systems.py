@@ -167,19 +167,16 @@ class TestRowBound:
 
 
 class TestTensorCertificates:
-    # frozen by hand: || sum C_k (x) conj(C_k) || for the anticommuting family
-    # ||sum C_k (x) conj(C_k)||^2 = floor((n + 1)^2 / 4)
+    # frozen by hand: ||sum C_k (x) conj(C_k)||^2 = floor((n + 1)^2 / 4) for
+    # the anticommuting family, proven in the coeff_systems docstring
     CAR_TENSOR_SQ = {2: 2, 3: 4, 4: 6, 5: 9, 6: 12, 7: 16, 8: 20}
 
     def test_car_values(self):
-        """||sum C_k (x) conj(C_k)||^2 = floor((n+1)^2 / 4) for the
-        Jordan-Wigner family, n = 2..8.  This is a regression oracle measured
-        numerically, not a claim of the package: no proof of the formula is
-        written down here (the quasi-spin su(2) of pairing theory is the
-        candidate route)."""
+        # the solve reaches the closed form car_jordan_wigner sets, n = 2..8
         for n, ref in self.CAR_TENSOR_SQ.items():
-            value = tensor_conj_norm(car_jordan_wigner(n))
-            assert value**2 == pytest.approx(ref, abs=1e-12)
+            system = car_jordan_wigner(n)
+            assert system.tensor_norm**2 == pytest.approx(ref, abs=1e-12)
+            assert tensor_conj_norm(system)**2 == pytest.approx(ref, abs=1e-12)
 
     def test_trace_witness_car(self):
         for n in range(2, 6):
@@ -191,18 +188,12 @@ class TestTensorCertificates:
             assert trace_witness(sys_) <= tensor_conj_norm(sys_) + 1e-9
 
     def test_unitary_tensor_is_n(self):
-        for n, dim in [(2, 3), (4, 4)]:
+        for n, dim in [(2, 3), (4, 4), (3, 1)]:
             sys_ = haar_unitaries(n, dim, seed=3)
+            assert sys_.tensor_norm == n
             assert trace_witness(sys_) == pytest.approx(n, abs=1e-9)
-            assert tensor_conj_norm(sys_) == pytest.approx(n, abs=1e-8)
-
-    def test_weighted_matches_dense(self):
-        sys_ = haar_unitaries(3, 3, seed=5)
-        rng = _rng(8)
-        w = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        dense = sum(wt * np.kron(c.conj(), c) for wt, c in zip(w, sys_.elements))
-        ref = np.linalg.svd(dense, compute_uv=False)[0]
-        assert tensor_conj_norm(sys_, w) == pytest.approx(ref, rel=1e-12)
+            assert tensor_conj_norm(sys_) == pytest.approx(sys_.tensor_norm, abs=1e-8)
+        assert basis_vectors(3).tensor_norm is None
 
     def test_budget_guard(self):
         tensor_conj_norm(car_jordan_wigner(1))
@@ -211,13 +202,9 @@ class TestTensorCertificates:
 
     def test_applies_match_kron(self):
         rng = _rng(11)
-        haar = haar_unitaries(3, 4, seed=7)
-        cases = [(car_jordan_wigner(n), None) for n in (1, 2, 3)]
-        cases.append((haar, rng.standard_normal(3) + 1j * rng.standard_normal(3)))
-        for sys_, weights in cases:
-            w = [1.0] * sys_.n if weights is None else weights
-            dense = sum(wt * np.kron(c.conj(), c) for wt, c in zip(w, sys_.elements))
-            apply, apply_adjoint = _tensor_conj_applies(sys_, weights)
+        for sys_ in [car_jordan_wigner(n) for n in (1, 2, 3)] + [haar_unitaries(3, 4, seed=7)]:
+            dense = sum(np.kron(c.conj(), c) for c in sys_.elements)
+            apply, apply_adjoint = _tensor_conj_applies(sys_)
             size = dense.shape[1]
             for _ in range(3):
                 x = rng.standard_normal(size) + 1j * rng.standard_normal(size)
@@ -226,10 +213,6 @@ class TestTensorCertificates:
                 assert np.allclose(apply_adjoint(y), dense.conj().T @ y, rtol=0, atol=1e-12)
                 # <A x, y> = <x, A^H y>
                 assert abs(np.vdot(y, apply(x)) - np.vdot(apply_adjoint(y), x)) <= 1e-12
-
-    def test_weight_count_checked(self):
-        with pytest.raises(errors.DimensionError):
-            _tensor_conj_applies(car_jordan_wigner(2), [1.0, 2.0, 3.0])
 
     def test_capped_solve_raises(self, monkeypatch):
         monkeypatch.setattr(numkit, "LANCZOS_STEP_CAP", 1)

@@ -1,12 +1,13 @@
 import dataclasses
 import functools
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pbnc import counterexample, errors, hankel
+from pbnc import coeff_systems, counterexample, errors, hankel, numkit
 from pbnc.coeff_systems import (
     CoefficientSystem,
     basis_vectors,
@@ -343,6 +344,11 @@ class TestCbCertificate:
     def test_car_values(self):
         for n, ref in self.CAR_CB.items():
             assert cb_certificate(_car_bundle(n=n)) == pytest.approx(ref, abs=1e-9)
+        # the closed form eps * sqrt(floor((n + 1)^2 / 4) / n), to rounding
+        for n in range(2, 9):
+            want = 0.7 * math.sqrt((n + 1) ** 2 // 4 / n)
+            assert cb_certificate(_car_bundle(n=n, eps=0.7)) == pytest.approx(want, rel=1e-15,
+                                                                                abs=0)
 
     def test_linear_in_eps(self):
         b = _car_bundle(n=2, eps=0.3)
@@ -365,6 +371,19 @@ class TestCbCertificate:
         for n in (2, 3, 4):
             assert cb_certificate(_car_bundle(n=n)) >= np.sqrt(n) / 2.0 - 1e-8
 
+    def test_runs_no_solve(self, monkeypatch):
+        car = _car_bundle(n=3, eps=0.5)
+        haar = haar_bundle(3, 3, system_seed=5, row_bound_seed=6, D=None, eps=0.5)
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("cb_certificate ran a solve")
+
+        monkeypatch.setattr(coeff_systems, "tensor_conj_norm", unreachable)
+        monkeypatch.setattr(numkit, "top_singular", unreachable)
+        assert cb_certificate(car) == pytest.approx(0.5 * 2.0 / np.sqrt(3.0), rel=1e-15, abs=0)
+        k2 = haar.hankel.system.row_bound
+        assert cb_certificate(haar) == pytest.approx(0.5 * np.sqrt(3.0) / k2**2, rel=1e-15, abs=0)
+
     def test_haar_divisor_is_the_bundles_k2(self, monkeypatch):
         # haar_bundle measures K2 once; the certificate runs no second ascent
         b = haar_bundle(3, 3, system_seed=5, row_bound_seed=6, D=None, eps=1.0)
@@ -381,6 +400,16 @@ class TestCbCertificate:
         with pytest.raises(errors.ConfigurationError, match="row bound"):
             cb_certificate(b)
 
+    def test_no_tensor_norm_or_two_multiplier_values_is_refused(self):
+        spec = lacunary_default(2)
+        by_hand = CoefficientSystem("car", car_jordan_wigner(2).elements, row_bound=1.0)
+        b = build_T(by_hand, spec, MultiplierSeq.indicator(spec))
+        with pytest.raises(errors.ConfigurationError, match="tensor norm"):
+            cb_certificate(b)
+        b = build_T(car_jordan_wigner(2), spec, MultiplierSeq(dict(zip(spec.K, (1.0, 0.5)))))
+        with pytest.raises(errors.ConfigurationError, match="one multiplier value"):
+            cb_certificate(b)
+
     # (n, dim, seed, D, eps) of the Haar bundles certify and sweep build in
     # tools/payload_digests.py (certify.haar.n2, .n6, .dim3 and sweep.haar),
     # whose row bounds run at the config seed
@@ -395,11 +424,12 @@ class TestCbCertificate:
         return row_bound(conj, restarts=32, seed=seed).value
 
     def _check_divisor(self, b, seed):
+        # the solved norm of the 1/K2-weighted sum is tensor_conj_norm / K2
         system = b.hankel.system
         k2 = system.row_bound
-        tcn = tensor_conj_norm(system, np.full(system.n, 1.0 / k2, dtype=np.complex128))
+        tcn = tensor_conj_norm(system) / k2
         cb = cb_certificate(b)
-        assert cb == b.eps * system.n ** -0.5 * tcn / k2
+        assert cb == pytest.approx(b.eps * system.n ** -0.5 * tcn / k2, rel=1e-12, abs=0)
         old = b.eps * system.n ** -0.5 * tcn / self._old_divisor(system, seed)
         assert cb == pytest.approx(old, rel=1e-12, abs=0)
 

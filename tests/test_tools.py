@@ -1,11 +1,12 @@
 """tools/freeze_thresholds.py is the only sanctioned way to regenerate
 src/pbnc/thresholds.json, tools/payload_digests.py compares payloads
-across commits, and tools/probe_cost.py counts the solves of a CAR
-pb_probe; importing them (without running main) makes a rename in src/
-that breaks a tool fail here, the digest tool's exit code is checked on
-a call that writes no payload, and the cost tool runs at n = 2 and pins
-the solve budget of the car_chain sweep.  The last test keeps src/pbnc free
-of code that only the tests call."""
+across commits, tools/probe_cost.py counts the solves of a CAR pb_probe
+and tools/src_size.py counts the code lines of src/pbnc; importing them
+(without running main) makes a rename in src/ that breaks a tool fail
+here, the digest tool's exit code is checked on a call that writes no
+payload, the size tool counts a small source, and the cost tool runs at
+n = 2 and pins the solve budget of the car_chain sweep.  The last test
+keeps src/pbnc free of code that only the tests call."""
 
 import ast
 import importlib.util
@@ -133,6 +134,23 @@ def test_probe_cost_tool_counts_a_car_probe(monkeypatch, capsys):
     fields = line.split()
     assert fields[0] == "2" and [int(f) for f in fields[2:5]] == [
         row["steps"], row["ascent_steps"], row["checks"]]
+
+
+def test_src_size_tool_counts_code_lines(monkeypatch, tmp_path, capsys):
+    tool = _tool(monkeypatch, "src_size")
+    source = ('"""Module docstring,\n\non three lines."""\n'
+              "\n"
+              "# a comment\n"
+              "def f(x):\n"
+              '    """One line."""\n'
+              "    return (x +  # a trailing comment\n"
+              "            1)\n"
+              'TEXT = """a string\nthat is code"""\n')
+    # code: def, return, its continuation and the two lines of TEXT
+    assert tool.count(source) == (11, 5)
+    (tmp_path / "m.py").write_text(source)
+    assert tool.main([str(tmp_path)]) == 0
+    assert capsys.readouterr().out.splitlines()[2:] == ["| m.py | 11 | 5 |", "| total | 11 | 5 |"]
 
 
 def test_car_sweep_solve_cost(monkeypatch):
