@@ -474,6 +474,30 @@ def _read_check(keys: _Keys) -> dict:
             "n_max": keys.get("n_max", 20, int), "car_n": keys.get("car_n", 3, int)}
 
 
+# the least level each sampled check reads; the most is L
+MC_LEAST_LEVEL = {"radial": 0, "fourier": 1, "multiplier": 2, "orthogonality": 1}
+
+
+def _check_mc_levels(chk: dict, spec: LacunarySpec, name: str) -> None:
+    """Refuse, naming the key under ``name``, a level or multiplier
+    frequency that the check's per-sample function would refuse on the
+    first path block."""
+    kind, n, L = chk["check"], chk["level"], spec.L
+    if kind not in MC_LEAST_LEVEL:
+        return
+    if not MC_LEAST_LEVEL[kind] <= n <= L:
+        raise ConfigurationError(
+            f"{name}.level = {n} is outside {MC_LEAST_LEVEL[kind]}..{L}, the levels "
+            f"a {kind} check reads at L = {L}")
+    if kind == "fourier" and n == 1 and spec.K[0] != 1:
+        raise ConfigurationError(
+            f"{name}.level = 1 needs K_1 = 1 (constant weights only reach frequency 1), "
+            f"and the spec has K_1 = {spec.K[0]}")
+    if kind == "multiplier" and not 2 ** (n - 1) < chk["k"] <= 2**n:
+        raise ConfigurationError(
+            f"{name}.k = {chk['k']} is outside the level-{n} dyadic block (2^{n - 1}, 2^{n}]")
+
+
 def _mc_estimator(chk: dict, rng: np.random.Generator, spec: LacunarySpec):
     """(samplers, finish, level) of one check: the per-sample functions of a
     path block its estimate streams through, and the map from their
@@ -529,6 +553,8 @@ def cmd_mc(cfg: dict, thresholds: dict, threads: int):
     keys.done()
     mcfg = MartingaleConfig(L=L, n_samples=n_samples, seed=seed)
     spec = lacunary_default(L)
+    for i, chk in enumerate(checks):
+        _check_mc_levels(chk, spec, f"checks[{i}]")
     plans, samplers = [], []  # plan: (check, level, finish, its slice of samplers)
     for i, chk in enumerate(checks):
         own, finish, level = _mc_estimator(chk, _seeded_rng(seed, 0xC8EC, i), spec)

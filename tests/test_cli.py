@@ -177,6 +177,25 @@ def test_unknown_key_is_refused_before_work(tmp_path, capsys, monkeypatch, comma
     # the ones family's 2D - 1 = 8193 basis vectors are above BASIS_MAX_N
     ("hankel", {"mode": "scan", "families": ["ones"], "D_list": [3, 4097]},
      "D_list[1] must be in 1..4096", "bound_scan"),
+    # an mc level outside the range its check kind reads, a fourier level 1
+    # while K_1 = 2, a multiplier frequency outside its level's dyadic block
+    ("mc", {"L": 6, "n_samples": 1_000_000, "checks": [{"check": "fourier", "level": 2,
+                                                         "degree": 7},
+                                                        {"check": "radial", "level": 9}]},
+     "checks[1].level = 9 is outside 0..6", "stream_estimates"),
+    ("mc", {"L": 4, "n_samples": 100, "checks": [{"check": "fourier"}]},
+     "checks[0].level = 0 is outside 1..4", "stream_estimates"),
+    ("mc", {"L": 4, "n_samples": 100, "checks": [{"check": "fourier", "level": 1}]},
+     "checks[0].level = 1 needs K_1 = 1", "stream_estimates"),
+    ("mc", {"L": 4, "n_samples": 100, "checks": [{"check": "multiplier", "level": 1, "k": 2}]},
+     "checks[0].level = 1 is outside 2..4", "stream_estimates"),
+    ("mc", {"L": 4, "n_samples": 100, "checks": [{"check": "orthogonality", "level": 5}]},
+     "checks[0].level = 5 is outside 1..4", "stream_estimates"),
+    ("mc", {"L": 4, "n_samples": 100, "checks": [{"check": "drift"},
+                                                  {"check": "multiplier", "level": 3, "k": 9}]},
+     "checks[1].k = 9 is outside the level-3 dyadic block", "stream_estimates"),
+    ("mc", {"L": 4, "n_samples": 100, "checks": [{"check": "multiplier", "level": 3, "k": 4}]},
+     "checks[0].k = 4 is outside the level-3 dyadic block", "stream_estimates"),
 ])
 def test_size_above_its_cap_is_refused_before_work(tmp_path, capsys, monkeypatch, command, doc,
                                                    message, work):
@@ -187,8 +206,8 @@ def test_size_above_its_cap_is_refused_before_work(tmp_path, capsys, monkeypatch
     # before its arrays are allocated, an fcn n, a probe depth L or a bundle
     # n whose default D = 2^n + 1 is above the flat budget before any row
     # runs or 2^n is formed, and an mc level whose radius 1 - 2^-n rounds to
-    # the one before (r_n^2 - r_{n-1}^2 = 0 in the eta weights) before any
-    # path is drawn
+    # the one before (r_n^2 - r_{n-1}^2 = 0 in the eta weights), or that its
+    # check cannot read, before any path is drawn
     def unreachable(*args, **kwargs):
         raise AssertionError("work ran before the size was checked")
 

@@ -13,6 +13,8 @@ from pbnc.martingale import (
     MartingaleConfig,
     McAccumulator,
     _eta_weights_at,
+    _increment,
+    _power,
     eta_modulus,
     eta_modulus_sup,
     fourier_samples,
@@ -23,7 +25,7 @@ from pbnc.martingale import (
     simulate_paths,
     stream_estimates,
 )
-from pbnc.numkit import Polynomial
+from pbnc.numkit import Polynomial, poly_eval
 
 
 def _rng(seed):
@@ -92,15 +94,26 @@ class TestSimulation:
         for k in range(paths.L + 1):
             assert paths.psi[:, k].flags.c_contiguous
 
+    @staticmethod
+    def _angles(n, L, seed):
+        """The (n, L) angles of the paths, drawn block by block in row-major
+        order from the children of SeedSequence(seed)."""
+        blocks = (n + SIM_BLOCK - 1) // SIM_BLOCK
+        return np.concatenate([
+            np.random.default_rng(child).uniform(
+                0.0, 2.0 * np.pi, size=(min(SIM_BLOCK, n - b * SIM_BLOCK), L))
+            for b, child in enumerate(np.random.SeedSequence(entropy=seed).spawn(blocks))])
+
     def test_matches_row_major_reference(self):
         n, L, seed = 2 * SIM_BLOCK + 5, 3, 11
         got = _paths(L=L, n=n, seed=seed)
+        t = np.tan(self._angles(n, L, seed) / 2.0)
         Z = np.empty((n, L), dtype=np.complex128)
+        Z.real = (1.0 - t * t) / (1.0 + t * t)
+        Z.imag = 2.0 * t / (1.0 + t * t)
         psi = np.zeros((n, L + 1), dtype=np.complex128)
-        for b, child in enumerate(np.random.SeedSequence(entropy=seed).spawn(3)):
+        for b in range(3):
             lo, hi = b * SIM_BLOCK, min((b + 1) * SIM_BLOCK, n)
-            theta = np.random.default_rng(child).uniform(0.0, 2.0 * np.pi, size=(hi - lo, L))
-            Z[lo:hi] = np.exp(1j * theta)
             for k in range(1, L + 1):
                 rk = radius(k)
                 w = psi[lo:hi, k - 1] / rk
@@ -109,6 +122,14 @@ class TestSimulation:
         assert got.renorm_count == 0
         assert np.ascontiguousarray(got.Z).tobytes() == Z.tobytes()
         assert np.ascontiguousarray(got.psi).tobytes() == psi.tobytes()
+
+    def test_draws_are_exp_itheta_to_two_ulp(self):
+        # the tan(theta / 2) form is not exp(i theta) bit for bit; both are
+        # unimodular to rounding, exp itself to 2.2e-16
+        n, L, seed = 3 * SIM_BLOCK, 4, 5
+        Z = _paths(L=L, n=n, seed=seed).Z
+        assert np.abs(Z - np.exp(1j * self._angles(n, L, seed))).max() <= 4.5e-16
+        assert np.abs(np.abs(Z) - 1.0).max() <= 4.5e-16
 
     def test_uniform_angles(self, paths):
         # psi_k is uniform on its circle: first moment ~ 0
@@ -149,6 +170,12 @@ class TestEtaWeights:
         with pytest.raises(errors.DomainError):
             eta_modulus_sup(1)
 
+    def test_binary_power_matches_numpy_power(self, paths):
+        z = np.conj(paths.psi[:, 4]) / radius(4)
+        for e in range(1, 65):
+            want = z**e
+            assert np.abs(_power(z, e) - want).max() <= e * 2.3e-16 * np.abs(want).max(), e
+
     def test_weights_unimodular_factor(self, paths):
         # |eta_{n-1}(k)| is the closed-form modulus on every path
         for n, k in ((3, 8), (3, 6), (5, 32)):
@@ -175,6 +202,12 @@ class TestFourierExtraction:
             est = _est(fourier_samples(paths, f, spec, n))
             target = f.coeffs[spec.K[n - 1]]
             assert abs(est.mean - target) <= 4.0 * est.stderr
+
+    def test_level_one_increment_is_horner_form(self, paths):
+        # psi_0 = 0, where Horner returns F-hat(0) bit for bit
+        f = Polynomial(_rng(12).standard_normal(9) + 1j * _rng(21).standard_normal(9))
+        horner = poly_eval(f, paths.psi[:, 1]) - poly_eval(f, paths.psi[:, 0])
+        assert _increment(paths, f, 1).tobytes() == horner.tobytes()
 
     def test_level_one_requires_unit_frequency(self, paths):
         f = Polynomial([0.0, 3.0 - 1j, 0.5])

@@ -94,7 +94,7 @@ def test_payload_digest_tool_dumps_and_compares(monkeypatch, tmp_path, capsys):
         return code, capsys.readouterr().out
 
     code, out = compare(lambda d: None)  # same fields, other bytes: no field moved
-    assert code == 0 and "| mc.ok | 0 | 0 |" in out
+    assert code == 0 and "| mc.ok | 0 | 0 |  | 0 |" in out
     assert tool.main(["--compare", str(dump_a), str(dump_a)]) == 0
     assert capsys.readouterr().out == "1/1 payloads identical\n"
 
@@ -105,7 +105,11 @@ def test_payload_digest_tool_dumps_and_compares(monkeypatch, tmp_path, capsys):
     code, out = compare(numeric)
     assert code == 0 and "0/1 payloads identical" in out
     row = [ln for ln in out.splitlines() if ln.startswith("| mc.ok |")]
-    assert row == ["| mc.ok | 2 | 0.5 |"]
+    # the row names the field that moved most, relatively, and by how much
+    assert row == ["| mc.ok | 2 | 0.5 | `config.seed` | 1 |"]
+    code, out = compare(lambda d: d["results"].update(n_samples=d["results"]["n_samples"] + 25))
+    row = [ln for ln in out.splitlines() if ln.startswith("| mc.ok |")]
+    assert row == ["| mc.ok | 1 | 0.2 | `results.n_samples` | 25 |"]
     # a boolean, a new field or a missing payload fails the comparison
     flag = next(iter(doc["pass"]))
     code, out = compare(lambda d: d["pass"].update({flag: not d["pass"][flag]}))

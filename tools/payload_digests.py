@@ -19,8 +19,9 @@ such directories (one per checkout, on the same machine)
     python3 tools/payload_digests.py --compare DIR_A DIR_B
 
 runs no call: it prints a Markdown table with one row per label whose
-payload differs, the number of fields that differ and the largest relative
-change |a - b| / max(|a|, |b|) of a numeric field.  Its exit code is 1 when
+payload differs, the number of fields that differ, the largest relative
+change |a - b| / max(|a|, |b|) of a numeric field, that field's dotted path
+and its absolute change |a - b|.  Its exit code is 1 when
 a non-numeric field differs or the two payloads of a label (or the two sets
 of labels) do not have the same fields, and 0 otherwise.
 """
@@ -159,20 +160,23 @@ def compare(dir_a: Path, dir_b: Path) -> int:
         fa, fb = _fields(json.loads(a.read_text())), _fields(json.loads(b.read_text()))
         if fa.keys() != fb.keys():
             broken.append(f"{label}: fields {sorted(fa.keys() ^ fb.keys())} in one payload only")
-        moved, worst = 0, 0.0
+        moved, worst, field, change = 0, 0.0, "", 0.0
         for key in sorted(fa.keys() & fb.keys()):
             x, y = fa[key], fb[key]
             if x == y:
                 continue
             moved += 1
-            if _is_number(x) and _is_number(y):
-                worst = max(worst, abs(x - y) / max(abs(x), abs(y)))
-            else:
+            if not (_is_number(x) and _is_number(y)):
                 broken.append(f"{label}: {key} {x!r} -> {y!r}")
-        rows.append(f"| {label} | {moved} | {worst:.2g} |")
+                continue
+            rel = abs(x - y) / max(abs(x), abs(y))
+            if rel > worst or not field:
+                worst, field, change = rel, f"`{key}`", abs(x - y)
+        rows.append(f"| {label} | {moved} | {worst:.2g} | {field} | {change:.2g} |")
     print(f"{same}/{len(order)} payloads identical")
     if rows:
-        print("\n| label | fields that differ | largest relative change |\n| --- | --- | --- |")
+        print("\n| label | fields that differ | largest relative change | in field "
+              "| its absolute change |\n| --- | --- | --- | --- | --- |")
         print("\n".join(rows))
     for line in broken:
         print(f"FAIL {line}")
