@@ -466,9 +466,14 @@ def _default_mc_checks(L: int) -> list[dict]:
 
 
 def _read_check(keys: _Keys) -> dict:
-    """One mc check's settings; ``k`` is required by a multiplier check."""
+    """One mc check's settings.  ``level`` is required by the checks that
+    cannot read level 0 (its default for the others), and ``k`` by a
+    multiplier check; a bridge reads its own depth, so it does not read
+    ``level`` and ``done()`` refuses one."""
     kind = keys.get("check", cast=MC_CHECKS)
-    return {"check": kind, "level": keys.get("level", 0, int),
+    level = None if kind == "bridge" else keys.get(
+        "level", _REQUIRED if MC_LEAST_LEVEL.get(kind, 0) > 0 else 0, int)
+    return {"check": kind, "level": level,
             "degree": keys.get("degree", 6, int, lo=0),
             "k": keys.get("k", _REQUIRED if kind == "multiplier" else None, int),
             "n_max": keys.get("n_max", 20, int), "car_n": keys.get("car_n", 3, int)}

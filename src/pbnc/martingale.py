@@ -42,13 +42,16 @@ chunks.  The chunks are the simulation blocks, and the per-sample functions
 take every elementwise product in one fixed operand order into a fresh array
 (never in place), so a sample's value does not depend on how many rows its
 batch holds.  ``stream_estimates`` therefore runs any ``n_samples`` with one
-block of ``SIM_BLOCK x (2L + 1)`` path values live at a time, and returns the
-same bits as one ``McAccumulator`` over the per-sample function of the full
-``simulate_paths(cfg)``.  It frees block b before drawing block b + 1, and
-``simulate_paths`` writes the unimodular draws straight into ``Z``, so at
-the peak one block is alive together with either the level recurrence's
-few column temporaries or one check's per-sample arrays: about 1.4 blocks
-under tracemalloc for the default L = 6 battery.
+workspace of ``SIM_BLOCK x (2L + 1)`` path values, allocated once and
+overwritten by each block in turn, and returns the same bits as one
+``McAccumulator`` over the per-sample function of the full
+``simulate_paths(cfg)``.  Reusing the workspace spares the allocator a
+fresh block-sized pair per block, which it would hand back to the system
+and fault in again every time.  The draws are written straight into ``Z``
+and each level's Moebius step straight into ``psi``, so at the peak the
+workspace is alive together with either the level recurrence's few column
+temporaries or one check's per-sample arrays: about 1.4 blocks under
+tracemalloc for the default L = 6 battery.
 """
 
 from __future__ import annotations
@@ -111,10 +114,14 @@ class MartingaleConfig:
 class PathBatch:
     """Simulated paths: Z unimodular draws (N x L), psi values (N x (L+1),
     column 0 identically zero).  N is ``config.n_samples`` for the whole
-    run, or the row count of the blocks a ``simulate_paths(cfg, blocks=...)``
-    call drew; ``n_samples`` is always N.  One block holds ``SIM_BLOCK``
+    run, the row count of the blocks a ``simulate_paths(cfg, blocks=...)``
+    call drew, or that of the one block ``stream_estimates`` hands its
+    samplers, whose arrays are views of a workspace that the next block
+    overwrites; ``n_samples`` is always N.  One block holds ``SIM_BLOCK``
     rows (the last one possibly fewer), i.e. ``SIM_BLOCK x (2L + 1)``
-    complex values.
+    complex values.  ``renorm_count`` counts the renormalized entries and
+    ``radial_drift`` is the largest | |psi_k| - r_k | over every entry of
+    levels 1..L, measured after renormalization.
 
     Both arrays are stored column-major (Fortran order): every estimator
     reads whole levels ``psi[:, k]`` and ``Z[:, k]``, and a contiguous
@@ -125,6 +132,7 @@ class PathBatch:
     Z: np.ndarray = field(repr=False)
     psi: np.ndarray = field(repr=False)
     renorm_count: int = 0
+    radial_drift: float = 0.0
 
     @property
     def L(self) -> int:
@@ -133,12 +141,6 @@ class PathBatch:
     @property
     def n_samples(self) -> int:
         return self.psi.shape[0]
-
-    def max_radial_drift(self) -> float:
-        drift = 0.0
-        for k in range(1, self.L + 1):
-            drift = max(drift, float(np.abs(np.abs(self.psi[:, k]) - radius(k)).max()))
-        return drift
 
 
 @dataclass(frozen=True)
@@ -204,19 +206,52 @@ def _unimodular(theta: np.ndarray, out: np.ndarray) -> None:
     np.divide(np.multiply(2.0, t), den, out=out.imag)
 
 
+def _draw_block(cfg: MartingaleConfig, b: int, Z: np.ndarray, psi: np.ndarray) -> PathBatch:
+    """Draw block b of ``cfg`` into ``Z`` and ``psi``, column-major arrays
+    with one row per path of the block (column 0 of ``psi`` zero on entry),
+    and return them as a ``PathBatch``.  The one level recurrence:
+    ``simulate_paths`` hands it row slices of a whole batch,
+    ``stream_estimates`` its one block workspace.  Every temporary is one
+    column long, and each Moebius step divides straight into ``psi[:, k]``."""
+    L = cfg.L
+    # the b-th child of SeedSequence(cfg.seed).spawn(...), built directly
+    child = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(b,))
+    theta = np.random.default_rng(child).uniform(0.0, 2.0 * np.pi, size=(psi.shape[0], L))
+    for k in range(L):
+        _unimodular(theta[:, k], out=Z[:, k])
+    del theta
+    renorms, max_drift = 0, 0.0
+    prev = psi[:, 0]
+    for k in range(1, L + 1):
+        rk = radius(k)
+        zk = Z[:, k - 1]
+        w = prev / rk
+        cur = psi[:, k]
+        np.divide(rk * (zk + w), 1.0 + np.conj(w) * zk, out=cur)
+        drift = np.abs(np.abs(cur) - rk)
+        bad = drift > RENORM_TOL
+        if np.any(bad):
+            renorms += int(bad.sum())
+            cur[bad] = cur[bad] / np.abs(cur[bad]) * rk
+            drift[bad] = np.abs(np.abs(cur[bad]) - rk)
+        max_drift = max(max_drift, float(drift.max()))
+        prev = cur
+    return PathBatch(config=cfg, Z=Z, psi=psi, renorm_count=renorms, radial_drift=max_drift)
+
+
 def simulate_paths(cfg: MartingaleConfig, blocks: range | None = None) -> PathBatch:
     """Independent paths in blocks of ``SIM_BLOCK`` rows, block b drawn from
     child b of ``SeedSequence(cfg.seed)``; accumulation order is fixed, so
     results are bit-stable per seed.  The modulus invariant |psi_k| = r_k is
     enforced by renormalization whenever rounding drifts past 1e-12;
-    occurrences are counted.
+    occurrences are counted, and the largest drift left is kept.
 
     By default all ``cfg.n_blocks`` blocks are drawn into one batch of
     ``cfg.n_samples`` rows, ``SIM_BLOCK x (2L + 1)`` complex values per block.
     ``blocks`` (a unit-step range of block indices) draws only those blocks:
-    their rows equal the same rows of the whole batch byte for byte, so
-    ``stream_estimates`` walks ``range(b, b + 1)`` for every b and never
-    holds more than one block.
+    their rows equal the same rows of the whole batch byte for byte, and so
+    do the rows ``stream_estimates`` draws into its one block workspace.
+    Each call returns freshly allocated arrays.
 
     ``Z`` and ``psi`` are allocated column-major, so each level is one
     contiguous column (see ``PathBatch``); a block's angles theta keep their
@@ -224,8 +259,7 @@ def simulate_paths(cfg: MartingaleConfig, blocks: range | None = None) -> PathBa
     Level k's column is ``Z[:, k] = ((1 - t^2) + 2it) / (1 + t^2)`` with
     ``t = tan(theta[:, k] / 2)``, real and imaginary parts each one
     correctly rounded division: Z equals exp(i theta) to within 2 ulp, not
-    bit for bit, and |Z| = 1 to within 2 ulp.  Every temporary is one
-    column long."""
+    bit for bit, and |Z| = 1 to within 2 ulp."""
     n, L = cfg.n_samples, cfg.L
     if blocks is None:
         blocks = range(cfg.n_blocks)
@@ -236,31 +270,14 @@ def simulate_paths(cfg: MartingaleConfig, blocks: range | None = None) -> PathBa
     rows = min(blocks.stop * SIM_BLOCK, n) - first
     Z = np.empty((rows, L), dtype=np.complex128, order="F")
     psi = np.zeros((rows, L + 1), dtype=np.complex128, order="F")
-    renorms = 0
+    renorms, drift = 0, 0.0
     for b in blocks:
         lo = b * SIM_BLOCK - first
         hi = min((b + 1) * SIM_BLOCK, n) - first
-        # the b-th child of SeedSequence(cfg.seed).spawn(...), built directly
-        child = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(b,))
-        rng = np.random.default_rng(child)
-        theta = rng.uniform(0.0, 2.0 * np.pi, size=(hi - lo, L))
-        for k in range(L):
-            _unimodular(theta[:, k], out=Z[lo:hi, k])
-        del theta
-        prev = np.zeros(hi - lo, dtype=np.complex128)
-        for k in range(1, L + 1):
-            rk = radius(k)
-            zk = Z[lo:hi, k - 1]
-            w = prev / rk
-            cur = rk * (zk + w) / (1.0 + np.conj(w) * zk)
-            drift = np.abs(np.abs(cur) - rk)
-            bad = drift > RENORM_TOL
-            if np.any(bad):
-                renorms += int(bad.sum())
-                cur[bad] = cur[bad] / np.abs(cur[bad]) * rk
-            psi[lo:hi, k] = cur
-            prev = cur
-    return PathBatch(config=cfg, Z=Z, psi=psi, renorm_count=renorms)
+        block = _draw_block(cfg, b, Z[lo:hi], psi[lo:hi])
+        renorms += block.renorm_count
+        drift = max(drift, block.radial_drift)
+    return PathBatch(config=cfg, Z=Z, psi=psi, renorm_count=renorms, radial_drift=drift)
 
 
 # ---------------------------------------------------------------------------
@@ -435,20 +452,26 @@ class BridgeForm:
 def stream_estimates(cfg: MartingaleConfig, samplers) -> tuple[list[McEstimate], float, int]:
     """One pass over the path blocks of ``cfg``: each sampler maps every
     ``SIM_BLOCK``-row block to its per-sample values, which feed that
-    sampler's ``McAccumulator``.  One block is alive at a time, so memory is
-    O(SIM_BLOCK * L) for any ``n_samples``.
+    sampler's ``McAccumulator``.  Every block is drawn into one workspace
+    allocated here (the last, shorter block into its leading rows), so
+    memory is O(SIM_BLOCK * L) for any ``n_samples`` and no block allocates
+    path arrays.  A sampler must not keep the batch it is given: the next
+    block overwrites it.
 
     Returns (estimates, max radial drift, renormalization count), equal to
     ``McAccumulator().add(samplers[i](paths)).estimate()``,
-    ``paths.max_radial_drift()`` and ``paths.renorm_count`` of
+    ``paths.radial_drift`` and ``paths.renorm_count`` of
     ``paths = simulate_paths(cfg)``, bit for bit."""
     accs = [McAccumulator() for _ in samplers]
     drift, renorms = 0.0, 0
+    rows = min(SIM_BLOCK, cfg.n_samples)
+    Z = np.empty((rows, cfg.L), dtype=np.complex128, order="F")
+    psi = np.zeros((rows, cfg.L + 1), dtype=np.complex128, order="F")
     for b in range(cfg.n_blocks):
-        paths = simulate_paths(cfg, blocks=range(b, b + 1))
-        drift = max(drift, paths.max_radial_drift())
+        rows = min(SIM_BLOCK, cfg.n_samples - b * SIM_BLOCK)
+        paths = _draw_block(cfg, b, Z[:rows], psi[:rows])
+        drift = max(drift, paths.radial_drift)
         renorms += paths.renorm_count
         for acc, sample in zip(accs, samplers):
             acc.add(sample(paths))
-        del paths  # block b is freed before block b + 1 is drawn
     return [acc.estimate() for acc in accs], drift, renorms

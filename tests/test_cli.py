@@ -102,6 +102,14 @@ WORK = ("row_bound", "build_hankel", "bound_scan", "pb_probe", "fcn_experiment",
     ("certify", {"system": "haar_unitary", "n": 2, "eps": -0.5},
      "eps must be a finite number >= 0"),
     ("sweep", {"system": "haar_unitary", "n_grid": [2], "eps": -0.5}, "eps must"),
+    # a level is required where the default 0 is not a level the kind reads
+    ("mc", {"L": 3, "n_samples": 100, "checks": [{"check": "fourier", "degree": 7}]},
+     "checks[0].level is required"),
+    ("mc", {"L": 3, "n_samples": 100, "checks": [{"check": "drift"},
+                                                  {"check": "multiplier", "k": 5}]},
+     "checks[1].level is required"),
+    ("mc", {"L": 3, "n_samples": 100, "checks": [{"check": "orthogonality"}]},
+     "checks[0].level is required"),
 ])
 def test_uncastable_value_is_config_error(tmp_path, capsys, monkeypatch, command, doc, key):
     # int([2]) is a TypeError, which must not surface as a traceback; every
@@ -130,6 +138,8 @@ def test_uncastable_value_is_config_error(tmp_path, capsys, monkeypatch, command
     # dim shapes only a Haar system
     ("coeffs", {"kind": "car", "n": 2, "dim": 7}, "'dim'"),
     ("certify", {"system": "car", "n": 2, "dim": 7}, "'dim'"),
+    # a bridge reads its own depth: a level there would be ignored
+    ("mc", {"L": 4, "n_samples": 100, "checks": [{"check": "bridge", "level": 9}]}, "'level'"),
 ])
 def test_unknown_key_is_refused_before_work(tmp_path, capsys, monkeypatch, command, doc, typo):
     def unreachable(*args, **kwargs):
@@ -183,7 +193,7 @@ def test_unknown_key_is_refused_before_work(tmp_path, capsys, monkeypatch, comma
                                                          "degree": 7},
                                                         {"check": "radial", "level": 9}]},
      "checks[1].level = 9 is outside 0..6", "stream_estimates"),
-    ("mc", {"L": 4, "n_samples": 100, "checks": [{"check": "fourier"}]},
+    ("mc", {"L": 4, "n_samples": 100, "checks": [{"check": "fourier", "level": 0}]},
      "checks[0].level = 0 is outside 1..4", "stream_estimates"),
     ("mc", {"L": 4, "n_samples": 100, "checks": [{"check": "fourier", "level": 1}]},
      "checks[0].level = 1 needs K_1 = 1", "stream_estimates"),
@@ -536,7 +546,7 @@ class TestMc:
         assert results["renorm_count"] == paths.renorm_count
         for i, (chk, row) in enumerate(zip(cli._default_mc_checks(L), results["checks"])):
             if chk["check"] == "drift":
-                assert row["estimate_re"] == paths.max_radial_drift()
+                assert row["estimate_re"] == paths.radial_drift
             elif chk["check"] != "eta_bound":
                 est = self._full_batch_row(paths, chk, i, seed)
                 assert complex(row["estimate_re"], row["estimate_im"]) == est.mean
