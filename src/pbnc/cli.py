@@ -37,6 +37,7 @@ import numpy as np
 
 from . import __version__
 from .coeff_systems import (
+    CAR_MAX_N,
     basis_vectors,
     car_dim,
     car_jordan_wigner,
@@ -78,6 +79,7 @@ from .hankel import (
 from .martingale import (
     BridgeForm,
     MartingaleConfig,
+    check_sample_level,
     eta_modulus_sup,
     fourier_samples,
     multiplier_samples,
@@ -168,8 +170,9 @@ class _Keys:
     def done(self) -> None:
         unknown = sorted(set(self.doc) - self._read)
         if unknown:
-            raise ConfigurationError(f"unknown {self._path or 'config'} key(s) {unknown}; "
-                                     f"allowed: {sorted(self._read)}")
+            names = ", ".join(self._name(key) for key in unknown)
+            raise ConfigurationError(f"unknown key(s) {names}: {unknown} not among "
+                                     f"{sorted(self._read)}")
         for child in self._nested:
             child.done()
 
@@ -450,7 +453,20 @@ def cmd_sweep(cfg: dict, thresholds: dict, threads: int):
     return results, flags, ("sweep.csv", csv_rows)
 
 
-MC_CHECKS = ("drift", "eta_bound", "radial", "fourier", "multiplier", "orthogonality", "bridge")
+# each mc check kind -> the keys it reads and their defaults; done() refuses
+# every other key of a check
+MC_CHECKS = {
+    "drift": {},
+    "eta_bound": {"n_max": 20},
+    "radial": {"level": 0, "degree": 6},
+    "fourier": {"level": _REQUIRED, "degree": 6},
+    "multiplier": {"level": _REQUIRED, "k": _REQUIRED, "degree": 6},
+    "orthogonality": {"level": _REQUIRED, "degree": 6},
+    "bridge": {"car_n": 3, "degree": 6},
+}
+# the least value of a key; martingale.check_sample_level rules level and k,
+# and cmd_mc the bridge's car_n
+MC_LEAST = {"n_max": 2, "degree": 0}
 
 
 def _default_mc_checks(L: int) -> list[dict]:
@@ -466,41 +482,10 @@ def _default_mc_checks(L: int) -> list[dict]:
 
 
 def _read_check(keys: _Keys) -> dict:
-    """One mc check's settings.  ``level`` is required by the checks that
-    cannot read level 0 (its default for the others), and ``k`` by a
-    multiplier check; a bridge reads its own depth, so it does not read
-    ``level`` and ``done()`` refuses one."""
-    kind = keys.get("check", cast=MC_CHECKS)
-    level = None if kind == "bridge" else keys.get(
-        "level", _REQUIRED if MC_LEAST_LEVEL.get(kind, 0) > 0 else 0, int)
-    return {"check": kind, "level": level,
-            "degree": keys.get("degree", 6, int, lo=0),
-            "k": keys.get("k", _REQUIRED if kind == "multiplier" else None, int),
-            "n_max": keys.get("n_max", 20, int), "car_n": keys.get("car_n", 3, int)}
-
-
-# the least level each sampled check reads; the most is L
-MC_LEAST_LEVEL = {"radial": 0, "fourier": 1, "multiplier": 2, "orthogonality": 1}
-
-
-def _check_mc_levels(chk: dict, spec: LacunarySpec, name: str) -> None:
-    """Refuse, naming the key under ``name``, a level or multiplier
-    frequency that the check's per-sample function would refuse on the
-    first path block."""
-    kind, n, L = chk["check"], chk["level"], spec.L
-    if kind not in MC_LEAST_LEVEL:
-        return
-    if not MC_LEAST_LEVEL[kind] <= n <= L:
-        raise ConfigurationError(
-            f"{name}.level = {n} is outside {MC_LEAST_LEVEL[kind]}..{L}, the levels "
-            f"a {kind} check reads at L = {L}")
-    if kind == "fourier" and n == 1 and spec.K[0] != 1:
-        raise ConfigurationError(
-            f"{name}.level = 1 needs K_1 = 1 (constant weights only reach frequency 1), "
-            f"and the spec has K_1 = {spec.K[0]}")
-    if kind == "multiplier" and not 2 ** (n - 1) < chk["k"] <= 2**n:
-        raise ConfigurationError(
-            f"{name}.k = {chk['k']} is outside the level-{n} dyadic block (2^{n - 1}, 2^{n}]")
+    """One mc check's settings: the keys its kind reads in ``MC_CHECKS``."""
+    kind = keys.get("check", cast=tuple(MC_CHECKS))
+    return {"check": kind, **{key: keys.get(key, default, int, lo=MC_LEAST.get(key))
+                              for key, default in MC_CHECKS[kind].items()}}
 
 
 def _mc_estimator(chk: dict, rng: np.random.Generator, spec: LacunarySpec):
@@ -510,7 +495,7 @@ def _mc_estimator(chk: dict, rng: np.random.Generator, spec: LacunarySpec):
     whose finish gives the closed-form sup, taken here so that a bad n_max
     is refused before any path is drawn.  The polynomials and vectors are
     drawn here, from the check's own generator, in a fixed order."""
-    kind, level = chk["check"], chk["level"]
+    kind, level = chk["check"], chk.get("level", 0)
     if kind == "drift":  # read off the stream
         return [], None, level
     if kind == "eta_bound":
@@ -559,7 +544,13 @@ def cmd_mc(cfg: dict, thresholds: dict, threads: int):
     mcfg = MartingaleConfig(L=L, n_samples=n_samples, seed=seed)
     spec = lacunary_default(L)
     for i, chk in enumerate(checks):
-        _check_mc_levels(chk, spec, f"checks[{i}]")
+        if "level" in chk:
+            check_sample_level(chk["check"], chk["level"], L, spec=spec, k=chk.get("k"),
+                               at=f"checks[{i}].")
+        if "car_n" in chk and not 1 <= chk["car_n"] <= min(L, CAR_MAX_N):
+            raise ConfigurationError(
+                f"checks[{i}].car_n = {chk['car_n']} is outside 1..{min(L, CAR_MAX_N)}: a bridge "
+                f"reads levels 1..car_n of paths of depth L = {L}, on car_n <= {CAR_MAX_N} modes")
     plans, samplers = [], []  # plan: (check, level, finish, its slice of samplers)
     for i, chk in enumerate(checks):
         own, finish, level = _mc_estimator(chk, _seeded_rng(seed, 0xC8EC, i), spec)

@@ -81,6 +81,8 @@ def _last_distinct_level() -> int:
 
 
 MAX_LEVEL = _last_distinct_level()
+# the least level each per-sample function reads; the most is the path depth
+LEAST_LEVEL = {"radial": 0, "fourier": 1, "multiplier": 2, "orthogonality": 1}
 
 
 def _check_level(name: str, n: int) -> None:
@@ -90,6 +92,39 @@ def _check_level(name: str, n: int) -> None:
         raise ConfigurationError(
             f"{name} = {n} is above {MAX_LEVEL}, the last level whose radius 1 - 2^-n "
             "differs from the one before in float64")
+
+
+def check_sample_level(kind: str, n: int, L: int, *, spec: LacunarySpec | None = None,
+                       k: int | None = None, at: str = "") -> None:
+    """Raise ConfigurationError, naming the key ``<at>level`` or ``<at>k``,
+    for a level ``n`` or a frequency that the ``kind`` per-sample function
+    cannot read from paths of depth ``L``.  The one source of truth for
+    these rules: ``radial_samples``, ``fourier_samples``,
+    ``multiplier_samples`` and ``orthogonality_samples`` call it on every
+    block, and ``pbnc mc`` on each check of its config before any path is
+    drawn.
+
+    * A kind reads levels ``LEAST_LEVEL[kind]``..L, and a fourier check no
+      deeper than its ``spec``.
+    * A fourier check at level 1 extracts K_1 of ``spec``, which must be 1:
+      predictable weights are constants there, and constant weights only
+      reach frequency 1.
+    * A multiplier check at level n extracts a frequency ``k`` of the
+      level-n dyadic block 2^{n-1} < k <= 2^n, where ``LacunarySpec``
+      already puts a fourier check's K_n."""
+    if kind == "fourier":
+        L = min(L, spec.L)
+    lo = LEAST_LEVEL[kind]
+    if not lo <= n <= L:
+        raise ConfigurationError(
+            f"{at}level = {n} is outside {lo}..{L}, the levels a {kind} check reads at L = {L}")
+    if kind == "fourier" and n == 1 and spec.K[0] != 1:
+        raise ConfigurationError(
+            f"{at}level = 1 needs K_1 = 1 (constant weights only reach frequency 1), "
+            f"and the spec has K_1 = {spec.K[0]}")
+    if kind == "multiplier" and not 2 ** (n - 1) < k <= 2**n:
+        raise ConfigurationError(
+            f"{at}k = {k} is outside the level-{n} dyadic block (2^{n - 1}, 2^{n}]")
 
 
 @dataclass(frozen=True)
@@ -114,12 +149,11 @@ class MartingaleConfig:
 class PathBatch:
     """Simulated paths: Z unimodular draws (N x L), psi values (N x (L+1),
     column 0 identically zero).  N is ``config.n_samples`` for the whole
-    run, the row count of the blocks a ``simulate_paths(cfg, blocks=...)``
-    call drew, or that of the one block ``stream_estimates`` hands its
-    samplers, whose arrays are views of a workspace that the next block
-    overwrites; ``n_samples`` is always N.  One block holds ``SIM_BLOCK``
-    rows (the last one possibly fewer), i.e. ``SIM_BLOCK x (2L + 1)``
-    complex values.  ``renorm_count`` counts the renormalized entries and
+    run of ``simulate_paths``, or the row count of the one block
+    ``stream_estimates`` hands its samplers, whose arrays are views of a
+    workspace that the next block overwrites; ``n_samples`` is always N.
+    One block holds ``SIM_BLOCK`` rows (the last one possibly fewer), i.e.
+    ``SIM_BLOCK x (2L + 1)`` complex values.  ``renorm_count`` counts the renormalized entries and
     ``radial_drift`` is the largest | |psi_k| - r_k | over every entry of
     levels 1..L, measured after renormalization.
 
@@ -239,19 +273,17 @@ def _draw_block(cfg: MartingaleConfig, b: int, Z: np.ndarray, psi: np.ndarray) -
     return PathBatch(config=cfg, Z=Z, psi=psi, renorm_count=renorms, radial_drift=max_drift)
 
 
-def simulate_paths(cfg: MartingaleConfig, blocks: range | None = None) -> PathBatch:
+def simulate_paths(cfg: MartingaleConfig) -> PathBatch:
     """Independent paths in blocks of ``SIM_BLOCK`` rows, block b drawn from
     child b of ``SeedSequence(cfg.seed)``; accumulation order is fixed, so
     results are bit-stable per seed.  The modulus invariant |psi_k| = r_k is
     enforced by renormalization whenever rounding drifts past 1e-12;
     occurrences are counted, and the largest drift left is kept.
 
-    By default all ``cfg.n_blocks`` blocks are drawn into one batch of
-    ``cfg.n_samples`` rows, ``SIM_BLOCK x (2L + 1)`` complex values per block.
-    ``blocks`` (a unit-step range of block indices) draws only those blocks:
-    their rows equal the same rows of the whole batch byte for byte, and so
-    do the rows ``stream_estimates`` draws into its one block workspace.
-    Each call returns freshly allocated arrays.
+    All ``cfg.n_blocks`` blocks are drawn into one batch of ``cfg.n_samples``
+    rows, ``SIM_BLOCK x (2L + 1)`` complex values per block, freshly
+    allocated on each call; a block's rows equal, byte for byte, the rows
+    ``stream_estimates`` draws into its one block workspace.
 
     ``Z`` and ``psi`` are allocated column-major, so each level is one
     contiguous column (see ``PathBatch``); a block's angles theta keep their
@@ -261,20 +293,12 @@ def simulate_paths(cfg: MartingaleConfig, blocks: range | None = None) -> PathBa
     correctly rounded division: Z equals exp(i theta) to within 2 ulp, not
     bit for bit, and |Z| = 1 to within 2 ulp."""
     n, L = cfg.n_samples, cfg.L
-    if blocks is None:
-        blocks = range(cfg.n_blocks)
-    if blocks.step != 1 or not 0 <= blocks.start < blocks.stop <= cfg.n_blocks:
-        raise ConfigurationError(
-            f"blocks {blocks} is not a unit-step range inside 0..{cfg.n_blocks}")
-    first = blocks.start * SIM_BLOCK
-    rows = min(blocks.stop * SIM_BLOCK, n) - first
-    Z = np.empty((rows, L), dtype=np.complex128, order="F")
-    psi = np.zeros((rows, L + 1), dtype=np.complex128, order="F")
+    Z = np.empty((n, L), dtype=np.complex128, order="F")
+    psi = np.zeros((n, L + 1), dtype=np.complex128, order="F")
     renorms, drift = 0, 0.0
-    for b in blocks:
-        lo = b * SIM_BLOCK - first
-        hi = min((b + 1) * SIM_BLOCK, n) - first
-        block = _draw_block(cfg, b, Z[lo:hi], psi[lo:hi])
+    for b in range(cfg.n_blocks):
+        rows = slice(b * SIM_BLOCK, min((b + 1) * SIM_BLOCK, n))
+        block = _draw_block(cfg, b, Z[rows], psi[rows])
         renorms += block.renorm_count
         drift = max(drift, block.radial_drift)
     return PathBatch(config=cfg, Z=Z, psi=psi, renorm_count=renorms, radial_drift=drift)
@@ -286,8 +310,7 @@ def simulate_paths(cfg: MartingaleConfig, blocks: range | None = None) -> PathBa
 
 def radial_samples(paths: PathBatch, f: Polynomial, k: int) -> np.ndarray:
     """Per-path F(psi_k) - F-hat(0); its mean is 0 in expectation."""
-    if not 0 <= k <= paths.L:
-        raise ConfigurationError(f"level {k} outside 0..{paths.L}")
+    check_sample_level("radial", k, paths.L)
     return poly_eval(f, paths.psi[:, k]) - f.coeffs[0]
 
 
@@ -345,15 +368,8 @@ def fourier_samples(paths: PathBatch, f: Polynomial, spec: LacunarySpec, n: int)
     """Per-path eta_{n-1} conj(Z_n) (F(psi_n) - F(psi_{n-1})), whose mean
     is F-hat(K_n) in expectation.  Level 1 requires K_1 = 1 (predictable
     weights are constant there) and uses eta_0 = 1/r_1."""
-    if not 1 <= n <= paths.L:
-        raise ConfigurationError(f"level {n} outside 1..{paths.L}")
-    if n > spec.L:
-        raise ConfigurationError(f"level {n} beyond spec depth {spec.L}")
+    check_sample_level("fourier", n, paths.L, spec=spec)
     if n == 1:
-        if spec.K[0] != 1:
-            raise ConfigurationError(
-                "level-1 extraction requires K_1 = 1: constant weights only reach frequency 1"
-            )
         return _product(np.conj(paths.Z[:, 0]), 1.0 / radius(1), _increment(paths, f, 1))
     # the block-top case is in-block extraction at k = K_n; one code path
     # keeps the two estimators bit-identical there
@@ -365,14 +381,7 @@ def multiplier_samples(paths: PathBatch, f: Polynomial, n: int, k: int) -> np.nd
     expectation for any k in the level-n dyadic block 2^{n-1} < k <= 2^n;
     the weight swaps K_n for k in both the exponent (k - 1) and the
     modulus."""
-    if n < 2:
-        raise ConfigurationError("multiplier_samples needs level n >= 2")
-    if not (2 ** (n - 1) < k <= 2**n):
-        raise ConfigurationError(
-            f"frequency {k} outside the level-{n} dyadic block (2^{n-1}, 2^{n}]"
-        )
-    if n > paths.L:
-        raise ConfigurationError(f"level {n} beyond simulated depth {paths.L}")
+    check_sample_level("multiplier", n, paths.L, k=k)
     eta = _eta_weights_at(paths, n, k)
     return _product(np.conj(paths.Z[:, n - 1]), eta, _increment(paths, f, n))
 
@@ -387,8 +396,7 @@ def orthogonality_samples(
     """Per-path conj(Z_n) dF_n dG_n phi(psi_{n-1}); its mean is 0 in
     expectation, since both increments are Z_n-analytic with zero constant
     term."""
-    if not 1 <= n <= paths.L:
-        raise ConfigurationError(f"level {n} outside 1..{paths.L}")
+    check_sample_level("orthogonality", n, paths.L)
     factors = [np.conj(paths.Z[:, n - 1]), _increment(paths, f, n), _increment(paths, g, n)]
     if phi is not None:
         factors.append(phi(paths.psi[:, n - 1]))

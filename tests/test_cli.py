@@ -140,6 +140,25 @@ def test_uncastable_value_is_config_error(tmp_path, capsys, monkeypatch, command
     ("certify", {"system": "car", "n": 2, "dim": 7}, "'dim'"),
     # a bridge reads its own depth: a level there would be ignored
     ("mc", {"L": 4, "n_samples": 100, "checks": [{"check": "bridge", "level": 9}]}, "'level'"),
+    # each mc kind reads only its own keys, and names the one it ignores
+    ("mc", {"L": 3, "n_samples": 100, "checks": [{"check": "drift", "level": 40}]},
+     "checks[0].level"),
+    ("mc", {"L": 3, "n_samples": 100, "checks": [{"check": "drift", "degree": 99}]},
+     "checks[0].degree"),
+    ("mc", {"L": 3, "n_samples": 100, "checks": [{"check": "eta_bound", "degree": 4}]},
+     "checks[0].degree"),
+    ("mc", {"L": 3, "n_samples": 100, "checks": [{"check": "eta_bound", "level": 2}]},
+     "checks[0].level"),
+    ("mc", {"L": 3, "n_samples": 1000, "checks": [{"check": "radial", "level": 2, "car_n": 9,
+                                                   "n_max": 3, "k": 77}]}, "checks[0].car_n"),
+    ("mc", {"L": 3, "n_samples": 100, "checks": [{"check": "drift"},
+                                                 {"check": "fourier", "level": 2, "k": 4}]},
+     "checks[1].k"),
+    ("mc", {"L": 3, "n_samples": 100, "checks": [{"check": "multiplier", "level": 3, "k": 6,
+                                                  "n_max": 5}]}, "checks[0].n_max"),
+    ("mc", {"L": 3, "n_samples": 100, "checks": [{"check": "orthogonality", "level": 2,
+                                                  "car_n": 2}]}, "checks[0].car_n"),
+    ("mc", {"L": 3, "n_samples": 100, "checks": [{"check": "bridge", "k": 4}]}, "checks[0].k"),
 ])
 def test_unknown_key_is_refused_before_work(tmp_path, capsys, monkeypatch, command, doc, typo):
     def unreachable(*args, **kwargs):
@@ -206,6 +225,17 @@ def test_unknown_key_is_refused_before_work(tmp_path, capsys, monkeypatch, comma
      "checks[1].k = 9 is outside the level-3 dyadic block", "stream_estimates"),
     ("mc", {"L": 4, "n_samples": 100, "checks": [{"check": "multiplier", "level": 3, "k": 4}]},
      "checks[0].k = 4 is outside the level-3 dyadic block", "stream_estimates"),
+    # a bridge depth deeper than the paths or outside the CAR range, an
+    # eta_bound n_max below the first level it reads
+    ("mc", {"L": 3, "n_samples": 100, "checks": [{"check": "bridge", "car_n": 5}]},
+     "checks[0].car_n = 5 is outside 1..3", "stream_estimates"),
+    ("mc", {"L": 3, "n_samples": 100, "checks": [{"check": "bridge", "car_n": 0}]},
+     "checks[0].car_n = 0 is outside 1..3", "car_jordan_wigner"),
+    ("mc", {"L": 20, "n_samples": 100, "checks": [{"check": "bridge", "car_n": 13}]},
+     "checks[0].car_n = 13 is outside 1..12", "car_jordan_wigner"),
+    ("mc", {"L": 4, "n_samples": 100, "checks": [{"check": "drift"},
+                                                  {"check": "eta_bound", "n_max": 1}]},
+     "checks[1].n_max must be an integer >= 2", "eta_modulus_sup"),
 ])
 def test_size_above_its_cap_is_refused_before_work(tmp_path, capsys, monkeypatch, command, doc,
                                                    message, work):
@@ -217,7 +247,8 @@ def test_size_above_its_cap_is_refused_before_work(tmp_path, capsys, monkeypatch
     # n whose default D = 2^n + 1 is above the flat budget before any row
     # runs or 2^n is formed, and an mc level whose radius 1 - 2^-n rounds to
     # the one before (r_n^2 - r_{n-1}^2 = 0 in the eta weights), or that its
-    # check cannot read, before any path is drawn
+    # check cannot read, and a bridge car_n or eta_bound n_max outside its
+    # range, before any path is drawn or CAR system built
     def unreachable(*args, **kwargs):
         raise AssertionError("work ran before the size was checked")
 

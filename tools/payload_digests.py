@@ -49,7 +49,7 @@ from pbnc.cli import run
 
 SCAN_PROBE = {"n_random": 16, "ascent_restarts": 2, "ascent_steps": 24}
 # one check of every kind, each setting away from its default
-MC_CHECKS = [{"check": "drift", "level": 1}, {"check": "eta_bound", "n_max": 12},
+MC_CHECKS = [{"check": "drift"}, {"check": "eta_bound", "n_max": 12},
              {"check": "radial", "level": 3, "degree": 5},
              {"check": "fourier", "level": 2, "degree": 7},
              {"check": "multiplier", "level": 3, "k": 5, "degree": 8},
