@@ -57,7 +57,6 @@ from .martingale import (
     PathBatch,
     eta_modulus,
     eta_modulus_sup,
-    simulate_paths,
 )
 from .numkit import (
     NormEstimate,

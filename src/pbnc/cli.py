@@ -79,6 +79,7 @@ from .hankel import (
 from .martingale import (
     BridgeForm,
     MartingaleConfig,
+    check_level,
     check_sample_level,
     eta_modulus_sup,
     fourier_samples,
@@ -298,13 +299,12 @@ def cmd_hankel(cfg: dict, thresholds: dict, threads: int):
         "norm_gtf": probe.norm_gtf,
         "sup_f": probe.sup_f,
     }
-    # structural identities: blocks (i, j) and (j, i) of the materialized
-    # matrix agree, and every block equals the symbol m(q)/q * C_phi(q)
-    # rebuilt from multiplier, map and system
-    hankel_exact = np.array_equal(blocks, blocks.transpose(2, 1, 0, 3))
+    # structural identity: every block (i, j) of the materialized matrix
+    # equals the symbol m(q)/q * C_phi(q) of q = i + j alone, rebuilt from
+    # multiplier, map and system, so the matrix is block Hankel as well
     roundtrip_exact = all(np.array_equal(blocks[i, :, j, :], symbol_block(g, i, j))
                           for i in range(d) for j in range(d))
-    flags = {"hankel_property": hankel_exact, "symbol_roundtrip": roundtrip_exact}
+    flags = {"symbol_roundtrip": roundtrip_exact}
     return results, flags, None
 
 
@@ -465,7 +465,7 @@ MC_CHECKS = {
     "bridge": {"car_n": 3, "degree": 6},
 }
 # the least value of a key; martingale.check_sample_level rules level and k,
-# and cmd_mc the bridge's car_n
+# martingale.check_level the greatest n_max, and cmd_mc the bridge's car_n
 MC_LEAST = {"n_max": 2, "degree": 0}
 
 
@@ -492,9 +492,9 @@ def _mc_estimator(chk: dict, rng: np.random.Generator, spec: LacunarySpec):
     """(samplers, finish, level) of one check: the per-sample functions of a
     path block its estimate streams through, and the map from their
     estimates to (estimate, target); no samplers for drift and eta_bound,
-    whose finish gives the closed-form sup, taken here so that a bad n_max
-    is refused before any path is drawn.  The polynomials and vectors are
-    drawn here, from the check's own generator, in a fixed order."""
+    whose finish gives the closed-form sup, taken here.  The polynomials
+    and vectors are drawn here, from the check's own generator, in a fixed
+    order."""
     kind, level = chk["check"], chk.get("level", 0)
     if kind == "drift":  # read off the stream
         return [], None, level
@@ -547,6 +547,8 @@ def cmd_mc(cfg: dict, thresholds: dict, threads: int):
         if "level" in chk:
             check_sample_level(chk["check"], chk["level"], L, spec=spec, k=chk.get("k"),
                                at=f"checks[{i}].")
+        if "n_max" in chk:
+            check_level(f"checks[{i}].n_max", chk["n_max"])
         if "car_n" in chk and not 1 <= chk["car_n"] <= min(L, CAR_MAX_N):
             raise ConfigurationError(
                 f"checks[{i}].car_n = {chk['car_n']} is outside 1..{min(L, CAR_MAX_N)}: a bridge "

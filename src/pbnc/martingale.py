@@ -18,9 +18,10 @@ is built to satisfy, each as the mean of one per-sample function:
 * ``fourier_samples``, ``multiplier_samples``: predictable weights eta_{n-1}
   make E[eta_{n-1} conj(Z_n) (F(psi_n) - F(psi_{n-1}))] = F-hat(K_n),
   with |eta_{n-1}| path-independent and explicitly bounded;
-* ``orthogonality_samples``: E[conj(Z_n) dF_n dG_n phi_{n-1}] = 0, because
-  both increments are analytic in Z_n with zero constant term, so their
-  product has no Z_n^1 coefficient;
+* ``orthogonality_samples``: E[conj(Z_n) dF_n dG_n] = 0, and so is the
+  mean times any predictable weight phi_{n-1}, because both increments are
+  analytic in Z_n with zero constant term, so their product has no Z_n^1
+  coefficient;
 * ``BridgeForm``: the extracted coefficients assemble the same bilinear
   form that the flattened Hankel matrix computes exactly.
 
@@ -34,7 +35,8 @@ conj(xi_{n-1})^{k-1} * r_n / ((r_n^2 - r_{n-1}^2) * k * r_{n-1}^{k-1});
 the k-1 exponent is forced by consistency with the K_n case.
 
 Memory model.  Paths are simulated in blocks of ``SIM_BLOCK`` rows, each
-from its own ``SeedSequence`` child, and every estimator is a per-sample
+from its own ``SeedSequence`` child, by one kernel, ``_draw_block``, which
+one driver, ``stream_estimates``, runs.  Every estimator is a per-sample
 function (``radial_samples``, ``fourier_samples``, ``multiplier_samples``,
 ``orthogonality_samples``) followed by one reducer, ``McAccumulator``: a
 Chan-Golub-LeVeque pairwise merge of (count, mean, M2) over ``SIM_BLOCK``-row
@@ -44,8 +46,8 @@ take every elementwise product in one fixed operand order into a fresh array
 batch holds.  ``stream_estimates`` therefore runs any ``n_samples`` with one
 workspace of ``SIM_BLOCK x (2L + 1)`` path values, allocated once and
 overwritten by each block in turn, and returns the same bits as one
-``McAccumulator`` over the per-sample function of the full
-``simulate_paths(cfg)``.  Reusing the workspace spares the allocator a
+``McAccumulator`` over the per-sample function of all the blocks drawn into
+one batch.  Reusing the workspace spares the allocator a
 fresh block-sized pair per block, which it would hand back to the system
 and fault in again every time.  The draws are written straight into ``Z``
 and each level's Moebius step straight into ``psi``, so at the peak the
@@ -85,7 +87,7 @@ MAX_LEVEL = _last_distinct_level()
 LEAST_LEVEL = {"radial": 0, "fourier": 1, "multiplier": 2, "orthogonality": 1}
 
 
-def _check_level(name: str, n: int) -> None:
+def check_level(name: str, n: int) -> None:
     """Raise ConfigurationError for a level ``n`` above MAX_LEVEL, naming
     the setting ``name`` it came from."""
     if n > MAX_LEVEL:
@@ -136,7 +138,7 @@ class MartingaleConfig:
     def __post_init__(self):
         if self.L < 1:
             raise ConfigurationError("MartingaleConfig needs L >= 1")
-        _check_level("L", self.L)
+        check_level("L", self.L)
         if self.n_samples < 1:
             raise ConfigurationError("n_samples must be positive")
 
@@ -147,13 +149,11 @@ class MartingaleConfig:
 
 @dataclass
 class PathBatch:
-    """Simulated paths: Z unimodular draws (N x L), psi values (N x (L+1),
-    column 0 identically zero).  N is ``config.n_samples`` for the whole
-    run of ``simulate_paths``, or the row count of the one block
-    ``stream_estimates`` hands its samplers, whose arrays are views of a
-    workspace that the next block overwrites; ``n_samples`` is always N.
-    One block holds ``SIM_BLOCK`` rows (the last one possibly fewer), i.e.
-    ``SIM_BLOCK x (2L + 1)`` complex values.  ``renorm_count`` counts the renormalized entries and
+    """One block of simulated paths: Z unimodular draws (N x L), psi values
+    (N x (L+1), column 0 identically zero), N the block's rows: ``SIM_BLOCK``,
+    or fewer in the last block.  ``stream_estimates`` hands each block to
+    its samplers as views of one workspace, which the next block
+    overwrites.  ``renorm_count`` counts the renormalized entries and
     ``radial_drift`` is the largest | |psi_k| - r_k | over every entry of
     levels 1..L, measured after renormalization.
 
@@ -162,7 +162,6 @@ class PathBatch:
     column is what ``poly_eval``'s chunked Horner streams through cache.
     Shapes and indexing are those of any (N, L) array."""
 
-    config: MartingaleConfig
     Z: np.ndarray = field(repr=False)
     psi: np.ndarray = field(repr=False)
     renorm_count: int = 0
@@ -170,11 +169,7 @@ class PathBatch:
 
     @property
     def L(self) -> int:
-        return self.config.L
-
-    @property
-    def n_samples(self) -> int:
-        return self.psi.shape[0]
+        return self.Z.shape[1]
 
 
 @dataclass(frozen=True)
@@ -243,10 +238,17 @@ def _unimodular(theta: np.ndarray, out: np.ndarray) -> None:
 def _draw_block(cfg: MartingaleConfig, b: int, Z: np.ndarray, psi: np.ndarray) -> PathBatch:
     """Draw block b of ``cfg`` into ``Z`` and ``psi``, column-major arrays
     with one row per path of the block (column 0 of ``psi`` zero on entry),
-    and return them as a ``PathBatch``.  The one level recurrence:
-    ``simulate_paths`` hands it row slices of a whole batch,
-    ``stream_estimates`` its one block workspace.  Every temporary is one
-    column long, and each Moebius step divides straight into ``psi[:, k]``."""
+    and return them as a ``PathBatch``.  The one level recurrence, which
+    ``stream_estimates`` runs on its one block workspace.  Every temporary
+    is one column long, and each Moebius step divides straight into
+    ``psi[:, k]``.
+
+    Block b's angles theta are drawn from child b of
+    ``SeedSequence(cfg.seed)`` in their row-major (rows, L) shape, so the
+    values do not depend on the layout.  The modulus invariant
+    |psi_k| = r_k is enforced by renormalization whenever rounding drifts
+    past ``RENORM_TOL``; occurrences are counted, and the largest drift
+    left is kept."""
     L = cfg.L
     # the b-th child of SeedSequence(cfg.seed).spawn(...), built directly
     child = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(b,))
@@ -270,38 +272,7 @@ def _draw_block(cfg: MartingaleConfig, b: int, Z: np.ndarray, psi: np.ndarray) -
             drift[bad] = np.abs(np.abs(cur[bad]) - rk)
         max_drift = max(max_drift, float(drift.max()))
         prev = cur
-    return PathBatch(config=cfg, Z=Z, psi=psi, renorm_count=renorms, radial_drift=max_drift)
-
-
-def simulate_paths(cfg: MartingaleConfig) -> PathBatch:
-    """Independent paths in blocks of ``SIM_BLOCK`` rows, block b drawn from
-    child b of ``SeedSequence(cfg.seed)``; accumulation order is fixed, so
-    results are bit-stable per seed.  The modulus invariant |psi_k| = r_k is
-    enforced by renormalization whenever rounding drifts past 1e-12;
-    occurrences are counted, and the largest drift left is kept.
-
-    All ``cfg.n_blocks`` blocks are drawn into one batch of ``cfg.n_samples``
-    rows, ``SIM_BLOCK x (2L + 1)`` complex values per block, freshly
-    allocated on each call; a block's rows equal, byte for byte, the rows
-    ``stream_estimates`` draws into its one block workspace.
-
-    ``Z`` and ``psi`` are allocated column-major, so each level is one
-    contiguous column (see ``PathBatch``); a block's angles theta keep their
-    row-major (block, L) shape, so the values do not depend on the layout.
-    Level k's column is ``Z[:, k] = ((1 - t^2) + 2it) / (1 + t^2)`` with
-    ``t = tan(theta[:, k] / 2)``, real and imaginary parts each one
-    correctly rounded division: Z equals exp(i theta) to within 2 ulp, not
-    bit for bit, and |Z| = 1 to within 2 ulp."""
-    n, L = cfg.n_samples, cfg.L
-    Z = np.empty((n, L), dtype=np.complex128, order="F")
-    psi = np.zeros((n, L + 1), dtype=np.complex128, order="F")
-    renorms, drift = 0, 0.0
-    for b in range(cfg.n_blocks):
-        rows = slice(b * SIM_BLOCK, min((b + 1) * SIM_BLOCK, n))
-        block = _draw_block(cfg, b, Z[rows], psi[rows])
-        renorms += block.renorm_count
-        drift = max(drift, block.radial_drift)
-    return PathBatch(config=cfg, Z=Z, psi=psi, renorm_count=renorms, radial_drift=drift)
+    return PathBatch(Z=Z, psi=psi, renorm_count=renorms, radial_drift=max_drift)
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +302,7 @@ def eta_modulus_sup(n_max: int) -> float:
     one-time peak at n = 2."""
     if n_max < 2:
         raise DomainError("n_max must be >= 2")
-    _check_level("n_max", n_max)
+    check_level("n_max", n_max)
     return max(eta_modulus(n, 2**n) for n in range(2, n_max + 1))
 
 
@@ -390,17 +361,11 @@ def multiplier_samples(paths: PathBatch, f: Polynomial, n: int, k: int) -> np.nd
 # orthogonality
 
 
-def orthogonality_samples(
-    paths: PathBatch, f: Polynomial, g: Polynomial, n: int, phi=None
-) -> np.ndarray:
-    """Per-path conj(Z_n) dF_n dG_n phi(psi_{n-1}); its mean is 0 in
-    expectation, since both increments are Z_n-analytic with zero constant
-    term."""
+def orthogonality_samples(paths: PathBatch, f: Polynomial, g: Polynomial, n: int) -> np.ndarray:
+    """Per-path conj(Z_n) dF_n dG_n; its mean is 0 in expectation, since
+    both increments are Z_n-analytic with zero constant term."""
     check_sample_level("orthogonality", n, paths.L)
-    factors = [np.conj(paths.Z[:, n - 1]), _increment(paths, f, n), _increment(paths, g, n)]
-    if phi is not None:
-        factors.append(phi(paths.psi[:, n - 1]))
-    return _product(*factors)
+    return _product(np.conj(paths.Z[:, n - 1]), _increment(paths, f, n), _increment(paths, g, n))
 
 
 # ---------------------------------------------------------------------------
@@ -458,18 +423,18 @@ class BridgeForm:
 
 
 def stream_estimates(cfg: MartingaleConfig, samplers) -> tuple[list[McEstimate], float, int]:
-    """One pass over the path blocks of ``cfg``: each sampler maps every
-    ``SIM_BLOCK``-row block to its per-sample values, which feed that
-    sampler's ``McAccumulator``.  Every block is drawn into one workspace
-    allocated here (the last, shorter block into its leading rows), so
-    memory is O(SIM_BLOCK * L) for any ``n_samples`` and no block allocates
-    path arrays.  A sampler must not keep the batch it is given: the next
-    block overwrites it.
+    """The one driver of the path simulation: one pass over the path blocks
+    of ``cfg``, each sampler mapping every ``SIM_BLOCK``-row block to its
+    per-sample values, which feed that sampler's ``McAccumulator``.  Every
+    block is drawn into one workspace allocated here (the last, shorter
+    block into its leading rows), so memory is O(SIM_BLOCK * L) for any
+    ``n_samples`` and no block allocates path arrays.  A sampler must not
+    keep the batch it is given: the next block overwrites it.
 
-    Returns (estimates, max radial drift, renormalization count), equal to
-    ``McAccumulator().add(samplers[i](paths)).estimate()``,
-    ``paths.radial_drift`` and ``paths.renorm_count`` of
-    ``paths = simulate_paths(cfg)``, bit for bit."""
+    Returns (estimates, max radial drift, renormalization count), equal bit
+    for bit to ``McAccumulator().add(samplers[i](paths)).estimate()`` and
+    the drift and count of ``paths``, all ``cfg.n_blocks`` blocks drawn
+    into one ``cfg.n_samples``-row batch."""
     accs = [McAccumulator() for _ in samplers]
     drift, renorms = 0.0, 0
     rows = min(SIM_BLOCK, cfg.n_samples)

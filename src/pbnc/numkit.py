@@ -295,12 +295,6 @@ class Polynomial:
         c[k] = coeff
         return cls(c)
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Polynomial) and np.array_equal(self.coeffs, other.coeffs)
-
-    def __hash__(self):
-        return hash(self.coeffs.tobytes())
-
     def __repr__(self) -> str:
         return f"Polynomial(degree={self.degree})"
 

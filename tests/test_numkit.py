@@ -272,11 +272,6 @@ class TestPolynomial:
         with pytest.raises(errors.DomainError):
             Polynomial.monomial(-1)
 
-    def test_eq_hash(self):
-        assert Polynomial([1, 2]) == Polynomial([1.0, 2.0, 0.0])
-        assert hash(Polynomial([1, 2])) == hash(Polynomial([1, 2, 0]))
-        assert Polynomial([1]) != Polynomial([2])
-
     def test_immutable_coeffs(self):
         p = Polynomial([1.0, 2.0])
         with pytest.raises(ValueError):

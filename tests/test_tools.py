@@ -185,10 +185,7 @@ def test_car_sweep_solve_cost(monkeypatch):
 
 # public name of src/pbnc ("module.name" or "module.Class.name") -> why it
 # stays although nothing in src/pbnc or tools/ refers to it
-UNREFERENCED_ALLOWED: dict[str, str] = {
-    "martingale.simulate_paths": "the full-batch reference: the tests hold every streamed "
-                                 "estimate, drift and renormalization count to its bits",
-}
+UNREFERENCED_ALLOWED: dict[str, str] = {}
 
 
 def _unreferenced() -> list[str]:
