@@ -26,7 +26,6 @@ from .counterexample import (
     PbSearch,
     build_T,
     cb_certificate,
-    eps_for_target_c,
     fcn_experiment,
     pb_probe,
 )

@@ -250,6 +250,7 @@ def cmd_coeffs(cfg: dict, thresholds: dict, threads: int):
         flags["car_relations"] = residual <= 1e-12
     rb = row_bound(system, restarts=restarts, seed=seed)
     results["row_bound"] = rb.value
+    results["row_bound_converged"] = rb.converged
     results["row_bound_restarts"] = restarts
     if system.kind in ("car", "basis_vector"):
         flags["row_bound_unit"] = abs(rb.value - 1.0) <= 1e-6
@@ -390,7 +391,7 @@ def _certifier(keys: _Keys, n_grid: list[int]):
             bundle = build_T(car_jordan_wigner(n), spec, MultiplierSeq.indicator(spec),
                              D=d, eps=eps)
         else:
-            bundle = haar_bundle(n, n if dim is None else dim, seed, seed, D=d, eps=eps)
+            bundle, _ = haar_bundle(n, n if dim is None else dim, seed, seed, D=d, eps=eps)
         pb = pb_probe(bundle, search)
         cb = cb_certificate(bundle)
         return {

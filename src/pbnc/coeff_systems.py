@@ -179,9 +179,6 @@ class RowBoundEstimate:
     value: float
     converged: bool  # no restart's ascent stopped at ROW_BOUND_STEP_CAP
 
-    def __float__(self) -> float:
-        return self.value
-
 
 def row_bound(system: CoefficientSystem, restarts: int = 32, seed: int = 0) -> RowBoundEstimate:
     """Best found value of sup over ||alpha||_2 = 1 of ||sum alpha_k C_k||.

@@ -33,8 +33,10 @@ flat, the desk-scale form of the separation.  Haar-unitary bundles (CLI
 certify and the fcn experiment) all come from ``haar_bundle``: multiplier
 1/K2 on the dyadic frequencies, K2 the empirical row bound of the system,
 which the certificate also divides by; a Haar cb value is therefore
-empirical.  The fcn experiment sets eps from the same search on
-``hankel.hankel_map`` with a light budget (``haar_bundle_for_target``).
+empirical.  The fcn experiment sets eps = (c - 1) / C_probe from the same
+search on ``hankel.hankel_map`` with a light budget
+(``haar_bundle_for_target``), and its rows report whether the K2 ascent
+converged.  ``OperatorBundle`` alone refuses eps < 0.
 
 Supported frequencies must stay <= D: within that range the truncated
 transpose(S)^a G S^b collapse exactly to G S^{a+b}, which is what makes the
@@ -67,14 +69,20 @@ from .hankel import (
 from .numkit import Polynomial, poly_derivative, subdiagonal_sums, toeplitz_factor
 
 
-@dataclass
+@dataclass(frozen=True)
 class OperatorBundle:
-    """T at ``eps``; the BlockHankel holds D, the block shape, the system,
-    the multiplier and the frequency map.  Basis (i, j) <-> z^i e_j, i major,
-    in each summand."""
+    """T at ``eps`` >= 0 (DomainError otherwise); the BlockHankel holds D,
+    the block shape, the system, the multiplier and the frequency map.  Basis
+    (i, j) <-> z^i e_j, i major, in each summand.  Frozen, so every bundle
+    passes the eps check: ``dataclasses.replace`` gives the bundle at another
+    eps, sharing the frozen BlockHankel."""
 
     hankel: BlockHankel
     eps: float
+
+    def __post_init__(self):
+        if self.eps < 0:
+            raise DomainError("eps must be >= 0")
 
     @property
     def total_dim(self) -> int:
@@ -92,8 +100,6 @@ def build_T(
     frequency K_t <= 2^n sits inside the exactness window.  A supported
     frequency above D is refused, also above 2D - 1 where no block sees it:
     ``cb_certificate`` reads the multiplier at every frequency of the map."""
-    if eps < 0:
-        raise DomainError("eps must be >= 0")
     if spec.L != s_sys.n:
         raise ConfigurationError(
             f"spec has {spec.L} frequencies but the system has {s_sys.n} elements"
@@ -111,13 +117,6 @@ def build_T(
             "formula is exact only for frequencies <= D"
         )
     return OperatorBundle(hankel=build_hankel(m, spec, s_sys, D), eps=float(eps))
-
-
-def with_eps(b: OperatorBundle, eps: float) -> OperatorBundle:
-    """The bundle at another eps, sharing the frozen BlockHankel."""
-    if eps < 0:
-        raise DomainError("eps must be >= 0")
-    return replace(b, eps=float(eps))
 
 
 # ---------------------------------------------------------------------------
@@ -266,50 +265,47 @@ def cb_certificate(b: OperatorBundle) -> float:
 # target-c scaling and the growth experiment
 
 
-def eps_for_target_c(c: float, c_probe: float) -> float:
-    """eps = (c - 1) / C_probe, aiming the rescaled bundle's probe at <= c;
-    empirical, since C_probe is itself a lower-bound estimate."""
-    if c <= 1:
-        raise DomainError("target c must exceed 1")
-    if c_probe <= 0:
-        raise DomainError("C_probe must be positive")
-    return (c - 1.0) / c_probe
-
-
 def haar_bundle(n: int, dim: int, system_seed: int, row_bound_seed: int, *,
-                D: int | None, eps: float) -> OperatorBundle:
+                D: int | None, eps: float) -> tuple[OperatorBundle, bool]:
     """Haar-unitary bundle: n unitaries of size dim drawn at ``system_seed``
     on the default dyadic frequencies, multiplier 1/K2 with K2 the empirical
     row bound of the system (16 restarts at ``row_bound_seed``), kept as
-    the system's ``row_bound``."""
+    the system's ``row_bound``; with it, whether that ascent converged
+    (False when a restart stopped at ROW_BOUND_STEP_CAP)."""
     system = haar_unitaries(n, dim, seed=system_seed)
-    system.row_bound = float(row_bound(system, restarts=16, seed=row_bound_seed))
+    rb = row_bound(system, restarts=16, seed=row_bound_seed)
+    system.row_bound = rb.value
     spec = lacunary_default(n)
     m = MultiplierSeq({k: 1.0 / system.row_bound for k in spec.K})
-    return build_T(system, spec, m, D=D, eps=eps)
+    return build_T(system, spec, m, D=D, eps=eps), rb.converged
 
 
 def haar_bundle_for_target(n: int, c: float, seed: int) -> tuple[OperatorBundle, dict]:
     """``haar_bundle`` with dim H = n and D = 2^n + 1 at target probe
-    constant c: eps from C_probe, a cheap lower bound for the Hankel
-    boundedness constant by ``probe_search`` on ``hankel_map`` over z, the
-    supported monomials, the Fejer means and four random polynomials, with
-    no ascent."""
+    constant c: eps = (c - 1) / C_probe aims the rescaled bundle's probe at
+    <= c, with C_probe a cheap lower bound for the Hankel boundedness
+    constant by ``probe_search`` on ``hankel_map`` over z, the supported
+    monomials, the Fejer means and four random polynomials, with no ascent.
+    eps is empirical, as C_probe is.  z is a candidate, so
+    C_probe >= ||G T(1)|| = ||G|| > 0.  The info dict holds K2, whether its
+    ascent converged, C_probe, eps and the system seed."""
     check_default_depth(n, "an fcn row", "n")
     if c <= 1:
         raise DomainError("target c must exceed 1")
     ss = np.random.SeedSequence(entropy=seed)
     sys_child, rb_child, probe_child = ss.spawn(3)
     sys_seed = int(sys_child.generate_state(1)[0])
-    base = haar_bundle(n, n, sys_seed, int(rb_child.generate_state(1)[0]), D=None, eps=0.0)
+    base, k2_converged = haar_bundle(n, n, sys_seed, int(rb_child.generate_state(1)[0]),
+                                     D=None, eps=0.0)
     g = base.hankel
     max_degree = 2 * g.D - 1
     monomials = [1] + [q for q in g.multiplier.support if q <= max_degree]
     c_probe, _ = probe_search(partial(hankel_map, g), max_degree, monomials, n_random=4,
                               n_degrees=4, seed=int(probe_child.generate_state(1)[0]))
-    eps = eps_for_target_c(c, c_probe)
-    info = {"K2": g.system.row_bound, "C_probe": c_probe, "eps": eps, "system_seed": sys_seed}
-    return with_eps(base, eps), info
+    eps = (c - 1.0) / c_probe
+    info = {"K2": g.system.row_bound, "K2_converged": k2_converged, "C_probe": c_probe,
+            "eps": eps, "system_seed": sys_seed}
+    return replace(base, eps=eps), info
 
 
 def fcn_experiment(n: int, c: float, seed: int = 0) -> dict:

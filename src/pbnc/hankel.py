@@ -31,17 +31,19 @@ diagonal; ``counterexample`` runs the same search on P -> P(T) and, with a
 light budget, on ``hankel_map`` to set eps in the fcn experiment.
 
 ``bound_probe`` evaluates one polynomial exactly (the CLI probe mode) through
-(T(f') (x) I)^H (G^H G) (T(f') (x) I), with G^H G assembled anti-diagonal by
-anti-diagonal once per BlockHankel.
+(T(f') (x) I)^H (G^H G) (T(f') (x) I), with G^H G assembled once per
+BlockHankel and refused above FLAT_ENTRY_BUDGET entries.
 
-Every kernel walks the anti-diagonals, one per supported frequency q: rows
-i in [max(0, q-D), min(D-1, q-1)] meet input blocks j = q-1-i.  The matvecs
-G x and G^H y gather those blocks for every (i, q) at once through one index
-array (a zero pad block where the anti-diagonal misses row i) and multiply
-the D x (F in) result by the stacked coefficients in one GEMM, O(F D out in)
+Block (i, j) depends on i + j alone, so one index says which blocks meet:
+idx[i, f] = q_f - 1 - i is the input block row i reads on the anti-diagonal
+of the f-th supported frequency q_f, or D (a zero pad block) where that
+anti-diagonal misses row i.  Every kernel reads it.  The matvecs G x and
+G^H y gather the input blocks through it at once and multiply the
+D x (F in) result by the stacked coefficients in one GEMM, O(F D out in)
 for F frequencies.  The Gram diagonal of a basis-vector system is one F x F
-orthogonality product plus one slice add per frequency.  Both are computed
-once per (frozen) BlockHankel.
+orthogonality product plus one bincount over the index; the Gram matrix and
+``flat`` place each block where the index puts it.  The Gram diagonal and
+the applies' index are computed once per (frozen) BlockHankel.
 """
 
 from __future__ import annotations
@@ -180,9 +182,20 @@ class BlockHankel:
         out_dim, in_dim = self.block_shape
         return (self.D * out_dim, self.D * in_dim)
 
-    def _antidiag(self, q: int) -> tuple[int, int]:
-        """Row-block range [lo, hi] of anti-diagonal i + j = q - 1."""
-        return max(0, q - self.D), min(self.D - 1, q - 1)
+    @property
+    def _blocks(self) -> list[np.ndarray]:
+        """The coefficients C_q by ascending frequency, ``_index``'s column order."""
+        return [self.coefficients[q] for q in sorted(self.coefficients)]
+
+    def _index(self) -> np.ndarray:
+        """The one description of which blocks meet: idx[i, f] = q_f - 1 - i
+        is the input block that row block i reads on the anti-diagonal of the
+        f-th frequency q_f (ascending), or D (a zero pad block) where that
+        anti-diagonal misses row i.  Built on each call; ``_gather`` keeps it
+        for the applies."""
+        freqs = np.array(sorted(self.coefficients), dtype=np.intp)
+        j = freqs[None, :] - 1 - np.arange(self.D)[:, None]
+        return np.where((j >= 0) & (j < self.D), j, self.D)
 
     def flat(self) -> np.ndarray:
         """Materialized (D*out) x (D*in) matrix."""
@@ -194,32 +207,36 @@ class BlockHankel:
             )
         out_dim, in_dim = self.block_shape
         g = np.zeros((self.D, out_dim, self.D, in_dim), dtype=np.complex128)
-        for q, c in self.coefficients.items():
-            lo, hi = self._antidiag(q)
-            i = np.arange(lo, hi + 1)
-            g[i, :, q - 1 - i, :] = c
+        idx = self._index()
+        for f, c in enumerate(self._blocks):
+            i = np.flatnonzero(idx[:, f] < self.D)
+            g[i, :, idx[i, f], :] = c
         return g.reshape(rows, cols)
 
     def gram(self) -> np.ndarray:
-        """G^H G as a (D*in) x (D*in) matrix, assembled anti-diagonal by
-        anti-diagonal without materializing G (read-only, computed once per
-        instance)."""
+        """G^H G as a (D*in) x (D*in) matrix, assembled from the products
+        C_q^H C_q' of every frequency pair without materializing G
+        (read-only, computed once per instance).  Above FLAT_ENTRY_BUDGET
+        entries it is refused before anything is allocated."""
         return self._gram
 
     @cached_property
     def _gram(self) -> np.ndarray:
         _, in_dim = self.block_shape
         size = self.D * in_dim
+        if size * size > FLAT_ENTRY_BUDGET:
+            raise ConfigurationError(
+                f"Gram matrix {size}x{size} exceeds the materialization budget"
+            )
         gram = np.zeros((self.D, in_dim, self.D, in_dim), dtype=np.complex128)
-        freqs = sorted(self.coefficients)
-        for q in freqs:
-            cqh = self.coefficients[q].conj().T
-            lo, hi = self._antidiag(q)
-            for qp in freqs:
-                lo_p, hi_p = self._antidiag(qp)
-                # row blocks j = q-1-i, column blocks j' = q'-1-i share the index i
-                i = np.arange(max(lo, lo_p), min(hi, hi_p) + 1)
-                gram[q - 1 - i, :, qp - 1 - i, :] += cqh @ self.coefficients[qp]
+        idx, blocks = self._index(), self._blocks
+        hit = idx < self.D
+        for f, c in enumerate(blocks):
+            ch = c.conj().T
+            for fp, cp in enumerate(blocks):
+                # row i adds C_q^H C_q' to block (q-1-i, q'-1-i), i ascending
+                i = np.flatnonzero(hit[:, f] & hit[:, fp])
+                gram[idx[i, f], :, idx[i, fp], :] += ch @ cp
         gram = gram.reshape(size, size)
         gram.setflags(write=False)
         return gram
@@ -236,34 +253,28 @@ class BlockHankel:
         out_dim, in_dim = self.block_shape
         if in_dim != 1:
             return None
-        freqs = sorted(self.coefficients)
-        cols = np.hstack([self.coefficients[q] for q in freqs] or [np.zeros((out_dim, 0))])
+        cols = np.hstack(self._blocks or [np.zeros((out_dim, 0))])
         cross = cols.conj().T @ cols  # C_q^H C_q' for every pair at once
         norms = cross.diagonal().real.copy()
         np.fill_diagonal(cross, 0.0)
         if cross.any():
             return None
-        diag = np.zeros(self.D)
-        for q, norm in zip(freqs, norms):
-            lo, hi = self._antidiag(q)
-            diag[q - 1 - hi : q - lo] += norm
+        del cols, cross  # the F x F product, freed before the D x F index
+        idx = self._index()
+        # bincount adds in idx's row-major order, rows i ascending; bin D is the pad
+        diag = np.bincount(idx.ravel(), np.tile(norms, self.D), minlength=self.D + 1)[: self.D]
         diag.setflags(write=False)
         return diag
 
     @cached_property
     def _gather(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(idx, stacked, stacked_adj) of the gather-GEMM applies, built once
-        per instance: idx[i, f] = q_f - 1 - i is the block that row block i
-        reads on anti-diagonal q_f, or D (a zero pad row) where that
-        anti-diagonal misses row i; stacked holds C_q^T and stacked_adj
-        conj(C_q), one block row per frequency in idx's column order, both
-        C-contiguous.  The pattern is symmetric in i <-> j, so the adjoint
-        gathers through the same idx."""
+        per instance: idx is ``_index``'s, stacked holds C_q^T and
+        stacked_adj conj(C_q), one block row per frequency in idx's column
+        order, both C-contiguous.  The pattern is symmetric in i <-> j, so
+        the adjoint gathers through the same idx."""
         out_dim, in_dim = self.block_shape
-        freqs = sorted(self.coefficients)
-        j = np.array(freqs, dtype=np.intp)[None, :] - 1 - np.arange(self.D)[:, None]
-        idx = np.where((j >= 0) & (j < self.D), j, self.D)
-        blocks = [self.coefficients[q] for q in freqs]
+        idx, blocks = self._index(), self._blocks
         # concatenate copies into C order (a strided factor doubles the GEMM's
         # cost); the empty block keeps the shape when no frequency is supported
         stacked = np.concatenate([c.T for c in blocks]
@@ -360,7 +371,9 @@ class BoundProbe:
 
 
 def norm_gtf(g: BlockHankel, f: Polynomial) -> float:
-    """||G (T(f') (x) I)|| via the Gram route; equals the flat-product norm."""
+    """||G (T(f') (x) I)|| via the Gram route; equals the flat-product norm.
+    A Gram matrix that is not diagonal is refused above FLAT_ENTRY_BUDGET
+    entries (ConfigurationError)."""
     fp = poly_derivative(f)
     diag = g.gram_diagonal_or_none()
     if diag is not None:
@@ -368,9 +381,11 @@ def norm_gtf(g: BlockHankel, f: Polynomial) -> float:
         w = np.sqrt(diag)[:, None] * t_f
         sv = np.linalg.svd(w, compute_uv=False)
         return float(sv[0]) if sv.size else 0.0
-    # (T (x) I)^H (G^H G) (T (x) I)
+    # (T (x) I)^H (G^H G) (T (x) I); gram() refuses an oversize G^H G before
+    # the kron of the same size is built
+    gram = g.gram()
     tk = np.kron(toeplitz(fp, g.D), np.eye(g.block_shape[1], dtype=np.complex128))
-    w = np.linalg.eigvalsh(tk.conj().T @ g.gram() @ tk)
+    w = np.linalg.eigvalsh(tk.conj().T @ gram @ tk)
     return float(np.sqrt(max(w[-1], 0.0)))
 
 

@@ -309,6 +309,8 @@ class TestCoeffs:
         assert "PASS car_relations" in out
         assert "PASS row_bound_unit" in out
         assert "FAIL" not in out
+        payload = json.loads((_run_dirs(tmp_path)[0] / "payload.json").read_bytes())
+        assert payload["results"]["row_bound_converged"] is True
 
     def test_haar_flags(self, tmp_path):
         code = _run(tmp_path, "coeffs",

@@ -24,12 +24,10 @@ from pbnc.counterexample import (
     _power_pairings,
     build_T,
     cb_certificate,
-    eps_for_target_c,
     fcn_experiment,
     haar_bundle,
     haar_bundle_for_target,
     pb_probe,
-    with_eps,
 )
 from pbnc.hankel import (
     LacunarySpec,
@@ -58,7 +56,7 @@ def _car_bundle(n=2, eps=1.0, D=None):
 def _small_bundle(kind, n):
     if kind == "car":
         return _car_bundle(n=n)
-    return haar_bundle(n, n, system_seed=5, row_bound_seed=6, D=None, eps=1.0)
+    return haar_bundle(n, n, system_seed=5, row_bound_seed=6, D=None, eps=1.0)[0]
 
 
 SMALL_BUNDLES = [("car", 2), ("car", 3), ("haar", 2), ("haar", 3)]
@@ -120,11 +118,16 @@ class TestBuildT:
 
     def test_with_eps(self):
         b = _car_bundle(n=2, eps=1.0)
-        b2 = with_eps(b, 0.25)
+        b2 = dataclasses.replace(b, eps=0.25)
         assert b2.eps == 0.25 and b2.hankel.D == b.hankel.D
         assert b2.hankel is b.hankel and b.eps == 1.0  # shared, not rebuilt
-        with pytest.raises(errors.DomainError):
-            with_eps(b, -1.0)
+        # OperatorBundle states the eps rule, so both routes to a bundle refuse
+        with pytest.raises(errors.DomainError, match="eps must be >= 0"):
+            dataclasses.replace(b, eps=-1.0)
+        with pytest.raises(errors.DomainError, match="eps must be >= 0"):
+            _car_bundle(n=2, eps=-1.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            b.eps = -1.0  # frozen: no bundle skips the check
 
 
 class TestPolyOfT:
@@ -213,7 +216,7 @@ class TestPolyOfT:
     @given(bundle=st.sampled_from(SMALL_BUNDLES), eps=st.floats(0.0, 4.0),
            deg=st.integers(0, 17), seed=st.integers(0, 2**32 - 1))
     def test_block_formula_matches_horner_property(self, bundle, eps, deg, seed):
-        b = with_eps(_small_bundle(*bundle), eps)
+        b = dataclasses.replace(_small_bundle(*bundle), eps=eps)
         p = random_poly(min(deg, 2 * b.hankel.D - 1), _rng(seed))
         assert _rel_err(poly_of_T(b, p), poly_of_matrix(p, dense_T(b))) <= 1e-12
 
@@ -223,7 +226,7 @@ class TestPolyOfT:
     def test_structured_matvecs_match_dense_property(self, bundle, eps, deg, k, seed):
         # the dense Toeplitz route, then the shift route of monomials c z^k:
         # z^0 (no corner), z^D (S^k = 0) and a drawn k in [0, 2D - 2]
-        b = with_eps(_small_bundle(*bundle), eps)
+        b = dataclasses.replace(_small_bundle(*bundle), eps=eps)
         rng = _rng(seed)
         D = b.hankel.D
         c = complex(rng.standard_normal(), rng.standard_normal())
@@ -258,7 +261,7 @@ class TestPbProbe:
         b0 = _car_bundle(n=2, eps=0.0)
         polys = [random_poly(6, rng) for _ in range(4)]
         for p in polys:
-            norms = [float(op_norm(poly_of_T(with_eps(b0, e), p)))
+            norms = [float(op_norm(poly_of_T(dataclasses.replace(b0, eps=e), p)))
                      for e in (0.0, 0.5, 1.0, 2.0)]
             assert all(b >= a - 1e-11 for a, b in zip(norms, norms[1:]))
 
@@ -323,7 +326,8 @@ class TestPbProbe:
     @pytest.mark.parametrize("eps", [1.0, 0.37])
     def test_power_pairings_match_matvec_loop(self, kind, n, eps):
         # every k up to the 2D - 2 cap, so k >= D (where T^k = 0) is covered
-        b = with_eps(_small_bundle(kind, n) if kind == "haar" else _car_bundle(n=n), eps)
+        b = _small_bundle(kind, n) if kind == "haar" else _car_bundle(n=n)
+        b = dataclasses.replace(b, eps=eps)
         rng = _rng(32 + n)
         u, v = (rng.standard_normal(b.total_dim) + 1j * rng.standard_normal(b.total_dim)
                 for _ in range(2))
@@ -353,7 +357,7 @@ class TestCbCertificate:
     def test_linear_in_eps(self):
         b = _car_bundle(n=2, eps=0.3)
         assert cb_certificate(b) == pytest.approx(0.3 * self.CAR_CB[2], abs=1e-12)
-        assert cb_certificate(with_eps(b, 0.0)) == 0.0
+        assert cb_certificate(dataclasses.replace(b, eps=0.0)) == 0.0
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(bundle=st.sampled_from([("car", 2), ("car", 3), ("haar", 2), ("haar", 3)]),
@@ -363,9 +367,10 @@ class TestCbCertificate:
         if kind == "car":
             b = _car_bundle(n=n)
         else:
-            b = haar_bundle(n, n, system_seed=5, row_bound_seed=6, D=None, eps=1.0)
-        unit = cb_certificate(with_eps(b, 1.0))
-        assert cb_certificate(with_eps(b, e)) == pytest.approx(e * unit, rel=1e-14, abs=0)
+            b, _ = haar_bundle(n, n, system_seed=5, row_bound_seed=6, D=None, eps=1.0)
+        unit = cb_certificate(dataclasses.replace(b, eps=1.0))
+        assert cb_certificate(dataclasses.replace(b, eps=e)) == pytest.approx(e * unit, rel=1e-14,
+                                                                              abs=0)
 
     def test_dominates_trace_witness_rate(self):
         for n in (2, 3, 4):
@@ -373,7 +378,7 @@ class TestCbCertificate:
 
     def test_runs_no_solve(self, monkeypatch):
         car = _car_bundle(n=3, eps=0.5)
-        haar = haar_bundle(3, 3, system_seed=5, row_bound_seed=6, D=None, eps=0.5)
+        haar, _ = haar_bundle(3, 3, system_seed=5, row_bound_seed=6, D=None, eps=0.5)
 
         def unreachable(*args, **kwargs):
             raise AssertionError("cb_certificate ran a solve")
@@ -386,7 +391,7 @@ class TestCbCertificate:
 
     def test_haar_divisor_is_the_bundles_k2(self, monkeypatch):
         # haar_bundle measures K2 once; the certificate runs no second ascent
-        b = haar_bundle(3, 3, system_seed=5, row_bound_seed=6, D=None, eps=1.0)
+        b, _ = haar_bundle(3, 3, system_seed=5, row_bound_seed=6, D=None, eps=1.0)
 
         def unreachable(*args, **kwargs):
             raise AssertionError("cb_certificate ran a row-bound ascent")
@@ -435,7 +440,7 @@ class TestCbCertificate:
 
     @pytest.mark.parametrize("n,dim,seed,d,eps", DIGEST_HAAR)
     def test_haar_k2_matches_the_conjugate_ascent(self, n, dim, seed, d, eps):
-        self._check_divisor(haar_bundle(n, dim, seed, seed, D=d, eps=eps), seed)
+        self._check_divisor(haar_bundle(n, dim, seed, seed, D=d, eps=eps)[0], seed)
 
     @pytest.mark.parametrize("n", [2, 4, 7, 8])
     def test_fcn_k2_matches_the_conjugate_ascent(self, monkeypatch, n):
@@ -447,11 +452,9 @@ class TestCbCertificate:
 
 class TestTargetScaling:
     def test_eps_formula(self):
-        assert eps_for_target_c(2.0, 0.5) == pytest.approx(2.0)
-        with pytest.raises(errors.DomainError):
-            eps_for_target_c(1.0, 0.5)
-        with pytest.raises(errors.DomainError):
-            eps_for_target_c(2.0, 0.0)
+        # eps = (c - 1) / C_probe is checked in test_haar_bundle_wiring
+        with pytest.raises(errors.DomainError, match="target c must exceed 1"):
+            haar_bundle_for_target(2, 1.0, seed=42)
 
     def test_haar_bundle_wiring(self):
         bundle, info = haar_bundle_for_target(2, 2.0, seed=42)
@@ -493,13 +496,18 @@ class TestTargetScaling:
     def test_fcn_row(self):
         row = fcn_experiment(2, 2.0, seed=42)
         keys = {"n", "c", "cb_over_pb", "scaled", "similarity_lower", "pb_probe",
-                "N", "seed", "K2", "C_probe", "eps", "system_seed"}
+                "N", "seed", "K2", "K2_converged", "C_probe", "eps", "system_seed"}
         assert keys <= set(row)
         assert row["scaled"] > 0
         assert row["cb_over_pb"] == pytest.approx(
             row["similarity_lower"] / row["pb_probe"], rel=1e-12
         )
         assert row["scaled"] == pytest.approx(row["cb_over_pb"] / np.sqrt(2.0), rel=1e-12)
+
+    @pytest.mark.parametrize("n,seed,converged", [(4, 7, False), (2, 42, True)])
+    def test_fcn_row_reports_k2_convergence(self, n, seed, converged):
+        # at seed 7, n = 4 a restart of the K2 ascent stops at ROW_BOUND_STEP_CAP
+        assert fcn_experiment(n, 2.0, seed)["K2_converged"] is converged
 
     def test_fcn_deterministic(self):
         a = fcn_experiment(2, 2.0, seed=42)

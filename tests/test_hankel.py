@@ -48,6 +48,13 @@ def _small_car_hankel(n=2, D=5):
     return build_hankel(MultiplierSeq.indicator(spec), spec, car_jordan_wigner(n), D)
 
 
+def _haar_cut_hankel():
+    """Haar blocks at q = 2, 4, 8 with D = 5: q = 8 > D, so rows start at
+    q - D, and the cross products C_q^H C_q' are nonzero."""
+    spec = lacunary_default(3)
+    return build_hankel(MultiplierSeq.indicator(spec), spec, haar_unitaries(3, 3, seed=4), D=5)
+
+
 class TestLacunarySpec:
     def test_default(self):
         spec = lacunary_default(4)
@@ -134,7 +141,8 @@ class TestBlockHankel:
                 assert np.array_equal(flat[i * h : (i + 1) * h, j * h : (j + 1) * h], want)
 
     def test_gram_equals_flat_product(self):
-        for g in [_small_car_hankel(n=2, D=6), lacunary_basis_family(9), ones_basis_family(5)]:
+        for g in [_small_car_hankel(n=2, D=6), lacunary_basis_family(9), ones_basis_family(5),
+                  _haar_cut_hankel()]:
             flat = g.flat()
             assert np.abs(g.gram() - flat.conj().T @ flat).max() <= 1e-12
 
@@ -186,10 +194,6 @@ class TestBlockHankel:
 
     def test_apply_flat_matches_dense(self):
         rng = _rng(3)
-        haar = build_hankel(
-            MultiplierSeq.indicator(lacunary_default(3)), lacunary_default(3),
-            haar_unitaries(3, 3, seed=4), D=5,
-        )  # q = 8 > D
         beyond = build_hankel(
             MultiplierSeq.indicator(LacunarySpec((4,))), LacunarySpec((4,)),
             haar_unitaries(1, 3, seed=4), D=2,
@@ -201,7 +205,7 @@ class TestBlockHankel:
             ones_basis_family(2),
             ones_basis_family(5),
             lacunary_basis_family(9),  # q = 16 > D: rows start at q - D
-            haar,
+            _haar_cut_hankel(),
             beyond,
         ]
         for g in cases:
@@ -297,6 +301,14 @@ class TestBoundProbe:
             t = toeplitz(poly_derivative(f), g.D)
             dense = float(op_norm(flat @ t))
             assert norm_gtf(g, f) == pytest.approx(dense, abs=1e-10)
+
+    def test_gram_budget(self):
+        # CAR n = 7 at D = 129: G^H G and T(f') (x) I would each hold
+        # (129 * 128)^2 entries, 4.4 GB; the Gram route refuses first
+        g = _small_car_hankel(n=7, D=129)
+        assert g.gram_diagonal_or_none() is None
+        with pytest.raises(errors.ConfigurationError, match="Gram matrix 16512x16512"):
+            bound_probe(g, Polynomial.monomial(1))
 
     def test_ratio_normalization(self):
         g = lacunary_basis_family(9)
