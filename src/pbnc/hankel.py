@@ -27,8 +27,9 @@ its solve runs on W (T(f') (x) I), W^H W = G^H G (the root of the Gram
 diagonal for basis-vector blocks, G otherwise, so no Gram matrix is formed),
 with T(f') a ``numkit.toeplitz_factor`` as in P -> P(T).  ``scan_probe_best``
 runs it on each scan cell, with closed-form monomials when the Gram matrix is
-diagonal; ``counterexample`` runs the same search on P -> P(T) and, with a
-light budget, on ``hankel_map`` to set eps in the fcn experiment.
+diagonal; ``counterexample`` runs the same search on P -> P(T) and, over the
+candidates of degree <= 2, on ``hankel_map`` to set eps in the fcn
+experiment.
 
 ``bound_probe`` evaluates one polynomial exactly (the CLI probe mode) through
 (T(f') (x) I)^H (G^H G) (T(f') (x) I), with G^H G assembled once per

@@ -443,9 +443,8 @@ class TestCbCertificate:
         self._check_divisor(haar_bundle(n, dim, seed, seed, D=d, eps=eps)[0], seed)
 
     @pytest.mark.parametrize("n", [2, 4, 7, 8])
-    def test_fcn_k2_matches_the_conjugate_ascent(self, monkeypatch, n):
-        # the fcn bundles at seed 42; a stub C_probe = 1 skips the eps search
-        monkeypatch.setattr(counterexample, "probe_search", lambda *args, **kwargs: (1.0, "z"))
+    def test_fcn_k2_matches_the_conjugate_ascent(self, n):
+        # the fcn bundles at seed 42
         b, _ = haar_bundle_for_target(n, 2.0, seed=42)
         self._check_divisor(b, 42)
 
@@ -481,8 +480,8 @@ class TestTargetScaling:
         with pytest.raises(errors.ConfigurationError, match="1 <= n <= 12"):
             haar_bundle_for_target(13, 2.0, seed=0)
 
-    @pytest.mark.parametrize("n", [2, 4])
-    @pytest.mark.parametrize("c", [1.5, 2.0])
+    @pytest.mark.parametrize("n", [2, 4, 7, 8])
+    @pytest.mark.parametrize("c", [1.5, 2.0, 3.0])
     def test_fcn_pb_probe_is_the_closed_form_of_c(self, n, c):
         # both searches of the row win at z^2, whose certified sup is the
         # slack s: the eps calibration makes ||eps G T(2z)|| = x, and
@@ -492,6 +491,33 @@ class TestTargetScaling:
         x = (c - 1.0) * s
         want = (x + np.sqrt(x * x + 4.0)) / (2.0 * s)
         assert fcn_experiment(n, c, 42)["pb_probe"] == pytest.approx(want, rel=1e-14, abs=0)
+
+    @pytest.mark.parametrize("n,seed,c", [(n, seed, c) for n in (2, 4) for seed in (3, 42)
+                                          for c in (1.5, 2.0, 3.0)] + [(7, 42, 2.0)])
+    def test_fcn_full_searches_win_at_z2(self, monkeypatch, n, seed, c):
+        # a row solves only the candidates of degree <= 2; the searches it
+        # replaced, spelled out here, return the same bits from the same
+        # z^2 solve, so a row that dropped z^2 or reordered its chain fails,
+        # and a full search that beats z^2 is a discovery
+        row = fcn_experiment(n, c, seed)
+        bundle, _ = haar_bundle_for_target(n, c, seed)
+        g = bundle.hankel
+        probe_seed = np.random.SeedSequence(entropy=seed).spawn(3)[2].generate_state(1)[0]
+        max_degree = 2 * g.D - 1
+        monomials = [1] + [q for q in g.multiplier.support if q <= max_degree]
+        assert probe_search(functools.partial(hankel.hankel_map, g), max_degree, monomials,
+                            n_random=4, n_degrees=4, seed=int(probe_seed)) == (
+            row["C_probe"], "monomial:2")
+        found = []
+
+        def spy(*args, **kwargs):
+            found.append(probe_search(*args, **kwargs))
+            return found[-1]
+
+        monkeypatch.setattr(counterexample, "probe_search", spy)
+        search = PbSearch(restarts=2, max_degree=min(2 * g.D - 2, 64), seed=seed)
+        assert pb_probe(bundle, search) == row["pb_probe"]
+        assert found[0][1] == "monomial:2"
 
     def test_fcn_row(self):
         row = fcn_experiment(2, 2.0, seed=42)

@@ -53,7 +53,7 @@ def test_payload_digest_tool_imports(monkeypatch):
     tool = _digest_tool(monkeypatch)
     assert callable(tool.main) and callable(tool.digest)
     labels = [label for label, _, _ in tool.CALLS]
-    assert len(labels) == len(set(labels)) == 29
+    assert len(labels) == len(set(labels)) == 30
 
 
 def test_payload_digest_tool_fails_on_a_missing_payload(monkeypatch, tmp_path, capsys):

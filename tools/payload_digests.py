@@ -80,6 +80,8 @@ CALLS = (
        ("fcn.s3", "fcn", {"c": 2.0, "n_grid": [2, 4], "seed": 3}),
        # a K2 ascent that stops at ROW_BOUND_STEP_CAP: K2_converged is false
        ("fcn.s7", "fcn", {"c": 2.0, "n_grid": [4], "seed": 7}),
+       # a row past the frozen fcn grid (n = 2, 4, 8)
+       ("fcn.s42.n9", "fcn", {"c": 2.0, "n_grid": [9], "seed": 42}),
        ("mc.L6", "mc", {"L": 6, "n_samples": 1_000_000, "seed": 1}),
        # SIM_BLOCK + 1 samples: a one-row last block, below numpy's elision size
        ("mc.L6.n16385", "mc", {"L": 6, "n_samples": 16_385, "seed": 1})]
