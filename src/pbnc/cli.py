@@ -15,9 +15,10 @@ tools/freeze_thresholds.py, never recomputed silently); every report embeds
 that file's version string and content hash.
 
 Exit codes: 0 all assertions pass, 1 an assertion failed, 2 a bad config (a
-ConfigurationError, DomainError or DimensionError, an unreadable file or
-malformed JSON), 3 numerical non-convergence.  Any other exception is a bug
-and propagates with its traceback.
+ConfigurationError, an unreadable file or malformed JSON), 3 numerical
+non-convergence.  Every config value a library precondition would refuse is
+refused at read, so any other exception, a DomainError or DimensionError
+too, is a bug and propagates with its traceback.
 """
 
 from __future__ import annotations
@@ -56,12 +57,7 @@ from .counterexample import (
     haar_bundle,
     pb_probe,
 )
-from .errors import (
-    ConfigurationError,
-    DimensionError,
-    DomainError,
-    NonConvergenceError,
-)
+from .errors import ConfigurationError, NonConvergenceError
 from .hankel import (
     SCAN_FAMILIES,
     LacunarySpec,
@@ -110,10 +106,6 @@ def _jsonable(x):
         return int(x)
     if isinstance(x, (float, np.floating)):
         return float(x)
-    if isinstance(x, (complex, np.complexfloating)):
-        return {"re": float(x.real), "im": float(x.imag)}
-    if isinstance(x, np.ndarray):
-        return _jsonable(x.tolist())
     return x
 
 
@@ -283,14 +275,17 @@ def cmd_hankel(cfg: dict, thresholds: dict, threads: int):
     spec = lacunary_default(L) if spec_k is None else LacunarySpec(tuple(spec_k))
     d = max(spec.K) + 1 if d is None else d
     build_system, _, _ = _read_system(keys.obj("system", {"kind": "basis_vector", "n": spec.L}))
-    f_coeffs = keys.get("f", [0.0, 1.0], [float])
+    f = Polynomial(keys.get("f", [0.0, 1.0], [float]))
     keys.done()
+    if f.is_zero or f.degree >= 2 * d:
+        raise ConfigurationError(f"f must be a nonzero polynomial of degree < 2D = {2 * d}, "
+                                 f"not of degree {f.degree}")
     system = build_system()
     g = build_hankel(MultiplierSeq.indicator(spec), spec, system, d)
     # flat() checks FLAT_ENTRY_BUDGET before the probe's D x D Toeplitz work
     out_dim, in_dim = g.block_shape
     blocks = g.flat().reshape(d, out_dim, d, in_dim)
-    probe = bound_probe(g, Polynomial(f_coeffs))
+    probe = bound_probe(g, f)
     results = {
         "mode": "probe",
         "D": d,
@@ -361,7 +356,8 @@ def _certifier(keys: _Keys, n_grid: list[int]):
     elements exceed the tensor budget, whose default D = 2^n + 1 exceeds the
     flat budget or whose frequency 2^n exceeds the explicit D, before any
     bundle is built; return the probe budget and n -> the certify row of the
-    bundle at n."""
+    bundle at n.  A Haar row also reports the K2 its multiplier divides by and
+    whether that ascent converged, as an fcn row does."""
     kind = keys.get("system", "car", ("car", "haar_unitary"))
     eps = keys.get("eps", 1.0, float, lo=0)
     d = keys.get("D", None, int)
@@ -386,12 +382,15 @@ def _certifier(keys: _Keys, n_grid: list[int]):
             raise ConfigurationError(f"n = {n} puts frequency 2^{n} above D = {d}")
 
     def certify(n: int) -> dict:
+        k2 = {}  # a Haar row's multiplier divisor and whether its ascent converged
         if kind == "car":
             spec = lacunary_default(n)
             bundle = build_T(car_jordan_wigner(n), spec, MultiplierSeq.indicator(spec),
                              D=d, eps=eps)
         else:
-            bundle, _ = haar_bundle(n, n if dim is None else dim, seed, seed, D=d, eps=eps)
+            bundle, converged = haar_bundle(n, n if dim is None else dim, seed, seed, D=d,
+                                            eps=eps)
+            k2 = {"K2": bundle.hankel.system.row_bound, "K2_converged": converged}
         pb = pb_probe(bundle, search)
         cb = cb_certificate(bundle)
         return {
@@ -406,6 +405,7 @@ def _certifier(keys: _Keys, n_grid: list[int]):
             "cb_lower": cb,
             "similarity_lower": cb,
             "probe_budget": asdict(search),
+            **k2,
         }
 
     return search, certify
@@ -489,6 +489,12 @@ def _read_check(keys: _Keys) -> dict:
                               for key, default in MC_CHECKS[kind].items()}}
 
 
+def _bridge_spec(car_n: int) -> LacunarySpec:
+    """The frequencies 1, 4, 8, ..., 2^car_n of a bridge check, whose
+    Hankel is truncated at D = K[-1] + 1."""
+    return LacunarySpec((1,) + tuple(2**t for t in range(2, car_n + 1)))
+
+
 def _mc_estimator(chk: dict, rng: np.random.Generator, spec: LacunarySpec):
     """(samplers, finish, level) of one check: the per-sample functions of a
     path block its estimate streams through, and the map from their
@@ -520,10 +526,10 @@ def _mc_estimator(chk: dict, rng: np.random.Generator, spec: LacunarySpec):
         g2 = random_poly(chk["degree"], rng)
         return [lambda p: orthogonality_samples(p, f, g2, level)], lambda e: (e[0], 0j), level
     car_n = chk["car_n"]  # the bridge
-    bspec = LacunarySpec((1,) + tuple(2**t for t in range(2, car_n + 1)))
+    bspec = _bridge_spec(car_n)
     system = car_jordan_wigner(car_n)
     m = MultiplierSeq.indicator(bspec)
-    g = build_hankel(m, bspec, system, D=max(bspec.K) + 1)
+    g = build_hankel(m, bspec, system, D=bspec.K[-1] + 1)
     h = system.op_dim[0]
     x = rng.standard_normal(h) + 1j * rng.standard_normal(h)
     y = rng.standard_normal(h) + 1j * rng.standard_normal(h)
@@ -554,6 +560,10 @@ def cmd_mc(cfg: dict, thresholds: dict, threads: int):
             raise ConfigurationError(
                 f"checks[{i}].car_n = {chk['car_n']} is outside 1..{min(L, CAR_MAX_N)}: a bridge "
                 f"reads levels 1..car_n of paths of depth L = {L}, on car_n <= {CAR_MAX_N} modes")
+        if "car_n" in chk and chk["degree"] >= (two_d := 2 * _bridge_spec(chk["car_n"]).K[-1] + 2):
+            raise ConfigurationError(
+                f"checks[{i}].degree = {chk['degree']} is not below 2D = {two_d} of the bridge "
+                f"Hankel at car_n = {chk['car_n']}")
     plans, samplers = [], []  # plan: (check, level, finish, its slice of samplers)
     for i, chk in enumerate(checks):
         own, finish, level = _mc_estimator(chk, _seeded_rng(seed, 0xC8EC, i), spec)
@@ -597,6 +607,8 @@ def cmd_fcn(cfg: dict, thresholds: dict, threads: int):
     c = keys.get("c", frozen["c"], float)
     seed = keys.get("seed", frozen["seed"], int, lo=0)
     keys.done()
+    if c <= 1:
+        raise ConfigurationError(f"c must exceed 1, not {c}")
     for n in n_grid:
         check_default_depth(n, "an fcn row", "n")
     rows = [fcn_experiment(n, c, seed=seed) for n in n_grid]
@@ -691,8 +703,7 @@ def run(argv=None) -> int:
     except NonConvergenceError as e:
         print(f"non-convergence: {e}", file=sys.stderr)
         return 3
-    except (ConfigurationError, DomainError, DimensionError, OSError,
-            json.JSONDecodeError) as e:
+    except (ConfigurationError, OSError, json.JSONDecodeError) as e:
         print(f"configuration error: {e}", file=sys.stderr)
         return 2
 

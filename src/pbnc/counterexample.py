@@ -35,8 +35,9 @@ certify and the fcn experiment) all come from ``haar_bundle``: multiplier
 which the certificate also divides by; a Haar cb value is therefore
 empirical.  The fcn experiment sets eps = (c - 1) / C_probe from the same
 search on ``hankel.hankel_map`` (``haar_bundle_for_target``); a row runs
-both of its searches over the candidates of degree <= 2 only, where the full
-searches win, and reports whether the K2 ascent converged.
+both of its searches as monomial chains ending at the z^2 witness, where the
+full searches win, so no row builds a dense Toeplitz matrix, and it reports
+whether the K2 ascent converged.
 ``OperatorBundle`` alone refuses eps < 0.
 
 Supported frequencies must stay <= D: within that range the truncated
@@ -285,12 +286,13 @@ def haar_bundle_for_target(n: int, c: float, seed: int) -> tuple[OperatorBundle,
     """``haar_bundle`` with dim H = n and D = 2^n + 1 at target probe
     constant c: eps = (c - 1) / C_probe aims the rescaled bundle's probe at
     <= c, with C_probe a lower bound for the Hankel boundedness constant by
-    ``probe_search`` on ``hankel_map`` at max_degree 2: z, z^2 and fejer:2,
-    no random candidates and no ascent.  The search over every supported
-    monomial, every Fejer mean and four random polynomials wins at z^2 on
-    each row tried, and solves z^2 warm from z as this chain does, so it
-    returns the same bits (pinned in the tests).  eps is empirical, as
-    C_probe is.  z is a candidate, so C_probe >= ||G T(1)|| = ||G|| > 0.
+    ``probe_search`` on ``hankel_map`` over the chain z -> z^2 at max_degree
+    1, which adds no Fejer mean, no random candidate and no ascent.  The
+    search over every supported monomial, every Fejer mean and four random
+    polynomials wins at z^2 on each row tried, and solves z^2 warm from z as
+    this chain does, so it returns the same bits (pinned in the tests).  eps
+    is empirical, as C_probe is.  z is a candidate, so
+    C_probe >= ||G T(1)|| = ||G|| > 0.
     The info dict holds K2, whether its ascent converged, C_probe, eps and
     the system seed."""
     check_default_depth(n, "an fcn row", "n")
@@ -302,7 +304,7 @@ def haar_bundle_for_target(n: int, c: float, seed: int) -> tuple[OperatorBundle,
     base, k2_converged = haar_bundle(n, n, sys_seed, int(rb_child.generate_state(1)[0]),
                                      D=None, eps=0.0)
     g = base.hankel
-    c_probe, _ = probe_search(partial(hankel_map, g), 2, [1, 2],
+    c_probe, _ = probe_search(partial(hankel_map, g), 1, [1, 2],
                               seed=int(probe_child.generate_state(1)[0]))
     eps = (c - 1.0) / c_probe
     info = {"K2": g.system.row_bound, "K2_converged": k2_converged, "C_probe": c_probe,
@@ -316,12 +318,14 @@ def fcn_experiment(n: int, c: float, seed: int = 0) -> dict:
     column staying inside a positive band reproduces the lower half of the
     two-sided sqrt(n) estimate empirically.
 
-    The row's pb_probe is ``probe_search`` on ``_pb_map`` at max_degree 2:
-    1, z, z^2 and fejer:2, no random candidates and no ascent, floored at 1
-    as in ``pb_probe``.  ``pb_probe``'s full search (PbSearch(restarts=2,
+    The row's pb_probe is ``probe_search`` on ``_pb_map`` over the chain
+    1 -> z -> z^2 at max_degree 1, which adds no Fejer mean, no random
+    candidate and no ascent, floored at 1 as in ``pb_probe``.
+    ``pb_probe``'s full search (PbSearch(restarts=2,
     max_degree=min(2D - 2, 64))) wins at z^2 on each row tried and reaches
-    it by the same chain 1 -> z -> z^2, so it returns the same bits (pinned
-    in the tests).  The value is still a lower bound.
+    it by the same chain, so it returns the same bits (pinned in the tests).
+    Every candidate is a monomial, so each P(T) factor is a shift.  The
+    value is still a lower bound.
 
     The flat pb column follows from the calibration; it is not a
     measurement.  Both searches win at the z^2 witness, whose certified sup
@@ -331,7 +335,7 @@ def fcn_experiment(n: int, c: float, seed: int = 0) -> dict:
     row's evidence is the growth of cb alone."""
     bundle, info = haar_bundle_for_target(n, c, seed)
     sim = cb_certificate(bundle)
-    pb, _ = probe_search(partial(_pb_map, bundle, max_degree=2), 2, [0, 1, 2], seed=seed)
+    pb, _ = probe_search(partial(_pb_map, bundle, max_degree=1), 1, [0, 1, 2], seed=seed)
     pb = max(pb, 1.0)
     cb_over_pb = sim / pb
     scaled = cb_over_pb / ((c - 1.0) * np.sqrt(n))

@@ -1,10 +1,12 @@
 """Error taxonomy shared by all modules.
 
-The CLI maps these to exit codes: configuration/domain/dimension errors
-exit 2 (config values reach library preconditions such as c > 1 and
-eps >= 0), non-convergence exits 3, failed numerical assertions exit 1.  No
-other exception is a config error: a ValueError, KeyError or LinAlgError is
-a bug and propagates out of ``cli.run``.
+The CLI maps these to exit codes: configuration errors exit 2,
+non-convergence exits 3, failed numerical assertions exit 1.  The CLI
+refuses at read, as a ConfigurationError naming the key, every config value
+that a library precondition (c > 1, eps >= 0, deg f < 2D) would refuse, so
+no config reaches a domain or dimension error.  No other exception is a
+config error: a DomainError, DimensionError, ValueError, KeyError or
+LinAlgError is a bug and propagates out of ``cli.run``.
 """
 
 

@@ -26,9 +26,9 @@ and an ascent direction; it alone seeds and certifies.  Every norm is one
 its solve runs on W (T(f') (x) I), W^H W = G^H G (the root of the Gram
 diagonal for basis-vector blocks, G otherwise, so no Gram matrix is formed),
 with T(f') a ``numkit.toeplitz_factor`` as in P -> P(T).  ``scan_probe_best``
-runs it on each scan cell, with closed-form monomials when the Gram matrix is
-diagonal; ``counterexample`` runs the same search on P -> P(T) and, over the
-candidates of degree <= 2, on ``hankel_map`` to set eps in the fcn
+runs it on each scan cell, whose Gram matrix is diagonal, with closed-form
+monomials; ``counterexample`` runs the same search on P -> P(T) and, over the
+monomial chain z -> z^2, on ``hankel_map`` to set eps in the fcn
 experiment.
 
 ``bound_probe`` evaluates one polynomial exactly (the CLI probe mode) through
@@ -611,25 +611,23 @@ class ScanRow:
 
 
 def scan_probe_best(g: BlockHankel, cfg: ProbeConfig, seed: int) -> tuple[float, str]:
-    """Best certified ratio for one Hankel matrix and its witness id:
-    ``probe_search`` on ``hankel_map`` with the ``cfg`` budget.  When the
-    Gram matrix is diagonal the monomials take the closed form
-    ||G T((z^k)')|| = k sqrt(max diag[k-1:]), since T((z^k)') = k shift^{k-1}."""
+    """Best certified ratio for one cell of a scan family and its witness
+    id.  Both families are basis-vector Hankels with a diagonal Gram matrix,
+    so the monomials take the closed form
+    ||G T((z^k)')|| = k sqrt(max diag[k-1:]), since T((z^k)') = k shift^{k-1};
+    ``probe_search`` on ``hankel_map`` with the ``cfg`` budget runs the rest."""
     max_degree = 2 * g.D - 1
-    ks = monomial_grid(max_degree, g.multiplier.support)
     diag = g.gram_diagonal_or_none()
     best, best_id = 0.0, "none"
-    if diag is not None:
-        for k in ks:
-            if not 1 <= k <= g.D:
-                continue
-            # |z^k| = 1 on the sup grid: the certified slack alone divides
-            cert = 1.0 / (1.0 - np.pi * k / numkit.default_grid_points(k))
-            ratio = k * np.sqrt(diag[k - 1 :].max()) / cert
-            if ratio > best:
-                best, best_id = ratio, f"monomial:{k}"
-        ks = []
-    found = probe_search(partial(hankel_map, g), max_degree, ks, n_random=cfg.n_random,
+    for k in monomial_grid(max_degree, g.multiplier.support):
+        if not 1 <= k <= g.D:
+            continue
+        # |z^k| = 1 on the sup grid: the certified slack alone divides
+        cert = 1.0 / (1.0 - np.pi * k / numkit.default_grid_points(k))
+        ratio = k * np.sqrt(diag[k - 1 :].max()) / cert
+        if ratio > best:
+            best, best_id = ratio, f"monomial:{k}"
+    found = probe_search(partial(hankel_map, g), max_degree, [], n_random=cfg.n_random,
                          n_degrees=cfg.n_random, ascent_restarts=cfg.ascent_restarts,
                          ascent_steps=cfg.ascent_steps, seed=seed)
     return found if found[0] > best else (best, best_id)
@@ -665,7 +663,7 @@ SCAN_FAMILIES = {
 def bound_scan(
     family: str,
     d_list: list[int],
-    cfg: ProbeConfig | None = None,
+    cfg: ProbeConfig,
     seed: int = 0,
     threads: int = 1,
 ) -> list[ScanRow]:
@@ -677,7 +675,6 @@ def bound_scan(
             f"unknown scan family {family!r}; choose from {sorted(SCAN_FAMILIES)}"
         )
     builder = SCAN_FAMILIES[family]
-    cfg = cfg or ProbeConfig()
     children = np.random.SeedSequence(entropy=seed).spawn(len(d_list))
     cell_seeds = [int(c.generate_state(1)[0]) for c in children]
 

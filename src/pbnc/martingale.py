@@ -158,8 +158,9 @@ class PathBatch:
     levels 1..L, measured after renormalization.
 
     Both arrays are stored column-major (Fortran order): every estimator
-    reads whole levels ``psi[:, k]`` and ``Z[:, k]``, and a contiguous
-    column is what ``poly_eval``'s chunked Horner streams through cache.
+    reads whole levels ``psi[:, k]`` and ``Z[:, k]``, and ``poly_eval``'s
+    one Horner pass over a contiguous column of at most ``SIM_BLOCK`` points
+    stays in cache.
     Shapes and indexing are those of any (N, L) array."""
 
     Z: np.ndarray = field(repr=False)

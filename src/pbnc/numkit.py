@@ -42,7 +42,6 @@ CHECK_SHRINK = 0.7  # share of the predicted steps to convergence before the nex
 CHECK_MAX_GAP = 8  # most steps between two of a cycle's residual tests
 DGKS_RATIO = math.sqrt(0.5)  # a second Gram-Schmidt pass runs below this share of the norm
 DEGREE_CAP = 1 << 16
-HORNER_CHUNK = 1 << 14  # points poly_eval's accumulator covers at a time (256 KB)
 
 
 @dataclass(frozen=True)
@@ -53,9 +52,6 @@ class NormEstimate:
     converged: bool = True  # the residual test passed
     residual: float = 0.0  # ||A^H u - value v|| of the returned pair (0 when exact)
     checks: int = 0  # residual tests run (one small eigensolve or SVD each)
-
-    def __float__(self) -> float:
-        return self.value
 
     def check_converged(self, what: str) -> "NormEstimate":
         """Self, or NonConvergenceError(iterations, value) for a capped solve."""
@@ -310,30 +306,20 @@ def poly_eval(p: Polynomial, z):
     """Horner evaluation; ``z`` may be a scalar (returns ``complex``) or an
     ndarray of any shape and strides (returns an array of that shape).
 
-    The points are taken in contiguous chunks of ``HORNER_CHUNK``, and each
-    chunk runs every Horner step into preallocated buffers while its
-    accumulator and points stay in cache; a strided input is copied once per
-    chunk instead of being re-read at every degree.  Per point the
+    One pass over the points into two preallocated buffers.  Per point the
     operations and their order are those of ``acc = acc * z + c``, so the
-    values are bit-identical to the plain loop.  The product goes to a
+    values are bit-identical to the plain loop.  The product goes to the
     second buffer, not back into ``acc``: numpy 2.4 on an AVX-512 CPU rounds
     a one-element in-place complex product without the fused multiply-add of
-    its vector loop, so a one-point last chunk would differ in the last bit.
+    its vector loop, so one point would differ in the last bit.
     """
     z = np.asarray(z, dtype=np.complex128)
-    flat = z.reshape(-1)
-    out = np.empty(flat.size, dtype=np.complex128)
-    scratch = np.empty(min(flat.size, HORNER_CHUNK), dtype=np.complex128)
-    for lo in range(0, flat.size, HORNER_CHUNK):
-        zb = np.ascontiguousarray(flat[lo : lo + HORNER_CHUNK])
-        acc = out[lo : lo + HORNER_CHUNK]
-        prod = scratch[: acc.size]
-        acc[...] = p.coeffs[-1]
-        for c in p.coeffs[-2::-1]:
-            np.multiply(acc, zb, out=prod)
-            np.add(prod, c, out=acc)
-    out = out.reshape(z.shape)
-    return out if out.shape else complex(out)
+    acc = np.full(z.shape, p.coeffs[-1])
+    prod = np.empty_like(acc)
+    for c in p.coeffs[-2::-1]:
+        np.multiply(acc, z, out=prod)
+        np.add(prod, c, out=acc)
+    return acc if acc.shape else complex(acc)
 
 
 @dataclass(frozen=True)

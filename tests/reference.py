@@ -104,7 +104,7 @@ def _row_bound_holds(blocks: np.ndarray, slack: float = 1e-10) -> bool:
     if blocks.shape[1] != n:
         raise DimensionError("row_bound_check needs an n x n grid of blocks")
     flat = np.block([[blocks[i, j] for j in range(n)] for i in range(n)])
-    lhs = float(op_norm(flat))
+    lhs = op_norm(flat).value
     rhs_rows = []
     for i in range(n):
         s = sum(blocks[i, j] @ blocks[i, j].conj().T for j in range(n))

@@ -114,7 +114,7 @@ def test_criterion_04_hankel_structure_and_identity_probe():
                 assert np.array_equal(blocks[i, :, j, :], blocks[j, :, i, :])
                 assert np.array_equal(blocks[i, :, j, :], symbol_block(g, i, j))
         probe = bound_probe(g, Polynomial.monomial(1))
-        ref = float(op_norm(g.flat()))
+        ref = op_norm(g.flat()).value
         print(f"criterion 4: D={g.D} norm_gtf={probe.norm_gtf:.12f} ||G||={ref:.12f}")
         assert abs(probe.norm_gtf - ref) <= 1e-10
 

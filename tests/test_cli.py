@@ -8,7 +8,8 @@ import pytest
 
 from pbnc import cli, numkit
 from pbnc.coeff_systems import car_jordan_wigner
-from pbnc.errors import NonConvergenceError
+from pbnc.counterexample import haar_bundle
+from pbnc.errors import DimensionError, DomainError, NonConvergenceError
 from pbnc.hankel import (
     BlockHankel,
     LacunarySpec,
@@ -110,6 +111,20 @@ WORK = ("row_bound", "build_hankel", "bound_scan", "pb_probe", "fcn_experiment",
      "checks[1].level is required"),
     ("mc", {"L": 3, "n_samples": 100, "checks": [{"check": "orthogonality"}]},
      "checks[0].level is required"),
+    # values a library precondition would refuse: c <= 1, a zero f or one of
+    # degree >= 2D = 10 (L = 2: D = 5), a bridge degree >= 2D = 10 (car_n = 2,
+    # K = (1, 4): D = 5), each before any Hankel or flat matrix is built
+    ("fcn", {"n_grid": [2], "c": 1.0}, "c must exceed 1"),
+    ("fcn", {"n_grid": [2], "c": 0.5}, "c must exceed 1"),
+    ("hankel", {"mode": "probe", "L": 2, "f": [0.0, 0.0]}, "f must be a nonzero polynomial"),
+    ("hankel", {"mode": "probe", "L": 2, "f": [0.0] * 10 + [1.0]}, "f must be a nonzero "
+     "polynomial of degree < 2D = 10, not of degree 10"),
+    ("hankel", {"mode": "probe", "spec": [2], "f": [0.0] * 6 + [1.0]}, "2D = 6, not of degree 6"),
+    ("mc", {"L": 3, "n_samples": 100, "checks": [{"check": "bridge", "car_n": 2, "degree": 10}]},
+     "checks[0].degree = 10 is not below 2D = 10"),
+    ("mc", {"L": 3, "n_samples": 100, "checks": [{"check": "drift"},
+                                                  {"check": "bridge", "car_n": 1, "degree": 4}]},
+     "checks[1].degree = 4 is not below 2D = 4"),
 ])
 def test_uncastable_value_is_config_error(tmp_path, capsys, monkeypatch, command, doc, key):
     # int([2]) is a TypeError, which must not surface as a traceback; every
@@ -270,7 +285,18 @@ def test_no_degree_for_random_candidates_runs(tmp_path, command, doc):
     assert _run(tmp_path, command, doc) == 0
 
 
-@pytest.mark.parametrize("error", [ValueError, KeyError, TypeError, np.linalg.LinAlgError])
+@pytest.mark.parametrize("command,doc", [
+    ("hankel", {"mode": "probe", "L": 2, "f": [0.0] * 9 + [1.0]}),
+    ("mc", {"L": 3, "n_samples": 100, "checks": [{"check": "bridge", "car_n": 2, "degree": 9}]}),
+])
+def test_degree_one_below_2d_runs(tmp_path, command, doc):
+    # degree 2D - 1 is the largest the Hankel truncation sees in full
+    assert _run(tmp_path, command, doc) in (0, 1)
+    assert (_run_dirs(tmp_path)[0] / "payload.json").exists()
+
+
+@pytest.mark.parametrize("error", [ValueError, KeyError, TypeError, np.linalg.LinAlgError,
+                                   DomainError, DimensionError])
 @pytest.mark.parametrize("command,doc", [
     ("coeffs", {"kind": "car", "n": 2}),
     ("hankel", {"mode": "probe", "L": 2}),
@@ -418,6 +444,21 @@ class TestCertify:
         res = payload["results"]
         assert res["N_total"] == 2 * res["D"] * res["h_dim"]
         assert payload["pass"]["cb_at_least_half_sqrt_n"] is True
+
+    def test_k2_only_on_haar_rows(self, tmp_path):
+        # a Haar row reports the K2 its multiplier divides by and its flag
+        for system in ("car", "haar_unitary"):
+            doc = {"system": system, "n": 2, "seed": 1, "search": {"restarts": 1}}
+            (tmp_path / system).mkdir()
+            assert _run(tmp_path / system, "certify", doc) == 0
+            (run_dir,) = _run_dirs(tmp_path / system)
+            res = json.loads((run_dir / "payload.json").read_bytes())["results"]
+            if system == "car":
+                assert "K2" not in res and "K2_converged" not in res
+            else:
+                bundle, converged = haar_bundle(2, 2, 1, 1, D=None, eps=1.0)
+                assert res["K2"] == bundle.hankel.system.row_bound >= 1.0
+                assert res["K2_converged"] is converged
 
     def test_contraction_regime(self, tmp_path):
         code = _run(tmp_path, "certify",

@@ -79,7 +79,7 @@ class TestCarRelations:
         for _ in range(10):
             alpha = rng.standard_normal(3) + 1j * rng.standard_normal(3)
             m = sum(a * c for a, c in zip(alpha, sys_.elements))
-            assert float(op_norm(m)) == pytest.approx(np.linalg.norm(alpha), abs=1e-12)
+            assert op_norm(m).value == pytest.approx(np.linalg.norm(alpha), abs=1e-12)
 
     def test_needs_square(self):
         with pytest.raises(errors.DomainError):

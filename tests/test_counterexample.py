@@ -167,14 +167,14 @@ class TestPolyOfT:
             _pt_solve(b, _rng(25))(p)
         assert exc.value.iterations == 2
         # a Rayleigh estimate: positive and never above the exact norm
-        assert 0.0 < exc.value.last_estimate <= float(op_norm(poly_of_T(b, p))) * (1 + 1e-12)
+        assert 0.0 < exc.value.last_estimate <= op_norm(poly_of_T(b, p)).value * (1 + 1e-12)
 
     def test_structured_norm_matches_dense(self):
         b = _car_bundle(n=3, eps=0.7)
         rng = _rng(26)
         for p in (random_poly(5, rng), fejer_poly(8), Polynomial.monomial(3)):
             assert _pt_solve(b, rng)(p)[0] == pytest.approx(
-                float(op_norm(poly_of_T(b, p))), rel=1e-10)
+                op_norm(poly_of_T(b, p)).value, rel=1e-10)
 
     def test_car5_clustered_norm_matches_dense(self):
         # N = 2112; the top singular values of P(T) agree to 1.7e-6 relative,
@@ -182,7 +182,7 @@ class TestPolyOfT:
         b = _car_bundle(n=5)
         p = fejer_poly(2)
         sigma, u, v = _pt_solve(b, _rng(27))(p)
-        assert sigma == pytest.approx(float(op_norm(poly_of_T(b, p))), rel=1e-10)
+        assert sigma == pytest.approx(op_norm(poly_of_T(b, p)).value, rel=1e-10)
         apply, _ = _poly_t_applies(b, p)
         assert np.allclose(apply(v), sigma * u, rtol=0, atol=1e-8)
         assert self._explicit_residual(b, p, sigma, v) <= 2e-10 * sigma
@@ -261,7 +261,7 @@ class TestPbProbe:
         b0 = _car_bundle(n=2, eps=0.0)
         polys = [random_poly(6, rng) for _ in range(4)]
         for p in polys:
-            norms = [float(op_norm(poly_of_T(dataclasses.replace(b0, eps=e), p)))
+            norms = [op_norm(poly_of_T(dataclasses.replace(b0, eps=e), p)).value
                      for e in (0.0, 0.5, 1.0, 2.0)]
             assert all(b >= a - 1e-11 for a, b in zip(norms, norms[1:]))
 
@@ -286,7 +286,7 @@ class TestPbProbe:
         name, degree = best_id.split(":")
         assert name == kind
         p = Polynomial.monomial(int(degree)) if kind == "monomial" else fejer_poly(int(degree))
-        dense = float(op_norm(poly_of_T(b, p))) / sup_norm(p).certified_upper
+        dense = op_norm(poly_of_T(b, p)).value / sup_norm(p).certified_upper
         assert dense == pytest.approx(best, rel=1e-9)
 
     def test_cold_solves_do_not_see_the_warm_starts(self, monkeypatch):
@@ -495,7 +495,7 @@ class TestTargetScaling:
     @pytest.mark.parametrize("n,seed,c", [(n, seed, c) for n in (2, 4) for seed in (3, 42)
                                           for c in (1.5, 2.0, 3.0)] + [(7, 42, 2.0)])
     def test_fcn_full_searches_win_at_z2(self, monkeypatch, n, seed, c):
-        # a row solves only the candidates of degree <= 2; the searches it
+        # a row solves only the monomial chains ending at z^2; the searches it
         # replaced, spelled out here, return the same bits from the same
         # z^2 solve, so a row that dropped z^2 or reordered its chain fails,
         # and a full search that beats z^2 is a discovery
@@ -518,6 +518,32 @@ class TestTargetScaling:
         search = PbSearch(restarts=2, max_degree=min(2 * g.D - 2, 64), seed=seed)
         assert pb_probe(bundle, search) == row["pb_probe"]
         assert found[0][1] == "monomial:2"
+
+    @pytest.mark.parametrize("n", [2, 7])
+    def test_fcn_row_solves_five_monomials(self, monkeypatch, n):
+        # the row's two searches are the monomial chains z -> z^2 on the
+        # Hankel map and 1 -> z -> z^2 on P(T): no Fejer mean, no random
+        # polynomial, so every Toeplitz factor is a shift
+        solves = []
+
+        def counted(name, map_of):
+            def wrapped(*args, **kwargs):
+                solve, direction = map_of(*args, **kwargs)
+
+                def counted_solve(f, start=None):
+                    solves.append((name, f.coeffs.tolist()))
+                    return solve(f, start=start)
+
+                return counted_solve, direction
+            return wrapped
+
+        monkeypatch.setattr(counterexample, "hankel_map", counted("G T(f')", hankel.hankel_map))
+        monkeypatch.setattr(counterexample, "_pb_map", counted("P(T)", _pb_map))
+        monkeypatch.setattr(numkit, "toeplitz", None)  # a dense factor would fail here
+        fcn_experiment(n, 2.0, 42)
+        z = [[1], [0, 1], [0, 0, 1]]
+        assert solves == [("G T(f')", z[1]), ("G T(f')", z[2]),
+                          ("P(T)", z[0]), ("P(T)", z[1]), ("P(T)", z[2])]
 
     def test_fcn_row(self):
         row = fcn_experiment(2, 2.0, seed=42)

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from pbnc import errors, numkit
 from pbnc.numkit import (
-    NormEstimate,
     Polynomial,
     default_grid_points,
     poly_derivative,
@@ -43,21 +42,17 @@ class TestOpNorm:
         for shape in [(5, 5), (3, 8), (8, 3), (1, 1)]:
             a = _random_complex(rng, shape)
             ref = np.linalg.svd(a, compute_uv=False)[0]
-            assert float(op_norm(a)) == pytest.approx(ref, rel=1e-12)
+            assert op_norm(a).value == pytest.approx(ref, rel=1e-12)
 
     def test_empty_and_zero(self):
-        assert float(op_norm(np.zeros((4, 4)))) == 0.0
-        assert float(op_norm(np.zeros((0, 3)))) == 0.0
+        assert op_norm(np.zeros((4, 4))).value == 0.0
+        assert op_norm(np.zeros((0, 3))).value == 0.0
 
     def test_above_exact_limit_is_loud(self):
         # 4097 rows: past OP_NORM_EXACT_MAX_DIM, where op_norm refuses
         a = np.zeros((OP_NORM_EXACT_MAX_DIM + 1, 3))
         with pytest.raises(errors.DimensionError, match="4096"):
             op_norm(a)
-
-    def test_float_protocol(self):
-        est = NormEstimate(2.5, "exact-eigensolve", 0)
-        assert float(est) == 2.5
 
     def test_rejects_bad_input(self):
         with pytest.raises(errors.DimensionError):
@@ -311,8 +306,9 @@ class TestPolyOps:
             acc = acc * z + c
         return acc
 
-    @pytest.mark.parametrize("size", [0, 1, numkit.HORNER_CHUNK - 1, numkit.HORNER_CHUNK,
-                                      numkit.HORNER_CHUNK + 1, 3 * numkit.HORNER_CHUNK + 5])
+    # one point, the one-element product of the poly_eval docstring, and
+    # lengths around 2^14, the rows of a path block
+    @pytest.mark.parametrize("size", [0, 1, 16_383, 16_384, 16_385, 49_157])
     def test_eval_is_bit_identical_to_plain_horner(self, size):
         rng = _rng(50 + size)
         p = Polynomial(_random_complex(rng, 24))
@@ -324,7 +320,7 @@ class TestPolyOps:
     def test_eval_bit_identical_on_strided_and_2d_input(self):
         rng = _rng(51)
         p = Polynomial(_random_complex(rng, 17))
-        block = 0.6 * _random_complex(rng, (3 * numkit.HORNER_CHUNK + 5, 7))
+        block = 0.6 * _random_complex(rng, (49_157, 7))
         column = block[:, 3]  # 112-byte stride
         assert np.array_equal(poly_eval(p, column), self._horner(p.coeffs, column))
         square = block[:300, 1:6].T  # 2-d, neither C- nor F-contiguous
@@ -334,7 +330,7 @@ class TestPolyOps:
 
     def test_eval_degree_zero_and_scalar(self):
         rng = _rng(52)
-        z = _random_complex(rng, numkit.HORNER_CHUNK + 3)
+        z = _random_complex(rng, 16_387)
         const = Polynomial([2.0 - 1.0j])
         assert np.array_equal(poly_eval(const, z), np.full(z.shape, 2.0 - 1.0j))
         p = Polynomial(_random_complex(rng, 9))

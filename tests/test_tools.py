@@ -1,12 +1,13 @@
 """tools/freeze_thresholds.py is the only sanctioned way to regenerate
 src/pbnc/thresholds.json, tools/payload_digests.py compares payloads
-across commits, tools/probe_cost.py counts the solves of a CAR pb_probe,
+across commits, tools/probe_cost.py counts the solves of a CAR pb_probe or
+of an fcn row,
 tools/mc_cost.py times one mc pass and counts its page faults, and
 tools/src_size.py counts the code lines of src/pbnc; importing them
 (without running main) makes a rename in src/ that breaks a tool fail
 here, the digest tool's exit code is checked on a call that writes no
 payload, the size tool counts a small source, the probe cost tool runs at
-n = 2 and pins the solve budget of the car_chain sweep, and the mc cost
+n = 2 in both modes and pins the solve budget of the car_chain sweep, and the mc cost
 tool runs over two path blocks.  The last test keeps src/pbnc free of
 code that only the tests call."""
 
@@ -19,7 +20,7 @@ from pathlib import Path
 
 from pbnc import hankel, numkit
 from pbnc.coeff_systems import car_jordan_wigner
-from pbnc.counterexample import PbSearch, build_T, pb_probe
+from pbnc.counterexample import PbSearch, build_T, fcn_experiment, pb_probe
 from pbnc.hankel import MultiplierSeq, lacunary_default
 from pbnc.martingale import SIM_BLOCK
 
@@ -141,6 +142,20 @@ def test_probe_cost_tool_counts_a_car_probe(monkeypatch, capsys):
     fields = line.split()
     assert fields[0] == "2" and [int(f) for f in fields[2:5]] == [
         row["steps"], row["ascent_steps"], row["checks"]]
+
+
+def test_probe_cost_tool_counts_an_fcn_row(monkeypatch, capsys):
+    tool = _tool(monkeypatch, "probe_cost")
+    row = tool.fcn_cost(2)
+    assert row["steps"] > 0 and row["checks"] > 0 and row["wall_s"] > 0
+    assert row["ascent_steps"] == 0  # a row runs no ascent
+    assert row["pb_probe"] == fcn_experiment(2, 2.0, 42)["pb_probe"]
+    assert hankel.top_singular is numkit.top_singular
+    assert tool.main(["--fcn", "2"]) == 0
+    header, line = capsys.readouterr().out.splitlines()
+    assert header.split() == ["n", "wall_s", "steps", "ascent_steps", "checks", "pb_probe"]
+    fields = line.split()
+    assert fields[0] == "2" and [int(f) for f in fields[2:5]] == [row["steps"], 0, row["checks"]]
 
 
 def test_mc_cost_tool_measures_one_pass(monkeypatch, capsys):
