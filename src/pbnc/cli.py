@@ -59,6 +59,7 @@ from .counterexample import (
 )
 from .errors import ConfigurationError, NonConvergenceError
 from .hankel import (
+    FLAT_ENTRY_BUDGET,
     SCAN_FAMILIES,
     LacunarySpec,
     MultiplierSeq,
@@ -84,7 +85,7 @@ from .martingale import (
     radial_samples,
     stream_estimates,
 )
-from .numkit import Polynomial
+from .numkit import DEGREE_CAP, Polynomial
 
 THRESHOLDS_PATH = Path(__file__).with_name("thresholds.json")
 
@@ -207,27 +208,27 @@ def _cast(cast, value, name: str, lo: int | None = None):
 
 def _read_system(keys: _Keys):
     """The builder of a coefficient system, read now and built on call, its
-    seed and the side of its square elements (None for basis vectors, which
-    are columns); ``seed`` shapes only a Haar system, and ``dim`` (default
-    n) is read only for one, so that elsewhere it is an unknown key."""
+    seed and the (rows, cols) shape of its elements (n x 1 for basis
+    vectors); ``seed`` shapes only a Haar system, and ``dim`` (default n)
+    is read only for one, so that elsewhere it is an unknown key."""
     kind = keys.get("kind", "car", ("car", "haar_unitary", "basis_vector"))
     n = keys.get("n", 3, int)
     seed = keys.get("seed", 0, int, lo=0)
     if kind == "car":
-        return partial(car_jordan_wigner, n), seed, car_dim(n)
+        return partial(car_jordan_wigner, n), seed, (car_dim(n),) * 2
     if kind == "haar_unitary":
         dim = keys.get("dim", n, int)
-        return partial(haar_unitaries, n, dim, seed=seed), seed, dim
-    return partial(basis_vectors, n), seed, None
+        return partial(haar_unitaries, n, dim, seed=seed), seed, (dim, dim)
+    return partial(basis_vectors, n), seed, (n, 1)
 
 
 def cmd_coeffs(cfg: dict, thresholds: dict, threads: int):
     keys = _Keys(cfg)
-    build_system, seed, side = _read_system(keys)
+    build_system, seed, (rows, cols) = _read_system(keys)
     restarts = keys.get("restarts", 32, int, lo=1)
     keys.done()
-    if side is not None:
-        check_tensor_budget(side)  # refuse before the system is built
+    if rows == cols:
+        check_tensor_budget(rows)  # refuse before the system is built
     system = build_system()
     results = {
         "kind": system.kind,
@@ -265,26 +266,34 @@ def cmd_hankel(cfg: dict, thresholds: dict, threads: int):
     if keys.get("mode", "probe", ("probe", "scan")) == "scan":
         return _hankel_scan(keys, thresholds, threads)
     keys.get("seed", 0, int, lo=0)  # --seed writes it; the probe draws nothing
+    # L is read only without a spec, so that beside one it is an unknown key
     spec_k = keys.get("spec", None, [int])
-    L = keys.get("L", 3, int)
-    d = keys.get("D", None, int)
     if spec_k is None:
+        L = keys.get("L", 3, int)
         check_default_depth(L, "a lacunary probe", "L")
+    d = keys.get("D", None, int)
     if d is not None:
         check_truncation(d, "D")
     spec = lacunary_default(L) if spec_k is None else LacunarySpec(tuple(spec_k))
     d = max(spec.K) + 1 if d is None else d
-    build_system, _, _ = _read_system(keys.obj("system", {"kind": "basis_vector", "n": spec.L}))
-    f = Polynomial(keys.get("f", [0.0, 1.0], [float]))
+    build_system, _, (rows, cols) = _read_system(
+        keys.obj("system", {"kind": "basis_vector", "n": spec.L}))
+    coeffs = keys.get("f", [0.0, 1.0], [float])
     keys.done()
-    if f.is_zero or f.degree >= 2 * d:
+    # the degree is read off the list, so a long f is refused before Polynomial
+    # applies its own cap (2D <= 16384 < DEGREE_CAP)
+    degree = max((i for i, c in enumerate(coeffs) if c), default=0)
+    if not any(coeffs) or degree >= 2 * d:
         raise ConfigurationError(f"f must be a nonzero polynomial of degree < 2D = {2 * d}, "
-                                 f"not of degree {f.degree}")
+                                 f"not of degree {degree}")
+    if (d * rows) * (d * cols) > FLAT_ENTRY_BUDGET:
+        raise ConfigurationError(
+            f"D = {d} and system elements of {rows} x {cols} make a {d * rows} x {d * cols} "
+            f"flat Hankel matrix, above FLAT_ENTRY_BUDGET = {FLAT_ENTRY_BUDGET} entries")
+    f = Polynomial(coeffs)
     system = build_system()
     g = build_hankel(MultiplierSeq.indicator(spec), spec, system, d)
-    # flat() checks FLAT_ENTRY_BUDGET before the probe's D x D Toeplitz work
-    out_dim, in_dim = g.block_shape
-    blocks = g.flat().reshape(d, out_dim, d, in_dim)
+    blocks = g.flat().reshape(d, rows, d, cols)
     probe = bound_probe(g, f)
     results = {
         "mode": "probe",
@@ -556,6 +565,9 @@ def cmd_mc(cfg: dict, thresholds: dict, threads: int):
                                at=f"checks[{i}].")
         if "n_max" in chk:
             check_level(f"checks[{i}].n_max", chk["n_max"])
+        if chk.get("degree", 0) > DEGREE_CAP:
+            raise ConfigurationError(
+                f"checks[{i}].degree = {chk['degree']} exceeds cap {DEGREE_CAP}")
         if "car_n" in chk and not 1 <= chk["car_n"] <= min(L, CAR_MAX_N):
             raise ConfigurationError(
                 f"checks[{i}].car_n = {chk['car_n']} is outside 1..{min(L, CAR_MAX_N)}: a bridge "

@@ -130,7 +130,12 @@ def _poly_t_applies(b: OperatorBundle, p: Polynomial):
     2*D*h, out of views of two ``numkit.toeplitz_factor``s on block rows:
     P(S), P(S)^t and the corner's eps T(P') before the Hankel apply (one
     gather and one GEMM, O(F D h^2) per matvec), and their adjoints.  Each
-    view writes its block rows straight into the one output vector."""
+    builds its two halves as block sums,
+
+        P(T) x   = (P(S)^t x1 + G eps T(P') x2,  P(S) x2),
+        P(T)^H x = (conj(P(S)) x1,  P(S)^H x2 + (eps T(P'))^H G^H x1),
+
+    and concatenates them."""
     g = b.hankel
     D, h = g.D, g.block_shape[1]
     ps, ps_t, ps_h, ps_t_h = toeplitz_factor(p, D)
@@ -138,23 +143,14 @@ def _poly_t_applies(b: OperatorBundle, p: Polynomial):
     half = D * h
 
     def apply(x: np.ndarray) -> np.ndarray:
-        x2 = x[half:].reshape(D, h)
-        out = np.empty(2 * half, dtype=np.complex128)
-        y1, y2 = out[:half].reshape(D, h), out[half:].reshape(D, h)
-        ps(x2, out=y2)
-        corner(x2, out=y1)  # eps T(P') x2, read by the Hankel apply before y1 is filled
-        gw = g.apply_flat(out[:half]).reshape(D, h)
-        ps_t(x[:half].reshape(D, h), out=y1)
-        y1 += gw
-        return out
+        x1, x2 = x[:half].reshape(D, h), x[half:].reshape(D, h)
+        top = ps_t(x1) + g.apply_flat(corner(x2).reshape(-1)).reshape(D, h)
+        return np.concatenate((top, ps(x2)), axis=None)
 
     def apply_adjoint(x: np.ndarray) -> np.ndarray:
-        out = np.empty(2 * half, dtype=np.complex128)
-        y1, y2 = out[:half].reshape(D, h), out[half:].reshape(D, h)
-        ps_h(x[half:].reshape(D, h), out=y2)
-        y2 += corner_h(g.apply_flat_adjoint(x[:half]).reshape(D, h))
-        ps_t_h(x[:half].reshape(D, h), out=y1)
-        return out
+        x1, x2 = x[:half].reshape(D, h), x[half:].reshape(D, h)
+        bottom = ps_h(x2) + corner_h(g.apply_flat_adjoint(x[:half]).reshape(D, h))
+        return np.concatenate((ps_t_h(x1), bottom), axis=None)
 
     return apply, apply_adjoint
 

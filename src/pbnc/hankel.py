@@ -456,22 +456,16 @@ def fejer_ascent(start: Polynomial, max_degree: int, steps: int, solve, directio
     damp = 1.0 - np.arange(max_degree + 1) / (max_degree + 1.0)
     best = 0.0
     sup = sup_norm(start).certified_upper
-    prev = None  # the last v, in one buffer for the whole ascent
+    v = None
     for _ in range(steps):
         f = Polynomial(c)
         if f.is_zero:
             break
-        sigma, u, v = solve(f, start=prev)
+        sigma, u, v = solve(f, start=v)
         best = max(best, sigma / sup)
         if sigma == 0.0:
             break
         grad = direction(u, v)
-        if prev is None:
-            prev = np.empty_like(v)
-        prev[...] = v
-        # a fresh u or v kept across the renormalizing FFT raised the fcn
-        # benchmark's peak RSS by about 0.6 MB
-        del u, v
         step = 0.5 * np.linalg.norm(c) / max(np.linalg.norm(grad), 1e-30)
         c = c + step * damp * grad
         bound = sup_norm(Polynomial(c))
@@ -519,16 +513,11 @@ def probe_search(map_of, max_degree: int, monomials, *, n_random: int = 0,
             best, best_id = ratio, poly_id
 
     def chain(candidates) -> None:
-        prev = None  # the last nonzero v, in one buffer for the whole chain
+        start = None  # the right vector of the chain's last nonzero solve
         for f, poly_id in candidates:
-            sigma, u, v = solve(f, start=prev)
+            sigma, _, v = solve(f, start=start)
             if sigma > 0.0:
-                if prev is None:
-                    prev = np.empty_like(v)
-                prev[...] = v
-            # as in fejer_ascent, a fresh u or v kept across the sup-norm FFT
-            # raised the fcn benchmark's peak RSS (by about 0.8 MB here)
-            del u, v
+                start = v
             offer(sigma / sup_norm(f).certified_upper, poly_id)
 
     chain((Polynomial.monomial(k), f"monomial:{k}") for k in monomials)

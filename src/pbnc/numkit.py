@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -371,38 +370,33 @@ def toeplitz(f: Polynomial, d: int) -> np.ndarray:
 
 
 def toeplitz_factor(p: Polynomial, d: int, scale: complex = 1.0):
-    """The four views (A x, A^t x, A^H x, conj(A) x) of A = scale T(p) on
-    D x h block rows x, each ``view(x, out=None)`` writing into ``out`` when
-    given; ``scale`` multiplies the D coefficients T(p) sees.  With at most
-    one nonzero c z^k among them, A = c S^k for the shift S (block row i to
-    i + 1), applied by slicing in O(D h); otherwise the views are products
-    with one dense ``toeplitz`` matrix T, O(D^2 h), the last two as
-    conj(T^t conj(x)) and conj(T conj(x)), so no conjugate copy is kept."""
+    """The four views x -> A x, A^t x, A^H x, conj(A) x of A = scale T(p)
+    on D x h block rows x, each returning a fresh array; ``scale``
+    multiplies the D coefficients T(p) sees.  With at most one nonzero
+    c z^k among them, A = c S^k for the shift S (block row i to i + 1),
+    applied by slicing in O(D h); otherwise the views are products with one
+    dense ``toeplitz`` matrix T, O(D^2 h), the last two as conj(T^t conj(x))
+    and conj(T conj(x)), so no conjugate copy is kept."""
     c = p.coeffs[:d] * scale
     nz = np.flatnonzero(c)
     if nz.size > 1:
         t = toeplitz(Polynomial(c), d)
-        return partial(np.matmul, t), partial(np.matmul, t.T), _conj_view(t.T), _conj_view(t)
+        return (lambda x: t @ x), (lambda x: t.T @ x), _conj_view(t.T), _conj_view(t)
     k, ck = (nz[0], c[nz[0]]) if nz.size else (-1, 0j)  # k = -1: the zero factor
     cc = np.conj(ck)
     return _shift(k, ck, True), _shift(k, ck, False), _shift(k, cc, False), _shift(k, cc, True)
 
 
 def _conj_view(m: np.ndarray):
-    """x -> conj(m) x, as conj(m conj(x)) written into ``out``."""
-
-    def apply(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        out = np.matmul(m, x.conj(), out=out)
-        return np.conjugate(out, out=out)
-
-    return apply
+    """x -> conj(m) x, as conj(m conj(x))."""
+    return lambda x: np.conj(m @ np.conj(x))
 
 
 def _shift(k: int, c: complex, down: bool):
     """x -> c S^k x (``down``) or c (S^t)^k x, zero for k = -1."""
 
-    def apply(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        d, out = x.shape[0], (np.empty_like(x) if out is None else out)
+    def apply(x: np.ndarray) -> np.ndarray:
+        d, out = x.shape[0], np.empty_like(x)
         if k < 0:
             out[...] = 0.0
         elif down:

@@ -125,6 +125,8 @@ WORK = ("row_bound", "build_hankel", "bound_scan", "pb_probe", "fcn_experiment",
     ("mc", {"L": 3, "n_samples": 100, "checks": [{"check": "drift"},
                                                   {"check": "bridge", "car_n": 1, "degree": 4}]},
      "checks[1].degree = 4 is not below 2D = 4"),
+    # a spec sets the probe's frequencies: an L beside it would be ignored
+    ("hankel", {"mode": "probe", "spec": [2, 4, 8], "L": 5}, "unknown key(s) L"),
 ])
 def test_uncastable_value_is_config_error(tmp_path, capsys, monkeypatch, command, doc, key):
     # int([2]) is a TypeError, which must not surface as a traceback; every
@@ -192,7 +194,8 @@ def test_unknown_key_is_refused_before_work(tmp_path, capsys, monkeypatch, comma
     ("hankel", {"mode": "probe", "D": 1_000_000}, "budget", "bound_probe"),
     ("coeffs", {"kind": "haar_unitary", "n": 2, "dim": 100_000}, "budget", "haar_unitaries"),
     ("coeffs", {"kind": "basis_vector", "n": 100_000_000}, "basis_vectors needs", "row_bound"),
-    ("hankel", {"mode": "probe", "system": {"kind": "haar_unitary", "n": 2, "dim": 100_000}},
+    # n dim^2 above HAAR_MAX_ENTRIES, with a flat matrix within its budget
+    ("hankel", {"mode": "probe", "system": {"kind": "haar_unitary", "n": 40_000_000, "dim": 2}},
      "haar_unitaries needs", "build_hankel"),
     ("certify", {"system": "haar_unitary", "n": 2, "dim": 257,
                  "search": {"restarts": 1, "max_degree": 2}}, "budget", "pb_probe"),
@@ -251,12 +254,24 @@ def test_unknown_key_is_refused_before_work(tmp_path, capsys, monkeypatch, comma
     ("mc", {"L": 4, "n_samples": 100, "checks": [{"check": "drift"},
                                                   {"check": "eta_bound", "n_max": 1}]},
      "checks[1].n_max must be an integer >= 2", "eta_modulus_sup"),
+    # degrees above DEGREE_CAP name their key: a probe f (deg f < 2D is read
+    # off the list, before a Polynomial is built) and an mc check's degree
+    ("hankel", {"mode": "probe", "L": 2, "f": [0.0] * 65538 + [1.0]},
+     "f must be a nonzero polynomial of degree < 2D = 10, not of degree 65538", "Polynomial"),
+    ("mc", {"L": 3, "n_samples": 100, "checks": [{"check": "radial", "degree": 70_000}]},
+     "checks[0].degree = 70000 exceeds cap 65536", "random_poly"),
+    # a probe's (D rows) x (D cols) flat matrix above FLAT_ENTRY_BUDGET is
+    # refused before its system is built (L = 3: D = 9)
+    ("hankel", {"mode": "probe", "system": {"kind": "haar_unitary", "n": 3, "dim": 1500}},
+     "D = 9 and system elements of 1500 x 1500", "haar_unitaries"),
+    ("hankel", {"mode": "probe", "system": {"kind": "car", "n": 12}},
+     "D = 9 and system elements of 4096 x 4096", "car_jordan_wigner"),
 ])
 def test_size_above_its_cap_is_refused_before_work(tmp_path, capsys, monkeypatch, command, doc,
                                                    message, work):
     # a degree above DEGREE_CAP is refused before its coefficients are drawn,
-    # a flat Hankel matrix above FLAT_ENTRY_BUDGET before bound_probe builds
-    # its D x D Toeplitz matrix, elements over the tensor budget before the
+    # a probe's flat Hankel matrix above FLAT_ENTRY_BUDGET before its system
+    # is built, elements over the tensor budget before the
     # system is built or probed, a Haar or basis-vector system above its cap
     # before its arrays are allocated, an fcn n, a probe depth L or a bundle
     # n whose default D = 2^n + 1 is above the flat budget before any row

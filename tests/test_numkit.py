@@ -438,8 +438,7 @@ class TestToeplitz:
     @pytest.mark.parametrize("scale", [1.0, 0.7 - 0.2j, 0.0])
     def test_factor_views_match_dense(self, monkeypatch, coeffs, dense, scale):
         # A x, A^t x, A^H x and conj(A) x of A = scale T(p) on D x h block
-        # rows, returned and written into ``out``; a factor with at most one
-        # term left builds no Toeplitz matrix
+        # rows; a factor with at most one term left builds no Toeplitz matrix
         rng = _rng(14)
         d, h = 5, 3
         p = Polynomial(coeffs)
@@ -449,10 +448,7 @@ class TestToeplitz:
         views = toeplitz_factor(p, d, scale)
         for view, want in zip(views, (a, a.T, a.conj().T, a.conj())):
             x = _random_complex(rng, (d, h))
-            out = np.full((d, h), np.nan, dtype=np.complex128)
             assert np.allclose(view(x), want @ x, rtol=0, atol=1e-13)
-            assert view(x, out=out) is out
-            assert np.allclose(out, want @ x, rtol=0, atol=1e-13)
 
     def test_dense_factor_holds_one_matrix(self):
         # A^H x and conj(A) x are conj(T^t conj(x)) and conj(T conj(x)): a

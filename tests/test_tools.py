@@ -138,7 +138,8 @@ def test_probe_cost_tool_counts_a_car_probe(monkeypatch, capsys):
     assert hankel.fejer_ascent.__module__ == "pbnc.hankel"
     assert tool.main(["2", "--restarts", "1"]) == 0
     header, line = capsys.readouterr().out.splitlines()
-    assert header.split() == ["n", "wall_s", "steps", "ascent_steps", "checks", "pb_probe"]
+    assert header.split() == ["n", "wall_s", "steps", "ascent_steps", "checks", "peak_kib",
+                              "pb_probe"]
     fields = line.split()
     assert fields[0] == "2" and [int(f) for f in fields[2:5]] == [
         row["steps"], row["ascent_steps"], row["checks"]]
@@ -149,13 +150,16 @@ def test_probe_cost_tool_counts_an_fcn_row(monkeypatch, capsys):
     row = tool.fcn_cost(2)
     assert row["steps"] > 0 and row["checks"] > 0 and row["wall_s"] > 0
     assert row["ascent_steps"] == 0  # a row runs no ascent
+    assert row["peak_kib"] > 0
     assert row["pb_probe"] == fcn_experiment(2, 2.0, 42)["pb_probe"]
     assert hankel.top_singular is numkit.top_singular
     assert tool.main(["--fcn", "2"]) == 0
     header, line = capsys.readouterr().out.splitlines()
-    assert header.split() == ["n", "wall_s", "steps", "ascent_steps", "checks", "pb_probe"]
+    assert header.split() == ["n", "wall_s", "steps", "ascent_steps", "checks", "peak_kib",
+                              "pb_probe"]
     fields = line.split()
     assert fields[0] == "2" and [int(f) for f in fields[2:5]] == [row["steps"], 0, row["checks"]]
+    assert float(fields[5]) > 0
 
 
 def test_mc_cost_tool_measures_one_pass(monkeypatch, capsys):

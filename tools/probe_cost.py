@@ -1,18 +1,23 @@
 """Cost of ``pb_probe`` on the CAR bundles, or of one ``fcn`` row: wall
-time, GKL steps and residual tests.
+time, GKL steps, residual tests and tracemalloc peak.
 
 For each n given it builds the bundle ``pbnc sweep`` builds at that n
 (``car_jordan_wigner(n)``, ``lacunary_default(n)``, indicator multiplier),
 runs ``pb_probe`` once with BLAS at one thread, and prints one line:
 
-    n  wall_s  steps  ascent_steps  checks  pb_probe
+    n  wall_s  steps  ascent_steps  checks  peak_kib  pb_probe
 
 ``steps`` counts the Golub-Kahan-Lanczos steps of every solve of
 ``hankel.probe_solve`` (its one ``top_singular`` call), ``ascent_steps``
 those of the solves inside ``fejer_ascent``, and
 ``checks`` the residual tests (each the top eigenpair of B B^T for the
-projected matrix B, or its SVD when a restart follows).  With
-more than one n a ``total`` line follows.  The defaults are those of
+projected matrix B, or its SVD when a restart follows).  ``peak_kib`` is
+the tracemalloc peak of a second, untimed run of the same call, in KiB:
+unlike a process's peak RSS it does not move with the heap's layout, so a
+change in the memory the call holds shows in it (a CAR bundle is built
+before both runs, and what the first run caches on it, the Hankel's gather
+index, is not counted).  With more than one n a
+``total`` line follows, with the largest peak.  The defaults are those of
 ``PbSearch()``; the ``car_chain`` benchmark's sweep is ``2 3 4`` with its
 seed.  With ``--fcn`` each line is instead one ``fcn_experiment(n, 2.0, 42)``
 row, the ``pbnc fcn`` row at n, with the same counts over both of its
@@ -33,6 +38,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import argparse
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
@@ -45,7 +51,7 @@ from pbnc.hankel import MultiplierSeq, lacunary_default
 
 def _cost(n: int, run) -> dict:
     """``run()``'s value as ``pb_probe`` with its wall time and the counts of
-    its probe solves."""
+    its probe solves, then the tracemalloc peak of a second run."""
     counts = {"steps": 0, "ascent_steps": 0, "checks": 0}
     in_ascent = False
     solve, ascent = hankel.top_singular, hankel.fejer_ascent
@@ -72,7 +78,13 @@ def _cost(n: int, run) -> dict:
         wall = time.perf_counter() - t0
     finally:
         hankel.top_singular, hankel.fejer_ascent = solve, ascent
-    return {"n": n, "wall_s": wall, **counts, "pb_probe": value}
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return {"n": n, "wall_s": wall, **counts, "peak_kib": peak / 1024, "pb_probe": value}
 
 
 def probe_cost(n: int, search: PbSearch) -> dict:
@@ -97,14 +109,15 @@ def main(argv: list[str] | None = None) -> int:
     args = ap.parse_args(argv)
     search = PbSearch(restarts=args.restarts, seed=args.seed)
     rows = [fcn_cost(n) if args.fcn else probe_cost(n, search) for n in args.n]
-    print(f"{'n':>5} {'wall_s':>8} {'steps':>7} {'ascent_steps':>12} {'checks':>7}  pb_probe")
+    print(f"{'n':>5} {'wall_s':>8} {'steps':>7} {'ascent_steps':>12} {'checks':>7} "
+          f"{'peak_kib':>9}  pb_probe")
     for r in rows:
         print(f"{r['n']:>5} {r['wall_s']:8.3f} {r['steps']:7d} {r['ascent_steps']:12d} "
-              f"{r['checks']:7d}  {r['pb_probe']:.15g}")
+              f"{r['checks']:7d} {r['peak_kib']:9.0f}  {r['pb_probe']:.15g}")
     if len(rows) > 1:
         print(f"{'total':>5} {sum(r['wall_s'] for r in rows):8.3f} "
               f"{sum(r['steps'] for r in rows):7d} {sum(r['ascent_steps'] for r in rows):12d} "
-              f"{sum(r['checks'] for r in rows):7d}")
+              f"{sum(r['checks'] for r in rows):7d} {max(r['peak_kib'] for r in rows):9.0f}")
     return 0
 
 
