@@ -305,10 +305,11 @@ def cmd_hankel(cfg: dict, thresholds: dict, threads: int):
         "sup_f": probe.sup_f,
     }
     # structural identity: every block (i, j) of the materialized matrix
-    # equals the symbol m(q)/q * C_phi(q) of q = i + j alone, rebuilt from
-    # multiplier, map and system, so the matrix is block Hankel as well
-    roundtrip_exact = all(np.array_equal(blocks[i, :, j, :], symbol_block(g, i, j))
-                          for i in range(d) for j in range(d))
+    # equals the symbol m(q)/q * C_phi(q) of q = i + j + 1 alone, rebuilt
+    # from multiplier, map and system, so the matrix is block Hankel as well;
+    # block row i holds the symbols of q = i + 1..i + D, one slice
+    symbols = np.stack([symbol_block(g, q) for q in range(1, 2 * d)], axis=1)
+    roundtrip_exact = all(np.array_equal(blocks[i], symbols[:, i : i + d]) for i in range(d))
     flags = {"symbol_roundtrip": roundtrip_exact}
     return results, flags, None
 
@@ -504,36 +505,47 @@ def _bridge_spec(car_n: int) -> LacunarySpec:
     return LacunarySpec((1,) + tuple(2**t for t in range(2, car_n + 1)))
 
 
-def _mc_estimator(chk: dict, rng: np.random.Generator, spec: LacunarySpec):
+def _against(e, target: complex):
+    """(estimate, target, stderr, pass) of a sampled mean: it passes within
+    four standard errors of its target."""
+    mean = complex(e.mean)
+    return mean, target, e.stderr, abs(mean - target) <= 4.0 * e.stderr
+
+
+def _mc_estimator(chk: dict, rng: np.random.Generator, spec: LacunarySpec, eta_bound: float):
     """(samplers, finish, level) of one check: the per-sample functions of a
-    path block its estimate streams through, and the map from their
-    estimates to (estimate, target); no samplers for drift and eta_bound,
-    whose finish gives the closed-form sup, taken here.  The polynomials
-    and vectors are drawn here, from the check's own generator, in a fixed
-    order."""
+    path block its estimate streams through, and ``finish(estimates,
+    drift)``, the check's (estimate, target, stderr, pass) from their
+    estimates and the stream's radial drift.  drift and eta_bound have no
+    samplers: drift passes at 1e-12, and eta_bound's closed-form sup, taken
+    here, passes below ``eta_bound``.  The polynomials and vectors are drawn
+    here, from the check's own generator, in a fixed order."""
     kind, level = chk["check"], chk.get("level", 0)
     if kind == "drift":  # read off the stream
-        return [], None, level
+        return [], lambda e, drift: (complex(drift), 0j, 0.0, drift <= 1e-12), level
     if kind == "eta_bound":
         sup = eta_modulus_sup(chk["n_max"])
-        return [], lambda e: sup, level
+        return [], lambda e, drift: (complex(sup), complex(eta_bound), 0.0,
+                                     sup <= eta_bound + 1e-9), level
     f = random_poly(chk["degree"], rng)
 
     def coeff(k: int) -> complex:
         return complex(f.coeffs[k]) if k < f.coeffs.size else 0j
 
     if kind == "radial":
-        return [lambda p: radial_samples(p, f, level)], lambda e: (e[0], 0j), level
+        return [lambda p: radial_samples(p, f, level)], lambda e, _: _against(e[0], 0j), level
     if kind == "fourier":
         # the target reads spec.K only after the samples validated the level
         return ([lambda p: fourier_samples(p, f, spec, level)],
-                lambda e: (e[0], coeff(spec.K[level - 1])), level)
+                lambda e, _: _against(e[0], coeff(spec.K[level - 1])), level)
     if kind == "multiplier":
         k = chk["k"]
-        return [lambda p: multiplier_samples(p, f, level, k)], lambda e: (e[0], coeff(k)), level
+        return ([lambda p: multiplier_samples(p, f, level, k)],
+                lambda e, _: _against(e[0], coeff(k)), level)
     if kind == "orthogonality":
         g2 = random_poly(chk["degree"], rng)
-        return [lambda p: orthogonality_samples(p, f, g2, level)], lambda e: (e[0], 0j), level
+        return ([lambda p: orthogonality_samples(p, f, g2, level)],
+                lambda e, _: _against(e[0], 0j), level)
     car_n = chk["car_n"]  # the bridge
     bspec = _bridge_spec(car_n)
     system = car_jordan_wigner(car_n)
@@ -543,7 +555,7 @@ def _mc_estimator(chk: dict, rng: np.random.Generator, spec: LacunarySpec):
     x = rng.standard_normal(h) + 1j * rng.standard_normal(h)
     y = rng.standard_normal(h) + 1j * rng.standard_normal(h)
     form = BridgeForm(g, f, x, y, bspec)
-    return form.samplers(), lambda e: (form.combine(e), form.exact), bspec.L
+    return form.samplers(), lambda e, _: _against(form.combine(e), form.exact), bspec.L
 
 
 def cmd_mc(cfg: dict, thresholds: dict, threads: int):
@@ -576,40 +588,24 @@ def cmd_mc(cfg: dict, thresholds: dict, threads: int):
             raise ConfigurationError(
                 f"checks[{i}].degree = {chk['degree']} is not below 2D = {two_d} of the bridge "
                 f"Hankel at car_n = {chk['car_n']}")
-    plans, samplers = [], []  # plan: (check, level, finish, its slice of samplers)
+    eta_bound = thresholds["eta"]["sup_n20"]
+    plans, samplers = [], []  # plan: (kind, level, finish, its slice of samplers)
     for i, chk in enumerate(checks):
-        own, finish, level = _mc_estimator(chk, _seeded_rng(seed, 0xC8EC, i), spec)
-        plans.append((chk, level, finish, slice(len(samplers), len(samplers) + len(own))))
+        own, finish, level = _mc_estimator(chk, _seeded_rng(seed, 0xC8EC, i), spec, eta_bound)
+        plans.append((chk["check"], level, finish, slice(len(samplers), len(samplers) + len(own))))
         samplers += own
     estimates, drift, renorms = stream_estimates(mcfg, samplers)
-    rows, flags = [], {}
-    for i, (chk, level, finish, own) in enumerate(plans):
-        kind = chk["check"]
-        row = {"check": kind, "level": level, "n_samples": n_samples, "seed": seed,
-               "estimate_im": 0.0, "target_im": 0.0, "stderr": 0.0}
-        if kind == "drift":
-            row.update(estimate_re=drift, target_re=0.0)
-            row["pass"] = drift <= 1e-12
-        elif kind == "eta_bound":
-            sup = finish(estimates[own])
-            bound = thresholds["eta"]["sup_n20"]
-            row.update(estimate_re=sup, target_re=bound)
-            row["pass"] = sup <= bound + 1e-9
-        else:
-            est, target = finish(estimates[own])
-            row.update(
-                estimate_re=float(np.real(est.mean)), estimate_im=float(np.imag(est.mean)),
-                target_re=target.real, target_im=target.imag, stderr=est.stderr,
-            )
-            row["pass"] = abs(complex(est.mean) - target) <= 4.0 * est.stderr
-        rows.append(row)
-        flags[f"{kind}[{i}]"] = bool(row["pass"])
-    results = {"L": L, "n_samples": n_samples, "seed": seed,
-               "renorm_count": renorms, "checks": rows}
     header = ("check", "level", "n_samples", "seed", "estimate_re", "estimate_im",
               "target_re", "target_im", "stderr", "pass")
-    csv_rows = [header] + [tuple(r.get(k, "") for k in header) for r in rows]
-    return results, flags, ("mc.csv", csv_rows)
+    rows = []
+    for kind, level, finish, own in plans:
+        est, target, stderr, ok = finish(estimates[own], drift)
+        rows.append(dict(zip(header, (kind, level, n_samples, seed, est.real, est.imag,
+                                      target.real, target.imag, stderr, ok))))
+    flags = {f"{row['check']}[{i}]": bool(row["pass"]) for i, row in enumerate(rows)}
+    results = {"L": L, "n_samples": n_samples, "seed": seed,
+               "renorm_count": renorms, "checks": rows}
+    return results, flags, ("mc.csv", [header] + [tuple(r.values()) for r in rows])
 
 
 def cmd_fcn(cfg: dict, thresholds: dict, threads: int):

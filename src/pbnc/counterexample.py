@@ -34,10 +34,10 @@ certify and the fcn experiment) all come from ``haar_bundle``: multiplier
 1/K2 on the dyadic frequencies, K2 the empirical row bound of the system,
 which the certificate also divides by; a Haar cb value is therefore
 empirical.  The fcn experiment sets eps = (c - 1) / C_probe from the same
-search on ``hankel.hankel_map`` (``haar_bundle_for_target``); a row runs
-both of its searches as monomial chains ending at the z^2 witness, where the
-full searches win, so no row builds a dense Toeplitz matrix, and it reports
-whether the K2 ascent converged.
+search on ``hankel.hankel_map`` (``haar_bundle_for_target``), run as the
+monomial chain z -> z^2, so no row builds a dense Toeplitz matrix; its
+pb_probe is the monomial identity below at z^2, so a row runs no P(T)
+solve.  A row reports whether the K2 ascent converged.
 ``OperatorBundle`` alone refuses eps < 0.
 
 Supported frequencies must stay <= D: within that range the truncated
@@ -45,6 +45,25 @@ transpose(S)^a G S^b collapse exactly to G S^{a+b}, which is what makes the
 block formula for P(T) agree with plain Horner evaluation to rounding.
 Above D the truncation leaks and the two genuinely differ, so build_T
 rejects such multipliers.
+
+Monomials in closed form.  Let every supported frequency be <= D - 1, as
+at the default D = 2^n + 1, and 1 <= k <= D - 1.  The block formula gives
+z^k(T) = [[A, X], [0, B]] with A = (S^t)^k, B = S^k and
+X = eps G (k S^{k-1} (x) I) = eps G T((z^k)'), and then
+
+    ||z^k(T)|| = phi(||X||),   phi(x) = (x + sqrt(x^2 + 4)) / 2,
+
+the norm of [[1, x], [0, 1]].  Upper bound: ||A||, ||B|| <= 1, so
+||z^k(T)|| is at most the norm of the matrix of block norms
+[[1, ||X||], [0, 1]].  Lower bound: block (i, j) of X is nonzero only where
+i + j + k is a supported frequency, so only where i + j + k <= D - 1, and
+every block row and column of X past D - 1 - k is zero.  A A^* and B^* B
+are both the projection onto block rows 0..D - 1 - k.  Take a unit v with
+X v = ||X|| w, ||w|| = 1; for alpha^2 + beta^2 = 1 the vector
+x = (alpha A^* w, beta v) is a unit vector with
+||z^k(T) x||^2 = (alpha + beta ||X||)^2 + beta^2, whose largest value is
+phi(||X||)^2.  The condition is needed: where the largest frequency equals
+D (D = 2^n) the dense norms fall below phi(||X||) on the bundles tested.
 """
 
 from __future__ import annotations
@@ -68,7 +87,7 @@ from .hankel import (
     probe_search,
     probe_solve,
 )
-from .numkit import Polynomial, poly_derivative, subdiagonal_sums, toeplitz_factor
+from .numkit import Polynomial, poly_derivative, subdiagonal_sums, sup_norm, toeplitz_factor
 
 
 @dataclass(frozen=True)
@@ -288,7 +307,9 @@ def haar_bundle_for_target(n: int, c: float, seed: int) -> tuple[OperatorBundle,
     polynomials wins at z^2 on each row tried, and solves z^2 warm from z as
     this chain does, so it returns the same bits (pinned in the tests).  eps
     is empirical, as C_probe is.  z is a candidate, so
-    C_probe >= ||G T(1)|| = ||G|| > 0.
+    C_probe >= ||G T(1)|| = ||G|| > 0.  This chain is the only probe search
+    of an fcn row: with eps set here, ``fcn_experiment`` reads the row's
+    pb_probe off the monomial identity of the module docstring.
     The info dict holds K2, whether its ascent converged, C_probe, eps and
     the system seed."""
     check_default_depth(n, "an fcn row", "n")
@@ -314,25 +335,26 @@ def fcn_experiment(n: int, c: float, seed: int = 0) -> dict:
     column staying inside a positive band reproduces the lower half of the
     two-sided sqrt(n) estimate empirically.
 
-    The row's pb_probe is ``probe_search`` on ``_pb_map`` over the chain
-    1 -> z -> z^2 at max_degree 1, which adds no Fejer mean, no random
-    candidate and no ascent, floored at 1 as in ``pb_probe``.
+    The row runs no P(T) solve.  Its pb_probe is phi((c - 1) s)/s, floored
+    at 1 as in ``pb_probe``: the monomial identity of the module docstring
+    at z^2, with s the certified sup of z^2, the divisor ``probe_search``
+    applies to it.  The value is a lower bound whichever witness
+    w in {z, z^2} gave C_probe = sigma_w / s_w: sigma_w <= ||G T(w')|| is a
+    Rayleigh value and eps = (c - 1) / C_probe, so
+    phi((c - 1) s_w)/s_w = phi(eps sigma_w)/s_w <= ||w(T)||/s_w; and
+    phi(a s)/s decreases as s grows, while s_z <= s_{z^2}.  Where z^2 wins,
+    as on every row tried, it is ||z^2(T)||/s to rounding, which is what
     ``pb_probe``'s full search (PbSearch(restarts=2,
-    max_degree=min(2D - 2, 64))) wins at z^2 on each row tried and reaches
-    it by the same chain, so it returns the same bits (pinned in the tests).
-    Every candidate is a monomial, so each P(T) factor is a shift.  The
-    value is still a lower bound.
+    max_degree=min(2D - 2, 64))) returns, at z^2 as well (pinned in the
+    tests).
 
     The flat pb column follows from the calibration; it is not a
-    measurement.  Both searches win at the z^2 witness, whose certified sup
-    is s = 1/(1 - 2 pi/default_grid_points(2)), so with x = (c - 1)s the
-    row's pb_probe is (x + sqrt(x^2 + 4))/(2s), the norm of [[1, x], [0, 1]]
-    divided by s (pinned in the tests at n = 2, 4, 7 and 8, seed 42).  The
-    row's evidence is the growth of cb alone."""
+    measurement.  The row's evidence is the growth of cb alone."""
     bundle, info = haar_bundle_for_target(n, c, seed)
     sim = cb_certificate(bundle)
-    pb, _ = probe_search(partial(_pb_map, bundle, max_degree=1), 1, [0, 1, 2], seed=seed)
-    pb = max(pb, 1.0)
+    s2 = sup_norm(Polynomial.monomial(2)).certified_upper
+    x = (c - 1.0) * s2  # eps times the sigma of G T(2z) when z^2 gave C_probe
+    pb = max(1.0, (x + np.sqrt(x * x + 4.0)) / (2.0 * s2))
     cb_over_pb = sim / pb
     scaled = cb_over_pb / ((c - 1.0) * np.sqrt(n))
     report = {

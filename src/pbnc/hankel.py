@@ -348,12 +348,11 @@ def build_hankel(
 # symbol
 
 
-def symbol_block(g: BlockHankel, i: int, j: int) -> np.ndarray:
-    """Block (i, j) rebuilt from the symbol q -> m(q)/q * C_{phi(q)},
-    q = i + j + 1, out of the multiplier, frequency map and system (not out
-    of the stored coefficients), so comparing it with block (i, j) of
-    ``g.flat()`` checks the assembly."""
-    q = i + j + 1
+def symbol_block(g: BlockHankel, q: int) -> np.ndarray:
+    """The symbol m(q)/q * C_{phi(q)} at frequency q, the block every (i, j)
+    with i + j + 1 = q holds, out of the multiplier, frequency map and
+    system (not out of the stored coefficients), so comparing it with those
+    blocks of ``g.flat()`` checks the assembly."""
     mq = g.multiplier(q)
     if mq == 0:
         return np.zeros(g.block_shape, dtype=np.complex128)

@@ -112,7 +112,7 @@ def test_criterion_04_hankel_structure_and_identity_probe():
         for i in range(g.D):
             for j in range(g.D):
                 assert np.array_equal(blocks[i, :, j, :], blocks[j, :, i, :])
-                assert np.array_equal(blocks[i, :, j, :], symbol_block(g, i, j))
+                assert np.array_equal(blocks[i, :, j, :], symbol_block(g, i + j + 1))
         probe = bound_probe(g, Polynomial.monomial(1))
         ref = op_norm(g.flat()).value
         print(f"criterion 4: D={g.D} norm_gtf={probe.norm_gtf:.12f} ||G||={ref:.12f}")

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from pbnc import cli, numkit
+from pbnc import cli, hankel, numkit
 from pbnc.coeff_systems import car_jordan_wigner
 from pbnc.counterexample import haar_bundle
 from pbnc.errors import DimensionError, DomainError, NonConvergenceError
@@ -425,6 +425,22 @@ class TestHankelCommand:
         # the symbol of 0 + 1, so the matrix is no longer block Hankel
         assert "FAIL symbol_roundtrip" in capsys.readouterr().out
         assert code == 1
+
+    def test_symbol_roundtrip_evaluates_each_frequency_once(self, tmp_path, monkeypatch):
+        # the flag builds the symbol once for each q = 1..2D - 1 and compares
+        # each block row with one slice of them, not each of the D^2 blocks
+        # with a symbol of its own
+        calls = []
+
+        def counted(g, *args):
+            calls.append(args)
+            return hankel.symbol_block(g, *args)
+
+        monkeypatch.setattr(cli, "symbol_block", counted)
+        assert _run(tmp_path, "hankel", {"mode": "probe", "L": 5, "D": 33}) == 0
+        payload = json.loads((_run_dirs(tmp_path)[0] / "payload.json").read_bytes())
+        assert payload["pass"]["symbol_roundtrip"] is True
+        assert 0 < len(calls) <= 2 * 33 - 1
 
     @pytest.mark.parametrize("doc,typo", [
         ({"mode": "probe", "L": 2, "d": 5}, "'d'"),

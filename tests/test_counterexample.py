@@ -483,22 +483,51 @@ class TestTargetScaling:
     @pytest.mark.parametrize("n", [2, 4, 7, 8])
     @pytest.mark.parametrize("c", [1.5, 2.0, 3.0])
     def test_fcn_pb_probe_is_the_closed_form_of_c(self, n, c):
-        # both searches of the row win at z^2, whose certified sup is the
-        # slack s: the eps calibration makes ||eps G T(2z)|| = x, and
-        # z^2(T) has the norm of [[1, x], [0, 1]]; a search that beat z^2
-        # here would be a discovery, not drift
+        # the calibration wins at z^2, whose certified sup is the slack s:
+        # it makes ||eps G T(2z)|| = x, and z^2(T) has the norm of
+        # [[1, x], [0, 1]] by the monomial identity
         s = 1.0 / (1.0 - 2.0 * np.pi / numkit.default_grid_points(2))
         x = (c - 1.0) * s
         want = (x + np.sqrt(x * x + 4.0)) / (2.0 * s)
         assert fcn_experiment(n, c, 42)["pb_probe"] == pytest.approx(want, rel=1e-14, abs=0)
 
+    def test_monomial_norm_is_phi_of_its_corner(self):
+        # the module docstring's identity ||z^k(T)|| = phi(||X||), X the
+        # corner eps G T((z^k)') of z^k(T), on the dense references: proven
+        # when every frequency is <= D - 1, as at the default D = 2^n + 1;
+        # at D = 2^n, where the largest frequency is D, only phi(||X||) >=
+        # ||z^k(T)|| holds, and somewhere strictly
+        def phi(x):
+            return (x + np.sqrt(x * x + 4.0)) / 2.0
+
+        strict = False
+        for kind, n in SMALL_BUNDLES:
+            system = car_jordan_wigner(n) if kind == "car" else haar_unitaries(n, 3, seed=5)
+            spec = lacunary_default(n)
+            m = MultiplierSeq({q: 0.7 for q in spec.K})
+            for eps in (0.5, 2.0):
+                for D in (2**n + 1, 2**n):
+                    b = build_T(system, spec, m, D=D, eps=eps)
+                    half = b.total_dim // 2
+                    for k in (1, 2, 3, D - 1):
+                        pt = poly_of_T(b, Polynomial.monomial(k))
+                        got = op_norm(pt).value
+                        want = phi(op_norm(pt[:half, half:]).value)
+                        if D == 2**n + 1:
+                            assert got == pytest.approx(want, rel=1e-13, abs=0)
+                        else:
+                            assert got <= want * (1.0 + 1e-13)
+                            strict |= got < want * (1.0 - 1e-6)
+        assert strict
+
     @pytest.mark.parametrize("n,seed,c", [(n, seed, c) for n in (2, 4) for seed in (3, 42)
                                           for c in (1.5, 2.0, 3.0)] + [(7, 42, 2.0)])
     def test_fcn_full_searches_win_at_z2(self, monkeypatch, n, seed, c):
-        # a row solves only the monomial chains ending at z^2; the searches it
-        # replaced, spelled out here, return the same bits from the same
-        # z^2 solve, so a row that dropped z^2 or reordered its chain fails,
-        # and a full search that beats z^2 is a discovery
+        # the row solves only the Hankel chain z -> z^2; the full Hankel
+        # search returns the same bits from the same z^2 solve, so a row that
+        # dropped z^2 or reordered its chain fails.  The row no longer runs
+        # the P(T) search, whose z^2 solve agrees with the row's closed form
+        # to rounding; a full search that beats z^2 is a discovery
         row = fcn_experiment(n, c, seed)
         bundle, _ = haar_bundle_for_target(n, c, seed)
         g = bundle.hankel
@@ -516,34 +545,33 @@ class TestTargetScaling:
 
         monkeypatch.setattr(counterexample, "probe_search", spy)
         search = PbSearch(restarts=2, max_degree=min(2 * g.D - 2, 64), seed=seed)
-        assert pb_probe(bundle, search) == row["pb_probe"]
+        assert pb_probe(bundle, search) == pytest.approx(row["pb_probe"], rel=1e-14, abs=0)
         assert found[0][1] == "monomial:2"
 
     @pytest.mark.parametrize("n", [2, 7])
-    def test_fcn_row_solves_five_monomials(self, monkeypatch, n):
-        # the row's two searches are the monomial chains z -> z^2 on the
-        # Hankel map and 1 -> z -> z^2 on P(T): no Fejer mean, no random
-        # polynomial, so every Toeplitz factor is a shift
+    def test_fcn_row_solves_two_monomials(self, monkeypatch, n):
+        # a row's one search is the monomial chain z -> z^2 on the Hankel
+        # map: no Fejer mean, no random polynomial, so every Toeplitz factor
+        # is a shift, and no P(T) is applied at all
         solves = []
 
-        def counted(name, map_of):
-            def wrapped(*args, **kwargs):
-                solve, direction = map_of(*args, **kwargs)
+        def counted(*args, **kwargs):
+            solve, direction = hankel.hankel_map(*args, **kwargs)
 
-                def counted_solve(f, start=None):
-                    solves.append((name, f.coeffs.tolist()))
-                    return solve(f, start=start)
+            def counted_solve(f, start=None):
+                solves.append(f.coeffs.tolist())
+                return solve(f, start=start)
 
-                return counted_solve, direction
-            return wrapped
+            return counted_solve, direction
 
-        monkeypatch.setattr(counterexample, "hankel_map", counted("G T(f')", hankel.hankel_map))
-        monkeypatch.setattr(counterexample, "_pb_map", counted("P(T)", _pb_map))
+        def no_poly_t(*args, **kwargs):
+            raise AssertionError("an fcn row applied P(T)")
+
+        monkeypatch.setattr(counterexample, "hankel_map", counted)
+        monkeypatch.setattr(counterexample, "_poly_t_applies", no_poly_t)
         monkeypatch.setattr(numkit, "toeplitz", None)  # a dense factor would fail here
         fcn_experiment(n, 2.0, 42)
-        z = [[1], [0, 1], [0, 0, 1]]
-        assert solves == [("G T(f')", z[1]), ("G T(f')", z[2]),
-                          ("P(T)", z[0]), ("P(T)", z[1]), ("P(T)", z[2])]
+        assert solves == [[0, 1], [0, 0, 1]]
 
     def test_fcn_row(self):
         row = fcn_experiment(2, 2.0, seed=42)

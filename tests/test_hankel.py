@@ -266,12 +266,11 @@ class TestSymbol:
                     ref = (np.zeros(g.block_shape) if mq == 0
                            else (mq / q) * g.system.elements[g.freq_map[q] - 1])
                     assert np.array_equal(blocks[i, :, j, :], ref)
-                    assert np.array_equal(symbol_block(g, i, j), ref)
+                    assert np.array_equal(symbol_block(g, q), ref)
 
     def test_coefficient_indexing(self):
         g = _small_car_hankel(n=2, D=5)
-        nonzero = {i + j + 1 for i in range(g.D) for j in range(g.D)
-                   if symbol_block(g, i, j).any()}
+        nonzero = {q for q in range(1, 2 * g.D) if symbol_block(g, q).any()}
         assert nonzero == set(g.coefficients) == {2, 4}
 
 

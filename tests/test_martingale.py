@@ -424,7 +424,8 @@ class TestStreaming:
         spec = lacunary_default(L)
         samplers = []
         for i, doc in enumerate(cli._default_mc_checks(L)):
-            own, _, _ = cli._mc_estimator(cli._read_check(cli._Keys(doc)), _rng(i), spec)
+            own, _, _ = cli._mc_estimator(cli._read_check(cli._Keys(doc)), _rng(i), spec,
+                                          cli.load_thresholds()[0]["eta"]["sup_n20"])
             samplers += own
         cfg = MartingaleConfig(L=L, n_samples=3 * SIM_BLOCK + 5, seed=1)
         tracemalloc.start()

@@ -20,8 +20,10 @@ index, is not counted).  With more than one n a
 ``total`` line follows, with the largest peak.  The defaults are those of
 ``PbSearch()``; the ``car_chain`` benchmark's sweep is ``2 3 4`` with its
 seed.  With ``--fcn`` each line is instead one ``fcn_experiment(n, 2.0, 42)``
-row, the ``pbnc fcn`` row at n, with the same counts over both of its
-searches (the K2 ascent runs no probe solve) and the row's ``pb_probe``:
+row, the ``pbnc fcn`` row at n, and the row's ``pb_probe``.  A row runs no
+P(T) solve (its ``pb_probe`` is a closed form), and the K2 ascent runs no
+probe solve, so the counts are those of its one search, the Hankel chain
+z -> z^2 that sets eps:
 
     python3 tools/probe_cost.py 4 5 6
     python3 tools/probe_cost.py 2 3 4 --seed 7
